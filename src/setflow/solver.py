@@ -11,6 +11,7 @@ computational witness that the map resists chain-preserving selection there.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .chains import (
     extension_slack,
     verify_chain,
 )
-from .geometry import dist_to_hull, dist_to_set, norm
+from .geometry import dist_to_hull, dist_to_set, inner, norm
 from .setmaps import PLConvexFunction, ProblemSpec, SetValuedMap
 
 __all__ = [
@@ -47,9 +48,10 @@ class SelectionFailed(RuntimeError):
     """
 
     def __init__(self, step_index, time, point, chain, candidate_slacks, strategy, tol):
+        best = max(s for _, s in candidate_slacks)
         super().__init__(
             f"no velocity keeps the chain verified at step {step_index} "
-            f"(t={time!r}, best slack {max(s for _, s in candidate_slacks)!r}, tol {tol!r})"
+            f"(t={float(time)!r}, best slack {float(best)!r}, tol {float(tol)!r})"
         )
         self.step_index = step_index
         self.time = time
@@ -140,6 +142,25 @@ def time_grid(horizon: float, step: float):
     return np.array(times), np.array(deltas)
 
 
+class _ChainTip(NamedTuple):
+    """The four values of a chain that :func:`extension_slack` reads.
+
+    Appending a pair adds one inequality, so whether a pick keeps a verified
+    chain verified depends on nothing else; the extension rules accept a tip
+    wherever they accept a :class:`Chain`.
+    """
+
+    anchor_point: np.ndarray
+    last_point: np.ndarray
+    last_velocity: np.ndarray
+    last_sum: float
+
+    def extended(self, x, v) -> "_ChainTip":
+        # same expression as Chain.extended, so the sums round identically
+        step = inner(x - self.last_point, self.last_velocity)
+        return _ChainTip(self.anchor_point, x, v, self.last_sum + step)
+
+
 def _select(chain, x_next, svmap, strategy, tol):
     if strategy == "exhaustive":
         return extend_exhaustive(chain, x_next, svmap, tol)
@@ -159,10 +180,11 @@ def _select(chain, x_next, svmap, strategy, tol):
 def euler_solve(spec: ProblemSpec) -> Trajectory:
     """Integrate the inclusion by Euler polygons with chain-preserving selection.
 
-    ``support`` selections are re-verified and fall back to the exhaustive
-    scan, as does ``inertial`` when no aligned velocity exists; consequently a
+    ``support`` and ``inertial`` picks are checked at the final index and fall
+    back to the exhaustive scan when they fail; consequently a
     :class:`SelectionFailed` from any strategy certifies that no value of the
-    map extends the chain at that node within the tolerance.
+    map extends the chain at that node within the tolerance.  Only the chain
+    tip is carried, so each step costs the same however long the chain is.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
@@ -170,21 +192,22 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     if not svmap.eval(x0).contains(v0):
         raise ValueError("v0: initial velocity not in F(x0)")
     times, deltas = time_grid(spec.horizon, spec.step)
-    chain = Chain([x0], [v0])
+    tip = _ChainTip(x0, x0, v0, 0.0)
     states = [x0]
     velocities = [v0]
     x = x0
     for k, dt in enumerate(deltas):
         x = x + dt * velocities[-1]
-        v = _select(chain, x, svmap, spec.strategy, spec.tol)
+        v = _select(tip, x, svmap, spec.strategy, spec.tol)
         if v is None:
+            chain = Chain(states, velocities)
             slacks = [
                 (cand, extension_slack(chain, x, cand))
                 for cand in svmap.eval(x).points
             ]
             raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
                                   spec.strategy, spec.tol)
-        chain = chain.extended(x, v)
+        tip = tip.extended(x, v)
         states.append(x)
         velocities.append(v)
     return Trajectory(np.array(times), np.vstack(states), np.vstack(velocities),
@@ -201,8 +224,12 @@ def trajectory_residual(traj: Trajectory, svmap: SetValuedMap, hull_tol: float =
     hull = 0.0
     for x, v in zip(traj.states, traj.velocities):
         values = svmap.eval(x)
-        node = max(node, dist_to_set(v, values))
-        hull = max(hull, dist_to_hull(v, values, hull_tol))
+        gap = dist_to_set(v, values)
+        node = max(node, gap)
+        # a member is its own nearest hull point: dist_to_hull would start at
+        # the zero vector and return exactly 0.0
+        if gap > 0.0:
+            hull = max(hull, dist_to_hull(v, values, hull_tol))
     return node, hull
 
 
@@ -215,10 +242,15 @@ def trajectory_cm_check(traj: Trajectory, tol: float = 0.0) -> bool:
 def polygon_sup_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup distance between two polygons on the union of their node times."""
     times = np.union1d(a.times, b.times)
-    worst = 0.0
-    for t in times:
-        worst = max(worst, norm(a.interpolate(t) - b.interpolate(t)))
-    return worst
+    gaps = _states_at(a, times) - _states_at(b, times)
+    return max(norm(row) for row in gaps)
+
+
+def _states_at(traj: Trajectory, times) -> np.ndarray:
+    # one row per time, equal to Trajectory.interpolate at that time
+    return np.column_stack([
+        np.interp(times, traj.times, traj.states[:, c]) for c in range(traj.dimension)
+    ])
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Shared fixtures: the map corpus every classification test runs against."""
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setflow
 from setflow import (
     Always,
     Halfspace,
@@ -60,6 +63,46 @@ def make_non_wcm_map():
         (Halfspace([1.0], 0.0, "eq"), [[0.0], [1.0]]),
         (Always(), [[0.0]]),
     ])
+
+
+def _below(value):
+    return {"kind": "halfspace", "normal": [1.0], "value": value, "op": "lt"}
+
+
+# From x0 = 0, v0 = 1 with h = 1 and tol = 0.1 the chain reaches (1, 0.91)
+# with slack -0.09.  At x = 1.91 the only value is aligned with 0.91 (pivot
+# product -0.05), yet its final-index slack is -0.14: alignment alone bounds
+# the slack only by -2 * tol, and no value extends the chain there.
+INERTIAL_GAP_PROBLEM = {
+    "map": {
+        "kind": "table",
+        "regions": [
+            {"where": _below(0.5), "points": [[1.0]]},
+            {"where": _below(1.5), "points": [[0.91]]},
+            {"where": {"kind": "always"}, "points": [[0.91 - 0.05 / 1.91]]},
+        ],
+    },
+    "x0": [0.0],
+    "v0": [1.0],
+    "T": 2.0,
+    "h": 1.0,
+    "strategy": "inertial",
+    "tol": 0.1,
+}
+
+
+def child_env():
+    """Environment for a ``python -m setflow`` subprocess.
+
+    Its ``PYTHONPATH`` starts with the absolute directory holding the setflow
+    package this process imported, so the child runs the code under test
+    whatever its working directory; an inherited relative entry (such as
+    ``src``) would resolve against that directory.
+    """
+    paths = [str(Path(setflow.__file__).resolve().parent.parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def build_corpus():

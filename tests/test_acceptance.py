@@ -8,16 +8,13 @@ not depend on test ordering.
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import setflow
 from setflow import (
     Chain,
     PLConvexFunction,
@@ -46,7 +43,7 @@ from setflow import (
     verify_chain,
 )
 
-from conftest import build_corpus
+from conftest import build_corpus, child_env
 from oracles import first_chain_violation_exact, random_cm_chain, random_lattice_chain
 
 
@@ -383,12 +380,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     }
     src = tmp_path / "problem.json"
     src.write_text(json.dumps(problem, indent=2) + "\n")
-    # The child must run the package this process imported. An inherited
-    # relative PYTHONPATH (e.g. ``src``) would resolve against ``cwd``.
-    paths = [str(Path(setflow.__file__).resolve().parent.parent)]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = child_env()
     outs = []
     logs = []
     for tag in ("first", "second"):

@@ -21,13 +21,14 @@ from setflow import (
     extension_slack,
     inner,
     linear_map,
+    map_from_dict,
     pl_subdifferential_map,
     replay_witness,
     sample_grid,
     verify_chain,
 )
 
-from conftest import ABS_F, make_non_wcm_map, make_sign_map
+from conftest import ABS_F, INERTIAL_GAP_PROBLEM, make_non_wcm_map, make_sign_map
 from oracles import (
     chain_holds_exact,
     first_chain_violation_exact,
@@ -171,6 +172,16 @@ class TestExtensionRules:
             if v is not None:
                 c = c.extended(x, v)
         assert verify_chain(c, tol=0.0)[0]
+
+    def test_inertial_declines_aligned_pick_below_tol(self):
+        F = map_from_dict(INERTIAL_GAP_PROBLEM["map"])
+        c = Chain([[0.0], [1.0]], [[1.0], [0.91]])
+        x_next = np.array([1.91])
+        (v,) = F(x_next).points
+        # aligned within tol, yet the final-index slack is below -tol
+        assert inner(x_next - c.anchor_point, v - c.last_velocity) >= -0.1
+        assert extension_slack(c, x_next, v) < -0.1
+        assert extend_inertial(c, x_next, F, tol=0.1) is None
 
     def test_inertial_prefers_smallest_velocity_change(self):
         F = constant_map([[-1.0], [1.0]])

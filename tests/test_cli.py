@@ -2,12 +2,15 @@
 
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from setflow import (
     Chain,
+    extend_exhaustive,
     family_from_text,
     map_from_dict,
     parse_problem,
@@ -17,6 +20,8 @@ from setflow import (
 )
 from setflow.chains import ClassReport
 from setflow.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, main
+
+from conftest import INERTIAL_GAP_PROBLEM, child_env
 
 
 SIGN_PROBLEM = {
@@ -94,6 +99,28 @@ class TestSolve:
         chain = Chain(failure["chain"]["points"], failure["chain"]["velocities"])
         assert verify_chain(chain)[0]
         assert all(entry["slack"] < 0 for entry in failure["candidate_slacks"])
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_inertial_gap_exits_with_replayable_failure(self, tmp_path, flags):
+        # the inertial pick at x = 1.91 is aligned but breaks the chain; the
+        # run must end in the selection-failure contract, also under -O
+        prob = tmp_path / "gap.json"
+        prob.write_text(json.dumps(INERTIAL_GAP_PROBLEM) + "\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "setflow", "solve",
+             "--input", str(prob), "--output", str(out)],
+            capture_output=True, cwd=tmp_path, env=child_env(),
+        )
+        assert proc.returncode == EXIT_SELECTION, proc.stderr.decode()
+        assert sorted(p.name for p in out.iterdir()) == ["selection_failure.json"]
+        failure = json.loads((out / "selection_failure.json").read_text())
+        assert failure["step_index"] == 2
+        F = map_from_dict(INERTIAL_GAP_PROBLEM["map"])
+        chain = Chain(failure["chain"]["points"], failure["chain"]["velocities"])
+        tol = INERTIAL_GAP_PROBLEM["tol"]
+        assert verify_chain(chain, tol)[0]
+        assert extend_exhaustive(chain, np.array(failure["point"]), F, tol) is None
 
     def test_strategy_override(self, tmp_path, sign_file):
         out = tmp_path / "out"

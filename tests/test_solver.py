@@ -1,5 +1,7 @@
 """Euler polygons: time grids, selection strategies, residuals, refinement."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,14 @@ from setflow import (
     SelectionFailed,
     Trajectory,
     constant_map,
+    dist_to_hull,
+    dist_to_set,
     euler_solve,
     horizon_hint,
     inner,
     lyapunov_check,
+    norm,
+    parse_problem,
     pl_subdifferential_map,
     polygon_sup_distance,
     refine_study,
@@ -21,7 +27,7 @@ from setflow import (
     trajectory_residual,
 )
 
-from conftest import ABS_F, TWO_MAX_F, make_non_wcm_map, make_sign_map
+from conftest import ABS_F, INERTIAL_GAP_PROBLEM, TWO_MAX_F, make_non_wcm_map, make_sign_map
 
 
 def _spec(svmap, x0, v0, T=1.0, h=0.01, strategy="inertial", tol=1e-9, **kw):
@@ -111,6 +117,18 @@ class TestEulerSolve:
         from setflow import extend_exhaustive
         assert extend_exhaustive(c, np.array(d["point"]), F, tol=spec.tol) is None
 
+    def test_inertial_gap_fails_with_plain_float_message(self):
+        spec = parse_problem(json.dumps(INERTIAL_GAP_PROBLEM))
+        with pytest.raises(SelectionFailed) as exc:
+            euler_solve(spec)
+        err = exc.value
+        assert str(err) == (
+            "no velocity keeps the chain verified at step 2 "
+            f"(t=2.0, best slack {err.candidate_slacks[0][1]!r}, tol 0.1)"
+        )
+        assert err.candidate_slacks[0][1] < -0.1
+        assert err.to_json_dict()["time"] == 2.0
+
     def test_velocity_rows_come_from_the_map(self):
         F = pl_subdifferential_map(ABS_F)
         traj = euler_solve(_spec(F, [-0.5], [-1.0]))
@@ -145,6 +163,32 @@ class TestTrajectoryType:
         node, hull = trajectory_residual(doctored, F)
         assert node == pytest.approx(2.0)
         assert hull == pytest.approx(2.0)
+
+    def test_residual_matches_unconditional_formula(self, rng):
+        # members, hull points that are not members, and points off the hull
+        F = constant_map([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        traj = euler_solve(_spec(F, [0.0, 0.0], [1.0, 0.0], h=0.125))
+        vs = traj.velocities.copy()
+        vs[1::3] = [0.0, 0.25]
+        vs[2::3] += rng.normal(scale=0.05, size=vs[2::3].shape)
+        doctored = Trajectory(traj.times, traj.states, vs, traj.step, traj.strategy)
+        node = max(dist_to_set(v, F(x)) for x, v in zip(traj.states, vs))
+        hull = max(dist_to_hull(v, F(x), 1e-9) for x, v in zip(traj.states, vs))
+        assert node > 0.0 and hull > 0.0
+        assert trajectory_residual(doctored, F) == (node, hull)
+
+    def test_sup_distance_equals_interpolation_loop(self, rng):
+        for n_a, n_b, dim in [(4, 8, 1), (8, 32, 2), (16, 16, 3), (64, 2, 2)]:
+            polys = []
+            for n in (n_a, n_b):
+                times, _ = time_grid(1.0, 1.0 / n)
+                states = rng.normal(size=(n + 1, dim))
+                polys.append(Trajectory(times, states, states, 1.0 / n, "inertial"))
+            a, b = polys
+            want = 0.0
+            for t in np.union1d(a.times, b.times):
+                want = max(want, norm(a.interpolate(t) - b.interpolate(t)))
+            assert polygon_sup_distance(a, b) == want
 
     def test_sup_distance_zero_on_self(self):
         F = constant_map([[1.0]])
