@@ -14,21 +14,24 @@ a pair costs one inner product.
 Extension strategies offer three ways to continue a chain to a new point with
 a velocity from a set-valued map: exhaustive slack maximization, support
 maximization in the anchored direction, and an inertial rule that keeps the
-new velocity aligned with the previous one.  Classifiers brute-force the
-monotonicity hierarchy over finite sample sets; their verdicts are relative to
-the samples and every negative verdict carries a witness that can be replayed.
+new velocity aligned with the previous one.  Classifiers decide the
+monotonicity hierarchy over finite sample sets: the pairwise classes by
+enumeration, the chain classes on one (point, value) graph, by a max-plus
+dynamic program or a batched breadth-first search.  Their verdicts are
+relative to the samples and every negative verdict carries a witness that can
+be replayed.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CompactSet, inner, nearest_point, support_argmax, support_value
+from .geometry import inner, inner_rows, nearest_point, support_argmax, support_value
 from .setmaps import SetValuedMap
 
 __all__ = [
@@ -135,9 +138,6 @@ class Chain:
     @property
     def last_sum(self) -> float:
         return float(self.sums[-1])
-
-    def pair(self, i) -> tuple:
-        return self.xs[i], self.vs[i]
 
     def prefix(self, count: int) -> "Chain":
         """First ``count`` pairs, sharing this chain's cached sums."""
@@ -311,11 +311,17 @@ class _Budget:
 
 
 def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
-    """Pairwise monotonicity ``<x - y, v_x - v_y> >= -tol`` over the samples."""
+    """Pairwise monotonicity ``<x - y, v_x - v_y> >= -tol`` over the samples.
+
+    The map is evaluated at a sample when the pair loop first reaches it, so
+    an over-budget run stops evaluating once the budget is spent.
+    """
     pts = _as_points(samples)
-    values = [svmap.eval(p).points for p in pts]
+    values = []
     meter = _Budget(budget)
     for i, j in itertools.combinations(range(len(pts)), 2):
+        while len(values) <= j:
+            values.append(svmap.eval(pts[len(values)]).points)
         for vx in values[i]:
             for vy in values[j]:
                 meter.spend()
@@ -360,47 +366,190 @@ def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHA
     )
 
 
+class _ChainGraph:
+    """The (point, value) nodes of a map on the samples and their chain terms.
+
+    Node ``a`` pairs the point ``X[a]`` with a value ``V[a]`` of the map there,
+    in sample order and then value order; the nodes of sample ``i`` are
+    ``start[i]:start[i + 1]``.  A chain through nodes ``a_0, ..., a_m`` has
+    step sums ``W[a_0, a_1] + ... + W[a_{m-1}, a_m]`` (added left to right) and
+    final anchored term ``E[a_0, a_m]``, where
+
+        W[a, b] = <X[b] - X[a], V[a]>,    E[a, b] = <X[b] - X[a], V[b]>.
+
+    Both come from one batched :func:`inner_rows` over the difference
+    vectors, so every term equals the scalar :func:`inner` of
+    :class:`Chain` and :func:`verify_chain` bit for bit.
+    """
+
+    __slots__ = ("start", "X", "V", "W", "E")
+
+    def __init__(self, svmap, pts):
+        values = [svmap.eval(p).points for p in pts]
+        counts = [len(v) for v in values]
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.X = np.repeat(np.array(pts), counts, axis=0)
+        self.V = np.concatenate(values)
+        diffs = self.X[None, :, :] - self.X[:, None, :]
+        self.W = inner_rows(diffs, self.V[:, None, :])
+        self.E = inner_rows(diffs, self.V[None, :, :])
+
+
+class _MaxPlusPaths:
+    """Worst anchored chain slacks over a grouped node graph, by max-plus DP.
+
+    Chains of ``m`` steps run through nodes of ``m + 1`` groups (contiguous
+    node ranges ``start[g]:start[g + 1]``), with step weights ``W`` and end
+    weights ``E[g_0]`` of the anchor group.  They are ordered by ``m``, then
+    by group tuple, then by node tuple within the groups, both
+    lexicographically; a chain violates when ``E[g_0, a_m] - sums < -tol``.
+
+    Because float addition is monotone, ``max_a fl(S[a] + W[a, b])`` over the
+    best sums ``S`` of shorter chains is exactly the largest left-to-right sum
+    of any chain ending at ``b``, and ``fl(E - S)`` is then its smallest
+    slack.  So one forward pass per anchor decides every length at ``O(K^2)``
+    per step, and a depth-first descent with the same pass as an existence
+    test finds the first violating chain in the order above.
+    """
+
+    def __init__(self, W, E, start, tol):
+        self.W, self.E, self.tol = W, E, tol
+        self.start = [int(s) for s in start]
+        self.size = W.shape[0]
+        self.groups = len(start) - 1
+        self.every = [(0, self.size)]
+
+    def _advance(self, S, ranges):
+        # best sums after one step into each node range in turn
+        for lo, hi in ranges:
+            nxt = np.full(self.size, -np.inf)
+            nxt[lo:hi] = np.max(S[:, None] + self.W[:, lo:hi], axis=0)
+            S = nxt
+        return S
+
+    def _violates(self, S, g0) -> bool:
+        return bool(np.any(self.E[g0] - S < -self.tol))
+
+    def _group(self, g):
+        return (self.start[g], self.start[g + 1])
+
+    def _seed(self, lo, hi):
+        S = np.full(self.size, -np.inf)
+        S[lo:hi] = 0.0
+        return S
+
+    def first_violation(self, max_length, budget=math.inf):
+        """``(chains up to and including it, its nodes)`` or ``(count, None)``.
+
+        Raises :class:`BudgetExceededError` exactly when enumerating the
+        chains one by one would pass ``budget`` before reaching a violation;
+        anchors whose chains start past it are skipped.
+        """
+        K, n = self.size, self.groups
+        # chains of fewer than m steps
+        shorter = [sum(K ** (j + 1) for j in range(1, m)) for m in range(max_length + 2)]
+
+        def past_budget(m, g0):
+            # the first chain of m steps anchored in g0 lies beyond the budget
+            return shorter[m] + self.start[g0] * K ** m >= budget
+
+        found = None  # (m, g0) of the first violation seen so far
+        for g0 in range(n):
+            if past_budget(1, g0):
+                break
+            reach = max_length if found is None else found[0] - 1
+            S = self._seed(*self._group(g0))
+            for m in range(1, reach + 1):
+                if past_budget(m, g0):
+                    break
+                S = self._advance(S, self.every)
+                if self._violates(S, g0):
+                    found = (m, g0)
+                    break
+        if found is None:
+            total = shorter[max_length + 1]
+            if total > budget:
+                raise BudgetExceededError(budget + 1, budget)
+            return total, None
+        m, g0 = found
+        groups = self._first_groups(m, g0)
+        nodes = self._first_nodes(groups)
+        # chains of shorter length, of earlier group tuples, of earlier node
+        # tuples on these groups, and this one
+        sizes = [self.start[g + 1] - self.start[g] for g in groups]
+        rank = shorter[m] + 1
+        for j, (g, a) in enumerate(zip(groups, nodes)):
+            rank += math.prod(sizes[:j]) * self.start[g] * K ** (m - j)
+            rank += (a - self.start[g]) * math.prod(sizes[j + 1:])
+        if rank > budget:
+            raise BudgetExceededError(budget + 1, budget)
+        return rank, nodes
+
+    def _first_groups(self, m, g0):
+        # lexicographically first group tuple with a violating chain
+        groups = [g0]
+        S = self._seed(*self._group(g0))
+        for j in range(1, m + 1):
+            for g in range(self.groups):
+                T = self._advance(S, [self._group(g)])
+                if self._violates(self._advance(T, self.every * (m - j)), g0):
+                    groups.append(g)
+                    S = T
+                    break
+        return groups
+
+    def _first_nodes(self, groups):
+        # lexicographically first node tuple on those groups that violates
+        ranges = [self._group(g) for g in groups]
+        nodes = []
+        S = None
+        for j, (lo, hi) in enumerate(ranges):
+            for a in range(lo, hi):
+                T = self._seed(a, a + 1) if S is None else self._advance(S, [(a, a + 1)])
+                if self._violates(self._advance(T, ranges[j + 1:]), groups[0]):
+                    nodes.append(a)
+                    S = T
+                    break
+        return nodes
+
+
 def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
                              budget=DEFAULT_CHAIN_BUDGET):
-    """Brute-force cyclic monotonicity over chains drawn from the samples.
+    """Cyclic monotonicity over chains drawn from the samples.
 
-    Enumerates every point tuple of up to ``max_length + 1`` samples (with
+    Covers every point tuple of up to ``max_length + 1`` samples (with
     repetition) and every combination of map values on it, checking the chain
     inequality at the final index; shorter tuples cover the earlier indices.
-    The verdict is relative to the samples: ``holds`` certifies nothing off
-    the grid, and a witness chain refutes the property globally.
+    A max-plus dynamic program over the (point, value) graph decides this in
+    ``O(n * max_length * K^2)`` for ``n`` samples and ``K`` nodes, and the
+    report reads as if the ``K^(m+1)`` chains of each length ``m`` had been
+    enumerated in order: the witness is the first violating chain and
+    ``chains_checked`` its position.  The verdict is relative to the samples:
+    ``holds`` certifies nothing off the grid, and a witness chain refutes the
+    property globally.
     """
     pts = _as_points(samples)
-    values = [svmap.eval(p).points for p in pts]
-    meter = _Budget(budget)
-    n = len(pts)
-    for m in range(1, max_length + 1):
-        for idxs in itertools.product(range(n), repeat=m + 1):
-            xs = [pts[i] for i in idxs]
-            steps = [xs[i] - xs[i - 1] for i in range(1, m + 1)]
-            final = xs[m] - xs[0]
-            for combo in itertools.product(*(range(len(values[i])) for i in idxs)):
-                meter.spend()
-                vs = [values[i][c] for i, c in zip(idxs, combo)]
-                rhs = 0.0
-                for i in range(1, m + 1):
-                    rhs += inner(steps[i - 1], vs[i - 1])
-                slack = inner(final, vs[m]) - rhs
-                if slack < -tol:
-                    witness = {
-                        "points": [x.tolist() for x in xs],
-                        "velocities": [v.tolist() for v in vs],
-                        "index": m,
-                        "slack": slack,
-                    }
-                    return ClassReport(
-                        "cyclic_monotone", False, witness, tol, _describe_samples(pts),
-                        {"max_length": max_length, "chains_checked": meter.used},
-                    )
-    return ClassReport(
-        "cyclic_monotone", True, None, tol, _describe_samples(pts),
-        {"max_length": max_length, "chains_checked": meter.used},
-    )
+    graph = _ChainGraph(svmap, pts)
+    anchored = graph.E[graph.start[:-1]]
+    paths = _MaxPlusPaths(graph.W, anchored, graph.start, tol)
+    checked, nodes = paths.first_violation(max_length, budget)
+    details = {"max_length": max_length, "chains_checked": checked}
+    if nodes is None:
+        return ClassReport("cyclic_monotone", True, None, tol, _describe_samples(pts), details)
+    rhs = 0.0
+    for a, b in zip(nodes, nodes[1:]):
+        rhs += float(graph.W[a, b])
+    witness = {
+        "points": graph.X[nodes].tolist(),
+        "velocities": graph.V[nodes].tolist(),
+        "index": len(nodes) - 1,
+        "slack": float(graph.E[nodes[0], nodes[-1]]) - rhs,
+    }
+    return ClassReport("cyclic_monotone", False, witness, tol, _describe_samples(pts), details)
+
+
+# slack entries (chains times nodes) per block of the weak-cyclic search
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
@@ -411,74 +560,106 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     pairs built from the samples, anchored at every (sample, value) pair.  The
     property holds when :func:`extend_exhaustive` succeeds for every chain and
     every next sample point; a failure is returned as a (chain, next point)
-    witness.
+    witness.  Each level is checked against all ``K`` nodes at once, in
+    blocks of chains, carrying only each chain's node path and step sum;
+    ``extensions_checked`` counts one check per chain and node, in queue
+    order.
     """
     pts = _as_points(samples)
-    values = [svmap.eval(p).points for p in pts]
-    meter = _Budget(budget)
-    queue = deque(
-        Chain([pts[i]], [v]) for i in range(len(pts)) for v in values[i]
-    )
-    while queue:
-        chain = queue.popleft()
-        for j, x_next in enumerate(pts):
-            feasible = []
-            best = -np.inf
-            for v in values[j]:
-                meter.spend()
-                s = extension_slack(chain, x_next, v)
-                best = max(best, s)
-                if s >= -tol:
-                    feasible.append(v)
-            if best < -tol:
+    graph = _ChainGraph(svmap, pts)
+    K = len(graph.V)
+    firsts = graph.start[:-1]
+    # chains whose first check falls within the budget
+    cap = (budget - 1) // K + 1
+    block = max(1, _BLOCK_ELEMENTS // K)
+    done = 0
+    paths, sums = np.arange(K)[:, None], np.zeros(K)
+    while len(paths):
+        room = cap - done
+        grow = paths.shape[1] < max_length
+        kids_paths, kids_sums, kids = [], [], 0
+        for lo in range(0, min(len(paths), room), block):
+            rows = paths[lo:min(lo + block, room)]
+            stepped = sums[lo:lo + len(rows), None] + graph.W[rows[:, -1]]
+            slack = graph.E[rows[:, 0]] - stepped
+            best = np.maximum.reduceat(slack, firsts, axis=1)
+            stuck = np.flatnonzero(best < -tol)
+            if stuck.size:
+                r, j = divmod(int(stuck[0]), len(pts))
+                used = (done + lo + r) * K + int(graph.start[j + 1])
+                if used > budget:
+                    raise BudgetExceededError(budget + 1, budget)
                 witness = {
-                    "points": chain.xs.tolist(),
-                    "velocities": chain.vs.tolist(),
-                    "next_point": x_next.tolist(),
-                    "best_slack": float(best),
+                    "points": graph.X[rows[r]].tolist(),
+                    "velocities": graph.V[rows[r]].tolist(),
+                    "next_point": pts[j].tolist(),
+                    "best_slack": float(best[r, j]),
                 }
                 return ClassReport(
                     "weak_cyclic_monotone", False, witness, tol, _describe_samples(pts),
-                    {"max_length": max_length, "extensions_checked": meter.used},
+                    {"max_length": max_length, "extensions_checked": used},
                 )
-            if len(chain) < max_length:
-                for v in feasible:
-                    queue.append(chain.extended(x_next, v))
+            if grow and kids <= room - len(paths):
+                r, b = np.nonzero(slack >= -tol)
+                kids_paths.append(np.column_stack([rows[r], b]))
+                kids_sums.append(stepped[r, b])
+                kids += len(r)
+        if len(paths) > room:
+            raise BudgetExceededError(budget + 1, budget)
+        done += len(paths)
+        if not kids_paths:
+            break
+        paths, sums = np.concatenate(kids_paths), np.concatenate(kids_sums)
+    used = done * K
+    if used > budget:
+        raise BudgetExceededError(budget + 1, budget)
     return ClassReport(
         "weak_cyclic_monotone", True, None, tol, _describe_samples(pts),
-        {"max_length": max_length, "extensions_checked": meter.used},
+        {"max_length": max_length, "extensions_checked": used},
     )
 
 
-def check_support_chain(svmap, point_sequences, tol=DEFAULT_TOL):
-    """Support-function chain inequality along given point sequences.
+def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
+                        budget=DEFAULT_CHAIN_BUDGET):
+    """Support-function chain inequality along every sample sequence.
 
-    For a sequence x_0..x_m the condition is
+    For a sequence x_0..x_m of samples, ``1 <= m <= max_length``, the
+    condition is
 
         support(F(x_m), x_m - x_0) >= sum_i support(F(x_{i-1}), x_i - x_{i-1})
 
     with slack ``>= -tol``.  When it holds along every sequence a run visits,
-    :func:`extend_support` selections never break the chain inequality.
+    :func:`extend_support` selections never break the chain inequality.  The
+    same max-plus program as :func:`classify_cyclic_monotone` runs over the
+    samples with support values as weights; the witness is the first
+    violating sequence in length-then-lexicographic order and
+    ``sequences_checked`` its position.  Raises :class:`BudgetExceededError`
+    up front when some length has more than ``budget`` sequences.
     """
-    sequences = [_as_points(seq) for seq in point_sequences]
-    checked = 0
-    for seq in sequences:
-        if len(seq) < 2:
-            continue
-        checked += 1
-        lhs = support_value(seq[-1] - seq[0], svmap.eval(seq[-1]))
-        rhs = 0.0
-        for i in range(1, len(seq)):
-            rhs += support_value(seq[i] - seq[i - 1], svmap.eval(seq[i - 1]))
-        if lhs - rhs < -tol:
-            witness = {"points": [p.tolist() for p in seq], "lhs": lhs, "rhs": rhs}
-            return ClassReport(
-                "support_chain", False, witness, tol,
-                f"{len(sequences)} sequences", {"sequences_checked": checked},
-            )
+    pts = _as_points(samples)
+    n = len(pts)
+    for length in range(2, max_length + 2):
+        if n ** length > budget:
+            raise BudgetExceededError(n ** length, budget)
+    graph = _ChainGraph(svmap, pts)
+    firsts = graph.start[:-1]
+    # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
+    steps = np.maximum.reduceat(graph.W[:, firsts], firsts, axis=0)
+    ends = np.maximum.reduceat(graph.E[firsts], firsts, axis=1)
+    paths = _MaxPlusPaths(steps, ends, np.arange(n + 1), tol)
+    checked, seq = paths.first_violation(max_length)
+    samples_text = f"{sum(n ** length for length in range(2, max_length + 2))} sequences"
+    if seq is None:
+        return ClassReport(
+            "support_chain", True, None, tol, samples_text, {"sequences_checked": checked},
+        )
+    rhs = 0.0
+    for i, j in zip(seq, seq[1:]):
+        rhs += float(steps[i, j])
+    witness = {"points": [pts[i].tolist() for i in seq],
+               "lhs": float(ends[seq[0], seq[-1]]), "rhs": rhs}
     return ClassReport(
-        "support_chain", True, None, tol,
-        f"{len(sequences)} sequences", {"sequences_checked": checked},
+        "support_chain", False, witness, tol, samples_text, {"sequences_checked": checked},
     )
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -194,13 +193,8 @@ def run_classify(args) -> int:
         classify_weakly_monotone(spec.map, samples, spec.tol, budget),
         classify_cyclic_monotone(spec.map, samples, max_length, spec.tol, budget),
         classify_weak_cyclic_monotone(spec.map, samples, max_length, spec.tol, budget),
+        check_support_chain(spec.map, samples, max_length, spec.tol, budget),
     ]
-    sequences = []
-    for length in range(2, max_length + 2):
-        if len(samples) ** length > budget:
-            raise BudgetExceededError(len(samples) ** length, budget)
-        sequences.extend(itertools.product(samples, repeat=length))
-    reports.append(check_support_chain(spec.map, sequences, spec.tol))
     doc = {
         "grid": grid.to_dict(),
         "max_length": max_length,

@@ -3,8 +3,9 @@
 Points and directions are one dimensional float64 arrays.  A compact set is
 represented by a nonempty finite list of points, so every supremum over it is
 an exact maximum and support values, maximizers and distances can be computed
-by enumeration.  Every inner product in the package goes through :func:`inner`
-so that identical expressions round identically; ties between points are
+by enumeration.  Every inner product in the package goes through
+:func:`inner_rows` (one pair at a time through :func:`inner`) so that identical
+expressions round identically, batched or not; ties between points are
 always broken by lexicographic order on coordinates, which keeps repeated runs
 byte-for-byte reproducible.
 """
@@ -20,6 +21,7 @@ __all__ = [
     "HullProjectionError",
     "as_vector",
     "inner",
+    "inner_rows",
     "norm",
     "support_value",
     "support_argmax",
@@ -53,17 +55,22 @@ def as_vector(coords) -> np.ndarray:
     return v
 
 
-def inner(u, v) -> float:
-    """Standard inner product ``<u, v>``.
+# The single dot-product primitive of the package: inner products over the
+# last axis, broadcasting the leading axes.  :func:`inner` is this function on
+# one pair, so a batched product and the scalar products of the same rows
+# agree bit for bit.  Callers that need two expressions to agree must both
+# route through here: a sum of elementwise products rounds differently for
+# d >= 2, and ``np.dot`` keeps the sign of a zero result that this drops.
+inner_rows = np.vecdot
 
-    The single dot-product primitive of the package: callers that need two
-    expressions to agree bit-for-bit must both route through here.
-    """
+
+def inner(u, v) -> float:
+    """Standard inner product ``<u, v>`` of two vectors (see :func:`inner_rows`)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
+    return float(inner_rows(u, v))
 
 
 def norm(v) -> float:

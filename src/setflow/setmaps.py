@@ -507,6 +507,19 @@ class ProblemSpec:
         return out.validated()
 
 
+def _integer(name, value) -> int:
+    # JSON integers only: no bools, strings or floats, even integral ones
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProblemFormatError(f"{name}: must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _integers(name, values) -> list[int]:
+    if not isinstance(values, list):
+        raise ProblemFormatError(f"{name}: must be a list of integers, got {json.dumps(values)}")
+    return [_integer(name, v) for v in values]
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse a problem-spec JSON document.
 
@@ -514,8 +527,9 @@ def parse_problem(text: str) -> ProblemSpec:
     ``subdifferential``, ``linear`` or ``table`` plus its parameters), ``x0``,
     ``v0``, ``T``, ``h``, ``strategy`` (one of exhaustive/support/inertial)
     and ``tol``.  Optional: ``grid`` ({low, high, counts}), ``max_length``,
-    ``steps``.  Unknown fields are rejected.  Numbers survive a serialize ->
-    parse round trip exactly.
+    ``steps``; ``max_length`` and the entries of ``counts`` and ``steps``
+    must be JSON integers.  Unknown fields are rejected.  Numbers survive a
+    serialize -> parse round trip exactly.
     """
     try:
         doc = json.loads(text)
@@ -537,15 +551,12 @@ def parse_problem(text: str) -> ProblemSpec:
     if "grid" in doc:
         g = doc["grid"]
         try:
-            grid = GridSpec(g["low"], g["high"], g["counts"])
+            grid = GridSpec(g["low"], g["high"], _integers("grid.counts", g["counts"]))
+        except ProblemFormatError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ProblemFormatError(f"grid: {exc}") from exc
-    step_counts = None
-    if "steps" in doc:
-        try:
-            step_counts = tuple(int(c) for c in doc["steps"])
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"steps: {exc}") from exc
+    step_counts = tuple(_integers("steps", doc["steps"])) if "steps" in doc else None
 
     def _number(name):
         value = doc[name]
@@ -562,7 +573,7 @@ def parse_problem(text: str) -> ProblemSpec:
         strategy=doc["strategy"],
         tol=_number("tol"),
         grid=grid,
-        max_length=int(doc["max_length"]) if "max_length" in doc else None,
+        max_length=_integer("max_length", doc["max_length"]) if "max_length" in doc else None,
         step_counts=step_counts,
     )
     return spec.validated()

@@ -6,7 +6,6 @@ tolerances and runtime budget and builds its own rng, so the verdicts do
 not depend on test ordering.
 """
 
-import itertools
 import json
 import subprocess
 import sys
@@ -181,10 +180,9 @@ def test_criterion_06_support_selection_under_chain_condition():
     extensions = 0
     for entry in corpus:
         grid = entry.grid
-        # the support-function chain condition must hold on sampled sequences
-        seqs = list(itertools.product(grid, repeat=2))
-        seqs += list(itertools.product(grid, repeat=3))[:600]
-        assert check_support_chain(entry.svmap, seqs, tol=0.0).holds, entry.name
+        # the support-function chain condition must hold on every sequence
+        # of 2 or 3 grid points
+        assert check_support_chain(entry.svmap, grid, max_length=2, tol=0.0).holds, entry.name
         # then support-argmax extension can never break a chain
         for _ in range(400):
             start = grid[int(rng.integers(len(grid)))]

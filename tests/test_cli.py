@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from setflow import (
     Chain,
@@ -226,6 +227,54 @@ class TestFailureModes:
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc) + "\n")
         assert run("solve", "--input", f, "--output", tmp_path / "o") == EXIT_INVALID
+
+
+def _with_fields(**fields):
+    doc = json.loads(json.dumps(SIGN_PROBLEM))
+    for name, value in fields.items():
+        if name == "counts":
+            doc["grid"]["counts"] = value
+        else:
+            doc[name] = value
+    return doc
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field, value, named", [
+        ("max_length", [2], "max_length"),
+        ("max_length", True, "max_length"),
+        ("max_length", "2", "max_length"),
+        ("max_length", 2.5, "max_length"),
+        ("max_length", 2.0, "max_length"),
+        ("max_length", None, "max_length"),
+        ("counts", [3.5], "grid.counts"),
+        ("counts", [True], "grid.counts"),
+        ("counts", 3, "grid.counts"),
+        ("steps", [True, 2], "steps"),
+        ("steps", "25", "steps"),
+        ("steps", 25, "steps"),
+    ])
+    def test_non_integer_rejected(self, tmp_path, capsys, field, value, named):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_with_fields(**{field: value})) + "\n")
+        assert run("classify", "--input", f, "--output", tmp_path / "o") == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {named}: must be ")
+
+    json_values = st.one_of(
+        st.integers(-2, 5), st.booleans(), st.none(), st.text(max_size=3),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.lists(st.one_of(st.integers(-2, 5), st.booleans(), st.floats(-3, 3),
+                           st.text(max_size=2)), max_size=3),
+    )
+
+    @given(field=st.sampled_from(["max_length", "counts", "steps"]), value=json_values)
+    @settings(max_examples=90, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_fields_end_in_documented_codes(self, tmp_path, field, value):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(_with_fields(**{field: value})) + "\n")
+        code = run("classify", "--input", f, "--output", tmp_path / "o")
+        assert code in (0, EXIT_INVALID, EXIT_SELECTION, EXIT_BUDGET)
 
 
 class TestDeterminism:
