@@ -366,33 +366,50 @@ def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHA
     )
 
 
+# array entries per block in the chain kernels
+_BLOCK_ELEMENTS = 1 << 16
+
+
 class _ChainGraph:
     """The (point, value) nodes of a map on the samples and their chain terms.
 
     Node ``a`` pairs the point ``X[a]`` with a value ``V[a]`` of the map there,
     in sample order and then value order; the nodes of sample ``i`` are
-    ``start[i]:start[i + 1]``.  A chain through nodes ``a_0, ..., a_m`` has
-    step sums ``W[a_0, a_1] + ... + W[a_{m-1}, a_m]`` (added left to right) and
-    final anchored term ``E[a_0, a_m]``, where
+    ``start[i]:start[i + 1]`` and ``owner[a]`` is the sample of node ``a``.  A
+    chain through nodes ``a_0, ..., a_m`` has step sums
+    ``W[a_0, a_1] + ... + W[a_{m-1}, a_m]`` (added left to right) and final
+    anchored term ``E[owner[a_0], a_m]``, where
 
-        W[a, b] = <X[b] - X[a], V[a]>,    E[a, b] = <X[b] - X[a], V[b]>.
+        W[a, b] = <X[b] - X[a], V[a]>,    E[i, b] = <X[b] - x_i, V[b]>.
 
-    Both come from one batched :func:`inner_rows` over the difference
-    vectors, so every term equals the scalar :func:`inner` of
-    :class:`Chain` and :func:`verify_chain` bit for bit.
+    Both come from :func:`inner_rows` over the difference vectors, built in
+    row blocks so that only ``W`` (``K x K`` for ``K`` nodes) and ``E``
+    (samples by nodes) are held whole; every term equals the scalar
+    :func:`inner` of :class:`Chain` and :func:`verify_chain` bit for bit.
     """
 
-    __slots__ = ("start", "X", "V", "W", "E")
+    __slots__ = ("start", "owner", "X", "V", "W", "E")
 
     def __init__(self, svmap, pts):
         values = [svmap.eval(p).points for p in pts]
         counts = [len(v) for v in values]
         self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.owner = np.repeat(np.arange(len(pts)), counts)
         self.X = np.repeat(np.array(pts), counts, axis=0)
         self.V = np.concatenate(values)
-        diffs = self.X[None, :, :] - self.X[:, None, :]
-        self.W = inner_rows(diffs, self.V[:, None, :])
-        self.E = inner_rows(diffs, self.V[None, :, :])
+        self.W = self._terms(self.X, self.V[:, None, :])
+        self.E = self._terms(np.array(pts), self.V[None, :, :])
+
+    def _terms(self, tails, velocities):
+        # <X[b] - tails[r], velocities[r, b]> for every row r and node b
+        K, d = self.X.shape
+        velocities = np.broadcast_to(velocities, (len(tails), K, d))
+        out = np.empty((len(tails), K))
+        block = max(1, _BLOCK_ELEMENTS // (K * d))
+        for lo in range(0, len(tails), block):
+            diffs = self.X[None, :, :] - tails[lo:lo + block, None, :]
+            out[lo:lo + block] = inner_rows(diffs, velocities[lo:lo + block])
+        return out
 
 
 class _MaxPlusPaths:
@@ -446,12 +463,15 @@ class _MaxPlusPaths:
         anchors whose chains start past it are skipped.
         """
         K, n = self.size, self.groups
-        # chains of fewer than m steps
-        shorter = [sum(K ** (j + 1) for j in range(1, m)) for m in range(max_length + 2)]
+        # chains of fewer than m steps, listed up to the first count past
+        # the budget: every longer length lies past it too
+        shorter = [0, 0]
+        while len(shorter) < max_length + 2 and shorter[-1] <= budget:
+            shorter.append(shorter[-1] + K ** len(shorter))
 
         def past_budget(m, g0):
             # the first chain of m steps anchored in g0 lies beyond the budget
-            return shorter[m] + self.start[g0] * K ** m >= budget
+            return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
 
         found = None  # (m, g0) of the first violation seen so far
         for g0 in range(n):
@@ -467,10 +487,9 @@ class _MaxPlusPaths:
                     found = (m, g0)
                     break
         if found is None:
-            total = shorter[max_length + 1]
-            if total > budget:
+            if max_length + 1 >= len(shorter) or shorter[max_length + 1] > budget:
                 raise BudgetExceededError(budget + 1, budget)
-            return total, None
+            return shorter[max_length + 1], None
         m, g0 = found
         groups = self._first_groups(m, g0)
         nodes = self._first_nodes(groups)
@@ -530,8 +549,7 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     """
     pts = _as_points(samples)
     graph = _ChainGraph(svmap, pts)
-    anchored = graph.E[graph.start[:-1]]
-    paths = _MaxPlusPaths(graph.W, anchored, graph.start, tol)
+    paths = _MaxPlusPaths(graph.W, graph.E, graph.start, tol)
     checked, nodes = paths.first_violation(max_length, budget)
     details = {"max_length": max_length, "chains_checked": checked}
     if nodes is None:
@@ -543,13 +561,9 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
         "points": graph.X[nodes].tolist(),
         "velocities": graph.V[nodes].tolist(),
         "index": len(nodes) - 1,
-        "slack": float(graph.E[nodes[0], nodes[-1]]) - rhs,
+        "slack": float(graph.E[graph.owner[nodes[0]], nodes[-1]]) - rhs,
     }
     return ClassReport("cyclic_monotone", False, witness, tol, _describe_samples(pts), details)
-
-
-# slack entries (chains times nodes) per block of the weak-cyclic search
-_BLOCK_ELEMENTS = 1 << 16
 
 
 def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
@@ -581,7 +595,7 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
         for lo in range(0, min(len(paths), room), block):
             rows = paths[lo:min(lo + block, room)]
             stepped = sums[lo:lo + len(rows), None] + graph.W[rows[:, -1]]
-            slack = graph.E[rows[:, 0]] - stepped
+            slack = graph.E[graph.owner[rows[:, 0]]] - stepped
             best = np.maximum.reduceat(slack, firsts, axis=1)
             stuck = np.flatnonzero(best < -tol)
             if stuck.size:
@@ -645,7 +659,7 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
     firsts = graph.start[:-1]
     # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
     steps = np.maximum.reduceat(graph.W[:, firsts], firsts, axis=0)
-    ends = np.maximum.reduceat(graph.E[firsts], firsts, axis=1)
+    ends = np.maximum.reduceat(graph.E, firsts, axis=1)
     paths = _MaxPlusPaths(steps, ends, np.arange(n + 1), tol)
     checked, seq = paths.first_violation(max_length)
     samples_text = f"{sum(n ** length for length in range(2, max_length + 2))} sequences"

@@ -72,6 +72,23 @@ def test_corpus_matches_brute_force(entry):
                 assert_same_as_brute(entry.svmap, entry.grid, max_length, tol, budget)
 
 
+def test_long_chains_match_brute_force_budget():
+    # lengths far past the budget: the chain counts stop at the first one
+    # over it, and the errors match the chain-by-chain enumeration
+    for entry in build_corpus()[:6]:
+        for budget in (1, 50, 10**4):
+            assert_same_as_brute(entry.svmap, entry.grid, 40, 0.0, budget)
+
+
+@pytest.mark.parametrize("fn", [fast for fast, _ in PAIRS], ids=lambda f: f.__name__)
+def test_huge_max_length_hits_the_budget(fn):
+    # the gradient of a linear function: every class holds on every chain
+    grid = sample_grid([-1.0], [1.0], [5])
+    with pytest.raises(BudgetExceededError) as info:
+        fn(constant_map([[1.0]]), grid, 10**5, 0.0, 10**6)
+    assert info.value.budget == 10**6
+
+
 def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
     # blocks of a few chains split every level and cap the next one
     monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", 7)

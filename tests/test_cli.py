@@ -176,6 +176,15 @@ class TestClassify:
                    "--max-length", 3) == EXIT_BUDGET
 
 
+    def test_huge_max_length_exits_on_budget(self, tmp_path):
+        prob = dict(SIGN_PROBLEM, max_length=10**5)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(prob) + "\n")
+        assert run("classify", "--input", f, "--output", tmp_path / "o") == EXIT_BUDGET
+        assert run("classify", "--input", f, "--output", tmp_path / "o2",
+                   "--max-length", 10**5) == EXIT_BUDGET
+
+
 class TestPotential:
     def test_family_and_values(self, tmp_path, sign_file):
         out = tmp_path / "out"
