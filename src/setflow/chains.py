@@ -151,9 +151,10 @@ class Chain:
         v = np.asarray(v, dtype=float).reshape(1, -1)
         if x.shape[1] != self.dimension:
             raise ValueError("dimension mismatch in extension")
-        xs = np.vstack([self.xs, x])
-        vs = np.vstack([self.vs, v])
-        sums = np.append(self.sums, self.last_sum + inner(xs[-1] - self.xs[-1], self.vs[-1]))
+        xs = np.concatenate([self.xs, x])
+        vs = np.concatenate([self.vs, v])
+        step = inner(xs[-1] - self.xs[-1], self.vs[-1])
+        sums = np.concatenate([self.sums, [self.last_sum + step]])
         for a in (xs, vs, sums):
             a.flags.writeable = False
         return Chain._trusted(xs, vs, sums)

@@ -7,7 +7,8 @@ codes: 0 success (classification verdicts are data, not failures), 2 invalid
 input, 3 velocity selection failed (replay state is written next to the other
 outputs), 4 combinatorial budget exceeded.  The budget defaults to 10^6 chains
 per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
-environment variable.
+environment variable.  ``potential`` charges its query phase, every (sample,
+value) pair times every sample, against the same budget before any work.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .potential import (
     build_family,
     family_to_text,
     potential_value,
+    potential_values,
     submap_contains,
     submap_select,
     subgradient_test,
@@ -214,6 +216,15 @@ def run_potential(args) -> int:
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
     budget = _chain_budget()
+    # the query phase checks every compatible pair against every sample, so
+    # charge every (sample, value) pair times the sample count up front,
+    # evaluating the map only until the charge passes the budget
+    values, pairs = [], 0
+    for p in samples:
+        values.append(spec.map.eval(p).points)
+        pairs += len(values[-1])
+        if pairs * len(samples) > budget:
+            raise BudgetExceededError(pairs * len(samples), budget)
     box = (np.array(grid.low), np.array(grid.high))
     family, stats = build_family(
         spec.map, spec.x0, spec.v0, samples, max_length,
@@ -223,23 +234,25 @@ def run_potential(args) -> int:
         fh.write(family_to_text(family))
     print("wrote family.json")
 
+    probes = np.array(samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
     rows = [
-        [_fmt(c) for c in p] + [_fmt(potential_value(family, p))] for p in samples
+        [_fmt(c) for c in p] + [_fmt(value)]
+        for p, value in zip(samples, potential_values(family, probes))
     ]
     _write_csv(out / "potential_values.csv", header, rows)
 
     entries = []
     accepted = 0
-    for p in samples:
+    for p, vals in zip(samples, values):
         selected = submap_select(family, spec.map, p, spec.tol)
         checks = []
-        for v in spec.map.eval(p).points:
+        for v in vals:
             compatible = submap_contains(family, spec.map, p, v, spec.tol)
             ok = None
             if compatible:
                 accepted += 1
-                ok = bool(subgradient_test(family, p, v, samples, spec.tol))
+                ok = bool(subgradient_test(family, p, v, probes, spec.tol))
             checks.append({
                 "v": [float(c) for c in v],
                 "compatible": bool(compatible),
@@ -316,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-length", dest="max_length", type=int, default=None)
         if steps:
             p.add_argument("--steps", default=None, help="comma-separated step counts")
-        p.add_argument("--verbose", action="store_true")
 
     common(sub.add_parser("solve", help="integrate one Euler polygon"), strategy=True)
     common(sub.add_parser("classify", help="brute-force monotonicity verdicts"),

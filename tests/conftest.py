@@ -91,6 +91,26 @@ INERTIAL_GAP_PROBLEM = {
 }
 
 
+def _dyadic(rng, shape, span=2, den=2):
+    return rng.integers(-span * den, span * den + 1, size=shape) / den
+
+
+def random_dyadic_map(rng, dim):
+    """A subdifferential map of a random PL function, or a random table map."""
+    if rng.random() < 0.5:
+        pieces = int(rng.integers(1, 4))
+        return pl_subdifferential_map(
+            PLConvexFunction(_dyadic(rng, (pieces, dim)), _dyadic(rng, pieces, den=4)))
+    regions = []
+    for _ in range(int(rng.integers(0, 3))):
+        normal = _dyadic(rng, dim, span=1, den=1)
+        op = ["lt", "le", "eq", "ge", "gt"][int(rng.integers(5))]
+        regions.append((Halfspace(normal, float(_dyadic(rng, (), den=2)), op),
+                        _dyadic(rng, (int(rng.integers(1, 3)), dim))))
+    regions.append((Always(), _dyadic(rng, (int(rng.integers(1, 3)), dim))))
+    return table_map(regions)
+
+
 def child_env():
     """Environment for a ``python -m setflow`` subprocess.
 

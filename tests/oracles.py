@@ -2,10 +2,11 @@
 
 Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
-evidence rather than tautology.  The exception is the brute-force
-classifier references at the end: they enumerate every chain with the
-library's own inner product and summation order, so the batched
-classifiers must match their reports byte for byte.
+evidence rather than tautology.  The exceptions are the brute-force
+classifier references and the per-member potential references at the end:
+they run chain by chain and member by member with the library's own inner
+product and summation order, so the batched kernels must match their
+outputs byte for byte.
 """
 
 from collections import deque
@@ -18,9 +19,12 @@ from setflow import (
     BudgetExceededError,
     Chain,
     ClassReport,
+    SequenceFamily,
+    affine_value,
     extension_slack,
     inner,
     support_value,
+    verify_chain,
 )
 
 
@@ -245,3 +249,111 @@ def support_chain_brute(svmap, samples, max_length, tol, budget):
         "support_chain", True, None, tol,
         f"{len(sequences)} sequences", {"sequences_checked": len(sequences)},
     )
+
+
+# ---------------------------------------------------------------------------
+# per-member potential references
+#
+# The family operations the affine-model kernel replaced: one affine value
+# per member and point, one probe at a time, one extension slack per node.
+# Families come from the public constructor, so every member is verified
+# again at each step.
+
+
+def _box_vertices_ref(box):
+    low, high = box
+    vertices = sorted({tuple(c) for c in product(*zip(low, high))})
+    return [np.array(v) for v in vertices]
+
+
+def potential_value_ref(family, x):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (family.dimension,):
+        raise ValueError(f"dimension mismatch: {x.shape} vs ({family.dimension},)")
+    return max(affine_value(chain, x) for chain in family.members)
+
+
+def grow_family_ref(family, chain):
+    if not (
+        np.array_equal(chain.anchor_point, family.anchor_point)
+        and np.array_equal(chain.anchor_velocity, family.anchor_velocity)
+    ):
+        raise ValueError("chain anchor does not match the family anchor")
+    ok, index = verify_chain(chain, family.tol)
+    if not ok:
+        raise ValueError(f"chain fails the chain inequality at index {index}")
+
+    members = list(family.members)
+    seen = {(c.xs.tobytes(), c.vs.tobytes()) for c in members}
+    for count in range(1, len(chain) + 1):
+        prefix = chain.prefix(count)
+        key = (prefix.xs.tobytes(), prefix.vs.tobytes())
+        if key not in seen:
+            seen.add(key)
+            members.append(prefix)
+
+    if family.box is not None and len(members) > 1:
+        vertices = _box_vertices_ref(family.box)
+        V = np.array([[affine_value(c, vtx) for vtx in vertices] for c in members])
+        geq = np.all(V[:, None, :] >= V[None, :, :], axis=2)
+        gt = np.any(V[:, None, :] > V[None, :, :], axis=2)
+        m = len(members)
+        earlier = np.arange(m)[:, None] < np.arange(m)[None, :]
+        dom = geq & (gt | earlier)
+        np.fill_diagonal(dom, False)
+        drop = dom.any(axis=0)
+        drop[0] = False
+        members = [c for c, d in zip(members, drop) if not d]
+
+    while len(members) > family.cap:
+        members.pop(1)
+
+    return SequenceFamily(family.anchor_point, family.anchor_velocity, members,
+                          box=family.box, tol=family.tol, cap=family.cap)
+
+
+def subgradient_test_ref(family, x, v, probes, tol=0.0):
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    vals = [affine_value(chain, x) for chain in family.members]
+    base = max(vals)
+    best = family.members[vals.index(base)]
+    grown = grow_family_ref(family, best.extended(x, v))
+    for y in probes:
+        y = np.asarray(y, dtype=float)
+        if potential_value_ref(grown, y) < base + inner(v, y - x) - tol:
+            return False
+    return True
+
+
+def build_family_ref(svmap, x0, v0, grid_points, max_length, box=None,
+                     cap=4096, budget=10**6, tol=0.0):
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    if not svmap.eval(x0).contains(v0):
+        raise ValueError("anchor velocity not in F(x0)")
+    pts = [np.asarray(p, dtype=float) for p in grid_points]
+    values = [svmap.eval(p).points for p in pts]
+    family = SequenceFamily.initial(x0, v0, box=box, tol=tol, cap=cap)
+    used = 0
+    grown = 0
+    exhausted = False
+    queue = deque([Chain([x0], [v0])])
+    while queue and not exhausted:
+        chain = queue.popleft()
+        for j, x_next in enumerate(pts):
+            for v in values[j]:
+                used += 1
+                if used > budget:
+                    exhausted = True
+                    break
+                if extension_slack(chain, x_next, v) >= 0.0:
+                    child = chain.extended(x_next, v)
+                    family = grow_family_ref(family, child)
+                    grown += 1
+                    if len(child) < max_length:
+                        queue.append(child)
+            if exhausted:
+                break
+    stats = {"chains_grown": grown, "evaluations": used, "budget_exhausted": exhausted}
+    return family, stats

@@ -14,10 +14,7 @@ import pytest
 
 import setflow.chains as chains
 from setflow import (
-    Always,
     BudgetExceededError,
-    Halfspace,
-    PLConvexFunction,
     SetValuedMap,
     check_support_chain,
     classify_cyclic_monotone,
@@ -25,15 +22,13 @@ from setflow import (
     classify_weak_cyclic_monotone,
     constant_map,
     inner,
-    pl_subdifferential_map,
     replay_witness,
     sample_grid,
     support_argmax,
-    table_map,
 )
 from setflow.geometry import inner_rows
 
-from conftest import build_corpus
+from conftest import build_corpus, random_dyadic_map
 from oracles import (
     chain_holds_exact,
     cyclic_monotone_brute,
@@ -100,26 +95,6 @@ def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
                 got = outcome(classify_weak_cyclic_monotone, entry.svmap, entry.grid,
                               max_length, 0.0, budget)
                 assert got == want, (entry.name, max_length, budget)
-
-
-def _dyadic(rng, shape, span=2, den=2):
-    return rng.integers(-span * den, span * den + 1, size=shape) / den
-
-
-def random_dyadic_map(rng, dim):
-    """A subdifferential map of a random PL function, or a random table map."""
-    if rng.random() < 0.5:
-        pieces = int(rng.integers(1, 4))
-        return pl_subdifferential_map(
-            PLConvexFunction(_dyadic(rng, (pieces, dim)), _dyadic(rng, pieces, den=4)))
-    regions = []
-    for _ in range(int(rng.integers(0, 3))):
-        normal = _dyadic(rng, dim, span=1, den=1)
-        op = ["lt", "le", "eq", "ge", "gt"][int(rng.integers(5))]
-        regions.append((Halfspace(normal, float(_dyadic(rng, (), den=2)), op),
-                        _dyadic(rng, (int(rng.integers(1, 3)), dim))))
-    regions.append((Always(), _dyadic(rng, (int(rng.integers(1, 3)), dim))))
-    return table_map(regions)
 
 
 def random_cases(count=24):

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -207,6 +208,23 @@ class TestPotential:
         summary = json.loads((out / "potential_summary.json").read_text())
         assert summary["anchor_value"] == 0.0
 
+    def test_query_phase_over_budget_exits_fast(self, tmp_path, monkeypatch):
+        # 2001 (sample, value) pairs times 2000 probes, charged before any work
+        prob = {
+            "map": {"kind": "subdifferential", "slopes": [[1.0], [-1.0]],
+                    "offsets": [0.0, 0.0]},
+            "x0": [0.5], "v0": [1.0], "T": 1.0, "h": 0.01,
+            "strategy": "inertial", "tol": 1e-9,
+        }
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(prob) + "\n")
+        monkeypatch.setenv(BUDGET_ENV, "10")
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run("potential", "--input", f, "--output", out, "--grid=-1:1:2000") == EXIT_BUDGET
+        assert time.perf_counter() - start < 5.0
+        assert list(out.iterdir()) == []
+
 
 class TestRefine:
     def test_rows(self, tmp_path, sign_file):
@@ -229,6 +247,12 @@ class TestFailureModes:
     def test_missing_file_exit(self, tmp_path):
         assert run("solve", "--input", tmp_path / "absent.json",
                    "--output", tmp_path / "o") == EXIT_INVALID
+
+    @pytest.mark.parametrize("command", ["solve", "classify", "potential", "refine"])
+    def test_verbose_is_rejected(self, tmp_path, sign_file, command):
+        with pytest.raises(SystemExit) as info:
+            run(command, "--input", sign_file, "--output", tmp_path / "o", "--verbose")
+        assert info.value.code == EXIT_INVALID
 
     def test_invalid_spec_exit(self, tmp_path):
         doc = dict(STUCK_PROBLEM)

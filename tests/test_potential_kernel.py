@@ -1,0 +1,306 @@
+"""The affine-model potential kernel against the per-member references.
+
+``build_family``, ``grow_family``, ``potential_value`` / ``potential_values``
+and ``subgradient_test`` must give the families (as text), stats, values
+(bit for bit) and booleans of the member-by-member, probe-by-probe loops they
+replaced, which live on in ``tests/oracles.py``.  Built members are also
+checked in exact arithmetic.
+"""
+
+import contextlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import setflow.cli as cli
+import setflow.potential as potential
+from setflow import (
+    Chain,
+    SequenceFamily,
+    build_family,
+    family_to_text,
+    grow_family,
+    potential_value,
+    potential_values,
+    sample_grid,
+    subgradient_test,
+    submap_contains,
+)
+from setflow.potential import family_from_json_dict, family_to_json_dict
+
+import oracles
+from conftest import build_corpus, random_dyadic_map
+from oracles import (
+    build_family_ref,
+    first_chain_violation_exact,
+    grow_family_ref,
+    potential_value_ref,
+    subgradient_test_ref,
+)
+
+DEMO_PROBLEMS = sorted(
+    (Path(__file__).resolve().parent.parent / "demos" / "problems").glob("*.json"))
+POTENTIAL_FILES = ("family.json", "potential_values.csv", "subgradient.json",
+                   "potential_summary.json")
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def outcome(fn, *args):
+    """The result, or the error's type and message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@contextlib.contextmanager
+def grown_chains(module, name):
+    """Record the chains ``module.name(family, chain)`` is called with."""
+    seen = []
+    original = getattr(module, name)
+
+    def spy(family, chain):
+        seen.append(chain.to_dict())
+        return original(family, chain)
+
+    setattr(module, name, spy)
+    try:
+        yield seen
+    finally:
+        setattr(module, name, original)
+
+
+def assert_same_subgradients(svmap, grid, family, want, tols, compatible_only=True):
+    """Same booleans (or errors) and the same extended best members."""
+    results = []
+    with grown_chains(potential, "grow_family") as got_chains, \
+            grown_chains(oracles, "grow_family_ref") as want_chains:
+        for tol in tols:
+            for p in grid:
+                for v in svmap.eval(p).points:
+                    if compatible_only and not submap_contains(family, svmap, p, v, tol):
+                        continue
+                    result = outcome(subgradient_test, family, p, v, grid, tol)
+                    assert result == outcome(subgradient_test_ref, want, p, v, grid, tol)
+                    results.append(result)
+    assert got_chains == want_chains
+    return results
+
+
+def assert_same_queries(svmap, grid, family, want, tol):
+    """Values and subgradient tests of ``family`` match ``want``'s references."""
+    rng = np.random.default_rng(len(grid))
+    dim = family.dimension
+    points = np.vstack([np.array(grid), family.anchor_point,
+                        rng.integers(-8, 9, size=(8, dim)) / 4.0])
+    assert bits(potential_values(family, points)) == bits(
+        [potential_value_ref(want, p) for p in points])
+    assert bits([potential_value(family, p) for p in points]) == bits(
+        [potential_value_ref(want, p) for p in points])
+    assert_same_subgradients(svmap, grid, family, want, [tol])
+
+
+def assert_same_build(svmap, grid, x0, v0, max_length, box, budget, cap=4096, tol=0.0):
+    got, got_stats = build_family(svmap, x0, v0, grid, max_length, box=box, cap=cap,
+                                  budget=budget, tol=tol)
+    want, want_stats = build_family_ref(svmap, x0, v0, grid, max_length, box=box, cap=cap,
+                                        budget=budget, tol=tol)
+    assert got_stats == want_stats
+    assert family_to_text(got) == family_to_text(want)
+    assert potential_value(got, x0) == 0.0
+    for member in got.members:
+        assert first_chain_violation_exact(member.xs, member.vs) is None
+    assert_same_queries(svmap, grid, got, want, 1e-9)
+    return got, got_stats
+
+
+def anchors(svmap, grid):
+    # every value at the first and the middle grid point
+    for x0 in (grid[0], grid[len(grid) // 2]):
+        for v0 in svmap.eval(x0).points:
+            yield x0, v0
+
+
+def bounds(grid):
+    pts = np.array(grid)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+@pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
+def test_corpus_matches_per_member_references(entry):
+    for x0, v0 in anchors(entry.svmap, entry.grid):
+        for box in (None, bounds(entry.grid)):
+            for budget in (1, 50, 10**6):
+                for max_length in (1, 2, 3):
+                    assert_same_build(entry.svmap, entry.grid, x0, v0, max_length,
+                                      box, budget)
+
+
+def random_cases(count=18):
+    rng = np.random.default_rng(8191)
+    for k in range(count):
+        dim = 1 + k % 3
+        points = [2, 3, 5][int(rng.integers(4 - dim))]
+        grid = sample_grid([-1.0] * dim, [1.0] * dim, [points] * dim)
+        yield random_dyadic_map(rng, dim), grid, 2 + int(rng.integers(2))
+
+
+def test_random_dyadic_maps_match_per_member_references():
+    sizes = set()
+    for svmap, grid, max_length in random_cases():
+        x0 = grid[len(grid) // 2]
+        v0 = svmap.eval(x0).points[-1]
+        for box in (None, bounds(grid)):
+            for budget in (1, 50, 10**6):
+                family, _ = assert_same_build(svmap, grid, x0, v0, max_length, box, budget)
+                sizes.add(len(family))
+    assert max(sizes) > 5
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_binding_cap_with_box_matches_references(cap):
+    evicted = False
+    for entry in build_corpus():
+        for x0, v0 in anchors(entry.svmap, entry.grid):
+            family, stats = assert_same_build(entry.svmap, entry.grid, x0, v0, 3,
+                                              bounds(entry.grid), 10**6, cap=cap)
+            assert len(family) <= cap
+            evicted = evicted or stats["chains_grown"] > cap
+    assert evicted
+
+
+def test_subgradient_tolerance_and_failures_match_references():
+    # a cap of 1 or 2 evicts the new member, so some tests fail, by margins
+    # that a tolerance can cover; incompatible pairs raise in both
+    results = []
+    for entry in build_corpus():
+        for x0, v0 in anchors(entry.svmap, entry.grid):
+            for cap in (1, 2):
+                got, _ = build_family(entry.svmap, x0, v0, entry.grid, 2,
+                                      box=bounds(entry.grid), cap=cap)
+                want, _ = build_family_ref(entry.svmap, x0, v0, entry.grid, 2,
+                                           box=bounds(entry.grid), cap=cap)
+                results += assert_same_subgradients(entry.svmap, entry.grid, got, want,
+                                                    [0.0, 0.3, 1.0], compatible_only=False)
+    assert {True, False} <= set(results)
+    assert any(isinstance(r, tuple) for r in results)
+
+
+def dominated_family(box, cap):
+    """Members whose affine functions dominate each other on the box."""
+    x0, v0 = [0.0], [1.0]
+    members = [
+        Chain([x0], [v0]),                       # x -> x
+        Chain([[0.0], [0.5]], [[1.0], [1.0]]),   # x -> x again
+        Chain([[0.0], [0.25]], [[1.0], [1.0]]),  # and again
+        Chain([[0.0], [-1.0]], [[1.0], [-1.0]]),  # x -> -x - 2
+        Chain([[0.0], [-0.5]], [[1.0], [-1.0]]),  # x -> -x - 1, above the one before
+    ]
+    return SequenceFamily(x0, v0, members, box=box, cap=cap)
+
+
+@pytest.mark.parametrize("box", [None, ([-1.0], [1.0])], ids=["unboxed", "boxed"])
+@pytest.mark.parametrize("cap", [2, 4096])
+def test_first_grow_prunes_members_given_to_the_constructor(box, cap):
+    for family in (dominated_family(box, cap),
+                   family_from_json_dict(family_to_json_dict(dominated_family(box, cap)))):
+        # the constructor keeps every member; only growth prunes
+        assert len(family) == 5
+        for chain in (Chain([[0.0], [1.0]], [[1.0], [2.0]]), Chain([[0.0]], [[1.0]])):
+            got, want = grow_family(family, chain), grow_family_ref(family, chain)
+            assert family_to_text(got) == family_to_text(want)
+            if box is not None:
+                assert len(got) < len(family) + len(chain)
+            grid = sample_grid([-1.0], [1.0], [9])
+            assert bits(potential_values(got, np.array(grid))) == bits(
+                [potential_value_ref(want, p) for p in grid])
+
+
+def test_small_blocks_match_references(monkeypatch):
+    # blocks of a few members or chains split every evaluation
+    monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 7)
+    for entry in build_corpus()[2:6]:
+        x0, v0 = next(anchors(entry.svmap, entry.grid))
+        for box in (None, bounds(entry.grid)):
+            for budget in (50, 10**6):
+                assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
+
+
+def planar_family():
+    entry = build_corpus()[4]
+    x0, v0 = entry.grid[4], entry.svmap.eval(entry.grid[4]).points[0]
+    family, _ = build_family(entry.svmap, x0, v0, entry.grid, 2, box=bounds(entry.grid))
+    return family
+
+
+def test_wrong_dimensions_raise():
+    family = planar_family()
+    x, v = family.anchor_point, family.anchor_velocity
+    for probes in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), [[0.0, 0.0], [0.0]]):
+        with pytest.raises(ValueError):
+            subgradient_test(family, x, v, probes)
+        with pytest.raises(ValueError):
+            potential_values(family, probes)
+    for bad in ([0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            potential_value(family, bad)
+        with pytest.raises(ValueError):
+            subgradient_test(family, bad, v, [x])
+        with pytest.raises(ValueError):
+            subgradient_test(family, x, bad, [x])
+
+
+def test_empty_probes_pass():
+    family = planar_family()
+    for probes in ([], np.empty((0, 2)), ()):
+        assert subgradient_test(family, family.anchor_point, family.anchor_velocity, probes)
+    assert potential_values(family, []).shape == (0,)
+
+
+def test_growing_a_parent_twice_leaves_it_unchanged():
+    parent = planar_family()
+    model = parent._model
+    arrays = (model.P, model.S, model.c, model.at_vertices, model.vertices)
+    before = [a.copy() for a in arrays]
+    keys = model.keys
+    chain = Chain([parent.anchor_point, [1.0, 1.0], [-1.0, 1.0]],
+                  [parent.anchor_velocity, [1.0, 0.0], [0.0, 1.0]])
+    first, second = grow_family(parent, chain), grow_family(parent, chain)
+    assert family_to_text(first) == family_to_text(second)
+    assert first._model.keys == second._model.keys
+    for a, b in zip(arrays, before):
+        assert not a.flags.writeable
+        assert bits(a) == bits(b)
+    assert parent._model.keys == keys
+    for grown in (first, second):
+        m = grown._model
+        for a in (m.P, m.S, m.c, m.at_vertices):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
+def run_potential(problem, out):
+    return cli.main(["potential", "--input", str(problem), "--output", str(out)])
+
+
+@pytest.mark.parametrize("problem", DEMO_PROBLEMS, ids=lambda p: p.stem)
+def test_cli_outputs_match_the_references(problem, tmp_path, monkeypatch):
+    assert run_potential(problem, tmp_path / "kernel") == 0
+    monkeypatch.setattr(cli, "build_family", build_family_ref)
+    monkeypatch.setattr(cli, "potential_values",
+                        lambda family, points: [potential_value_ref(family, p) for p in points])
+    monkeypatch.setattr(cli, "potential_value", potential_value_ref)
+    monkeypatch.setattr(cli, "subgradient_test", subgradient_test_ref)
+    monkeypatch.setattr(potential, "potential_value", potential_value_ref)
+    assert run_potential(problem, tmp_path / "reference") == 0
+    for name in POTENTIAL_FILES:
+        assert (tmp_path / "kernel" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
+    summary = json.loads((tmp_path / "kernel" / "potential_summary.json").read_text())
+    assert summary["chains_grown"] > 0
