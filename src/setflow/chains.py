@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import inner, inner_rows, nearest_point, support_argmax, support_value
+from .geometry import _best_row, inner, inner_rows, nearest_point, support_argmax, support_value
 from .setmaps import SetValuedMap
 
 __all__ = [
@@ -91,9 +91,8 @@ class Chain:
             raise ValueError("points and velocities must align, one pair minimum")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
             raise ValueError("chain entries must be finite")
-        sums = np.zeros(xs.shape[0])
-        for m in range(1, xs.shape[0]):
-            sums[m] = sums[m - 1] + inner(xs[m] - xs[m - 1], vs[m - 1])
+        # left-to-right running sums from 0.0, as Chain.extended adds them
+        sums = np.cumsum(np.concatenate([[0.0], inner_rows(xs[1:] - xs[:-1], vs[:-1])]))
         for a in (xs, vs, sums):
             a.flags.writeable = False
         self.xs = xs
@@ -177,22 +176,24 @@ def verify_chain(chain: Chain, tol: float = 0.0):
     slack ``<x_m - x_0, v_m> - sums[m]`` drops below ``-tol``.  With
     ``tol=0`` the comparison is sign-exact in floating point.
     """
-    for m in range(1, len(chain)):
-        slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
-        if slack < -tol:
-            return False, m
+    # index 0 is the trivial inequality 0 >= 0 and is not checked
+    slack = inner_rows(chain.xs - chain.xs[0], chain.vs) - chain.sums
+    bad = (slack[1:] < -tol).nonzero()[0]
+    if len(bad):
+        return False, int(bad[0]) + 1
     return True, None
 
 
-def extension_slack(chain: Chain, x_next, v) -> float:
+def extension_slack(chain: Chain, x_next, v):
     """Final-index slack of the chain extended by ``(x_next, v)``.
 
     Appending only adds one inequality, so this slack alone decides whether a
-    verified chain stays verified.
+    verified chain stays verified.  ``v`` may also be a stack of velocities,
+    one per row; the result is then one slack per row.
     """
     x_next = np.asarray(x_next, dtype=float)
     new_sum = chain.last_sum + inner(x_next - chain.last_point, chain.last_velocity)
-    return inner(x_next - chain.anchor_point, v) - new_sum
+    return inner_rows(x_next - chain.anchor_point, v) - new_sum
 
 
 def extend_exhaustive(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFAULT_TOL):
@@ -203,13 +204,20 @@ def extend_exhaustive(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DE
     the same tolerance.
     """
     candidates = svmap.eval(x_next).points
-    slacks = [extension_slack(chain, x_next, v) for v in candidates]
-    best = max(slacks)
-    if best < -tol:
+    slacks = extension_slack(chain, x_next, candidates)
+    pick = _best_row(candidates, slacks)
+    if slacks[pick] < -tol:
         return None
-    ties = [i for i, s in enumerate(slacks) if s == best]
-    pick = min(ties, key=lambda i: tuple(candidates[i]))
     return candidates[pick]
+
+
+def _anchored_pick(anchor_point, reference, x, values) -> np.ndarray:
+    # support-maximizing value in the anchored direction x - anchor_point; at
+    # the anchor itself that direction is zero, so the value nearest
+    # ``reference`` is taken instead
+    if np.array_equal(x, anchor_point):
+        return nearest_point(reference, values)
+    return support_argmax(x - anchor_point, values)
 
 
 def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
@@ -222,10 +230,7 @@ def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
     value nearest the last velocity is returned instead.
     """
     x_next = np.asarray(x_next, dtype=float)
-    values = svmap.eval(x_next)
-    if np.array_equal(x_next, chain.anchor_point):
-        return nearest_point(chain.last_velocity, values)
-    return support_argmax(x_next - chain.anchor_point, values)
+    return _anchored_pick(chain.anchor_point, chain.last_velocity, x_next, svmap.eval(x_next))
 
 
 def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFAULT_TOL):
@@ -240,14 +245,12 @@ def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFA
     """
     x_next = np.asarray(x_next, dtype=float)
     pts = svmap.eval(x_next).points
-    d = x_next - chain.anchor_point
-    feasible = [i for i, v in enumerate(pts) if inner(d, v - chain.last_velocity) >= -tol]
-    if not feasible:
+    turns = pts - chain.last_velocity
+    feasible = inner_rows(turns, x_next - chain.anchor_point) >= -tol
+    if not feasible.any():
         return None
-    dists = {i: inner(pts[i] - chain.last_velocity, pts[i] - chain.last_velocity) for i in feasible}
-    best = min(dists.values())
-    ties = [i for i in feasible if dists[i] == best]
-    v = pts[min(ties, key=lambda i: tuple(pts[i]))]
+    pts, turns = pts[feasible], turns[feasible]
+    v = pts[_best_row(pts, -inner_rows(turns, turns))]
     if extension_slack(chain, x_next, v) < -tol:
         return None
     return v
@@ -355,7 +358,7 @@ def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHA
                 if i == j:
                     continue
                 meter.spend()
-                best = max(inner(x - y, vx - vy) for vy in values[j])
+                best = float(inner_rows(vx - values[j], x - y).max())
                 if best < -tol:
                     witness = {"x": x.tolist(), "y": y.tolist(), "v_x": vx.tolist(), "best_gap": best}
                     return ClassReport(
@@ -690,8 +693,7 @@ def replay_witness(svmap, report: ClassReport, tol=None) -> bool:
         return gap < -tol
     if report.name == "weakly_monotone":
         x, y, vx = np.array(w["x"]), np.array(w["y"]), np.array(w["v_x"])
-        best = max(inner(x - y, vx - vy) for vy in svmap.eval(y).points)
-        return best < -tol
+        return float(inner_rows(vx - svmap.eval(y).points, x - y).max()) < -tol
     if report.name == "cyclic_monotone":
         ok, _ = verify_chain(Chain(w["points"], w["velocities"]), tol)
         return not ok

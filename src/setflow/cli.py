@@ -8,7 +8,9 @@ input, 3 velocity selection failed (replay state is written next to the other
 outputs), 4 combinatorial budget exceeded.  The budget defaults to 10^6 chains
 per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
 environment variable.  ``potential`` charges its query phase, every (sample,
-value) pair times every sample, against the same budget before any work.
+value) pair times every sample, against the same budget before any work, and
+``solve`` and ``refine`` charge their Euler steps, ``T / h`` per polygon,
+before integrating.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _chain_budget() -> int:
     return budget
 
 
+def _charge_steps(steps) -> None:
+    # Euler steps to integrate, charged against the budget before any work;
+    # a float, since T / h may be huge or infinite
+    budget = _chain_budget()
+    if steps > budget:
+        raise BudgetExceededError(budget + 1, budget)
+
+
 def _parse_grid_option(text: str) -> GridSpec:
     # one low:high:count triple per axis, comma separated
     lows, highs, counts = [], [], []
@@ -141,6 +151,7 @@ def _fmt(value) -> str:
 
 def run_solve(args) -> int:
     spec = _load_spec(args)
+    _charge_steps(spec.horizon / spec.step)
     out = _out_dir(args)
     try:
         traj = euler_solve(spec)
@@ -277,8 +288,9 @@ def run_potential(args) -> int:
 
 def run_refine(args) -> int:
     spec = _load_spec(args)
-    out = _out_dir(args)
     counts = spec.step_counts or DEFAULT_STEP_COUNTS
+    _charge_steps(sum(counts))
+    out = _out_dir(args)
     try:
         rows = refine_study(spec, counts)
     except SelectionFailed as failure:

@@ -5,9 +5,11 @@ represented by a nonempty finite list of points, so every supremum over it is
 an exact maximum and support values, maximizers and distances can be computed
 by enumeration.  Every inner product in the package goes through
 :func:`inner_rows` (one pair at a time through :func:`inner`) so that identical
-expressions round identically, batched or not; ties between points are
-always broken by lexicographic order on coordinates, which keeps repeated runs
-byte-for-byte reproducible.
+expressions round identically, batched or not, and every scan of a finite set
+is one :func:`inner_rows` call over its rows.  A scan that picks a row breaks
+ties by one rule, :func:`_best_row`: highest score, then the
+lexicographically smallest point, then the first row.  That keeps repeated
+runs byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class CompactSet:
 
     def norm_max(self) -> float:
         """Largest Euclidean norm over the points."""
-        return max(norm(p) for p in self.points)
+        return math.sqrt(float(inner_rows(self.points, self.points).max()))
 
     def __eq__(self, other):
         if not isinstance(other, CompactSet):
@@ -142,15 +144,21 @@ class CompactSet:
     __hash__ = None
 
 
-def _lex_min_index(points: np.ndarray, indices) -> int:
-    # deterministic tie-break: smallest point in lexicographic coordinate order
-    return min(indices, key=lambda i: tuple(points[i]))
+def _best_row(points: np.ndarray, scores: np.ndarray) -> int:
+    # the package's one tie-break rule: the highest score, then the
+    # lexicographically smallest point (-0.0 ties 0.0), then the first row
+    ties = np.flatnonzero(scores == scores.max())
+    for c in range(points.shape[1]):
+        if len(ties) == 1:
+            break
+        column = points[ties, c]
+        ties = ties[column == column.min()]
+    return int(ties[0])
 
 
 def support_value(d, A: CompactSet) -> float:
     """Support function ``max_{a in A} <d, a>`` of the finite set ``A``."""
-    d = np.asarray(d, dtype=float)
-    return max(inner(p, d) for p in A.points)
+    return float(inner_rows(A.points, np.asarray(d, dtype=float)).max())
 
 
 def support_argmax(d, A: CompactSet) -> np.ndarray:
@@ -160,20 +168,14 @@ def support_argmax(d, A: CompactSet) -> np.ndarray:
     ``inner(d, support_argmax(d, A)) == support_value(d, A)`` holds exactly
     because both take max over the same computed products.
     """
-    d = np.asarray(d, dtype=float)
-    vals = [inner(p, d) for p in A.points]
-    best = max(vals)
-    ties = [i for i, t in enumerate(vals) if t == best]
-    return A.points[_lex_min_index(A.points, ties)]
+    scores = inner_rows(A.points, np.asarray(d, dtype=float))
+    return A.points[_best_row(A.points, scores)]
 
 
 def nearest_point(p, A: CompactSet) -> np.ndarray:
     """The point of ``A`` closest to ``p`` (ties lexicographic)."""
-    p = np.asarray(p, dtype=float)
-    dists = [inner(q - p, q - p) for q in A.points]
-    best = min(dists)
-    ties = [i for i, t in enumerate(dists) if t == best]
-    return A.points[_lex_min_index(A.points, ties)]
+    diffs = A.points - np.asarray(p, dtype=float)
+    return A.points[_best_row(A.points, -inner_rows(diffs, diffs))]
 
 
 def dist_to_set(p, A: CompactSet) -> float:
@@ -181,7 +183,9 @@ def dist_to_set(p, A: CompactSet) -> float:
     p = np.asarray(p, dtype=float)
     if p.shape != (A.dimension,):
         raise ValueError(f"dimension mismatch: {p.shape} vs ({A.dimension},)")
-    return min(norm(q - p) for q in A.points)
+    diffs = A.points - p
+    # sqrt is monotone, so the root of the least square is the least norm
+    return math.sqrt(float(inner_rows(diffs, diffs).min()))
 
 
 def _affine_min_weights(P: np.ndarray) -> np.ndarray:
@@ -221,9 +225,7 @@ def dist_to_hull(p, A: CompactSet, tol: float = 1e-9, max_iter: int = HULL_MAX_I
         raise ValueError(f"dimension mismatch: {p.shape} vs ({A.dimension},)")
 
     B = A.canonical().points - p
-    m = B.shape[0]
-    sq = [inner(b, b) for b in B]
-    start = min(range(m), key=lambda i: (sq[i], tuple(B[i])))
+    start = _best_row(B, -inner_rows(B, B))
     active = [start]
     weights = np.array([1.0])
     x = B[start].astype(float)
@@ -242,9 +244,9 @@ def dist_to_hull(p, A: CompactSet, tol: float = 1e-9, max_iter: int = HULL_MAX_I
             # float precision is exhausted and the iterate cannot improve
             return math.sqrt(xx)
         prev_xx = xx
-        dots = [inner(x, b) for b in B]
-        best = min(range(m), key=lambda i: (dots[i], tuple(B[i])))
-        gap = 2.0 * (xx - dots[best])
+        dots = inner_rows(B, x)
+        best = _best_row(B, -dots)
+        gap = 2.0 * (xx - float(dots[best]))
         if gap <= threshold:
             return math.sqrt(xx)
         if best in active:

@@ -28,8 +28,8 @@ import json
 
 import numpy as np
 
-from .chains import _BLOCK_ELEMENTS, Chain, verify_chain
-from .geometry import inner, inner_rows, nearest_point, support_argmax
+from .chains import _BLOCK_ELEMENTS, Chain, _anchored_pick, verify_chain
+from .geometry import inner, inner_rows
 from .setmaps import SetValuedMap
 
 __all__ = [
@@ -315,11 +315,7 @@ def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0
     bound).  It is returned iff ``<x - x_0, candidate> >= potential - tol``.
     """
     x = np.asarray(x, dtype=float)
-    values = svmap.eval(x)
-    if np.array_equal(x, family.anchor_point):
-        v = nearest_point(family.anchor_velocity, values)
-    else:
-        v = support_argmax(x - family.anchor_point, values)
+    v = _anchored_pick(family.anchor_point, family.anchor_velocity, x, svmap.eval(x))
     if inner(x - family.anchor_point, v) >= potential_value(family, x) - tol:
         return v
     return None

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import CompactSet, as_vector, inner, norm, support_argmax, dist_to_set
+from .geometry import CompactSet, as_vector, inner, inner_rows, norm, support_argmax, dist_to_set
 
 __all__ = [
     "ACTIVITY_TOL",
@@ -69,7 +71,7 @@ class SetValuedMap:
         Maps a point array to a :class:`CompactSet` of the same dimension.
     bound_rule : callable, optional
         ``(center, radius) -> float`` bounding ``max |F(x)|`` over the closed
-        ball; when omitted, :meth:`local_bound` falls back to sampling.
+        ball; without one, :meth:`local_bound` raises.
     kind, params
         Descriptive metadata; for the built-in constructors ``params`` is
         exactly the JSON description the map round-trips through.
@@ -103,26 +105,17 @@ class SetValuedMap:
     def local_bound(self, center, radius: float) -> float:
         """Bound on ``max |F(x)|`` over the ball around ``center``.
 
-        Uses the analytic rule when one was provided, otherwise the max of
-        ``|F(p)|`` over a fixed lattice inside the ball (a heuristic sample,
-        not a certificate).
+        Given by the map's bound rule; every built-in constructor supplies
+        one.  Raises :class:`ValueError` for a map built without a rule.
         """
         center = np.asarray(center, dtype=float)
         if center.shape != (self.dimension,):
             raise ValueError("dimension mismatch for local_bound center")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        if self._bound_rule is not None:
-            return float(self._bound_rule(center, float(radius)))
-        best = self.eval(center).norm_max()
-        if radius == 0:
-            return best
-        axes = [np.linspace(c - radius, c + radius, 5) for c in center]
-        for coords in itertools.product(*axes):
-            p = np.array(coords)
-            if norm(p - center) <= radius:
-                best = max(best, self.eval(p).norm_max())
-        return best
+        if self._bound_rule is None:
+            raise ValueError(f"map of kind {self.kind!r} has no bound rule")
+        return float(self._bound_rule(center, float(radius)))
 
     def __repr__(self):
         return f"SetValuedMap(kind={self.kind!r}, dimension={self.dimension})"
@@ -158,28 +151,30 @@ class PLConvexFunction:
     def dimension(self) -> int:
         return self.slopes.shape[1]
 
-    def piece_values(self, x) -> list[float]:
-        x = np.asarray(x, dtype=float)
-        return [inner(a, x) + float(b) for a, b in zip(self.slopes, self.offsets)]
+    def piece_values(self, x) -> np.ndarray:
+        """Value of every affine piece at ``x``, in piece order."""
+        return inner_rows(self.slopes, np.asarray(x, dtype=float)) + self.offsets
 
     def value(self, x) -> float:
-        return max(self.piece_values(x))
+        return float(self.piece_values(x).max())
 
     def active_slopes(self, x) -> CompactSet:
-        """Slopes of the pieces active at ``x`` within :data:`ACTIVITY_TOL`."""
+        """Slopes of the pieces active at ``x`` within :data:`ACTIVITY_TOL`.
+
+        Each distinct slope appears once, at its first active piece.
+        """
         vals = self.piece_values(x)
-        top = max(vals)
-        seen = []
-        for a, t in zip(self.slopes, vals):
-            if t >= top - ACTIVITY_TOL:
-                key = tuple(a)
-                if key not in [tuple(s) for s in seen]:
-                    seen.append(a)
-        return CompactSet(np.array(seen))
+        active = self.slopes[vals >= vals.max() - ACTIVITY_TOL]
+        # a row is kept when the first row equal to it is itself
+        same = (active[:, None, :] == active[None, :, :]).all(axis=2)
+        return CompactSet(active[same.argmax(axis=1) == np.arange(len(active))])
 
 
 # ---------------------------------------------------------------------------
 # region predicates for table maps
+
+_COMPARISONS = {op: getattr(operator, op) for op in ("lt", "le", "eq", "ge", "gt")}
+
 
 @dataclass(frozen=True)
 class Halfspace:
@@ -190,20 +185,13 @@ class Halfspace:
     op: str
 
     def __post_init__(self):
-        if self.op not in ("lt", "le", "eq", "ge", "gt"):
+        if self.op not in _COMPARISONS:
             raise ValueError(f"unknown comparison op {self.op!r}")
         object.__setattr__(self, "normal", tuple(float(c) for c in self.normal))
         object.__setattr__(self, "value", float(self.value))
 
     def matches(self, x) -> bool:
-        t = inner(np.array(self.normal), x)
-        return {
-            "lt": t < self.value,
-            "le": t <= self.value,
-            "eq": t == self.value,
-            "ge": t >= self.value,
-            "gt": t > self.value,
-        }[self.op]
+        return _COMPARISONS[self.op](inner(np.array(self.normal), x), self.value)
 
     def to_dict(self):
         return {"kind": "halfspace", "normal": list(self.normal), "value": self.value, "op": self.op}
@@ -311,6 +299,7 @@ def table_map(regions) -> SetValuedMap:
 
     Evaluation raises :class:`UncoveredPointError` at points no region
     matches; listing an :class:`Always` region last makes a table total.
+    Its bound rule is the largest norm over all region values.
     """
     regions = [
         (where, value if isinstance(value, CompactSet) else CompactSet(value))
@@ -322,6 +311,7 @@ def table_map(regions) -> SetValuedMap:
     for _, value in regions:
         if value.dimension != dim:
             raise ValueError("all region values must share a dimension")
+    bound = max(value.norm_max() for _, value in regions)
 
     def evaluate(x):
         for predicate, value in regions:
@@ -336,7 +326,8 @@ def table_map(regions) -> SetValuedMap:
             for pred, value in regions
         ],
     }
-    return SetValuedMap(dim, evaluate, kind="table", params=params)
+    return SetValuedMap(dim, evaluate, bound_rule=lambda c, r: bound, kind="table",
+                        params=params)
 
 
 def map_from_dict(d) -> SetValuedMap:
@@ -396,29 +387,24 @@ class GridSpec:
         object.__setattr__(self, "counts", counts)
 
     def points(self) -> list[np.ndarray]:
-        return sample_grid(self.low, self.high, self.counts)
+        """Lattice points of the box, endpoints included on every axis.
+
+        A count of 1 keeps the low endpoint only.  Points are emitted in
+        row-major order (last axis fastest), deterministically.
+        """
+        axes = [np.linspace(l, h, c) for l, h, c in zip(self.low, self.high, self.counts)]
+        return [as_vector(t) for t in itertools.product(*axes)]
 
     def to_dict(self):
         return {"low": list(self.low), "high": list(self.high), "counts": list(self.counts)}
 
 
 def sample_grid(low, high, counts) -> list[np.ndarray]:
-    """Lattice points of the box, endpoints included on every axis.
+    """The points of ``GridSpec(low, high, counts)``, which checks the box.
 
-    A count of 1 keeps the low endpoint only.  Points are emitted in row-major
-    order (last axis fastest), deterministically.
+    ``counts`` may also be one number, for a one dimensional box.
     """
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
-    counts = [int(c) for c in np.atleast_1d(counts)]
-    if low.shape != high.shape or low.ndim != 1 or len(counts) != low.size:
-        raise ValueError("grid low/high/counts must share a positive length")
-    if np.any(high < low):
-        raise ValueError("grid box is inverted")
-    if any(c < 1 for c in counts):
-        raise ValueError("grid counts must be at least 1")
-    axes = [np.linspace(l, h, c) for l, h, c in zip(low, high, counts)]
-    return [as_vector(t) for t in itertools.product(*axes)]
+    return GridSpec(low, high, np.atleast_1d(counts)).points()
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +447,8 @@ class ProblemSpec:
             raise ProblemFormatError("v0: dimension does not match the map")
         if not self.map.eval(x0).contains(v0):
             raise ProblemFormatError("v0: initial velocity not in F(x0)")
-        if not (self.horizon > 0):
-            raise ProblemFormatError("T: must be positive")
+        if not (0 < self.horizon < math.inf):
+            raise ProblemFormatError("T: must be positive and finite")
         if not (0 < self.step <= self.horizon):
             raise ProblemFormatError("h: must satisfy 0 < h <= T")
         if self.strategy not in STRATEGIES:

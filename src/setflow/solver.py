@@ -10,6 +10,7 @@ computational witness that the map resists chain-preserving selection there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from .chains import (
     extension_slack,
     verify_chain,
 )
-from .geometry import dist_to_hull, dist_to_set, inner, norm
+from .geometry import dist_to_hull, dist_to_set, inner, inner_rows
 from .setmaps import PLConvexFunction, ProblemSpec, SetValuedMap
 
 __all__ = [
@@ -201,10 +202,8 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
         v = _select(tip, x, svmap, spec.strategy, spec.tol)
         if v is None:
             chain = Chain(states, velocities)
-            slacks = [
-                (cand, extension_slack(chain, x, cand))
-                for cand in svmap.eval(x).points
-            ]
+            candidates = svmap.eval(x).points
+            slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
             raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
                                   spec.strategy, spec.tol)
         tip = tip.extended(x, v)
@@ -243,7 +242,7 @@ def polygon_sup_distance(a: Trajectory, b: Trajectory) -> float:
     """Sup distance between two polygons on the union of their node times."""
     times = np.union1d(a.times, b.times)
     gaps = _states_at(a, times) - _states_at(b, times)
-    return max(norm(row) for row in gaps)
+    return math.sqrt(float(inner_rows(gaps, gaps).max()))
 
 
 def _states_at(traj: Trajectory, times) -> np.ndarray:

@@ -3,12 +3,13 @@
 Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
 evidence rather than tautology.  The exceptions are the brute-force
-classifier references and the per-member potential references at the end:
-they run chain by chain and member by member with the library's own inner
-product and summation order, so the batched kernels must match their
-outputs byte for byte.
+classifier references, the per-member potential references and the per-row
+scan references at the end: they run chain by chain, member by member and
+row by row with the library's own inner product and summation order, so the
+batched kernels must match their outputs byte for byte.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -16,16 +17,20 @@ from itertools import combinations, product
 import numpy as np
 
 from setflow import (
+    ACTIVITY_TOL,
     BudgetExceededError,
     Chain,
     ClassReport,
+    HullProjectionError,
     SequenceFamily,
     affine_value,
     extension_slack,
     inner,
+    norm,
     support_value,
     verify_chain,
 )
+from setflow.geometry import HULL_MAX_ITER, _affine_min_weights
 
 
 def first_chain_violation_exact(points, velocities):
@@ -357,3 +362,210 @@ def build_family_ref(svmap, x0, v0, grid_points, max_length, box=None,
                 break
     stats = {"chains_grown": grown, "evaluations": used, "budget_exhausted": exhausted}
     return family, stats
+
+
+# ---------------------------------------------------------------------------
+# per-row scan references
+#
+# The value-set, chain and piece-list loops that one ``inner_rows`` call per
+# finite set replaced, one scalar ``inner`` per row, each with its own copy of
+# the lexicographic tie-break.  The batched scans must return their values bit
+# for bit, the same picks and ``None``s and the same first failing indices.
+
+
+def lex_min_index_ref(points, indices):
+    return min(indices, key=lambda i: tuple(points[i]))
+
+
+def support_value_ref(d, A):
+    d = np.asarray(d, dtype=float)
+    return max(inner(p, d) for p in A.points)
+
+
+def support_argmax_ref(d, A):
+    d = np.asarray(d, dtype=float)
+    vals = [inner(p, d) for p in A.points]
+    best = max(vals)
+    ties = [i for i, t in enumerate(vals) if t == best]
+    return A.points[lex_min_index_ref(A.points, ties)]
+
+
+def nearest_point_ref(p, A):
+    p = np.asarray(p, dtype=float)
+    dists = [inner(q - p, q - p) for q in A.points]
+    best = min(dists)
+    ties = [i for i, t in enumerate(dists) if t == best]
+    return A.points[lex_min_index_ref(A.points, ties)]
+
+
+def dist_to_set_ref(p, A):
+    p = np.asarray(p, dtype=float)
+    return min(norm(q - p) for q in A.points)
+
+
+def norm_max_ref(A):
+    return max(norm(p) for p in A.points)
+
+
+def dist_to_hull_ref(p, A, tol=1e-9, max_iter=HULL_MAX_ITER):
+    p = np.asarray(p, dtype=float)
+    B = A.canonical().points - p
+    m = B.shape[0]
+    sq = [inner(b, b) for b in B]
+    start = min(range(m), key=lambda i: (sq[i], tuple(B[i])))
+    active = [start]
+    weights = np.array([1.0])
+    x = B[start].astype(float)
+    threshold = min(tol, tol * tol)
+    prev_xx = math.inf
+    for _ in range(max_iter):
+        xx = inner(x, x)
+        if xx == 0.0:
+            return 0.0
+        if xx >= prev_xx:
+            return math.sqrt(xx)
+        prev_xx = xx
+        dots = [inner(x, b) for b in B]
+        best = min(range(m), key=lambda i: (dots[i], tuple(B[i])))
+        gap = 2.0 * (xx - dots[best])
+        if gap <= threshold or best in active:
+            return math.sqrt(xx)
+        active.append(best)
+        weights = np.append(weights, 0.0)
+        while True:
+            mu = _affine_min_weights(B[active])
+            if np.all(mu > 1e-12):
+                weights = mu
+                break
+            shrink = 1.0
+            for lam_i, mu_i in zip(weights, mu):
+                if mu_i <= 1e-12 and lam_i > mu_i:
+                    shrink = min(shrink, lam_i / (lam_i - mu_i))
+            weights = weights + shrink * (mu - weights)
+            keep = [i for i, w in enumerate(weights) if w > 1e-12]
+            if not keep:
+                keep = [int(np.argmax(weights))]
+            active = [active[i] for i in keep]
+            weights = weights[keep]
+            weights = weights / weights.sum()
+        x = weights @ B[active]
+    raise HullProjectionError("no certificate")
+
+
+def chain_sums_ref(xs, vs):
+    xs = np.array(xs, dtype=float).reshape(len(xs), -1)
+    vs = np.array(vs, dtype=float).reshape(len(vs), -1)
+    sums = np.zeros(xs.shape[0])
+    for m in range(1, xs.shape[0]):
+        sums[m] = sums[m - 1] + inner(xs[m] - xs[m - 1], vs[m - 1])
+    return sums
+
+
+def verify_chain_ref(chain, tol=0.0):
+    for m in range(1, len(chain)):
+        slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
+        if slack < -tol:
+            return False, m
+    return True, None
+
+
+def extension_slack_ref(chain, x_next, v):
+    x_next = np.asarray(x_next, dtype=float)
+    new_sum = chain.last_sum + inner(x_next - chain.last_point, chain.last_velocity)
+    return inner(x_next - chain.anchor_point, v) - new_sum
+
+
+def extend_exhaustive_ref(chain, x_next, svmap, tol=1e-9):
+    candidates = svmap.eval(x_next).points
+    slacks = [extension_slack_ref(chain, x_next, v) for v in candidates]
+    best = max(slacks)
+    if best < -tol:
+        return None
+    ties = [i for i, s in enumerate(slacks) if s == best]
+    pick = min(ties, key=lambda i: tuple(candidates[i]))
+    return candidates[pick]
+
+
+def extend_support_ref(chain, x_next, svmap):
+    x_next = np.asarray(x_next, dtype=float)
+    values = svmap.eval(x_next)
+    if np.array_equal(x_next, chain.anchor_point):
+        return nearest_point_ref(chain.last_velocity, values)
+    return support_argmax_ref(x_next - chain.anchor_point, values)
+
+
+def extend_inertial_ref(chain, x_next, svmap, tol=1e-9):
+    x_next = np.asarray(x_next, dtype=float)
+    pts = svmap.eval(x_next).points
+    d = x_next - chain.anchor_point
+    feasible = [i for i, v in enumerate(pts) if inner(d, v - chain.last_velocity) >= -tol]
+    if not feasible:
+        return None
+    dists = {i: inner(pts[i] - chain.last_velocity, pts[i] - chain.last_velocity)
+             for i in feasible}
+    best = min(dists.values())
+    ties = [i for i in feasible if dists[i] == best]
+    v = pts[min(ties, key=lambda i: tuple(pts[i]))]
+    if extension_slack_ref(chain, x_next, v) < -tol:
+        return None
+    return v
+
+
+def submap_select_ref(family, svmap, x, tol=0.0):
+    x = np.asarray(x, dtype=float)
+    values = svmap.eval(x)
+    if np.array_equal(x, family.anchor_point):
+        v = nearest_point_ref(family.anchor_velocity, values)
+    else:
+        v = support_argmax_ref(x - family.anchor_point, values)
+    if inner(x - family.anchor_point, v) >= potential_value_ref(family, x) - tol:
+        return v
+    return None
+
+
+def weakly_monotone_ref(svmap, samples, tol, budget):
+    pts = [np.asarray(p, dtype=float) for p in samples]
+    values = [svmap.eval(p).points for p in pts]
+    meter = _Meter(budget)
+    for i, x in enumerate(pts):
+        for vx in values[i]:
+            for j, y in enumerate(pts):
+                if i == j:
+                    continue
+                meter.spend()
+                best = max(inner(x - y, vx - vy) for vy in values[j])
+                if best < -tol:
+                    witness = {"x": x.tolist(), "y": y.tolist(), "v_x": vx.tolist(),
+                               "best_gap": best}
+                    return ClassReport("weakly_monotone", False, witness, tol, _describe(pts),
+                                       {"pairs_checked": meter.used})
+    return ClassReport("weakly_monotone", True, None, tol, _describe(pts),
+                       {"pairs_checked": meter.used})
+
+
+def piece_values_ref(f, x):
+    x = np.asarray(x, dtype=float)
+    return [inner(a, x) + float(b) for a, b in zip(f.slopes, f.offsets)]
+
+
+def active_slopes_ref(f, x):
+    vals = piece_values_ref(f, x)
+    top = max(vals)
+    seen = []
+    for a, t in zip(f.slopes, vals):
+        if t >= top - ACTIVITY_TOL:
+            key = tuple(a)
+            if key not in [tuple(s) for s in seen]:
+                seen.append(a)
+    return np.array(seen)
+
+
+def halfspace_matches_ref(h, x):
+    t = inner(np.array(h.normal), x)
+    return {
+        "lt": t < h.value,
+        "le": t <= h.value,
+        "eq": t == h.value,
+        "ge": t >= h.value,
+        "gt": t > h.value,
+    }[h.op]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -308,6 +309,88 @@ class TestIntegerFields:
         f.write_text(json.dumps(_with_fields(**{field: value})) + "\n")
         code = run("classify", "--input", f, "--output", tmp_path / "o")
         assert code in (0, EXIT_INVALID, EXIT_SELECTION, EXIT_BUDGET)
+
+
+CONSTANT_PROBLEM = {
+    "map": {"kind": "constant", "points": [[1.0]]},
+    "x0": [0.0],
+    "v0": [1.0],
+    "T": 1.0,
+    "h": 0.5,
+    "strategy": "exhaustive",
+    "tol": 1e-9,
+}
+
+
+def _timed_run(tmp_path, command, doc, *extra):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc) + "\n")
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    code = run(command, "--input", f, "--output", out, *extra)
+    assert time.perf_counter() - start < 5.0
+    return code, out
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("T, h", [
+        (math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5), (1.0, math.inf), (1.0, math.nan),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "refine"])
+    def test_non_finite_horizon_or_step_is_invalid(self, tmp_path, capsys, command, T, h):
+        code, _ = _timed_run(tmp_path, command, dict(CONSTANT_PROBLEM, T=T, h=h))
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(("error: T: ", "error: h: "))
+
+    def test_tiny_step_exits_on_budget(self, tmp_path):
+        code, out = _timed_run(tmp_path, "solve", dict(CONSTANT_PROBLEM, h=1e-300))
+        assert code == EXIT_BUDGET
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_huge_refine_steps_exit_on_budget(self, tmp_path):
+        doc = dict(CONSTANT_PROBLEM, steps=[10, 10**9])
+        code, out = _timed_run(tmp_path, "refine", doc)
+        assert code == EXIT_BUDGET
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_budget_counts_steps(self, tmp_path, monkeypatch):
+        # 1 / 0.02 = 50 steps fit a budget of 50; 1 / 0.01 = 100 do not
+        monkeypatch.setenv(BUDGET_ENV, "50")
+        assert _timed_run(tmp_path, "solve", dict(CONSTANT_PROBLEM, h=0.02))[0] == 0
+        assert _timed_run(tmp_path, "solve", dict(CONSTANT_PROBLEM, h=0.01))[0] == EXIT_BUDGET
+        assert _timed_run(tmp_path, "refine", CONSTANT_PROBLEM, "--steps", "10,40")[0] == 0
+        assert _timed_run(tmp_path, "refine", CONSTANT_PROBLEM,
+                          "--steps", "10,50")[0] == EXIT_BUDGET
+
+    extremes = st.sampled_from([math.inf, -math.inf, math.nan, 1e-300, 1e308, 1.0, 0.25])
+
+    @given(command=st.sampled_from(["solve", "refine"]), T=extremes, h=extremes)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_fuzzed_horizon_and_step_end_in_documented_codes(self, tmp_path, command, T, h):
+        code, _ = _timed_run(tmp_path, command, _with_fields(T=T, h=h))
+        assert code in (0, EXIT_INVALID, EXIT_SELECTION, EXIT_BUDGET)
+
+    def test_high_dimensional_table_solve_is_fast(self, tmp_path):
+        # the bound in summary.json is the largest region norm, 2.0, with no
+        # sampling of the 8-dimensional ball
+        e0 = [1.0] + [0.0] * 7
+        doc = {
+            "map": {"kind": "table", "regions": [
+                {"where": {"kind": "halfspace", "normal": e0, "value": 0.0, "op": "lt"},
+                 "points": [[-1.0] + [0.0] * 7]},
+                {"where": {"kind": "always"}, "points": [e0, [0.0, 2.0] + [0.0] * 6]},
+            ]},
+            "x0": [0.5] + [0.0] * 7, "v0": e0, "T": 1.0, "h": 0.5,
+            "strategy": "support", "tol": 1e-9,
+        }
+        start = time.perf_counter()
+        code, out = _timed_run(tmp_path, "solve", doc)
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["nodes"] == 3
+        assert summary["horizon_hint_unit_ball"] == 0.5
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from setflow import (
     PLConvexFunction,
     ProblemFormatError,
     ProblemSpec,
+    SetValuedMap,
     UncoveredPointError,
     closed_graph_diagnostic,
     constant_map,
@@ -68,6 +69,19 @@ class TestConstructors:
         assert F(np.array([2.0, 1.0])) == CompactSet([[1.0, 0.0]])
         assert F(np.array([1.0, 1.0])) == CompactSet([[1.0, 0.0], [0.0, 1.0]])
         assert F.local_bound([0.0, 0.0], 5.0) == 1.0
+
+    def test_table_bound_is_largest_region_norm(self):
+        F = table_map([
+            (Halfspace([1.0, 0.0], 0.0, "lt"), [[3.0, 4.0]]),
+            (Always(), [[1.0, 0.0], [0.0, -2.0]]),
+        ])
+        for center, radius in (([0.0, 0.0], 0.0), ([9.0, 9.0], 1.0), ([-1.0, 0.0], 100.0)):
+            assert F.local_bound(center, radius) == 5.0
+
+    def test_map_without_bound_rule_raises(self):
+        F = SetValuedMap(1, lambda x: CompactSet([[1.0]]))
+        with pytest.raises(ValueError, match="no bound rule"):
+            F.local_bound([0.0], 1.0)
 
     def test_linear(self):
         F = linear_map([[0.0, -1.0], [1.0, 0.0]])
@@ -156,6 +170,21 @@ class TestGrids:
     def test_inverted_box_rejected(self):
         with pytest.raises(ValueError):
             GridSpec((1.0,), (0.0,), (2,))
+
+    @pytest.mark.parametrize("low, high, counts, message", [
+        ([0.0, 0.0], [1.0], [2, 2], "grid low/high/counts must share a positive length"),
+        ([], [], [], "grid low/high/counts must share a positive length"),
+        ([1.0], [0.0], [2], "grid box is inverted"),
+        ([0.0], [1.0], [0], "grid counts must be at least 1"),
+    ])
+    def test_one_set_of_checks(self, low, high, counts, message):
+        for build in (GridSpec, sample_grid):
+            with pytest.raises(ValueError) as info:
+                build(low, high, counts)
+            assert str(info.value) == message
+
+    def test_scalar_count_for_one_axis(self):
+        assert [p.tolist() for p in sample_grid([0.0], [1.0], 3)] == [[0.0], [0.5], [1.0]]
 
 
 def _spec(**overrides):
