@@ -176,11 +176,10 @@ def verify_chain(chain: Chain, tol: float = 0.0):
     slack ``<x_m - x_0, v_m> - sums[m]`` drops below ``-tol``.  With
     ``tol=0`` the comparison is sign-exact in floating point.
     """
-    # index 0 is the trivial inequality 0 >= 0 and is not checked
-    slack = inner_rows(chain.xs - chain.xs[0], chain.vs) - chain.sums
-    bad = (slack[1:] < -tol).nonzero()[0]
-    if len(bad):
-        return False, int(bad[0]) + 1
+    for m in range(1, len(chain)):
+        slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
+        if slack < -tol:
+            return False, m
     return True, None
 
 

@@ -8,9 +8,8 @@ input, 3 velocity selection failed (replay state is written next to the other
 outputs), 4 combinatorial budget exceeded.  The budget defaults to 10^6 chains
 per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
 environment variable.  ``potential`` charges its query phase, every (sample,
-value) pair times every sample, against the same budget before any work, and
-``solve`` and ``refine`` charge their Euler steps, ``T / h`` per polygon,
-before integrating.
+value) pair times every sample, and ``solve`` and ``refine`` their Euler
+steps, against the same budget before any work.
 """
 
 from __future__ import annotations
@@ -78,12 +77,14 @@ def _chain_budget() -> int:
     return budget
 
 
-def _charge_steps(steps) -> None:
-    # Euler steps to integrate, charged against the budget before any work;
-    # a float, since T / h may be huge or infinite
+def _charge_steps(command: str, steps) -> None:
+    # Euler steps to integrate (T / h for solve, which may be huge or
+    # infinite), charged against the budget before any work
     budget = _chain_budget()
     if steps > budget:
-        raise BudgetExceededError(budget + 1, budget)
+        error = BudgetExceededError(steps, budget)
+        error.args = (f"{command} needs {steps:.12g} Euler steps, budget {budget}",)
+        raise error
 
 
 def _parse_grid_option(text: str) -> GridSpec:
@@ -151,7 +152,7 @@ def _fmt(value) -> str:
 
 def run_solve(args) -> int:
     spec = _load_spec(args)
-    _charge_steps(spec.horizon / spec.step)
+    _charge_steps("solve", spec.horizon / spec.step)
     out = _out_dir(args)
     try:
         traj = euler_solve(spec)
@@ -289,7 +290,7 @@ def run_potential(args) -> int:
 def run_refine(args) -> int:
     spec = _load_spec(args)
     counts = spec.step_counts or DEFAULT_STEP_COUNTS
-    _charge_steps(sum(counts))
+    _charge_steps("refine", sum(counts))
     out = _out_dir(args)
     try:
         rows = refine_study(spec, counts)

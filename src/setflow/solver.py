@@ -305,7 +305,9 @@ def lyapunov_check(traj: Trajectory, f: PLConvexFunction, tol: float = 0.0) -> b
 def horizon_hint(svmap: SetValuedMap, x0, radius: float) -> float:
     """Suggested horizon ``radius / bound`` keeping polygons in the ball.
 
-    Advisory only; nothing in the solver applies it automatically.
+    Advisory only; nothing in the solver applies it automatically.  Raises
+    :class:`ValueError` for a map built without a bound rule; every built-in
+    constructor supplies one.
     """
     bound = svmap.local_bound(np.asarray(x0, dtype=float), radius)
     if bound == 0.0:

@@ -342,16 +342,20 @@ class TestStepBudget:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith(("error: T: ", "error: h: "))
 
-    def test_tiny_step_exits_on_budget(self, tmp_path):
+    def test_tiny_step_exits_on_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
         code, out = _timed_run(tmp_path, "solve", dict(CONSTANT_PROBLEM, h=1e-300))
         assert code == EXIT_BUDGET
         assert not out.exists() or list(out.iterdir()) == []
+        assert capsys.readouterr().err == "error: solve needs 1e+300 Euler steps, budget 1000000\n"
 
-    def test_huge_refine_steps_exit_on_budget(self, tmp_path):
+    def test_huge_refine_steps_exit_on_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
         doc = dict(CONSTANT_PROBLEM, steps=[10, 10**9])
         code, out = _timed_run(tmp_path, "refine", doc)
         assert code == EXIT_BUDGET
         assert not out.exists() or list(out.iterdir()) == []
+        assert capsys.readouterr().err == "error: refine needs 1000000010 Euler steps, budget 1000000\n"
 
     def test_budget_counts_steps(self, tmp_path, monkeypatch):
         # 1 / 0.02 = 50 steps fit a budget of 50; 1 / 0.01 = 100 do not

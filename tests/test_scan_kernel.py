@@ -1,11 +1,11 @@
 """One ``inner_rows`` scan per finite set against the per-row loops it replaced.
 
-The value-set primitives of ``geometry``, the chain sums, ``verify_chain``,
-the extension rules, the pairwise best gap of ``classify_weakly_monotone``,
+The value-set primitives of ``geometry``, the chain sums, the extension
+rules, the pairwise best gap of ``classify_weakly_monotone``,
 ``piece_values`` / ``active_slopes`` and ``Halfspace.matches`` must return
 what the loops in ``tests/oracles.py`` return: values bit for bit (compared
 as int64 views, so ``-0.0`` and ``0.0`` differ), the same picked rows and
-``None``s and the same first failing indices.
+``None``s.
 """
 
 import json
@@ -35,7 +35,6 @@ from setflow import (
     submap_select,
     support_argmax,
     support_value,
-    verify_chain,
 )
 from setflow.chains import BudgetExceededError
 from setflow.geometry import _best_row
@@ -60,7 +59,6 @@ from oracles import (
     submap_select_ref,
     support_argmax_ref,
     support_value_ref,
-    verify_chain_ref,
     weakly_monotone_ref,
 )
 
@@ -163,35 +161,18 @@ CHAIN_CASES = [(pairs, dyadic) for pairs in (1, 2, 3, 5, 8, 13, 21, 34, 64)
 
 
 @pytest.mark.parametrize("pairs, dyadic", CHAIN_CASES)
-@pytest.mark.parametrize("tol", [0.0, 1e-9])
-def test_chain_sums_and_verification_match_row_loops(pairs, dyadic, tol):
+def test_chain_sums_match_row_loops(pairs, dyadic):
     rng = np.random.default_rng([pairs, int(dyadic)])
     for dim in (1, 2, 3):
         for _ in range(8):
             xs, vs = _chain_data(rng, pairs, dim, dyadic)
-            if rng.random() < 0.5:
-                # monotone velocities pass far more often than random ones
-                vs = np.sign(xs) * np.abs(vs)
             chain = Chain(xs, vs)
             assert bits(chain.sums) == bits(chain_sums_ref(xs, vs))
-            assert verify_chain(chain, tol) == verify_chain_ref(chain, tol)
             # the sums Chain.extended appends are those of the constructor
             grown = Chain([xs[0]], [vs[0]])
             for x, v in zip(xs[1:], vs[1:]):
                 grown = grown.extended(x, v)
             assert bits(grown.sums) == bits(chain.sums)
-
-
-def test_verification_reports_every_first_failing_index():
-    rng = np.random.default_rng(11)
-    seen = set()
-    for _ in range(400):
-        xs, vs = _chain_data(rng, int(rng.integers(1, 9)), 1, dyadic=True)
-        chain = Chain(xs, vs)
-        want = verify_chain_ref(chain, 0.0)
-        assert verify_chain(chain, 0.0) == want
-        seen.add(want[1])
-    assert seen >= {None, 1, 2, 3}
 
 
 def _maps(rng, dim):
