@@ -1,0 +1,156 @@
+"""Per-layer timings of map evaluation, for a parent tree against a change.
+
+    python3 bench/layers.py --parent ../parent/src --change src \\
+        --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
+        --out BENCH_7.json
+
+Each tree is measured in its own interpreter (``--measure SRC`` prints one
+JSON object), alternating parent and change for ``--rounds`` rounds, and
+every figure is the median over rounds.  A figure is microseconds per call
+of ``SetValuedMap.eval`` for each built-in map kind, per row of
+``SetValuedMap.eval_many`` (``null`` where a tree has no such method), and
+per node of ``trajectory_residual``, on fixed two dimensional inputs.  Each
+is the least of five timed repeats.  ``--e2e-parent`` and ``--e2e-change``
+name ``perfbench/run.py --trace 0`` result directories; the medians over
+the seeds found in both, per workload and end-to-end metric, are recorded
+with the number of seeds where the change was lower.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPEATS = 5
+GRID = [(-1.0 + i / 4, -1.0 + j / 4) for i in range(9) for j in range(9)]
+MAPS = {
+    "constant": {"kind": "constant", "points": [[2.0, 0.0], [1.0, 1.0], [-1.0, 0.5], [0.0, -1.0]]},
+    "subdifferential": {"kind": "subdifferential",
+                        "slopes": [[1.0, 0.0], [-1.0, 2.0], [0.0, -3.0], [2.0, 1.0], [-2.0, -1.0]],
+                        "offsets": [0.0, 0.25, -0.5, 0.0, 0.5]},
+    "linear": {"kind": "linear", "matrix": [[0.5, -1.0], [1.0, 0.5]]},
+    "table": {"kind": "table", "regions": [
+        {"where": {"kind": "box", "low": [0.5, 0.5], "high": [1.0, 1.0]},
+         "points": [[1.0, 1.0]]},
+        *({"where": {"kind": "halfspace", "normal": [1.0, 0.0], "value": k, "op": op},
+           "points": points}
+          for k, below, above in ((-0.5, -1.0, 0.0), (0.25, 0.0, 2.0))
+          for op, points in (("lt", [[below, 0.5]]), ("eq", [[below, 0.5], [above, 0.5]]))),
+        {"where": {"kind": "always"}, "points": [[2.0, 0.5]]},
+    ]},
+}
+RESIDUAL_STEPS = 2000
+
+
+def _per_call_us(fn, calls):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best / calls * 1e6
+
+
+def measure(src: str) -> dict:
+    sys.path.insert(0, src)
+    import numpy as np
+    from setflow import ProblemSpec, euler_solve, map_from_dict, trajectory_residual
+
+    points = [np.array(p) for p in GRID]
+    X = np.array(GRID)
+    out = {}
+    for kind, doc in MAPS.items():
+        svmap = map_from_dict(doc)
+
+        def per_point():
+            for x in points:
+                svmap.eval(x)
+
+        out[f"setmaps.eval.{kind}.us_per_call"] = _per_call_us(per_point, len(points))
+        many = getattr(svmap, "eval_many", None)
+        out[f"setmaps.eval_many.{kind}.us_per_row"] = (
+            None if many is None else _per_call_us(lambda: many(X), len(X)))
+    for kind in ("subdifferential", "table"):
+        svmap = map_from_dict(MAPS[kind])
+        x0 = np.array([-0.75, 0.3])
+        spec = ProblemSpec(map=svmap, x0=x0, v0=svmap.eval(x0).points[0], horizon=1.0,
+                           step=1.0 / RESIDUAL_STEPS, strategy="support", tol=1e-9)
+        traj = euler_solve(spec)
+        out[f"solver.trajectory_residual.{kind}.us_per_node"] = _per_call_us(
+            lambda: trajectory_residual(traj, svmap), traj.node_count())
+    return out
+
+
+def _run_tree(src: Path) -> dict:
+    child = subprocess.run([sys.executable, __file__, "--measure", str(src)], check=True,
+                           stdout=subprocess.PIPE, text=True)
+    return json.loads(child.stdout)
+
+
+def _median(rows, name):
+    values = [row[name] for row in rows]
+    return None if values[0] is None else statistics.median(values)
+
+
+def end_to_end(parent_dir: Path, change_dir: Path) -> dict:
+    out = {}
+    for change_file in sorted(change_dir.glob("*-trace0.json")):
+        parent_file = parent_dir / change_file.name
+        if not parent_file.is_file():
+            continue
+        a = json.loads(parent_file.read_text())
+        b = json.loads(change_file.read_text())
+        row = out.setdefault(b["workload"], {"seeds": [], "parent": {}, "change": {}})
+        row["seeds"].append(b["seed"])
+        for name, metric in b["metrics"].items():
+            row["change"].setdefault(name, []).append(metric["value"])
+            row["parent"].setdefault(name, []).append(a["metrics"][name]["value"])
+    for row in out.values():
+        names = list(row["change"])
+        row["change_lower"] = {n: sum(c < p for c, p in zip(row["change"][n], row["parent"][n]))
+                               for n in names}
+        for side in ("parent", "change"):
+            row[side] = {n: statistics.median(v) for n, v in row[side].items()}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--measure", help="measure the tree whose sources are here, print JSON")
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--e2e-parent", type=Path)
+    p.add_argument("--e2e-change", type=Path)
+    p.add_argument("--out", type=Path)
+    args = p.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not (args.parent and args.change and args.out):
+        p.error("--parent, --change and --out are required unless --measure is given")
+    rows = {"parent": [], "change": []}
+    for _ in range(args.rounds):
+        rows["parent"].append(_run_tree(args.parent.resolve()))
+        rows["change"].append(_run_tree(args.change.resolve()))
+    doc = {
+        "machine": {"python": platform.python_version(), "platform": platform.platform()},
+        "rounds": args.rounds,
+        "per_layer": {name: {side: _median(rows[side], name) for side in rows}
+                      for name in rows["change"][0]},
+    }
+    if args.e2e_parent and args.e2e_change:
+        doc["end_to_end"] = end_to_end(args.e2e_parent, args.e2e_change)
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

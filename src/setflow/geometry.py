@@ -100,6 +100,16 @@ class CompactSet:
         pts.flags.writeable = False
         self.points = pts
 
+    @classmethod
+    def _trusted(cls, points: np.ndarray) -> "CompactSet":
+        # for compiled map kernels only: ``points`` is already a nonempty,
+        # finite, two dimensional float array, so it is frozen and wrapped
+        # without a copy or a check
+        points.flags.writeable = False
+        out = object.__new__(cls)
+        out.points = points
+        return out
+
     @property
     def dimension(self) -> int:
         return self.points.shape[1]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +68,9 @@ class SetValuedMap:
         Dimension n of both arguments and values.
     evaluator : callable
         Maps a point array to a :class:`CompactSet` of the same dimension.
+        If it also has a method ``many(X) -> (values, owner)``, as the
+        compiled kernel of every built-in constructor does, :meth:`eval_many`
+        calls that; any other evaluator is called point by point.
     bound_rule : callable, optional
         ``(center, radius) -> float`` bounding ``max |F(x)|`` over the closed
         ball; without one, :meth:`local_bound` raises.
@@ -101,6 +103,29 @@ class SetValuedMap:
         return value
 
     __call__ = eval
+
+    def eval_many(self, X):
+        """The values at every row of ``X`` at once, as ``(values, owner)``.
+
+        ``values`` stacks the value rows of each point in order and
+        ``owner[j]`` is the row of ``X`` that ``values[j]`` belongs to, so
+        ``values[owner == i]`` is ``eval(X[i]).points`` bit for bit.  It
+        raises what :meth:`eval` raises at the first row where that raises.
+        Both arrays are read-only.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise ValueError(f"dimension mismatch: points {X.shape} vs map (n, {self.dimension})")
+        many = getattr(self._evaluator, "many", None)
+        if many is not None:
+            values, owner = many(X)
+        else:
+            sets = [self.eval(x).points for x in X]
+            values = np.concatenate(sets) if sets else np.empty((0, self.dimension))
+            owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        values.flags.writeable = False
+        owner.flags.writeable = False
+        return values, owner
 
     def local_bound(self, center, radius: float) -> float:
         """Bound on ``max |F(x)|`` over the ball around ``center``.
@@ -146,6 +171,7 @@ class PLConvexFunction:
         offsets.flags.writeable = False
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_active", _ActiveSlopes(slopes, offsets))
 
     @property
     def dimension(self) -> int:
@@ -163,17 +189,68 @@ class PLConvexFunction:
 
         Each distinct slope appears once, at its first active piece.
         """
-        vals = self.piece_values(x)
-        active = self.slopes[vals >= vals.max() - ACTIVITY_TOL]
-        # a row is kept when the first row equal to it is itself
-        same = (active[:, None, :] == active[None, :, :]).all(axis=2)
-        return CompactSet(active[same.argmax(axis=1) == np.arange(len(active))])
+        return self._active(np.asarray(x, dtype=float))
+
+
+class _ActiveSlopes:
+    """Compiled active-slope map of a :class:`PLConvexFunction`.
+
+    ``twins`` holds each pair ``(i, j)``, ``j < i``, of pieces with equal
+    slopes: piece ``i`` is dropped wherever piece ``j`` is active too.
+    ``singletons[i]`` is the frozen value ``{slopes[i]}``, returned as it is
+    wherever one piece alone is active.
+    """
+
+    __slots__ = ("slopes", "offsets", "twins", "singletons")
+
+    def __init__(self, slopes, offsets):
+        self.slopes = slopes
+        self.offsets = offsets
+        same = (slopes[:, None, :] == slopes[None, :, :]).all(axis=2)
+        self.twins = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.tril(same, -1)))]
+        self.singletons = [CompactSet._trusted(slopes[i:i + 1]) for i in range(len(slopes))]
+
+    def _kept(self, active):
+        # each slope at its first active piece
+        kept = active.copy()
+        for i, j in self.twins:
+            kept[..., i] &= ~active[..., j]
+        return kept
+
+    def __call__(self, x) -> CompactSet:
+        vals = inner_rows(self.slopes, x) + self.offsets
+        active = vals >= vals.max() - ACTIVITY_TOL
+        if np.count_nonzero(active) == 1:
+            return self.singletons[active.argmax()]
+        # no active piece (NaN values) fails the check of CompactSet
+        return CompactSet(self.slopes[self._kept(active)])
+
+    def many(self, X):
+        vals = inner_rows(X[:, None, :], self.slopes) + self.offsets
+        kept = self._kept(vals >= vals.max(axis=1, keepdims=True) - ACTIVITY_TOL)
+        empty = ~kept.any(axis=1)
+        if empty.any():
+            self(X[empty.argmax()])  # raises what eval raises there
+        owner, piece = np.nonzero(kept)
+        return self.slopes[piece], owner
 
 
 # ---------------------------------------------------------------------------
 # region predicates for table maps
 
-_COMPARISONS = {op: getattr(operator, op) for op in ("lt", "le", "eq", "ge", "gt")}
+# each comparison op as a ufunc, so one call tests a point or a batch
+_OP_UFUNCS = {
+    "lt": np.less,
+    "le": np.less_equal,
+    "eq": np.equal,
+    "ge": np.greater_equal,
+    "gt": np.greater,
+}
+
+
+def _in_boxes(low, high, x):
+    # closed box test over the last axis, batched or not
+    return ((low <= x) & (x <= high)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -185,13 +262,13 @@ class Halfspace:
     op: str
 
     def __post_init__(self):
-        if self.op not in _COMPARISONS:
+        if self.op not in _OP_UFUNCS:
             raise ValueError(f"unknown comparison op {self.op!r}")
         object.__setattr__(self, "normal", tuple(float(c) for c in self.normal))
         object.__setattr__(self, "value", float(self.value))
 
     def matches(self, x) -> bool:
-        return _COMPARISONS[self.op](inner(np.array(self.normal), x), self.value)
+        return bool(_OP_UFUNCS[self.op](inner(np.array(self.normal), x), self.value))
 
     def to_dict(self):
         return {"kind": "halfspace", "normal": list(self.normal), "value": self.value, "op": self.op}
@@ -211,8 +288,7 @@ class Box:
             raise ValueError("box bounds must share a dimension")
 
     def matches(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.array(self.low) <= x) and np.all(x <= np.array(self.high)))
+        return bool(_in_boxes(np.array(self.low), np.array(self.high), np.asarray(x, dtype=float)))
 
     def to_dict(self):
         return {"kind": "box", "low": list(self.low), "high": list(self.high)}
@@ -243,6 +319,22 @@ def predicate_from_dict(d) -> Halfspace | Box | Always:
 # ---------------------------------------------------------------------------
 # constructors
 
+class _Constant:
+    """Compiled constant map: its one value set."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: CompactSet):
+        self.value = value
+
+    def __call__(self, x) -> CompactSet:
+        return self.value
+
+    def many(self, X):
+        n, m = len(X), len(self.value)
+        return np.tile(self.value.points, (n, 1)), np.repeat(np.arange(n), m)
+
+
 def constant_map(A) -> SetValuedMap:
     """The map with value ``A`` everywhere. ``A`` may be any point array."""
     if not isinstance(A, CompactSet):
@@ -250,7 +342,7 @@ def constant_map(A) -> SetValuedMap:
     bound = A.norm_max()
     return SetValuedMap(
         A.dimension,
-        lambda x: A,
+        _Constant(A),
         bound_rule=lambda c, r: bound,
         kind="constant",
         params={"kind": "constant", "points": A.points.tolist()},
@@ -267,7 +359,7 @@ def pl_subdifferential_map(f: PLConvexFunction) -> SetValuedMap:
     bound = max(norm(a) for a in f.slopes)
     return SetValuedMap(
         f.dimension,
-        f.active_slopes,
+        f._active,
         bound_rule=lambda c, r: bound,
         kind="subdifferential",
         params={
@@ -276,6 +368,29 @@ def pl_subdifferential_map(f: PLConvexFunction) -> SetValuedMap:
             "offsets": f.offsets.tolist(),
         },
     )
+
+
+class _Linear:
+    """Compiled linear map ``x -> {M x}``."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def __call__(self, x) -> CompactSet:
+        return CompactSet._trusted(_finite((self.matrix @ x).reshape(1, -1)))
+
+    def many(self, X):
+        # one product per point, so each row rounds as in __call__
+        values = np.array([self.matrix @ x for x in X]).reshape(len(X), X.shape[1])
+        return _finite(values), np.arange(len(X))
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError("set points must be finite")
+    return values
 
 
 def linear_map(M) -> SetValuedMap:
@@ -287,19 +402,104 @@ def linear_map(M) -> SetValuedMap:
     opnorm = float(np.linalg.norm(M, 2))
     return SetValuedMap(
         M.shape[0],
-        lambda x: CompactSet((M @ x).reshape(1, -1)),
+        _Linear(M),
         bound_rule=lambda c, r: opnorm * (norm(c) + r),
         kind="linear",
         params={"kind": "linear", "matrix": M.tolist()},
     )
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class _Table:
+    """Compiled first-match region table.
+
+    Each predicate is one test column: the halfspaces first, grouped by op
+    so that one comparison covers each group, then the boxes, then one
+    column that always holds.  Every halfspace normal is a row of one
+    matrix, so one :func:`inner_rows` forms all their products.
+    ``slot[r]`` is the column of region ``r``.  The region values are
+    stacked in ``points``, region ``r`` at rows ``start[r]`` to
+    ``start[r] + count[r]``.
+    """
+
+    __slots__ = ("sets", "normals", "levels", "groups", "boxes", "low", "high", "slot",
+                 "points", "start", "count")
+
+    def __init__(self, regions, dim):
+        preds = [p for p, _ in regions]
+        halfspaces = [r for op in _OP_UFUNCS for r, p in enumerate(preds)
+                      if isinstance(p, Halfspace) and p.op == op]
+        boxes = [r for r, p in enumerate(preds) if isinstance(p, Box)]
+        self.slot = np.full(len(preds), len(halfspaces) + len(boxes))
+        self.slot[halfspaces + boxes] = np.arange(len(halfspaces) + len(boxes))
+        self.normals = _frozen(np.reshape([preds[r].normal for r in halfspaces], (-1, dim)))
+        self.levels = _frozen([preds[r].value for r in halfspaces])
+        self.groups, stop = [], 0
+        for op, run in itertools.groupby(preds[r].op for r in halfspaces):
+            start, stop = stop, stop + len(list(run))
+            self.groups.append((_OP_UFUNCS[op], slice(start, stop)))
+        self.boxes = slice(len(halfspaces), len(halfspaces) + len(boxes))
+        self.low = _frozen(np.reshape([preds[r].low for r in boxes], (-1, dim)))
+        self.high = _frozen(np.reshape([preds[r].high for r in boxes], (-1, dim)))
+        self.sets = [value for _, value in regions]
+        self.points = _frozen(np.concatenate([value.points for value in self.sets]))
+        self.count = np.array([len(value) for value in self.sets])
+        self.start = np.cumsum(self.count) - self.count
+
+    def _hits(self, X):
+        # one column per region: whether its predicate holds at each row of X
+        # (or at the one point X)
+        tests = np.empty(X.shape[:-1] + (len(self.levels) + len(self.low) + 1,), dtype=bool)
+        tests[..., -1] = True
+        if self.groups:
+            # products of regions past the first match are formed too; the
+            # first-match rule never reads them, so an overflow there must
+            # not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                t = inner_rows(X[..., None, :], self.normals)
+            for compare, columns in self.groups:
+                compare(t[..., columns], self.levels[columns], out=tests[..., columns])
+        if len(self.low):
+            tests[..., self.boxes] = _in_boxes(self.low, self.high, X[..., None, :])
+        return tests.take(self.slot, axis=-1)
+
+    def __call__(self, x) -> CompactSet:
+        hits = self._hits(x)
+        first = hits.argmax()
+        if not hits[first]:
+            raise _uncovered(x)
+        return self.sets[first]
+
+    def many(self, X):
+        hits = self._hits(X)
+        first = hits.argmax(axis=1)
+        covered = hits[np.arange(len(X)), first]
+        if not covered.all():
+            raise _uncovered(X[covered.argmin()])
+        count = self.count[first]
+        owner = np.repeat(np.arange(len(X)), count)
+        # row j of point i's value is stacked row start[first[i]] + j
+        rows = np.arange(len(owner)) + np.repeat(self.start[first] - (np.cumsum(count) - count), count)
+        return self.points[rows], owner
+
+
+def _uncovered(x) -> UncoveredPointError:
+    return UncoveredPointError(f"point {tuple(x)} matches no region")
+
+
 def table_map(regions) -> SetValuedMap:
     """First-match region table ``[(predicate, CompactSet), ...]``.
 
-    Evaluation raises :class:`UncoveredPointError` at points no region
-    matches; listing an :class:`Always` region last makes a table total.
-    Its bound rule is the largest norm over all region values.
+    Predicates are :class:`Halfspace`, :class:`Box` or :class:`Always`, of
+    the dimension of the values.  Evaluation raises
+    :class:`UncoveredPointError` at points no region matches; listing an
+    :class:`Always` region last makes a table total.  Its bound rule is the
+    largest norm over all region values.
     """
     regions = [
         (where, value if isinstance(value, CompactSet) else CompactSet(value))
@@ -308,17 +508,21 @@ def table_map(regions) -> SetValuedMap:
     if not regions:
         raise ValueError("a table map needs at least one region")
     dim = regions[0][1].dimension
-    for _, value in regions:
+    for r, (where, value) in enumerate(regions):
         if value.dimension != dim:
             raise ValueError("all region values must share a dimension")
+        if isinstance(where, Halfspace):
+            size = len(where.normal)
+        elif isinstance(where, Box):
+            size = len(where.low)
+        elif isinstance(where, Always):
+            continue
+        else:
+            raise TypeError(f"region {r}: predicate must be a Halfspace, Box or Always")
+        if size != dim:
+            raise ValueError(f"region {r}: {type(where).__name__.lower()} of dimension {size}, "
+                             f"values of dimension {dim}")
     bound = max(value.norm_max() for _, value in regions)
-
-    def evaluate(x):
-        for predicate, value in regions:
-            if predicate.matches(x):
-                return value
-        raise UncoveredPointError(f"point {tuple(x)} matches no region")
-
     params = {
         "kind": "table",
         "regions": [
@@ -326,7 +530,7 @@ def table_map(regions) -> SetValuedMap:
             for pred, value in regions
         ],
     }
-    return SetValuedMap(dim, evaluate, bound_rule=lambda c, r: bound, kind="table",
+    return SetValuedMap(dim, _Table(regions, dim), bound_rule=lambda c, r: bound, kind="table",
                         params=params)
 
 

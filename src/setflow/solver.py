@@ -24,7 +24,7 @@ from .chains import (
     extension_slack,
     verify_chain,
 )
-from .geometry import dist_to_hull, dist_to_set, inner, inner_rows
+from .geometry import CompactSet, dist_to_hull, inner, inner_rows
 from .setmaps import PLConvexFunction, ProblemSpec, SetValuedMap
 
 __all__ = [
@@ -38,6 +38,11 @@ __all__ = [
     "lyapunov_check",
     "horizon_hint",
 ]
+
+
+# nodes evaluated per eval_many call in trajectory_residual, which bounds its
+# memory whatever the number of nodes
+_RESIDUAL_BLOCK = 1024
 
 
 class SelectionFailed(RuntimeError):
@@ -197,8 +202,13 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     states = [x0]
     velocities = [v0]
     x = x0
-    for k, dt in enumerate(deltas):
-        x = x + dt * velocities[-1]
+    for k, dt in enumerate(deltas.tolist()):
+        # Python floats round as numpy does but overflow without a warning,
+        # so a node past the largest float is reported here by its step
+        node = [a + dt * b for a, b in zip(x.tolist(), velocities[-1].tolist())]
+        if not all(map(math.isfinite, node)):
+            raise ValueError(f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
+        x = np.array(node)
         v = _select(tip, x, svmap, spec.strategy, spec.tol)
         if v is None:
             chain = Chain(states, velocities)
@@ -217,18 +227,26 @@ def trajectory_residual(traj: Trajectory, svmap: SetValuedMap, hull_tol: float =
     """Worst node distances from velocities to values and to their hulls.
 
     Returns ``(node_residual, hull_residual)``; the hull residual never
-    exceeds the node residual.  Both are zero for solver output.
+    exceeds the node residual.  Both are zero for solver output.  The map is
+    evaluated afresh with :meth:`SetValuedMap.eval_many`, a block of nodes
+    at a time.
     """
     node = 0.0
     hull = 0.0
-    for x, v in zip(traj.states, traj.velocities):
-        values = svmap.eval(x)
-        gap = dist_to_set(v, values)
-        node = max(node, gap)
+    for lo in range(0, traj.node_count(), _RESIDUAL_BLOCK):
+        velocities = traj.velocities[lo:lo + _RESIDUAL_BLOCK]
+        values, owner = svmap.eval_many(traj.states[lo:lo + _RESIDUAL_BLOCK])
+        diffs = values - velocities[owner]
+        # every node has a value, so node i owns rows bounds[i] to bounds[i + 1]
+        bounds = np.append(np.flatnonzero(np.diff(owner, prepend=-1)), len(owner))
+        gaps = np.sqrt(np.minimum.reduceat(inner_rows(diffs, diffs), bounds[:-1]))
+        # fmax skips a NaN gap, as max(node, gap) node by node would
+        node = max(node, float(np.fmax.reduce(gaps)))
         # a member is its own nearest hull point: dist_to_hull would start at
         # the zero vector and return exactly 0.0
-        if gap > 0.0:
-            hull = max(hull, dist_to_hull(v, values, hull_tol))
+        for i in np.flatnonzero(gaps > 0.0):
+            own = CompactSet(values[bounds[i]:bounds[i + 1]])
+            hull = max(hull, dist_to_hull(velocities[i], own, hull_tol))
     return node, hull
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import setflow
 from setflow import (
+    ACTIVITY_TOL,
     Always,
     Halfspace,
     PLConvexFunction,
@@ -91,8 +92,34 @@ INERTIAL_GAP_PROBLEM = {
 }
 
 
-def _dyadic(rng, shape, span=2, den=2):
+def dyadic(rng, shape, span=2, den=2):
     return rng.integers(-span * den, span * den + 1, size=shape) / den
+
+
+def bits(values):
+    """Float values as int64 views, so ``-0.0`` and ``0.0`` compare unequal."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def signed_zeros(rng, a):
+    """``a`` with the sign of about half its zero entries flipped."""
+    a = np.array(a, dtype=float)
+    flip = (a == 0.0) & (rng.random(a.shape) < 0.5)
+    a[flip] = -0.0
+    return a
+
+
+def pl_function(rng, dim):
+    """Pieces with repeated slopes, signed zeros and ties within ACTIVITY_TOL."""
+    pieces = int(rng.integers(1, 6))
+    slopes = rng.integers(-1, 2, size=(pieces, dim)).astype(float)
+    slopes = np.concatenate([slopes, slopes[rng.integers(0, pieces, size=2)]])
+    offsets = rng.integers(-1, 2, size=len(slopes)) / 2
+    # some offsets a hair below their neighbours: active within the tolerance
+    offsets -= (rng.random(len(slopes)) < 0.3) * rng.choice([ACTIVITY_TOL / 2, 2 * ACTIVITY_TOL],
+                                                            size=len(slopes))
+    order = rng.permutation(len(slopes))
+    return PLConvexFunction(signed_zeros(rng, slopes)[order], offsets[order])
 
 
 def random_dyadic_map(rng, dim):
@@ -100,14 +127,14 @@ def random_dyadic_map(rng, dim):
     if rng.random() < 0.5:
         pieces = int(rng.integers(1, 4))
         return pl_subdifferential_map(
-            PLConvexFunction(_dyadic(rng, (pieces, dim)), _dyadic(rng, pieces, den=4)))
+            PLConvexFunction(dyadic(rng, (pieces, dim)), dyadic(rng, pieces, den=4)))
     regions = []
     for _ in range(int(rng.integers(0, 3))):
-        normal = _dyadic(rng, dim, span=1, den=1)
+        normal = dyadic(rng, dim, span=1, den=1)
         op = ["lt", "le", "eq", "ge", "gt"][int(rng.integers(5))]
-        regions.append((Halfspace(normal, float(_dyadic(rng, (), den=2)), op),
-                        _dyadic(rng, (int(rng.integers(1, 3)), dim))))
-    regions.append((Always(), _dyadic(rng, (int(rng.integers(1, 3)), dim))))
+        regions.append((Halfspace(normal, float(dyadic(rng, (), den=2)), op),
+                        dyadic(rng, (int(rng.integers(1, 3)), dim))))
+    regions.append((Always(), dyadic(rng, (int(rng.integers(1, 3)), dim))))
     return table_map(regions)
 
 

@@ -3,10 +3,11 @@
 Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
 evidence rather than tautology.  The exceptions are the brute-force
-classifier references, the per-member potential references and the per-row
-scan references at the end: they run chain by chain, member by member and
-row by row with the library's own inner product and summation order, so the
-batched kernels must match their outputs byte for byte.
+classifier references, the per-member potential references, the per-row
+scan references and the per-point map evaluators at the end: they run chain
+by chain, member by member, row by row and point by point with the library's
+own inner product and summation order, so the batched kernels must match
+their outputs byte for byte.
 """
 
 import math
@@ -18,18 +19,26 @@ import numpy as np
 
 from setflow import (
     ACTIVITY_TOL,
+    Box,
     BudgetExceededError,
     Chain,
     ClassReport,
+    CompactSet,
+    Halfspace,
     HullProjectionError,
+    PLConvexFunction,
     SequenceFamily,
+    UncoveredPointError,
     affine_value,
+    dist_to_hull,
+    dist_to_set,
     extension_slack,
     inner,
     norm,
     support_value,
     verify_chain,
 )
+from setflow.setmaps import predicate_from_dict
 from setflow.geometry import HULL_MAX_ITER, _affine_min_weights
 
 
@@ -561,3 +570,49 @@ def halfspace_matches_ref(h, x):
         "ge": t >= h.value,
         "gt": t > h.value,
     }[h.op]
+
+
+def box_matches_ref(b, x):
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(np.array(b.low) <= x) and np.all(x <= np.array(b.high)))
+
+
+def _matches_ref(predicate, x):
+    if isinstance(predicate, Halfspace):
+        return halfspace_matches_ref(predicate, x)
+    if isinstance(predicate, Box):
+        return box_matches_ref(predicate, x)
+    return True
+
+
+def eval_ref(svmap, x):
+    """The value of a built-in map at ``x``, evaluated from its description.
+
+    One evaluator per kind, as they stood before maps were compiled: the
+    constant set, the active slopes by ``active_slopes_ref``, ``{M x}``, and
+    the region table scanned predicate by predicate until the first match.
+    """
+    x = np.asarray(x, dtype=float)
+    d = svmap.params
+    if d["kind"] == "constant":
+        return CompactSet(d["points"])
+    if d["kind"] == "subdifferential":
+        return CompactSet(active_slopes_ref(PLConvexFunction(d["slopes"], d["offsets"]), x))
+    if d["kind"] == "linear":
+        return CompactSet((np.array(d["matrix"]) @ x).reshape(1, -1))
+    for region in d["regions"]:
+        if _matches_ref(predicate_from_dict(region["where"]), x):
+            return CompactSet(region["points"])
+    raise UncoveredPointError(f"point {tuple(x)} matches no region")
+
+
+def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
+    node = 0.0
+    hull = 0.0
+    for x, v in zip(traj.states, traj.velocities):
+        values = svmap.eval(x)
+        gap = dist_to_set(v, values)
+        node = max(node, gap)
+        if gap > 0.0:
+            hull = max(hull, dist_to_hull(v, values, hull_tol))
+    return node, hull

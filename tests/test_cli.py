@@ -397,6 +397,42 @@ class TestStepBudget:
         assert summary["horizon_hint_unit_ball"] == 0.5
 
 
+class TestFiniteNodes:
+    # v0 = 2 and h = 1e308 put the first node past the largest float
+    OVERFLOW = {
+        "map": {"kind": "constant", "points": [[2.0], [-2.0]]},
+        "x0": [0.0], "v0": [2.0], "T": 1e308, "h": 1e308,
+        "strategy": "exhaustive", "tol": 1e-9,
+    }
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "support", "inertial"])
+    @pytest.mark.parametrize("command, extra", [("solve", ()), ("refine", ("--steps", "1,2"))])
+    def test_overflowing_node_is_invalid(self, tmp_path, capsys, command, extra, strategy):
+        doc = dict(self.OVERFLOW, strategy=strategy)
+        code, out = _timed_run(tmp_path, command, doc, *extra)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: Euler node 1 (t=1e+308) is not finite\n"
+        assert list(out.iterdir()) == []
+
+
+class TestTableDimensions:
+    @pytest.mark.parametrize("where", [
+        {"kind": "halfspace", "normal": [1.0], "value": 0.0, "op": "lt"},
+        {"kind": "box", "low": [0.0], "high": [1.0]},
+    ])
+    def test_unreached_predicate_of_the_wrong_dimension_is_invalid(self, tmp_path, capsys, where):
+        doc = dict(CONSTANT_PROBLEM, x0=[0.0, 0.0], v0=[1.0, 2.0], map={
+            "kind": "table", "regions": [
+                {"where": {"kind": "always"}, "points": [[1.0, 2.0]]},
+                {"where": where, "points": [[0.0, 0.0]]},
+            ]})
+        code, _ = _timed_run(tmp_path, "solve", doc)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: map: bad 'table' description: region 1: ")
+        assert "of dimension 1, values of dimension 2" in err
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, sign_file):
         outs = []

@@ -31,7 +31,7 @@ from setflow import (
 from setflow.potential import family_from_json_dict, family_to_json_dict
 
 import oracles
-from conftest import build_corpus, random_dyadic_map
+from conftest import bits, build_corpus, random_dyadic_map
 from oracles import (
     build_family_ref,
     first_chain_violation_exact,
@@ -44,10 +44,6 @@ DEMO_PROBLEMS = sorted(
     (Path(__file__).resolve().parent.parent / "demos" / "problems").glob("*.json"))
 POTENTIAL_FILES = ("family.json", "potential_values.csv", "subgradient.json",
                    "potential_summary.json")
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def outcome(fn, *args):

@@ -18,7 +18,6 @@ from setflow import (
     Chain,
     CompactSet,
     Halfspace,
-    PLConvexFunction,
     build_family,
     classify_weakly_monotone,
     constant_map,
@@ -41,7 +40,14 @@ from setflow.geometry import _best_row
 from setflow.setmaps import ProblemSpec
 from setflow.solver import SelectionFailed
 
-from conftest import build_corpus, make_non_wcm_map, random_dyadic_map
+from conftest import (
+    bits,
+    build_corpus,
+    make_non_wcm_map,
+    pl_function,
+    random_dyadic_map,
+    signed_zeros,
+)
 from oracles import (
     active_slopes_ref,
     chain_sums_ref,
@@ -63,29 +69,17 @@ from oracles import (
 )
 
 
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-
 def same_pick(got, want):
     if want is None:
         return got is None
     return got is not None and bits(got) == bits(want)
 
 
-def _signed_zeros(rng, a):
-    # flip the sign of about half the zero entries
-    a = np.array(a, dtype=float)
-    flip = (a == 0.0) & (rng.random(a.shape) < 0.5)
-    a[flip] = -0.0
-    return a
-
-
 def value_set(rng, dim):
     """Small dyadic rows with duplicates, score ties, -0.0 entries, shuffled."""
     rows = rng.integers(-2, 3, size=(int(rng.integers(1, 7)), dim)) / 2
     extra = rows[rng.integers(0, len(rows), size=int(rng.integers(0, 3)))]
-    rows = _signed_zeros(rng, np.concatenate([rows, extra]))
+    rows = signed_zeros(rng, np.concatenate([rows, extra]))
     return CompactSet(rows[rng.permutation(len(rows))])
 
 
@@ -94,7 +88,7 @@ def directions(rng, dim):
     out = [np.zeros(dim), -np.zeros(dim)]
     for _ in range(4):
         d = rng.integers(-1, 2, size=dim).astype(float)
-        out.append(_signed_zeros(rng, d))
+        out.append(signed_zeros(rng, d))
     out.append(rng.normal(size=dim))
     return out
 
@@ -142,7 +136,7 @@ def test_tie_break_rule_matches_the_reference():
     rng = np.random.default_rng(7)
     for _ in range(300):
         dim = int(rng.integers(1, 6))
-        P = _signed_zeros(rng, rng.integers(-1, 2, size=(int(rng.integers(1, 9)), dim)))
+        P = signed_zeros(rng, rng.integers(-1, 2, size=(int(rng.integers(1, 9)), dim)))
         scores = rng.integers(0, 3, size=len(P)).astype(float)
         top = np.flatnonzero(scores == scores.max()).tolist()
         assert _best_row(P, scores) == lex_min_index_ref(P, top)
@@ -152,7 +146,7 @@ def _chain_data(rng, pairs, dim, dyadic):
     if dyadic:
         xs = rng.integers(-4, 5, size=(pairs, dim)) / 2
         vs = rng.integers(-4, 5, size=(pairs, dim)) / 2
-        return _signed_zeros(rng, xs), _signed_zeros(rng, vs)
+        return signed_zeros(rng, xs), signed_zeros(rng, vs)
     return rng.normal(size=(pairs, dim)), rng.normal(size=(pairs, dim))
 
 
@@ -250,19 +244,6 @@ def test_submap_select_matches_row_loop(entry):
         for tol in (0.0, 1e-9):
             assert same_pick(submap_select(family, entry.svmap, x, tol),
                              submap_select_ref(family, entry.svmap, x, tol))
-
-
-def pl_function(rng, dim):
-    """Pieces with repeated slopes, signed zeros and ties within ACTIVITY_TOL."""
-    pieces = int(rng.integers(1, 6))
-    slopes = rng.integers(-1, 2, size=(pieces, dim)).astype(float)
-    slopes = np.concatenate([slopes, slopes[rng.integers(0, pieces, size=2)]])
-    offsets = rng.integers(-1, 2, size=len(slopes)) / 2
-    # some offsets a hair below their neighbours: active within the tolerance
-    offsets -= (rng.random(len(slopes)) < 0.3) * rng.choice([ACTIVITY_TOL / 2, 2 * ACTIVITY_TOL],
-                                                            size=len(slopes))
-    order = rng.permutation(len(slopes))
-    return PLConvexFunction(_signed_zeros(rng, slopes)[order], offsets[order])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
