@@ -379,18 +379,10 @@ class _Linear:
         self.matrix = matrix
 
     def __call__(self, x) -> CompactSet:
-        return CompactSet._trusted(_finite((self.matrix @ x).reshape(1, -1)))
-
-    def many(self, X):
-        # one product per point, so each row rounds as in __call__
-        values = np.array([self.matrix @ x for x in X]).reshape(len(X), X.shape[1])
-        return _finite(values), np.arange(len(X))
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError("set points must be finite")
-    return values
+        value = (self.matrix @ x).reshape(1, -1)
+        if not np.isfinite(value).all():
+            raise ValueError("set points must be finite")
+        return CompactSet._trusted(value)
 
 
 def linear_map(M) -> SetValuedMap:
@@ -499,7 +491,9 @@ def table_map(regions) -> SetValuedMap:
     the dimension of the values.  Evaluation raises
     :class:`UncoveredPointError` at points no region matches; listing an
     :class:`Always` region last makes a table total.  Its bound rule is the
-    largest norm over all region values.
+    largest norm over all region values.  Any other predicate object, even
+    one with ``matches`` and ``to_dict`` methods, raises ``TypeError``: the
+    compiled table reads the fields of the built-in kinds.
     """
     regions = [
         (where, value if isinstance(value, CompactSet) else CompactSet(value))

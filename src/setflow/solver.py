@@ -229,7 +229,8 @@ def trajectory_residual(traj: Trajectory, svmap: SetValuedMap, hull_tol: float =
     Returns ``(node_residual, hull_residual)``; the hull residual never
     exceeds the node residual.  Both are zero for solver output.  The map is
     evaluated afresh with :meth:`SetValuedMap.eval_many`, a block of nodes
-    at a time.
+    at a time, so an error from evaluating the map anywhere in a block is
+    raised before the hull step of any node in that block.
     """
     node = 0.0
     hull = 0.0
