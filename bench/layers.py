@@ -1,19 +1,23 @@
-"""Per-layer timings of map evaluation, for a parent tree against a change.
+"""Per-layer timings of the library, for a parent tree against a change.
 
     python3 bench/layers.py --parent ../parent/src --change src \\
         --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
-        --out BENCH_7.json
+        --out BENCH_8.json
 
 Each tree is measured in its own interpreter (``--measure SRC`` prints one
 JSON object), alternating parent and change for ``--rounds`` rounds, and
 every figure is the median over rounds.  A figure is microseconds per call
 of ``SetValuedMap.eval`` for each built-in map kind, per row of
-``SetValuedMap.eval_many`` (``null`` where a tree has no such method), and
-per node of ``trajectory_residual``, on fixed two dimensional inputs.  Each
-is the least of five timed repeats.  ``--e2e-parent`` and ``--e2e-change``
-name ``perfbench/run.py --trace 0`` result directories; the medians over
-the seeds found in both, per workload and end-to-end metric, are recorded
-with the number of seeds where the change was lower.
+``SetValuedMap.eval_many`` (``null`` where a tree has no such method), per
+node of ``trajectory_residual``, per ``build_family`` op (the subdifferential
+map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
+``grow_family`` call (that family grown by each grid pair whose extension of
+its best member there verifies, as ``subgradient_test`` grows it), on fixed
+two dimensional inputs.  Each is the least of five timed repeats.
+``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
+result directories; the medians over the seeds found in both, per workload
+and end-to-end metric, are recorded with the number of seeds where the
+change was lower.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ MAPS = {
     ]},
 }
 RESIDUAL_STEPS = 2000
+FAMILY_GRID = ([-1.0, -1.0], [1.0, 1.0], [5, 5])
+FAMILY_LENGTH = 3
 
 
 def _per_call_us(fn, calls):
@@ -60,7 +66,8 @@ def _per_call_us(fn, calls):
 def measure(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
-    from setflow import ProblemSpec, euler_solve, map_from_dict, trajectory_residual
+    from setflow import (ProblemSpec, affine_value, build_family, euler_solve, grow_family,
+                         map_from_dict, sample_grid, trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -84,6 +91,28 @@ def measure(src: str) -> dict:
         traj = euler_solve(spec)
         out[f"solver.trajectory_residual.{kind}.us_per_node"] = _per_call_us(
             lambda: trajectory_residual(traj, svmap), traj.node_count())
+
+    svmap = map_from_dict(MAPS["subdifferential"])
+    grid = sample_grid(*FAMILY_GRID)
+    x0 = grid[len(grid) // 2]
+    v0 = svmap.eval(x0).points[0]
+    box = FAMILY_GRID[:2]
+    out["potential.build_family.us_per_op"] = _per_call_us(
+        lambda: build_family(svmap, x0, v0, grid, FAMILY_LENGTH, box=box), 1)
+    family, _ = build_family(svmap, x0, v0, grid, FAMILY_LENGTH, box=box)
+    chains = []
+    for x in grid:
+        best = max(family.members, key=lambda member: affine_value(member, x))
+        for v in svmap.eval(x).points:
+            chain = best.extended(x, v)
+            if verify_chain(chain)[0]:
+                chains.append(chain)
+
+    def grow_each():
+        for chain in chains:
+            grow_family(family, chain)
+
+    out["potential.grow_family.us_per_call"] = _per_call_us(grow_each, len(chains))
     return out
 
 

@@ -110,24 +110,6 @@ class _AffineModel:
             np.maximum(best, block.max(axis=0), out=best)
         return best
 
-    def appended(self, P, S, c, keys) -> "_AffineModel":
-        # only the new rows are evaluated at the vertices
-        at_vertices = None
-        if self.vertices is not None:
-            at_vertices = np.concatenate([self.at_vertices,
-                                          _affine_values(P, S, c, self.vertices)])
-        return _AffineModel(
-            np.concatenate([self.P, P]), np.concatenate([self.S, S]),
-            np.concatenate([self.c, c]), self.keys + keys, self.vertices, at_vertices,
-        )
-
-    def take(self, keep) -> "_AffineModel":
-        return _AffineModel(
-            self.P[keep], self.S[keep], self.c[keep],
-            tuple(itertools.compress(self.keys, keep)), self.vertices,
-            None if self.at_vertices is None else self.at_vertices[keep],
-        )
-
 
 class SequenceFamily:
     """Finitely many verified chains sharing one anchor pair.
@@ -218,6 +200,8 @@ def _check_box(box, dim):
     high = np.asarray(box[1], dtype=float)
     if low.shape != (dim,) or high.shape != (dim,):
         raise ValueError("box bounds must match the anchor dimension")
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        raise ValueError("box bounds must be finite")
     if np.any(high < low):
         raise ValueError("box is inverted")
     return (low, high)
@@ -263,47 +247,88 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
     box the grown family's value never drops below the old one.  Only the new
     prefixes are evaluated; the pruning runs over all members' cached vertex
     values, so members that dominated each other before growth are pruned too.
+
+    Growing by a list of chains at once, as :func:`build_family` does once per
+    block of chains, gives the family this gives one chain at a time; see
+    :func:`_grow`.
     """
-    if not (
-        _same(chain.anchor_point, family.anchor_point)
-        and _same(chain.anchor_velocity, family.anchor_velocity)
-    ):
-        raise ValueError("chain anchor does not match the family anchor")
-    ok, index = verify_chain(chain, family.tol)
-    if not ok:
-        raise ValueError(f"chain fails the chain inequality at index {index}")
+    return _grow(family, [chain])
 
+
+def _grow(family: SequenceFamily, chains) -> SequenceFamily:
+    """The family :func:`grow_family` gives after each of ``chains`` in turn.
+
+    Every chain is checked first, in order.  While the cap evicts nothing,
+    growing one chain at a time keeps exactly the rows that no row grown so far
+    dominates.  Dominance (at least as high at every box vertex, and higher at
+    one or earlier) is transitive, so a pruned prefix that comes back is pruned
+    again, and a row it would prune is pruned by a row that stays.  So the new
+    prefixes of all chains are deduplicated, evaluated and pruned in one step.
+    When they could take the family past its cap, and eviction could start
+    partway through, the chains are grown in halves, down to one at a time.
+    """
+    for chain in chains:
+        if not (
+            _same(chain.anchor_point, family.anchor_point)
+            and _same(chain.anchor_velocity, family.anchor_velocity)
+        ):
+            raise ValueError("chain anchor does not match the family anchor")
+        ok, index = verify_chain(chain, family.tol)
+        if not ok:
+            raise ValueError(f"chain fails the chain inequality at index {index}")
+    return _grow_verified(family, chains) if chains else family
+
+
+def _grow_verified(family, chains):
     seen = set(family._model.keys)
-    rows, keys = [], []
-    for count in range(1, len(chain) + 1):
-        key = (chain.xs[:count].tobytes(), chain.vs[:count].tobytes())
-        if key not in seen:
-            seen.add(key)
-            rows.append(count - 1)
-            keys.append(key)
-    members = family.members + tuple(chain.prefix(r + 1) for r in rows)
-    model = family._model.appended(chain.xs[rows], chain.vs[rows], chain.sums[rows],
-                                   tuple(keys))
+    picks, keys = [], []
+    for chain in chains:
+        for count in range(1, len(chain) + 1):
+            key = (chain.xs[:count].tobytes(), chain.vs[:count].tobytes())
+            if key not in seen:
+                seen.add(key)
+                picks.append((chain, count - 1))
+                keys.append(key)
+    if len(chains) > 1 and len(family) + len(keys) > family.cap:
+        # the cap may evict partway through
+        half = len(chains) // 2
+        return _grow_verified(_grow_verified(family, chains[:half]), chains[half:])
 
-    keep = np.ones(len(members), dtype=bool)
-    if model.at_vertices is not None and len(members) > 1:
-        # i dominates j when it is >= at every vertex and either > at one or
-        # earlier; where geq[i, j] holds no value is NaN, so "> at one" is
-        # "not geq[j, i]", and no member dominates itself
-        V = model.at_vertices
-        geq = (V[:, None, :] >= V[None, :, :]).all(axis=2)
-        order = np.arange(len(V))
-        keep = ~(geq & (~geq.T | np.less.outer(order, order))).any(axis=0)
-        keep[0] = True  # the trivial member is load-bearing
+    model = family._model
+    m = len(family)
+    P = np.concatenate([model.P, *(chain.xs[r:r + 1] for chain, r in picks)])
+    S = np.concatenate([model.S, *(chain.vs[r:r + 1] for chain, r in picks)])
+    c = np.concatenate([model.c, *(chain.sums[r:r + 1] for chain, r in picks)])
+    keep = np.ones(len(c), dtype=bool)
+    at_vertices = None
+    if model.vertices is not None:
+        at_vertices = np.concatenate([model.at_vertices,
+                                      _affine_values(P[m:], S[m:], c[m:], model.vertices)])
+        # first drop the new rows a member dominates: members come first, so
+        # one as high at every vertex does, ties included; the matrix below
+        # then spans the members and the surviving new rows only
+        keep[m:] = ~(at_vertices[:m, None, :] >= at_vertices[None, m:, :]).all(axis=2).any(axis=0)
+        V = at_vertices[keep]
+        if len(V) > 1:
+            # i dominates j when it is >= at every vertex and either > at one
+            # or earlier; where geq[i, j] holds no value is NaN, so "> at one"
+            # is "not geq[j, i]", and no member dominates itself
+            geq = (V[:, None, :] >= V[None, :, :]).all(axis=2)
+            order = np.arange(len(V))
+            keep[keep] = ~(geq & (~geq.T | np.less.outer(order, order))).any(axis=0)
+            keep[0] = True  # the trivial member is load-bearing
 
     # evict the oldest non-trivial members down to the cap
     if np.count_nonzero(keep) > family.cap:
         kept = np.flatnonzero(keep)
         keep[kept[1:len(kept) - family.cap + 1]] = False
 
-    if not keep.all():
-        members = tuple(itertools.compress(members, keep))
-        model = model.take(keep)
+    members = tuple(itertools.compress(family.members, keep[:m])) + tuple(
+        picks[k][0].prefix(picks[k][1] + 1) for k in np.flatnonzero(keep[m:]))
+    model = _AffineModel(
+        P[keep], S[keep], c[keep], tuple(itertools.compress(model.keys + tuple(keys), keep)),
+        model.vertices, None if at_vertices is None else at_vertices[keep],
+    )
     return SequenceFamily._grown(family, members, model)
 
 
@@ -374,9 +399,13 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
     verified chain may be grown in afterwards.
 
     Each level scores its chains against every (point, value) node at once,
-    in blocks of chains, and grows the family with the children in the order
-    a one-at-a-time queue would: chain by chain, then node by node (grid
-    order, then value order).  A slack evaluation is one chain and one node.
+    in blocks of chains, and grows the family once per block, with the
+    block's children in the order a one-at-a-time queue would: chain by chain,
+    then node by node (grid order, then value order).  The block where the
+    budget runs out is grown with the children found before that point.
+    Growing a block at once gives the family growing each child in turn
+    would (see :func:`grow_family`).  A slack evaluation is one chain and one
+    node.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -406,12 +435,12 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
             stepped = np.array(sums[lo:lo + step])[:, None] + inner_rows(
                 diffs, tip_velocities[rows, None, :])
             slack = ends - stepped
+            children = []
             for r, chain in enumerate(level[lo:lo + step]):
                 reach = max(0, min(K, budget - used))
                 for b in np.flatnonzero(slack[r, :reach] >= 0.0):
                     child = chain.extended(X[b], V[b])
-                    family = grow_family(family, child)
-                    grown += 1
+                    children.append(child)
                     if len(child) < max_length:
                         next_level.append(child)
                         next_tips.append(b)
@@ -421,6 +450,8 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
                     used += 1
                     exhausted = True
                     break
+            family = _grow(family, children)
+            grown += len(children)
             if exhausted:
                 break
         level, tips, sums = next_level, next_tips, next_sums

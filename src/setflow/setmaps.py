@@ -576,6 +576,8 @@ class GridSpec:
         counts = tuple(int(c) for c in self.counts)
         if not (len(low) == len(high) == len(counts)) or len(low) < 1:
             raise ValueError("grid low/high/counts must share a positive length")
+        if not all(math.isfinite(h - l) for l, h in zip(low, high)):
+            raise ValueError("grid bounds and their spans must be finite")
         if any(h < l for l, h in zip(low, high)):
             raise ValueError("grid box is inverted")
         if any(c < 1 for c in counts):

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,37 @@ class TestFiniteNodes:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == "error: Euler node 1 (t=1e+308) is not finite\n"
         assert list(out.iterdir()) == []
+
+
+class TestGridBounds:
+    BAD = [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0), (-1.0, math.inf),
+           (-1e308, 1e308)]
+
+    @staticmethod
+    def _run_strict(tmp_path, command, doc, *extra):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(command, "--input", f, "--output", tmp_path / "o", *extra)
+
+    @pytest.mark.parametrize("low, high", BAD)
+    @pytest.mark.parametrize("command", ["classify", "potential"])
+    def test_document_bounds_are_invalid(self, tmp_path, capsys, command, low, high):
+        doc = dict(SIGN_PROBLEM, grid={"low": [low], "high": [high], "counts": [3]})
+        assert self._run_strict(tmp_path, command, doc) == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            "error: grid: grid bounds and their spans must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option", ["-inf:1:3", "nan:1:3", "-1:inf:3", "-1e308:1e308:3",
+                                        "-1:1:3,0:nan:2"])
+    @pytest.mark.parametrize("command", ["classify", "potential"])
+    def test_option_bounds_are_invalid(self, tmp_path, capsys, command, option):
+        code = self._run_strict(tmp_path, command, SIGN_PROBLEM, f"--grid={option}")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == ("error: --grid: expected low:high:count per axis, "
+                                           "grid bounds and their spans must be finite\n")
 
 
 class TestTableDimensions:

@@ -57,6 +57,16 @@ class TestFamilyBasics:
         F, fam, _ = abs_family()
         assert potential_value(fam, [0.0]) == 0.0
 
+    @pytest.mark.parametrize("low, high", [
+        ([np.nan], [1.0]), ([-np.inf], [1.0]), ([-1.0], [np.inf]), ([-1.0], [np.nan]),
+    ])
+    def test_box_bounds_must_be_finite(self, low, high):
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            SequenceFamily.initial([0.0], [1.0], box=(low, high))
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            build_family(pl_subdifferential_map(ABS_F), [0.0], [1.0],
+                         sample_grid([-1.0], [1.0], [3]), 2, box=(low, high))
+
     def test_grow_rejects_wrong_anchor(self):
         fam = SequenceFamily.initial([0.0], [1.0])
         with pytest.raises(ValueError):

@@ -4,11 +4,15 @@
 and ``subgradient_test`` must give the families (as text), stats, values
 (bit for bit) and booleans of the member-by-member, probe-by-probe loops they
 replaced, which live on in ``tests/oracles.py``.  Built members are also
-checked in exact arithmetic.
+checked in exact arithmetic.  Growing by a list of chains at once must give
+the family that growing by one chain at a time gives.
 """
 
 import contextlib
+import functools
 import json
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +32,7 @@ from setflow import (
     subgradient_test,
     submap_contains,
 )
+from setflow.chains import extension_slack
 from setflow.potential import family_from_json_dict, family_to_json_dict
 
 import oracles
@@ -215,6 +220,99 @@ def test_first_grow_prunes_members_given_to_the_constructor(box, cap):
             grid = sample_grid([-1.0], [1.0], [9])
             assert bits(potential_values(got, np.array(grid))) == bits(
                 [potential_value_ref(want, p) for p in grid])
+
+
+def verified_chains(svmap, grid, x0, v0, max_length, limit):
+    """The first ``limit`` chains a breadth-first build grows, in its order."""
+    out, queue = [], deque([Chain([x0], [v0])])
+    while queue and len(out) < limit:
+        chain = queue.popleft()
+        for p in grid:
+            for v in svmap.eval(p).points:
+                if extension_slack(chain, p, v) >= 0.0:
+                    out.append(chain.extended(p, v))
+                    if len(out[-1]) < max_length:
+                        queue.append(out[-1])
+    return out[:limit]
+
+
+def assert_batch_matches_fold(start, chains):
+    want = functools.reduce(grow_family_ref, chains, start)
+    assert family_to_text(potential._grow(start, chains)) == family_to_text(want)
+
+
+def test_batched_growth_matches_one_chain_at_a_time(monkeypatch):
+    # record the length of each chain list growth is called with
+    sizes, grow = [], potential._grow_verified
+    monkeypatch.setattr(potential, "_grow_verified",
+                        lambda family, chains: sizes.append(len(chains)) or grow(family, chains))
+    rng = np.random.default_rng(4099)
+    halved = set()
+    for svmap, grid, max_length in random_cases(10):
+        x0 = grid[len(grid) // 2]
+        v0 = svmap.eval(x0).points[-1]
+        chains = verified_chains(svmap, grid, x0, v0, max_length, 30)
+        # any order, with repeats: every prefix may come before its chain
+        shuffled = [chains[i] for i in rng.permutation(len(chains))]
+        for box in (None, bounds(grid)):
+            for cap in (2, 5, 4096):
+                start = SequenceFamily.initial(x0, v0, box=box, cap=cap)
+                for batch in (chains, shuffled + chains[:3]):
+                    sizes.clear()
+                    assert_batch_matches_fold(start, batch)
+                    if len(sizes) > 1:
+                        halved.add(cap)
+    # small caps bind inside a batch, which is then grown in halves
+    assert halved == {2, 5}
+
+
+@pytest.mark.parametrize("box", [None, ([-1.0], [1.0])], ids=["unboxed", "boxed"])
+@pytest.mark.parametrize("cap", [2, 6, 4096])
+def test_batched_growth_of_families_given_to_the_constructor(box, cap):
+    # members that dominate each other, and more of them than a cap of 2
+    svmap = build_corpus()[2].svmap
+    grid = sample_grid([-1.0], [1.0], [5])
+    chains = verified_chains(svmap, grid, [0.0], [1.0], 3, 40)
+    for count in (1, 2, 7, len(chains)):
+        assert_batch_matches_fold(dominated_family(box, cap), chains[:count])
+
+
+def test_batched_growth_checks_every_chain_first():
+    family = dominated_family(([-1.0], [1.0]), 4096)
+    good = Chain([[0.0], [1.0]], [[1.0], [2.0]])
+    bad = Chain([[0.0], [1.0]], [[1.0], [-2.0]])
+    foreign = Chain([[1.0]], [[1.0]])
+    for chains in ([good, bad, good], [good, foreign, bad], [bad, foreign]):
+        want = outcome(functools.reduce, grow_family_ref, chains, family)
+        assert outcome(potential._grow, family, chains) == want
+    assert potential._grow(family, []) is family
+
+
+def test_rows_a_member_ties_are_dropped_before_the_dominance_matrix():
+    # each chain's new row is x -> x again, the trivial member's function;
+    # dropping ties with members first keeps the dominance matrix at 1 x 1
+    # instead of 2001 x 2001 (a 12 MB peak; about 1 MB with the first pass)
+    family = SequenceFamily.initial([0.0], [1.0], box=([-1.0], [1.0]))
+    chains = [Chain([[0.0], [k / 1024]], [[1.0], [1.0]]) for k in range(-1000, 1001) if k]
+    tracemalloc.start()
+    try:
+        grown = potential._grow(family, chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family_to_text(grown) == family_to_text(family)
+    assert peak < 4 << 20
+
+
+def test_budget_inside_a_block_matches_references(monkeypatch):
+    # blocks of three chains; budgets run out at every part of a block
+    for entry in build_corpus()[2:6]:
+        x0, v0 = next(anchors(entry.svmap, entry.grid))
+        K = sum(len(entry.svmap.eval(p)) for p in entry.grid)
+        monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 3 * K * len(x0))
+        for box in (None, bounds(entry.grid)):
+            for budget in range(K // 2, 8 * K, K // 2):
+                assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
 
 
 def test_small_blocks_match_references(monkeypatch):

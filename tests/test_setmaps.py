@@ -1,6 +1,8 @@
 """Set-valued maps, predicates, grids, and the problem file format."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,12 +178,26 @@ class TestGrids:
         ([], [], [], "grid low/high/counts must share a positive length"),
         ([1.0], [0.0], [2], "grid box is inverted"),
         ([0.0], [1.0], [0], "grid counts must be at least 1"),
+        ([math.nan], [1.0], [3], "grid bounds and their spans must be finite"),
+        ([0.0], [math.nan], [3], "grid bounds and their spans must be finite"),
+        ([-math.inf], [1.0], [3], "grid bounds and their spans must be finite"),
+        ([0.0, 0.0], [1.0, math.inf], [2, 2], "grid bounds and their spans must be finite"),
+        ([-1e308], [1e308], [3], "grid bounds and their spans must be finite"),
+        ([-1e308], [1e308], [1], "grid bounds and their spans must be finite"),
     ])
     def test_one_set_of_checks(self, low, high, counts, message):
         for build in (GridSpec, sample_grid):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(ValueError) as info, warnings.catch_warnings():
+                warnings.simplefilter("error")
                 build(low, high, counts)
             assert str(info.value) == message
+
+    def test_widest_finite_span_samples_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = sample_grid([-1e308], [7e307], [3])
+        assert [p.tolist() for p in pts[::2]] == [[-1e308], [7e307]]
+        assert np.isfinite(pts[1]).all()
 
     def test_scalar_count_for_one_axis(self):
         assert [p.tolist() for p in sample_grid([0.0], [1.0], 3)] == [[0.0], [0.5], [1.0]]
