@@ -28,11 +28,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import _best_row, inner, inner_rows, nearest_point, support_argmax, support_value
-from .setmaps import SetValuedMap
+from .geometry import _best_row, inner, inner_rows, support_value
+from .setmaps import SetValuedMap, _point_rows
 
 __all__ = [
     "DEFAULT_TOL",
@@ -210,13 +211,14 @@ def extend_exhaustive(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DE
     return candidates[pick]
 
 
-def _anchored_pick(anchor_point, reference, x, values) -> np.ndarray:
-    # support-maximizing value in the anchored direction x - anchor_point; at
-    # the anchor itself that direction is zero, so the value nearest
-    # ``reference`` is taken instead
+def _anchored_pick(anchor_point, reference, x, values) -> int:
+    # row of the support-maximizing value in the anchored direction
+    # x - anchor_point; at the anchor itself that direction is zero, so the
+    # value nearest ``reference`` is taken instead
     if np.array_equal(x, anchor_point):
-        return nearest_point(reference, values)
-    return support_argmax(x - anchor_point, values)
+        diffs = values - reference
+        return _best_row(values, -inner_rows(diffs, diffs))
+    return _best_row(values, inner_rows(values, x - anchor_point))
 
 
 def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
@@ -229,7 +231,8 @@ def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
     value nearest the last velocity is returned instead.
     """
     x_next = np.asarray(x_next, dtype=float)
-    return _anchored_pick(chain.anchor_point, chain.last_velocity, x_next, svmap.eval(x_next))
+    values = svmap.eval(x_next).points
+    return values[_anchored_pick(chain.anchor_point, chain.last_velocity, x_next, values)]
 
 
 def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFAULT_TOL):
@@ -288,29 +291,15 @@ class ClassReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _describe_samples(samples) -> str:
-    dim = len(samples[0]) if samples else 0
-    return f"{len(samples)} points in R^{dim}"
+def _describe(points) -> str:
+    return f"{len(points)} points in R^{points.shape[1]}"
 
 
-def _as_points(samples):
-    pts = [np.asarray(p, dtype=float) for p in samples]
-    if not pts:
+def _samples(svmap, samples) -> np.ndarray:
+    pts = _point_rows(samples, svmap.dimension)
+    if not len(pts):
         raise ValueError("need at least one sample point")
     return pts
-
-
-class _Budget:
-    __slots__ = ("used", "cap")
-
-    def __init__(self, cap):
-        self.used = 0
-        self.cap = cap
-
-    def spend(self, amount=1):
-        self.used += amount
-        if self.used > self.cap:
-            raise BudgetExceededError(self.used, self.cap)
 
 
 def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
@@ -319,15 +308,17 @@ def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDG
     The map is evaluated at a sample when the pair loop first reaches it, so
     an over-budget run stops evaluating once the budget is spent.
     """
-    pts = _as_points(samples)
+    pts = _samples(svmap, samples)
     values = []
-    meter = _Budget(budget)
+    used = 0
     for i, j in itertools.combinations(range(len(pts)), 2):
         while len(values) <= j:
             values.append(svmap.eval(pts[len(values)]).points)
         for vx in values[i]:
             for vy in values[j]:
-                meter.spend()
+                used += 1
+                if used > budget:
+                    raise BudgetExceededError(used, budget)
                 gap = inner(pts[i] - pts[j], vx - vy)
                 if gap < -tol:
                     witness = {
@@ -338,46 +329,56 @@ def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDG
                         "gap": gap,
                     }
                     return ClassReport(
-                        "monotone", False, witness, tol, _describe_samples(pts),
-                        {"pairs_checked": meter.used},
+                        "monotone", False, witness, tol, _describe(pts),
+                        {"pairs_checked": used},
                     )
     return ClassReport(
-        "monotone", True, None, tol, _describe_samples(pts), {"pairs_checked": meter.used}
+        "monotone", True, None, tol, _describe(pts), {"pairs_checked": used}
     )
 
 
 def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """For-all/exists monotonicity: each (x, v_x, y) admits a matching v_y."""
-    pts = _as_points(samples)
-    values = [svmap.eval(p).points for p in pts]
-    meter = _Budget(budget)
-    for i, x in enumerate(pts):
-        for vx in values[i]:
-            for j, y in enumerate(pts):
-                if i == j:
-                    continue
-                meter.spend()
-                best = float(inner_rows(vx - values[j], x - y).max())
-                if best < -tol:
-                    witness = {"x": x.tolist(), "y": y.tolist(), "v_x": vx.tolist(), "best_gap": best}
-                    return ClassReport(
-                        "weakly_monotone", False, witness, tol, _describe_samples(pts),
-                        {"pairs_checked": meter.used},
-                    )
-    return ClassReport(
-        "weakly_monotone", True, None, tol, _describe_samples(pts), {"pairs_checked": meter.used}
-    )
+    return _weakly_monotone(_ChainGraph(svmap, _samples(svmap, samples)), tol, budget)
 
 
 # array entries per block in the chain kernels
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _weakly_monotone(graph, tol, budget):
+    n, (K, d) = len(graph.points), graph.X.shape
+    # node a against sample j != owner[a] is check a * (n - 1) + j + (j < owner[a]);
+    # nodes whose first check lies past the budget are not examined
+    reach = 0 if n == 1 else min(K, (budget - 1) // (n - 1) + 1)
+    block = max(1, _BLOCK_ELEMENTS // (K * d))
+    used, witness = K * (n - 1), None
+    for lo in range(0, reach, block):
+        a = np.arange(lo, min(lo + block, reach))
+        # max over v_y in F(y) of <v_x - v_y, x - y>, never with y = x
+        gaps = inner_rows(graph.V[a, None] - graph.V, graph.X[a, None] - graph.X)
+        best = np.maximum.reduceat(gaps, graph.start[:-1], axis=1)
+        best[np.arange(len(a)), graph.owner[a]] = np.inf
+        stuck = np.flatnonzero(best < -tol)
+        if stuck.size:
+            r, j = divmod(int(stuck[0]), n)
+            i = int(graph.owner[lo + r])
+            used = (lo + r) * (n - 1) + j + (j < i)
+            witness = {"x": graph.points[i].tolist(), "y": graph.points[j].tolist(),
+                       "v_x": graph.V[lo + r].tolist(), "best_gap": float(best[r, j])}
+            break
+    if used > budget:
+        raise BudgetExceededError(budget + 1, budget)
+    return ClassReport("weakly_monotone", witness is None, witness, tol,
+                       _describe(graph.points), {"pairs_checked": used})
+
+
 class _ChainGraph:
     """The (point, value) nodes of a map on the samples and their chain terms.
 
     Node ``a`` pairs the point ``X[a]`` with a value ``V[a]`` of the map there,
-    in sample order and then value order; the nodes of sample ``i`` are
+    in sample order and then value order, all from one ``eval_many`` call at
+    the ``(n, d)`` array ``points``; the nodes of sample ``i`` are
     ``start[i]:start[i + 1]`` and ``owner[a]`` is the sample of node ``a``.  A
     chain through nodes ``a_0, ..., a_m`` has step sums
     ``W[a_0, a_1] + ... + W[a_{m-1}, a_m]`` (added left to right) and final
@@ -385,23 +386,20 @@ class _ChainGraph:
 
         W[a, b] = <X[b] - X[a], V[a]>,    E[i, b] = <X[b] - x_i, V[b]>.
 
-    Both come from :func:`inner_rows` over the difference vectors, built in
-    row blocks so that only ``W`` (``K x K`` for ``K`` nodes) and ``E``
-    (samples by nodes) are held whole; every term equals the scalar
+    Both come from :func:`inner_rows` over the difference vectors, built once
+    on first use in row blocks so that only ``W`` (``K x K`` for ``K`` nodes)
+    and ``E`` (samples by nodes) are held whole; every term equals the scalar
     :func:`inner` of :class:`Chain` and :func:`verify_chain` bit for bit.
     """
 
-    __slots__ = ("start", "owner", "X", "V", "W", "E")
+    def __init__(self, svmap, points):
+        self.points = points
+        self.V, self.owner = svmap.eval_many(points)
+        self.start = np.searchsorted(self.owner, np.arange(len(points) + 1))
+        self.X = points[self.owner]
 
-    def __init__(self, svmap, pts):
-        values = [svmap.eval(p).points for p in pts]
-        counts = [len(v) for v in values]
-        self.start = np.concatenate([[0], np.cumsum(counts)])
-        self.owner = np.repeat(np.arange(len(pts)), counts)
-        self.X = np.repeat(np.array(pts), counts, axis=0)
-        self.V = np.concatenate(values)
-        self.W = self._terms(self.X, self.V[:, None, :])
-        self.E = self._terms(np.array(pts), self.V[None, :, :])
+    W = cached_property(lambda self: self._terms(self.X, self.V[:, None, :]))
+    E = cached_property(lambda self: self._terms(self.points, self.V[None, :, :]))
 
     def _terms(self, tails, velocities):
         # <X[b] - tails[r], velocities[r, b]> for every row r and node b
@@ -550,13 +548,15 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     ``holds`` certifies nothing off the grid, and a witness chain refutes the
     property globally.
     """
-    pts = _as_points(samples)
-    graph = _ChainGraph(svmap, pts)
+    return _cyclic_monotone(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol, budget)
+
+
+def _cyclic_monotone(graph, max_length, tol, budget):
     paths = _MaxPlusPaths(graph.W, graph.E, graph.start, tol)
     checked, nodes = paths.first_violation(max_length, budget)
     details = {"max_length": max_length, "chains_checked": checked}
     if nodes is None:
-        return ClassReport("cyclic_monotone", True, None, tol, _describe_samples(pts), details)
+        return ClassReport("cyclic_monotone", True, None, tol, _describe(graph.points), details)
     rhs = 0.0
     for a, b in zip(nodes, nodes[1:]):
         rhs += float(graph.W[a, b])
@@ -566,7 +566,7 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
         "index": len(nodes) - 1,
         "slack": float(graph.E[graph.owner[nodes[0]], nodes[-1]]) - rhs,
     }
-    return ClassReport("cyclic_monotone", False, witness, tol, _describe_samples(pts), details)
+    return ClassReport("cyclic_monotone", False, witness, tol, _describe(graph.points), details)
 
 
 def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
@@ -582,9 +582,12 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     ``extensions_checked`` counts one check per chain and node, in queue
     order.
     """
-    pts = _as_points(samples)
-    graph = _ChainGraph(svmap, pts)
-    K = len(graph.V)
+    return _weak_cyclic_monotone(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol,
+                                 budget)
+
+
+def _weak_cyclic_monotone(graph, max_length, tol, budget):
+    n, K = len(graph.points), len(graph.V)
     firsts = graph.start[:-1]
     # chains whose first check falls within the budget
     cap = (budget - 1) // K + 1
@@ -602,18 +605,18 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
             best = np.maximum.reduceat(slack, firsts, axis=1)
             stuck = np.flatnonzero(best < -tol)
             if stuck.size:
-                r, j = divmod(int(stuck[0]), len(pts))
+                r, j = divmod(int(stuck[0]), n)
                 used = (done + lo + r) * K + int(graph.start[j + 1])
                 if used > budget:
                     raise BudgetExceededError(budget + 1, budget)
                 witness = {
                     "points": graph.X[rows[r]].tolist(),
                     "velocities": graph.V[rows[r]].tolist(),
-                    "next_point": pts[j].tolist(),
+                    "next_point": graph.points[j].tolist(),
                     "best_slack": float(best[r, j]),
                 }
                 return ClassReport(
-                    "weak_cyclic_monotone", False, witness, tol, _describe_samples(pts),
+                    "weak_cyclic_monotone", False, witness, tol, _describe(graph.points),
                     {"max_length": max_length, "extensions_checked": used},
                 )
             if grow and kids <= room - len(paths):
@@ -631,7 +634,7 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     if used > budget:
         raise BudgetExceededError(budget + 1, budget)
     return ClassReport(
-        "weak_cyclic_monotone", True, None, tol, _describe_samples(pts),
+        "weak_cyclic_monotone", True, None, tol, _describe(graph.points),
         {"max_length": max_length, "extensions_checked": used},
     )
 
@@ -653,12 +656,14 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
     ``sequences_checked`` its position.  Raises :class:`BudgetExceededError`
     up front when some length has more than ``budget`` sequences.
     """
-    pts = _as_points(samples)
-    n = len(pts)
+    return _support_chain(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol, budget)
+
+
+def _support_chain(graph, max_length, tol, budget):
+    n = len(graph.points)
     for length in range(2, max_length + 2):
         if n ** length > budget:
             raise BudgetExceededError(n ** length, budget)
-    graph = _ChainGraph(svmap, pts)
     firsts = graph.start[:-1]
     # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
     steps = np.maximum.reduceat(graph.W[:, firsts], firsts, axis=0)
@@ -673,7 +678,7 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
     rhs = 0.0
     for i, j in zip(seq, seq[1:]):
         rhs += float(steps[i, j])
-    witness = {"points": [pts[i].tolist() for i in seq],
+    witness = {"points": graph.points[seq].tolist(),
                "lhs": float(ends[seq[0], seq[-1]]), "rhs": rhs}
     return ClassReport(
         "support_chain", False, witness, tol, samples_text, {"sequences_checked": checked},

@@ -26,19 +26,20 @@ import numpy as np
 from .chains import (
     BudgetExceededError,
     DEFAULT_CHAIN_BUDGET,
-    check_support_chain,
-    classify_cyclic_monotone,
+    _anchored_pick,
+    _ChainGraph,
+    _cyclic_monotone,
+    _support_chain,
+    _weak_cyclic_monotone,
+    _weakly_monotone,
     classify_monotone,
-    classify_weak_cyclic_monotone,
-    classify_weakly_monotone,
 )
+from .geometry import inner_rows
 from .potential import (
-    build_family,
+    _build_family,
     family_to_text,
     potential_value,
     potential_values,
-    submap_contains,
-    submap_select,
     subgradient_test,
 )
 from .setmaps import GridSpec, ProblemFormatError, parse_problem
@@ -202,12 +203,15 @@ def run_classify(args) -> int:
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
     budget = _chain_budget()
-    reports = [
-        classify_monotone(spec.map, samples, spec.tol, budget),
-        classify_weakly_monotone(spec.map, samples, spec.tol, budget),
-        classify_cyclic_monotone(spec.map, samples, max_length, spec.tol, budget),
-        classify_weak_cyclic_monotone(spec.map, samples, max_length, spec.tol, budget),
-        check_support_chain(spec.map, samples, max_length, spec.tol, budget),
+    # pairwise monotonicity evaluates the map lazily, so it runs first; the
+    # other four classes share one node set
+    reports = [classify_monotone(spec.map, samples, spec.tol, budget)]
+    graph = _ChainGraph(spec.map, samples)
+    reports += [
+        _weakly_monotone(graph, spec.tol, budget),
+        _cyclic_monotone(graph, max_length, spec.tol, budget),
+        _weak_cyclic_monotone(graph, max_length, spec.tol, budget),
+        _support_chain(graph, max_length, spec.tol, budget),
     ]
     doc = {
         "grid": grid.to_dict(),
@@ -228,53 +232,41 @@ def run_potential(args) -> int:
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
     budget = _chain_budget()
-    # the query phase checks every compatible pair against every sample, so
-    # charge every (sample, value) pair times the sample count up front,
-    # evaluating the map only until the charge passes the budget
-    values, pairs = [], 0
-    for p in samples:
-        values.append(spec.map.eval(p).points)
-        pairs += len(values[-1])
-        if pairs * len(samples) > budget:
-            raise BudgetExceededError(pairs * len(samples), budget)
+    graph = _ChainGraph(spec.map, samples)
+    # the query phase checks every compatible node against every sample, so
+    # charge every (sample, value) node times the sample count up front
+    if len(graph.V) * len(samples) > budget:
+        raise BudgetExceededError(len(graph.V) * len(samples), budget)
     box = (np.array(grid.low), np.array(grid.high))
-    family, stats = build_family(
-        spec.map, spec.x0, spec.v0, samples, max_length,
-        box=box, budget=budget, tol=spec.tol,
-    )
+    family, stats = _build_family(graph, spec.x0, spec.v0, max_length, box, budget, spec.tol)
     with open(out / "family.json", "w", newline="\n") as fh:
         fh.write(family_to_text(family))
     print("wrote family.json")
 
-    probes = np.array(samples)
+    values = potential_values(family, samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
-    rows = [
-        [_fmt(c) for c in p] + [_fmt(value)]
-        for p, value in zip(samples, potential_values(family, probes))
-    ]
+    rows = [[_fmt(c) for c in p] + [_fmt(value)] for p, value in zip(samples, values)]
     _write_csv(out / "potential_values.csv", header, rows)
 
+    # a node is compatible when <x - x0, v> clears the model at x; the
+    # selected value of a sample is its anchored pick, if compatible
+    compatible = inner_rows(graph.X - spec.x0, graph.V) >= values[graph.owner] - spec.tol
     entries = []
-    accepted = 0
-    for p, vals in zip(samples, values):
-        selected = submap_select(family, spec.map, p, spec.tol)
-        checks = []
-        for v in vals:
-            compatible = submap_contains(family, spec.map, p, v, spec.tol)
-            ok = None
-            if compatible:
-                accepted += 1
-                ok = bool(subgradient_test(family, p, v, probes, spec.tol))
-            checks.append({
-                "v": [float(c) for c in v],
-                "compatible": bool(compatible),
-                "subgradient_ok": ok,
-            })
+    for i, p in enumerate(samples):
+        lo, hi = graph.start[i], graph.start[i + 1]
+        pick = lo + _anchored_pick(spec.x0, spec.v0, p, graph.V[lo:hi])
+        checks = [{
+            "v": v.tolist(),
+            "compatible": bool(ok),
+            "subgradient_ok": bool(subgradient_test(family, p, v, samples, spec.tol))
+            if ok else None,
+        } for v, ok in zip(graph.V[lo:hi], compatible[lo:hi])]
         entries.append({
-            "x": [float(c) for c in p],
-            "selected": None if selected is None else [float(c) for c in selected],
+            "x": p.tolist(),
+            "selected": graph.V[pick].tolist() if compatible[pick] else None,
             "values": checks,
         })
+    accepted = int(np.count_nonzero(compatible))
     _write_json(out / "subgradient.json", {"entries": entries})
     summary = {
         "family_size": len(family),

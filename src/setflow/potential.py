@@ -28,9 +28,9 @@ import json
 
 import numpy as np
 
-from .chains import _BLOCK_ELEMENTS, Chain, _anchored_pick, verify_chain
+from .chains import _BLOCK_ELEMENTS, Chain, _anchored_pick, _ChainGraph, verify_chain
 from .geometry import inner, inner_rows
-from .setmaps import SetValuedMap
+from .setmaps import SetValuedMap, _point_rows
 
 __all__ = [
     "DEFAULT_FAMILY_CAP",
@@ -213,16 +213,6 @@ def _box_vertices(box):
     return [np.array(v) for v in vertices]
 
 
-def _point_rows(points, dim) -> np.ndarray:
-    # points as an (n, dim) array; a wrong dimension raises, never broadcasts
-    X = np.asarray(points, dtype=float)
-    if X.size == 0:
-        X = X.reshape(0, dim)
-    if X.ndim != 2 or X.shape[1] != dim:
-        raise ValueError(f"dimension mismatch: points of shape {X.shape}, dimension {dim}")
-    return X
-
-
 def potential_values(family: SequenceFamily, points) -> np.ndarray:
     """Lower-model potential at each of ``points`` (an ``n x d`` array)."""
     return family._model.max(_point_rows(points, family.dimension))
@@ -340,7 +330,8 @@ def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0
     bound).  It is returned iff ``<x - x_0, candidate> >= potential - tol``.
     """
     x = np.asarray(x, dtype=float)
-    v = _anchored_pick(family.anchor_point, family.anchor_velocity, x, svmap.eval(x))
+    values = svmap.eval(x).points
+    v = values[_anchored_pick(family.anchor_point, family.anchor_velocity, x, values)]
     if inner(x - family.anchor_point, v) >= potential_value(family, x) - tol:
         return v
     return None
@@ -411,12 +402,13 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
     v0 = np.asarray(v0, dtype=float)
     if not svmap.eval(x0).contains(v0):
         raise ValueError("anchor velocity not in F(x0)")
-    dim = x0.shape[0]
-    values = [svmap.eval(np.asarray(p, dtype=float)).points for p in grid_points]
-    counts = [len(vals) for vals in values]
-    X = np.repeat(_point_rows(grid_points, dim), counts, axis=0)
-    V = np.concatenate(values) if values else np.empty((0, dim))
-    K = len(V)
+    graph = _ChainGraph(svmap, _point_rows(grid_points, x0.shape[0]))
+    return _build_family(graph, x0, v0, max_length, box, budget, tol, cap)
+
+
+def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMILY_CAP):
+    X, V = graph.X, graph.V
+    K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
     ends = inner_rows(X - x0, V)
     # chain tips are nodes, or the anchor (row K) for the trivial chain

@@ -586,25 +586,35 @@ class GridSpec:
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "counts", counts)
 
-    def points(self) -> list[np.ndarray]:
-        """Lattice points of the box, endpoints included on every axis.
+    def points(self) -> np.ndarray:
+        """Lattice points of the box, one per row of a read-only array.
 
-        A count of 1 keeps the low endpoint only.  Points are emitted in
-        row-major order (last axis fastest), deterministically.
+        Endpoints are included on every axis; a count of 1 keeps the low
+        endpoint only.  Rows are in row-major order (last axis fastest).
         """
         axes = [np.linspace(l, h, c) for l, h, c in zip(self.low, self.high, self.counts)]
-        return [as_vector(t) for t in itertools.product(*axes)]
+        return _frozen(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)))
 
     def to_dict(self):
         return {"low": list(self.low), "high": list(self.high), "counts": list(self.counts)}
 
 
-def sample_grid(low, high, counts) -> list[np.ndarray]:
-    """The points of ``GridSpec(low, high, counts)``, which checks the box.
+def sample_grid(low, high, counts) -> np.ndarray:
+    """The ``(n, d)`` points of ``GridSpec(low, high, counts)``, which checks the box.
 
     ``counts`` may also be one number, for a one dimensional box.
     """
     return GridSpec(low, high, np.atleast_1d(counts)).points()
+
+
+def _point_rows(points, dim) -> np.ndarray:
+    # points as an (n, dim) array; a wrong dimension raises, never broadcasts
+    X = np.asarray(points, dtype=float)
+    if X.size == 0:
+        X = X.reshape(0, dim)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: points of shape {X.shape}, dimension {dim}")
+    return X
 
 
 # ---------------------------------------------------------------------------

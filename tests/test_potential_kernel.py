@@ -26,6 +26,7 @@ from setflow import (
     build_family,
     family_to_text,
     grow_family,
+    parse_problem,
     potential_value,
     potential_values,
     sample_grid,
@@ -386,9 +387,15 @@ def run_potential(problem, out):
 @pytest.mark.parametrize("problem", DEMO_PROBLEMS, ids=lambda p: p.stem)
 def test_cli_outputs_match_the_references(problem, tmp_path, monkeypatch):
     assert run_potential(problem, tmp_path / "kernel") == 0
-    monkeypatch.setattr(cli, "build_family", build_family_ref)
-    monkeypatch.setattr(cli, "potential_values",
-                        lambda family, points: [potential_value_ref(family, p) for p in points])
+    svmap = parse_problem(problem.read_text()).map
+
+    def family_ref(graph, x0, v0, max_length, box, budget, tol, cap=potential.DEFAULT_FAMILY_CAP):
+        # the reference evaluates the map at every grid point itself
+        return build_family_ref(svmap, x0, v0, graph.points, max_length, box, cap, budget, tol)
+
+    monkeypatch.setattr(cli, "_build_family", family_ref)
+    monkeypatch.setattr(cli, "potential_values", lambda family, points: np.array(
+        [potential_value_ref(family, p) for p in points]))
     monkeypatch.setattr(cli, "potential_value", potential_value_ref)
     monkeypatch.setattr(cli, "subgradient_test", subgradient_test_ref)
     monkeypatch.setattr(potential, "potential_value", potential_value_ref)
