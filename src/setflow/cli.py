@@ -7,9 +7,10 @@ codes: 0 success (classification verdicts are data, not failures), 2 invalid
 input, 3 velocity selection failed (replay state is written next to the other
 outputs), 4 combinatorial budget exceeded.  The budget defaults to 10^6 chains
 per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
-environment variable.  ``potential`` charges its query phase, every (sample,
-value) pair times every sample, and ``solve`` and ``refine`` their Euler
-steps, against the same budget before any work.
+environment variable.  ``classify`` and ``potential`` charge every pair of
+grid points before they build the grid, ``potential`` its query phase, every
+(sample, value) pair times every sample, and ``solve`` and ``refine`` their
+Euler steps, against the same budget before any work.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,14 +80,16 @@ def _chain_budget() -> int:
     return budget
 
 
-def _charge_steps(command: str, steps) -> None:
-    # Euler steps to integrate (T / h for solve, which may be huge or
-    # infinite), charged against the budget before any work
+def _charge(command: str, amount, unit: str) -> int:
+    # work charged against the budget before any of it is done (Euler steps
+    # T / h, which may be huge or infinite, or pairs of grid points); returns
+    # the budget
     budget = _chain_budget()
-    if steps > budget:
-        error = BudgetExceededError(steps, budget)
-        error.args = (f"{command} needs {steps:.12g} Euler steps, budget {budget}",)
+    if amount > budget:
+        error = BudgetExceededError(amount, budget)
+        error.args = (f"{command} needs {amount:.12g} {unit}, budget {budget}",)
         raise error
+    return budget
 
 
 def _parse_grid_option(text: str) -> GridSpec:
@@ -153,7 +157,7 @@ def _fmt(value) -> str:
 
 def run_solve(args) -> int:
     spec = _load_spec(args)
-    _charge_steps("solve", spec.horizon / spec.step)
+    _charge("solve", spec.horizon / spec.step, "Euler steps")
     out = _out_dir(args)
     try:
         traj = euler_solve(spec)
@@ -200,9 +204,10 @@ def run_classify(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args)
     grid = _classify_grid(spec, "classify")
+    # the support-chain condition checks every pair of the n grid points
+    budget = _charge("classify", math.prod(grid.counts) ** 2, "pairs of grid points")
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
-    budget = _chain_budget()
     # pairwise monotonicity evaluates the map lazily, so it runs first; the
     # other four classes share one node set
     reports = [classify_monotone(spec.map, samples, spec.tol, budget)]
@@ -229,14 +234,14 @@ def run_potential(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args)
     grid = _classify_grid(spec, "potential")
+    # the query phase checks at least every pair of the n grid points
+    budget = _charge("potential", math.prod(grid.counts) ** 2, "pairs of grid points")
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
-    budget = _chain_budget()
     graph = _ChainGraph(spec.map, samples)
     # the query phase checks every compatible node against every sample, so
     # charge every (sample, value) node times the sample count up front
-    if len(graph.V) * len(samples) > budget:
-        raise BudgetExceededError(len(graph.V) * len(samples), budget)
+    _charge("potential", len(graph.V) * len(samples), "node-sample checks")
     box = (np.array(grid.low), np.array(grid.high))
     family, stats = _build_family(graph, spec.x0, spec.v0, max_length, box, budget, spec.tol)
     with open(out / "family.json", "w", newline="\n") as fh:
@@ -282,7 +287,7 @@ def run_potential(args) -> int:
 def run_refine(args) -> int:
     spec = _load_spec(args)
     counts = spec.step_counts or DEFAULT_STEP_COUNTS
-    _charge_steps("refine", sum(counts))
+    _charge("refine", sum(counts), "Euler steps")
     out = _out_dir(args)
     try:
         rows = refine_study(spec, counts)

@@ -416,6 +416,45 @@ class TestFiniteNodes:
         assert list(out.iterdir()) == []
 
 
+class TestGridBudget:
+    @pytest.mark.parametrize("command", ["classify", "potential"])
+    def test_huge_grid_exits_before_it_is_built(self, tmp_path, capsys, monkeypatch, command):
+        # 10^6 points make 10^12 pairs against a budget of 10
+        monkeypatch.setenv(BUDGET_ENV, "10")
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(SIGN_PROBLEM) + "\n")
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert run(command, "--input", f, "--output", out, "--grid=-1:1:1000000") == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists() or list(out.iterdir()) == []
+        assert capsys.readouterr().err == \
+            f"error: {command} needs 1e+12 pairs of grid points, budget 10\n"
+
+    @pytest.mark.parametrize("command", ["classify", "potential"])
+    def test_over_budget_wins_over_a_map_error(self, tmp_path, monkeypatch, command):
+        # the table covers no grid point left of 0.5; 9 points make 81 pairs
+        doc = dict(SIGN_PROBLEM, map={"kind": "table", "regions": [
+            {"where": {"kind": "box", "low": [0.5], "high": [1.0]}, "points": [[1.0]]}]})
+        doc["grid"] = {"low": [-1.0], "high": [1.0], "counts": [9]}
+        doc["x0"] = [1.0]
+        monkeypatch.setenv(BUDGET_ENV, "80")
+        assert _timed_run(tmp_path, command, doc)[0] == EXIT_BUDGET
+        monkeypatch.setenv(BUDGET_ENV, "81")
+        assert _timed_run(tmp_path, command, doc)[0] == EXIT_INVALID
+
+    def test_query_phase_charges_every_node(self, tmp_path, capsys, monkeypatch):
+        # 3 points and 2 values each: 9 pairs of points fit a budget of 10,
+        # 6 nodes times 3 points do not
+        doc = dict(SIGN_PROBLEM, map={"kind": "constant", "points": [[-1.0], [1.0]]})
+        doc["grid"] = {"low": [-1.0], "high": [1.0], "counts": [3]}
+        monkeypatch.setenv(BUDGET_ENV, "10")
+        code, out = _timed_run(tmp_path, "potential", doc)
+        assert code == EXIT_BUDGET
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == "error: potential needs 18 node-sample checks, budget 10\n"
+
+
 class TestGridBounds:
     BAD = [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, 1.0), (-1.0, math.inf),
            (-1e308, 1e308)]
