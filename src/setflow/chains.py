@@ -464,11 +464,14 @@ class _MaxPlusPaths:
         anchors whose chains start past it are skipped.
         """
         K, n = self.size, self.groups
-        # chains of fewer than m steps, listed up to the first count past
-        # the budget: every longer length lies past it too
-        shorter = [0, 0]
-        while len(shorter) < max_length + 2 and shorter[-1] <= budget:
-            shorter.append(shorter[-1] + K ** len(shorter))
+        # chains of fewer than m steps, for m >= 1, listed up to the first
+        # count past the budget: every longer length lies past it too
+        if K == 1:
+            shorter = range(-1, min(max_length + 1, budget + 2))  # m - 1
+        else:
+            shorter = [0, 0]
+            while len(shorter) < max_length + 2 and shorter[-1] <= budget:
+                shorter.append(shorter[-1] + K ** len(shorter))
 
         def past_budget(m, g0):
             # the first chain of m steps anchored in g0 lies beyond the budget
@@ -483,10 +486,12 @@ class _MaxPlusPaths:
             for m in range(1, reach + 1):
                 if past_budget(m, g0):
                     break
-                S = self._advance(S, self.every)
+                S, last = self._advance(S, self.every), S
                 if self._violates(S, g0):
                     found = (m, g0)
                     break
+                if S.tobytes() == last.tobytes():
+                    break  # every longer chain repeats these sums
         if found is None:
             if max_length + 1 >= len(shorter) or shorter[max_length + 1] > budget:
                 raise BudgetExceededError(budget + 1, budget)
@@ -593,8 +598,16 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
     cap = (budget - 1) // K + 1
     block = max(1, _BLOCK_ELEMENTS // K)
     done = 0
-    paths, sums = np.arange(K)[:, None], np.zeros(K)
+    paths, sums, last = np.arange(K)[:, None], np.zeros(K), None
     while len(paths):
+        # chains act through their anchor samples, tips and sums alone: a
+        # level whose rows repeat the last one's repeats at every longer
+        # length, where none fails
+        level = graph.owner[paths[:, 0]].tobytes(), paths[:, -1].tobytes(), sums.tobytes()
+        if level == last:
+            done += (max_length - paths.shape[1] + 1) * len(paths)
+            break
+        last = level
         room = cap - done
         grow = paths.shape[1] < max_length
         kids_paths, kids_sums, kids = [], [], 0
@@ -661,16 +674,21 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
 
 def _support_chain(graph, max_length, tol, budget):
     n = len(graph.points)
+    total = 0  # sequences of 2 to max_length + 1 samples
     for length in range(2, max_length + 2):
         if n ** length > budget:
             raise BudgetExceededError(n ** length, budget)
+        if n == 1:
+            total = max_length
+            break
+        total += n ** length
     firsts = graph.start[:-1]
     # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
     steps = np.maximum.reduceat(graph.W[:, firsts], firsts, axis=0)
     ends = np.maximum.reduceat(graph.E, firsts, axis=1)
     paths = _MaxPlusPaths(steps, ends, np.arange(n + 1), tol)
     checked, seq = paths.first_violation(max_length)
-    samples_text = f"{sum(n ** length for length in range(2, max_length + 2))} sequences"
+    samples_text = f"{total} sequences"
     if seq is None:
         return ClassReport(
             "support_chain", True, None, tol, samples_text, {"sequences_checked": checked},

@@ -6,15 +6,19 @@ replaced byte for byte, and raise the same budget errors.  On dyadic data the
 verdicts are also checked in exact arithmetic.
 """
 
+import contextlib
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
 
 import setflow.chains as chains
 from setflow import (
+    Always,
     BudgetExceededError,
+    Halfspace,
     SetValuedMap,
     check_support_chain,
     classify_cyclic_monotone,
@@ -25,6 +29,7 @@ from setflow import (
     replay_witness,
     sample_grid,
     support_argmax,
+    table_map,
 )
 from setflow.geometry import inner_rows
 
@@ -73,6 +78,42 @@ def test_long_chains_match_brute_force_budget():
     for entry in build_corpus()[:6]:
         for budget in (1, 50, 10**4):
             assert_same_as_brute(entry.svmap, entry.grid, 40, 0.0, budget)
+
+
+def _below_half(low, high):
+    # {low} left of 0.5, {high} from there on
+    return table_map([(Halfspace([1.0], 0.5, "lt"), [[low]]), (Always(), [[high]])])
+
+
+FEW_NODE_CASES = {
+    "one-node": (constant_map([[1.0]]), [[0.0]]),
+    "one-point-two-values": (constant_map([[-1.0], [1.0]]), [[0.5]]),
+    "two-points-holding": (constant_map([[1.0]]), [[0.0], [1.0]]),
+    "two-points-monotone": (_below_half(0.0, 1.0), [[0.0], [1.0]]),
+    "two-points-failing": (_below_half(1.0, 0.0), [[0.0], [1.0]]),
+}
+
+
+@pytest.mark.parametrize("case", FEW_NODE_CASES, ids=str)
+def test_one_and_two_node_graphs_match_brute_force(case):
+    # levels and dynamic-program steps that repeat are stopped early and the
+    # remaining lengths counted in closed form
+    svmap, grid = FEW_NODE_CASES[case]
+    for max_length in range(1, 41):
+        for budget in (1, 20, 300):
+            assert_same_as_brute(svmap, np.array(grid), max_length, 0.0, budget)
+
+
+@pytest.mark.parametrize("fn", [fast for fast, _ in PAIRS], ids=lambda f: f.__name__)
+def test_one_node_graph_at_a_huge_max_length_is_fast(fn):
+    start = time.perf_counter()
+    report = fn(constant_map([[1.0]]), np.array([[0.0]]), 10**6, 0.0, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert report.holds
+    assert max(report.details.values()) == 10**6
+    with pytest.raises(BudgetExceededError) if fn is not check_support_chain \
+            else contextlib.nullcontext():
+        fn(constant_map([[1.0]]), np.array([[0.0]]), 10**6 + 1, 0.0, 10**6)
 
 
 @pytest.mark.parametrize("fn", [fast for fast, _ in PAIRS], ids=lambda f: f.__name__)

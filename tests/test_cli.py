@@ -187,6 +187,19 @@ class TestClassify:
         assert run("classify", "--input", f, "--output", tmp_path / "o2",
                    "--max-length", 10**5) == EXIT_BUDGET
 
+    def test_one_node_graph_at_a_huge_max_length(self, tmp_path):
+        # one grid point with one value: every count is 10^6, within the
+        # default budget
+        doc = dict(CONSTANT_PROBLEM, grid={"low": [0.0], "high": [0.0], "counts": [1]},
+                   max_length=10**6)
+        code, out = _timed_run(tmp_path, "classify", doc)
+        assert code == 0
+        reports = json.loads((out / "classification.json").read_text())["reports"]
+        assert [r["holds"] for r in reports] == [True] * 5
+        keys = ["pairs_checked", "pairs_checked", "chains_checked", "extensions_checked",
+                "sequences_checked"]
+        assert [r["details"][k] for r, k in zip(reports, keys)] == [0, 0, 10**6, 10**6, 10**6]
+
 
 class TestPotential:
     def test_family_and_values(self, tmp_path, sign_file):
