@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --parent ../parent/src --change src \\
         --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
-        --out BENCH_8.json
+        --out BENCH_9.json
 
 Each tree is measured in its own interpreter (``--measure SRC`` prints one
 JSON object), alternating parent and change for ``--rounds`` rounds, and
@@ -12,8 +12,13 @@ of ``SetValuedMap.eval`` for each built-in map kind, per row of
 node of ``trajectory_residual``, per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
-its best member there verifies, as ``subgradient_test`` grows it), on fixed
-two dimensional inputs.  Each is the least of five timed repeats.
+its best member there verifies, as ``subgradient_test`` grows it), per point
+of ``GridSpec.points`` on a 50x80 grid, per ``classify_weakly_monotone`` call
+and per ``setflow classify`` run (``max_length`` 2, through ``cli.main``, its
+five classifiers included) on the kink map of
+``demos/problems/kink_crossing.json`` over a 9x9 grid, on fixed two
+dimensional inputs.  Each is the least of five timed repeats.  The classify
+run writes its output under ``.bench_build/`` next to the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
 and end-to-end metric, are recorded with the number of seeds where the
@@ -23,11 +28,14 @@ change was lower.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -52,6 +60,9 @@ MAPS = {
 RESIDUAL_STEPS = 2000
 FAMILY_GRID = ([-1.0, -1.0], [1.0, 1.0], [5, 5])
 FAMILY_LENGTH = 3
+POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
+KINK = {"kind": "subdifferential", "slopes": [[1.0, 0.0], [2.0, -1.0]], "offsets": [0.0, 0.0]}
+KINK_GRID = {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [9, 9]}
 
 
 def _per_call_us(fn, calls):
@@ -66,8 +77,10 @@ def _per_call_us(fn, calls):
 def measure(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
-    from setflow import (ProblemSpec, affine_value, build_family, euler_solve, grow_family,
-                         map_from_dict, sample_grid, trajectory_residual, verify_chain)
+    import setflow.cli
+    from setflow import (GridSpec, ProblemSpec, affine_value, build_family,
+                         classify_weakly_monotone, euler_solve, grow_family, map_from_dict,
+                         sample_grid, trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -113,6 +126,24 @@ def measure(src: str) -> dict:
             grow_family(family, chain)
 
     out["potential.grow_family.us_per_call"] = _per_call_us(grow_each, len(chains))
+
+    points = GridSpec(*POINTS_GRID)
+    out["setmaps.GridSpec.points.us_per_point"] = _per_call_us(
+        points.points, int(np.prod(POINTS_GRID[2])))
+    kink = map_from_dict(KINK)
+    kink_grid = sample_grid(KINK_GRID["low"], KINK_GRID["high"], KINK_GRID["counts"])
+    out["chains.classify_weakly_monotone.us_per_call"] = _per_call_us(
+        lambda: classify_weakly_monotone(kink, kink_grid), 1)
+    work = Path(src).resolve().parent / ".bench_build"
+    work.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=work) as tmp:
+        problem = Path(tmp) / "kink.json"
+        problem.write_text(json.dumps({"map": KINK, "x0": [0.0, 0.125], "v0": [1.0, 0.0],
+                                       "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+                                       "grid": KINK_GRID, "max_length": 2}))
+        argv = ["classify", "--input", str(problem), "--output", tmp]
+        with contextlib.redirect_stdout(io.StringIO()):
+            out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
     return out
 
 

@@ -4,10 +4,10 @@ Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
 evidence rather than tautology.  The exceptions are the brute-force
 classifier references, the per-member potential references, the per-row
-scan references and the per-point map evaluators at the end: they run chain
-by chain, member by member, row by row and point by point with the library's
-own inner product and summation order, so the batched kernels must match
-their outputs byte for byte.
+scan references, the per-point map evaluators and the per-pair query phase
+at the end: they run chain by chain, member by member, row by row and point
+by point with the library's own inner product and summation order, so the
+batched kernels must match their outputs byte for byte.
 """
 
 import math
@@ -30,11 +30,15 @@ from setflow import (
     SequenceFamily,
     UncoveredPointError,
     affine_value,
+    as_vector,
     dist_to_hull,
     dist_to_set,
     extension_slack,
     inner,
     norm,
+    subgradient_test,
+    submap_contains,
+    submap_select,
     support_value,
     verify_chain,
 )
@@ -616,3 +620,34 @@ def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
         if gap > 0.0:
             hull = max(hull, dist_to_hull(v, values, hull_tol))
     return node, hull
+
+
+def grid_points_ref(grid):
+    """The points of a ``GridSpec`` as the list of vectors it used to return."""
+    axes = [np.linspace(l, h, c) for l, h, c in zip(grid.low, grid.high, grid.counts)]
+    return [as_vector(t) for t in product(*axes)]
+
+
+def subgradient_entries_ref(family, svmap, samples, tol):
+    """The document ``setflow potential`` writes to ``subgradient.json``.
+
+    Built as the command built it before its query phase compared all
+    (sample, value) nodes at once: the map evaluated at each sample again,
+    ``submap_select`` per sample and ``submap_contains`` per value.
+    """
+    probes = np.array(samples)
+    entries = []
+    for p in samples:
+        selected = submap_select(family, svmap, p, tol)
+        checks = []
+        for v in svmap.eval(p).points:
+            compatible = submap_contains(family, svmap, p, v, tol)
+            ok = bool(subgradient_test(family, p, v, probes, tol)) if compatible else None
+            checks.append({"v": [float(c) for c in v], "compatible": bool(compatible),
+                           "subgradient_ok": ok})
+        entries.append({
+            "x": [float(c) for c in p],
+            "selected": None if selected is None else [float(c) for c in selected],
+            "values": checks,
+        })
+    return {"entries": entries}

@@ -24,6 +24,7 @@ from setflow import (
     classify_cyclic_monotone,
     classify_monotone,
     classify_weak_cyclic_monotone,
+    classify_weakly_monotone,
     constant_map,
     inner,
     replay_witness,
@@ -40,6 +41,7 @@ from oracles import (
     first_chain_violation_exact,
     support_chain_brute,
     weak_cyclic_monotone_brute,
+    weakly_monotone_ref,
 )
 
 PAIRS = (
@@ -136,6 +138,22 @@ def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
                 got = outcome(classify_weak_cyclic_monotone, entry.svmap, entry.grid,
                               max_length, 0.0, budget)
                 assert got == want, (entry.name, max_length, budget)
+
+
+def test_weakly_monotone_blocks_match_the_row_loop(monkeypatch):
+    # blocks of a few nodes, and budgets that end inside and between them
+    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", 7)
+    rng = np.random.default_rng(77)
+    cases = [(e.svmap, e.grid) for e in build_corpus()]
+    cases += [(random_dyadic_map(rng, dim), sample_grid([-1.0] * dim, [1.0] * dim, [3] * dim))
+              for dim in (1, 2, 2, 3) for _ in range(3)]
+    verdicts = set()
+    for svmap, grid in cases:
+        for budget in (1, 2, 3, 5, 8, 17, 50, 333, 10**6):
+            want = outcome(weakly_monotone_ref, svmap, grid, 0.0, budget)
+            assert outcome(classify_weakly_monotone, svmap, grid, 0.0, budget) == want
+            verdicts.add(want if isinstance(want, tuple) else json.loads(want)["holds"])
+    assert {True, False} <= verdicts
 
 
 def random_cases(count=24):

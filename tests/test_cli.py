@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from setflow import (
     Chain,
+    SetValuedMap,
     extend_exhaustive,
     family_from_text,
     map_from_dict,
@@ -466,6 +467,51 @@ class TestGridBudget:
         assert code == EXIT_BUDGET
         assert list(out.iterdir()) == []
         assert capsys.readouterr().err == "error: potential needs 18 node-sample checks, budget 10\n"
+
+
+class TestEvaluationCounts:
+    # |x| on five grid points, anchored off the grid
+    DOC = {
+        "map": {"kind": "subdifferential", "slopes": [[1.0], [-1.0]], "offsets": [0.0, 0.0]},
+        "x0": [0.25], "v0": [1.0], "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+        "grid": {"low": [-1.0], "high": [1.0], "counts": [5]},
+    }
+    GRID = [(-1.0,), (-0.5,), (0.0,), (0.5,), (1.0,)]
+
+    @staticmethod
+    def _counted(monkeypatch, tmp_path, command):
+        # every point evaluated, by method, over one run of the command
+        rows = {"eval": [], "eval_many": []}
+        eval_, eval_many = SetValuedMap.eval, SetValuedMap.eval_many
+
+        def counted_eval(self, x):
+            rows["eval"].append(tuple(np.asarray(x, dtype=float).tolist()))
+            return eval_(self, x)
+
+        def counted_eval_many(self, X):
+            rows["eval_many"].extend(tuple(p) for p in np.asarray(X, dtype=float).tolist())
+            return eval_many(self, X)
+
+        monkeypatch.setattr(SetValuedMap, "eval", counted_eval)
+        monkeypatch.setattr(SetValuedMap, "eval_many", counted_eval_many)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(TestEvaluationCounts.DOC) + "\n")
+        assert run(command, "--input", f, "--output", tmp_path / "o") == 0
+        return rows
+
+    def test_potential_evaluates_each_grid_point_once(self, tmp_path, monkeypatch):
+        rows = self._counted(monkeypatch, tmp_path, "potential")
+        assert rows["eval_many"] == self.GRID
+        # only the anchor is evaluated alone, when the document is checked
+        assert set(rows["eval"]) == {(0.25,)}
+
+    def test_classify_evaluates_each_grid_point_once_besides_the_pairwise_class(
+            self, tmp_path, monkeypatch):
+        rows = self._counted(monkeypatch, tmp_path, "classify")
+        assert rows["eval_many"] == self.GRID
+        # classify_monotone evaluates each point when its pair loop first
+        # reaches it
+        assert [p for p in rows["eval"] if p != (0.25,)] == self.GRID
 
 
 class TestGridBounds:

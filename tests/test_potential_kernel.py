@@ -26,6 +26,7 @@ from setflow import (
     build_family,
     family_to_text,
     grow_family,
+    map_to_dict,
     parse_problem,
     potential_value,
     potential_values,
@@ -34,7 +35,7 @@ from setflow import (
     submap_contains,
 )
 from setflow.chains import extension_slack
-from setflow.potential import family_from_json_dict, family_to_json_dict
+from setflow.potential import family_from_json_dict, family_from_text, family_to_json_dict
 
 import oracles
 from conftest import bits, build_corpus, random_dyadic_map
@@ -42,7 +43,9 @@ from oracles import (
     build_family_ref,
     first_chain_violation_exact,
     grow_family_ref,
+    grid_points_ref,
     potential_value_ref,
+    subgradient_entries_ref,
     subgradient_test_ref,
 )
 
@@ -405,3 +408,36 @@ def test_cli_outputs_match_the_references(problem, tmp_path, monkeypatch):
             (tmp_path / "reference" / name).read_bytes(), name
     summary = json.loads((tmp_path / "kernel" / "potential_summary.json").read_text())
     assert summary["chains_grown"] > 0
+
+
+def query_problems():
+    """The demo problems, then random dyadic maps on 1-d to 3-d grids."""
+    docs = [(path.stem, json.loads(path.read_text())) for path in DEMO_PROBLEMS]
+    rng = np.random.default_rng(909)
+    for k in range(9):
+        dim = 1 + k % 3
+        svmap = random_dyadic_map(rng, dim)
+        counts = [5, 3, 2][dim - 1]
+        grid = sample_grid([-1.0] * dim, [1.0] * dim, [counts] * dim)
+        x0 = grid[int(rng.integers(len(grid)))]
+        v0 = svmap.eval(x0).points[int(rng.integers(len(svmap.eval(x0))))]
+        docs.append((f"random-{k}", {
+            "map": map_to_dict(svmap), "x0": x0.tolist(), "v0": v0.tolist(), "T": 1.0,
+            "h": 0.5, "strategy": "support", "tol": [0.0, 1e-9, 0.25][k % 3],
+            "grid": {"low": [-1.0] * dim, "high": [1.0] * dim, "counts": [counts] * dim},
+            "max_length": 1 + k % 2,
+        }))
+    return docs
+
+
+@pytest.mark.parametrize("name, doc", query_problems(), ids=[n for n, _ in query_problems()])
+def test_query_phase_matches_the_per_pair_loop(name, doc, tmp_path):
+    # subgradient.json against the entries built pair by pair through the
+    # public submap tests, on the family the command wrote
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc) + "\n")
+    assert run_potential(f, tmp_path / "o") == 0
+    spec = parse_problem(f.read_text())
+    family = family_from_text((tmp_path / "o" / "family.json").read_text())
+    want = subgradient_entries_ref(family, spec.map, grid_points_ref(spec.grid), spec.tol)
+    assert (tmp_path / "o" / "subgradient.json").read_text() == json.dumps(want, indent=2) + "\n"

@@ -31,7 +31,8 @@ from setflow import (
     table_map,
 )
 
-from conftest import make_non_wcm_map, make_sign_map
+from conftest import bits, make_non_wcm_map, make_sign_map
+from oracles import grid_points_ref
 
 
 class TestPLConvexFunction:
@@ -198,6 +199,21 @@ class TestGrids:
             pts = sample_grid([-1e308], [7e307], [3])
         assert [p.tolist() for p in pts[::2]] == [[-1e308], [7e307]]
         assert np.isfinite(pts[1]).all()
+
+    @pytest.mark.parametrize("low, high, counts", [
+        ([0.0], [1.0], [3]), ([-1.0], [1.0], [5]), ([-1.0], [1.0], [4000]), ([2.0], [9.0], [1]),
+        ([-1.0, -0.3], [1.0, 0.7], [5, 7]), ([-1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [3, 4, 1]),
+        ([-1e308], [7e307], [3]), ([-0.1, -3.0], [0.3, 5.0], [11, 3]),
+    ])
+    def test_points_are_one_read_only_array(self, low, high, counts):
+        g = GridSpec(low, high, counts)
+        pts = g.points()
+        assert pts.shape == (math.prod(counts), len(counts)) and pts.dtype == np.float64
+        assert bits(pts.ravel()) == bits(np.ravel(grid_points_ref(g)))
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.5
+        assert bits(sample_grid(low, high, counts).ravel()) == bits(pts.ravel())
 
     def test_scalar_count_for_one_axis(self):
         assert [p.tolist() for p in sample_grid([0.0], [1.0], 3)] == [[0.0], [0.5], [1.0]]
