@@ -667,8 +667,7 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
     samples with support values as weights; the witness is the first
     violating sequence in length-then-lexicographic order and
     ``sequences_checked`` its position.  Raises :class:`BudgetExceededError`
-    before it forms any support value when some length has more than
-    ``budget`` sequences.
+    before forming support values when a length has over ``budget`` sequences.
     """
     return _support_chain(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol, budget)
 

@@ -208,8 +208,7 @@ def run_classify(args) -> int:
     budget = _charge("classify", math.prod(grid.counts) ** 2, "pairs of grid points")
     samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
-    # pairwise monotonicity evaluates the map lazily, so it runs first; the
-    # other four classes share one node set
+    # classify_monotone evaluates lazily, so it runs before the shared node set
     reports = [classify_monotone(spec.map, samples, spec.tol, budget)]
     graph = _ChainGraph(spec.map, samples)
     reports += [
@@ -248,14 +247,14 @@ def run_potential(args) -> int:
         fh.write(family_to_text(family))
     print("wrote family.json")
 
-    values = potential_values(family, samples)
+    potentials = potential_values(family, samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
-    rows = [[_fmt(c) for c in p] + [_fmt(value)] for p, value in zip(samples, values)]
+    rows = [[_fmt(c) for c in p] + [_fmt(value)] for p, value in zip(samples, potentials)]
     _write_csv(out / "potential_values.csv", header, rows)
 
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible
-    compatible = inner_rows(graph.X - spec.x0, graph.V) >= values[graph.owner] - spec.tol
+    compatible = inner_rows(graph.X - spec.x0, graph.V) >= potentials[graph.owner] - spec.tol
     entries = []
     for i, p in enumerate(samples):
         lo, hi = graph.start[i], graph.start[i + 1]

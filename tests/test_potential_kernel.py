@@ -392,7 +392,8 @@ def test_cli_outputs_match_the_references(problem, tmp_path, monkeypatch):
     assert run_potential(problem, tmp_path / "kernel") == 0
     svmap = parse_problem(problem.read_text()).map
 
-    def family_ref(graph, x0, v0, max_length, box, budget, tol, cap=potential.DEFAULT_FAMILY_CAP):
+    def family_ref(graph, x0, v0, max_length, box, budget, tol,
+                   cap=potential.DEFAULT_FAMILY_CAP):
         # the reference evaluates the map at every grid point itself
         return build_family_ref(svmap, x0, v0, graph.points, max_length, box, cap, budget, tol)
 
@@ -430,7 +431,10 @@ def query_problems():
     return docs
 
 
-@pytest.mark.parametrize("name, doc", query_problems(), ids=[n for n, _ in query_problems()])
+QUERY_PROBLEMS = query_problems()
+
+
+@pytest.mark.parametrize("name, doc", QUERY_PROBLEMS, ids=[name for name, _ in QUERY_PROBLEMS])
 def test_query_phase_matches_the_per_pair_loop(name, doc, tmp_path):
     # subgradient.json against the entries built pair by pair through the
     # public submap tests, on the family the command wrote
