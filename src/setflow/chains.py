@@ -15,8 +15,8 @@ Extension strategies offer three ways to continue a chain to a new point with
 a velocity from a set-valued map: exhaustive slack maximization, support
 maximization in the anchored direction, and an inertial rule that keeps the
 new velocity aligned with the previous one.  Classifiers decide the
-monotonicity hierarchy over finite sample sets: the pairwise classes by
-enumeration, the chain classes on one (point, value) graph, by a max-plus
+monotonicity hierarchy over finite sample sets on one (point, value) graph:
+the pairwise classes by scans, the chain classes by a max-plus
 dynamic program or a batched breadth-first search.  Their verdicts are
 relative to the samples and every negative verdict carries a witness that can
 be replayed.
@@ -24,10 +24,9 @@ be replayed.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -305,36 +304,39 @@ def _samples(svmap, samples) -> np.ndarray:
 def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """Pairwise monotonicity ``<x - y, v_x - v_y> >= -tol`` over the samples.
 
-    The map is evaluated at a sample when the pair loop first reaches it, so
-    an over-budget run stops evaluating once the budget is spent.
+    Every pair of samples holds a check, so the first ``budget`` checks lie
+    among the first ``budget + 1`` samples, and only those are evaluated.
     """
     pts = _samples(svmap, samples)
-    values = []
-    used = 0
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        while len(values) <= j:
-            values.append(svmap.eval(pts[len(values)]).points)
-        for vx in values[i]:
-            for vy in values[j]:
-                used += 1
-                if used > budget:
-                    raise BudgetExceededError(used, budget)
-                gap = inner(pts[i] - pts[j], vx - vy)
-                if gap < -tol:
-                    witness = {
-                        "x": pts[i].tolist(),
-                        "y": pts[j].tolist(),
-                        "v_x": vx.tolist(),
-                        "v_y": vy.tolist(),
-                        "gap": gap,
-                    }
-                    return ClassReport(
-                        "monotone", False, witness, tol, _describe(pts),
-                        {"pairs_checked": used},
-                    )
-    return ClassReport(
-        "monotone", True, None, tol, _describe(pts), {"pairs_checked": used}
-    )
+    report = _monotone(_ChainGraph(svmap, pts[:budget + 1]), tol, budget)
+    if report.holds and len(pts) > budget + 1:
+        raise BudgetExceededError(budget + 1, budget)
+    return replace(report, samples=_describe(pts))
+
+
+def _monotone(graph, tol, budget):
+    # checks run over sample pairs i < j, then the nodes of i, then those of j
+    X, V, start, sizes = graph.X, graph.V, graph.start, np.diff(graph.start)
+    used, witness = 0, None
+    for i, (lo, mid) in enumerate(zip(start, start[1:-1])):
+        if used >= budget:
+            raise BudgetExceededError(budget + 1, budget)
+        gaps = inner_rows(X[lo:mid, None] - X[mid:], V[lo:mid, None] - V[mid:])
+        a, b = np.nonzero(gaps < -tol)
+        if a.size:
+            j = graph.owner[mid + b]
+            order = sizes[i] * (start[j] - mid) + a * sizes[j] + mid + b - start[j]
+            k = int(np.argmin(order))
+            used += int(order[k]) + 1
+            x, y = lo + a[k], mid + b[k]
+            witness = {"x": X[x].tolist(), "y": X[y].tolist(), "v_x": V[x].tolist(),
+                       "v_y": V[y].tolist(), "gap": float(gaps[a[k], b[k]])}
+            break
+        used += gaps.size
+    if used > budget:
+        raise BudgetExceededError(budget + 1, budget)
+    return ClassReport("monotone", witness is None, witness, tol, _describe(graph.points),
+                       {"pairs_checked": used})
 
 
 def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):

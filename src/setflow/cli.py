@@ -31,10 +31,10 @@ from .chains import (
     _anchored_pick,
     _ChainGraph,
     _cyclic_monotone,
+    _monotone,
     _support_chain,
     _weak_cyclic_monotone,
     _weakly_monotone,
-    classify_monotone,
 )
 from .geometry import inner_rows
 from .potential import (
@@ -206,12 +206,10 @@ def run_classify(args) -> int:
     grid = _classify_grid(spec, "classify")
     # the support-chain condition checks every pair of the n grid points
     budget = _charge("classify", math.prod(grid.counts) ** 2, "pairs of grid points")
-    samples = grid.points()
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
-    # classify_monotone evaluates lazily, so it runs before the shared node set
-    reports = [classify_monotone(spec.map, samples, spec.tol, budget)]
-    graph = _ChainGraph(spec.map, samples)
-    reports += [
+    graph = _ChainGraph(spec.map, grid.points())
+    reports = [
+        _monotone(graph, spec.tol, budget),
         _weakly_monotone(graph, spec.tol, budget),
         _cyclic_monotone(graph, max_length, spec.tol, budget),
         _weak_cyclic_monotone(graph, max_length, spec.tol, budget),

@@ -528,6 +528,30 @@ def submap_select_ref(family, svmap, x, tol=0.0):
     return None
 
 
+def monotone_ref(svmap, samples, tol, budget):
+    """The pair loop ``classify_monotone`` ran before it scanned the node set.
+
+    The map is evaluated at a sample when the loop first reaches it.
+    """
+    pts = [np.asarray(p, dtype=float) for p in samples]
+    values = []
+    meter = _Meter(budget)
+    for i, j in combinations(range(len(pts)), 2):
+        while len(values) <= j:
+            values.append(svmap.eval(pts[len(values)]).points)
+        for vx in values[i]:
+            for vy in values[j]:
+                meter.spend()
+                gap = inner(pts[i] - pts[j], vx - vy)
+                if gap < -tol:
+                    witness = {"x": pts[i].tolist(), "y": pts[j].tolist(), "v_x": vx.tolist(),
+                               "v_y": vy.tolist(), "gap": gap}
+                    return ClassReport("monotone", False, witness, tol, _describe(pts),
+                                       {"pairs_checked": meter.used})
+    return ClassReport("monotone", True, None, tol, _describe(pts),
+                       {"pairs_checked": meter.used})
+
+
 def weakly_monotone_ref(svmap, samples, tol, budget):
     pts = [np.asarray(p, dtype=float) for p in samples]
     values = [svmap.eval(p).points for p in pts]

@@ -2,7 +2,9 @@
 
 ``classify_cyclic_monotone``, ``classify_weak_cyclic_monotone`` and
 ``check_support_chain`` must produce the reports of the per-chain loops they
-replaced byte for byte, and raise the same budget errors.  On dyadic data the
+replaced byte for byte, and raise the same budget errors; so must the scans
+of ``classify_monotone`` and ``classify_weakly_monotone`` against their pair
+loops.  On dyadic data the
 verdicts are also checked in exact arithmetic.
 """
 
@@ -39,6 +41,7 @@ from oracles import (
     chain_holds_exact,
     cyclic_monotone_brute,
     first_chain_violation_exact,
+    monotone_ref,
     support_chain_brute,
     weak_cyclic_monotone_brute,
     weakly_monotone_ref,
@@ -154,6 +157,24 @@ def test_weakly_monotone_blocks_match_the_row_loop(monkeypatch):
             assert outcome(classify_weakly_monotone, svmap, grid, 0.0, budget) == want
             verdicts.add(want if isinstance(want, tuple) else json.loads(want)["holds"])
     assert {True, False} <= verdicts
+
+
+def test_monotone_scan_matches_the_pair_loop():
+    # budgets that end inside the first sample's checks of grids with more
+    # than budget + 1 points, and budgets that cover whole grids
+    rng = np.random.default_rng(1966)
+    cases = [(e.svmap, e.grid) for e in build_corpus()]
+    cases += [(random_dyadic_map(rng, dim), sample_grid([-1.0] * dim, [1.0] * dim, [n] * dim))
+              for dim, sizes in ((1, (2, 9, 17)), (2, (3, 5)), (3, (2, 3)))
+              for n in sizes for _ in range(4)]
+    verdicts = set()
+    for svmap, grid in cases:
+        for tol in (0.0, 1e-9, 0.3):
+            for budget in (1, 2, 3, 5, 7, 50, 10**6):
+                want = outcome(monotone_ref, svmap, grid, tol, budget)
+                assert outcome(classify_monotone, svmap, grid, tol, budget) == want
+                verdicts.add(want[0] if isinstance(want, tuple) else json.loads(want)["holds"])
+    assert verdicts == {True, False, "budget"}
 
 
 def random_cases(count=24):

@@ -505,13 +505,10 @@ class TestEvaluationCounts:
         # only the anchor is evaluated alone, when the document is checked
         assert set(rows["eval"]) == {(0.25,)}
 
-    def test_classify_evaluates_each_grid_point_once_besides_the_pairwise_class(
-            self, tmp_path, monkeypatch):
+    def test_classify_evaluates_each_grid_point_once(self, tmp_path, monkeypatch):
         rows = self._counted(monkeypatch, tmp_path, "classify")
         assert rows["eval_many"] == self.GRID
-        # classify_monotone evaluates each point when its pair loop first
-        # reaches it
-        assert [p for p in rows["eval"] if p != (0.25,)] == self.GRID
+        assert set(rows["eval"]) == {(0.25,)}
 
 
 class TestGridBounds:
