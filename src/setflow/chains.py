@@ -173,12 +173,13 @@ def verify_chain(chain: Chain, tol: float = 0.0):
     """Check the chain inequality at every index.
 
     Returns ``(True, None)`` or ``(False, m)`` with the first index whose
-    slack ``<x_m - x_0, v_m> - sums[m]`` drops below ``-tol``.  With
-    ``tol=0`` the comparison is sign-exact in floating point.
+    slack ``<x_m - x_0, v_m> - sums[m]`` is not at least ``-tol``, a NaN
+    slack of overflowing terms included.  With ``tol=0`` the comparison is
+    sign-exact in floating point.
     """
     for m in range(1, len(chain)):
         slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
-        if slack < -tol:
+        if not slack >= -tol:
             return False, m
     return True, None
 
@@ -252,7 +253,7 @@ def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFA
         return None
     pts, turns = pts[feasible], turns[feasible]
     v = pts[_best_row(pts, -inner_rows(turns, turns))]
-    if extension_slack(chain, x_next, v) < -tol:
+    if not extension_slack(chain, x_next, v) >= -tol:
         return None
     return v
 

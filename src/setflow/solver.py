@@ -202,23 +202,33 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     states = [x0]
     velocities = [v0]
     x = x0
-    for k, dt in enumerate(deltas.tolist()):
-        # Python floats round as numpy does but overflow without a warning,
-        # so a node past the largest float is reported here by its step
-        node = [a + dt * b for a, b in zip(x.tolist(), velocities[-1].tolist())]
-        if not all(map(math.isfinite, node)):
-            raise ValueError(f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
-        x = np.array(node)
-        v = _select(tip, x, svmap, spec.strategy, spec.tol)
-        if v is None:
-            chain = Chain(states, velocities)
-            candidates = svmap.eval(x).points
-            slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
-            raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
-                                  spec.strategy, spec.tol)
-        tip = tip.extended(x, v)
-        states.append(x)
-        velocities.append(v)
+    k = 0
+    try:
+        # a chain term past the largest float raises, where it would leave
+        # an inf or NaN slack that no comparison can trust
+        with np.errstate(over="raise", invalid="raise"):
+            for k, dt in enumerate(deltas.tolist()):
+                # Python floats round as numpy does but overflow without a
+                # warning, so a node past the largest float is reported here
+                node = [a + dt * b for a, b in zip(x.tolist(), velocities[-1].tolist())]
+                if not all(map(math.isfinite, node)):
+                    raise ValueError(
+                        f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
+                x = np.array(node)
+                v = _select(tip, x, svmap, spec.strategy, spec.tol)
+                if v is None:
+                    chain = Chain(states, velocities)
+                    candidates = svmap.eval(x).points
+                    slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
+                    raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
+                                          spec.strategy, spec.tol)
+                tip = tip.extended(x, v)
+                states.append(x)
+                velocities.append(v)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"Euler node {k + 1} (t={float(times[k + 1])!r}) leaves the float range: {exc}"
+        ) from None
     return Trajectory(np.array(times), np.vstack(states), np.vstack(velocities),
                       spec.step, spec.strategy)
 

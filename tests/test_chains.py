@@ -113,6 +113,13 @@ class TestVerifyAgainstOracle:
         assert not verify_chain(Chain(xs, vs), tol=0.0)[0]
         assert verify_chain(Chain(xs, vs), tol=1e-9)[0]
 
+    def test_overflowing_sums_fail(self):
+        # sums[2] and the anchored product at index 2 both overflow, so the
+        # slack there is inf - inf = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            chain = Chain([[0.0], [1e308], [1.7e308]], [[1.7], [1.7], [1.7]])
+            assert verify_chain(chain) == (False, 2)
+
     def test_constructive_cm_chains_verify_at_zero(self, rng):
         for _ in range(100):
             dim = int(rng.integers(1, 4))
@@ -180,6 +187,13 @@ class TestExtensionRules:
         assert inner(x_next - c.anchor_point, v - c.last_velocity) >= -0.1
         assert extension_slack(c, x_next, v) < -0.1
         assert extend_inertial(c, x_next, F, tol=0.1) is None
+
+    def test_inertial_declines_a_nan_slack(self):
+        # the aligned pick's final-index slack is inf - inf = NaN
+        c = Chain([[0.0], [1e308]], [[1.7], [1.7]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(extension_slack(c, np.array([1.7e308]), np.array([1.7])))
+            assert extend_inertial(c, np.array([1.7e308]), constant_map([[1.7]]), 0.0) is None
 
     def test_inertial_prefers_smallest_velocity_change(self):
         F = constant_map([[-1.0], [1.0]])

@@ -430,6 +430,28 @@ class TestFiniteNodes:
         assert list(out.iterdir()) == []
 
 
+class TestOverflowingChains:
+    # nodes stay finite, but the chain sums and anchored products pass the
+    # largest float, where a comparison with an inf or NaN slack is void
+    DOCS = {
+        "steps-past-max": dict(TestFiniteNodes.OVERFLOW, T=8.8e307, h=4e306, strategy="inertial"),
+        "one-huge-step": TestFiniteNodes.OVERFLOW,
+    }
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "support", "inertial"])
+    @pytest.mark.parametrize("command", ["solve", "refine"])
+    @pytest.mark.parametrize("doc", DOCS, ids=str)
+    def test_chain_overflow_is_invalid(self, tmp_path, capsys, doc, command, strategy):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(dict(self.DOCS[doc], strategy=strategy)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(command, "--input", f, "--output", tmp_path / "o")
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("error: Euler node ")
+        assert list((tmp_path / "o").iterdir()) == []
+
+
 class TestGridBudget:
     @pytest.mark.parametrize("command", ["classify", "potential"])
     def test_huge_grid_exits_before_it_is_built(self, tmp_path, capsys, monkeypatch, command):
