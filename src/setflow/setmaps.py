@@ -805,15 +805,19 @@ def closed_graph_diagnostic(svmap: SetValuedMap, points, limit_point, directions
     every point of the (convergent) sample sequence; whenever that selection
     settles, the settled velocity must lie within ``tol`` of the value at the
     limit point.  A sampling diagnostic, not a proof of upper semicontinuity.
+    The map is evaluated once at the limit point and once at every sample,
+    whatever the number of directions.
     """
-    points = [np.asarray(p, dtype=float) for p in points]
     if len(points) < 2:
         raise ValueError("need at least two sample points")
     limit_value = svmap.eval(limit_point)
+    values, owner = svmap.eval_many(points)
+    # the last three selections decide whether the selection settles
+    n = len(points)
+    tail = [CompactSet._trusted(values[owner == i]) for i in range(max(0, n - 3), n)]
     for d in directions:
-        picks = [support_argmax(d, svmap.eval(p)) for p in points]
-        tail = picks[-min(3, len(picks)):]
-        settled = all(norm(a - b) <= tol for a in tail for b in tail)
-        if settled and dist_to_set(tail[-1], limit_value) > tol:
+        picks = [support_argmax(d, value) for value in tail]
+        settled = all(norm(a - b) <= tol for a in picks for b in picks)
+        if settled and dist_to_set(picks[-1], limit_value) > tol:
             return False
     return True

@@ -39,6 +39,7 @@ from setflow import (
     subgradient_test,
     submap_contains,
     submap_select,
+    support_argmax,
     support_value,
     verify_chain,
 )
@@ -644,6 +645,21 @@ def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
         if gap > 0.0:
             hull = max(hull, dist_to_hull(v, values, hull_tol))
     return node, hull
+
+
+def closed_graph_diagnostic_ref(svmap, points, limit_point, directions, tol):
+    """``closed_graph_diagnostic`` as it evaluated the map at every point once per direction."""
+    points = [np.asarray(p, dtype=float) for p in points]
+    if len(points) < 2:
+        raise ValueError("need at least two sample points")
+    limit_value = svmap.eval(limit_point)
+    for d in directions:
+        picks = [support_argmax(d, svmap.eval(p)) for p in points]
+        tail = picks[-min(3, len(picks)):]
+        settled = all(norm(a - b) <= tol for a in tail for b in tail)
+        if settled and dist_to_set(tail[-1], limit_value) > tol:
+            return False
+    return True
 
 
 def grid_points_ref(grid):

@@ -31,8 +31,8 @@ from setflow import (
     table_map,
 )
 
-from conftest import bits, make_non_wcm_map, make_sign_map
-from oracles import grid_points_ref
+from conftest import bits, build_corpus, make_non_wcm_map, make_sign_map
+from oracles import closed_graph_diagnostic_ref, grid_points_ref
 
 
 class TestPLConvexFunction:
@@ -314,3 +314,44 @@ def test_closed_graph_diagnostic_smoke():
     approach = [np.array([x]) for x in (0.5, 0.25, 0.125, 0.0625)]
     ok = closed_graph_diagnostic(F, approach, np.array([0.0]), [np.array([1.0])], 1e-9)
     assert ok
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_closed_graph_diagnostic_matches_the_per_direction_loop():
+    # sequences along the grid, back, and toward the origin, with limits on
+    # and off them, and no direction, one or three
+    verdicts = set()
+    for entry in build_corpus():
+        dim = entry.grid.shape[1]
+        axis = np.eye(dim)[0]
+        toward_origin = [2.0 ** -k * np.ones(dim) for k in range(1, 6)]
+        for points in (entry.grid, entry.grid[::-1], toward_origin, entry.grid[:2], entry.grid[:1]):
+            for limit in (points[-1], -points[-1], np.zeros(dim)):
+                for directions in ([], [axis], [axis, -np.ones(dim), np.eye(dim)[-1]]):
+                    for tol in (1e-9, 0.5):
+                        args = (entry.svmap, points, limit, directions, tol)
+                        want = _outcome(closed_graph_diagnostic_ref, *args)
+                        assert _outcome(closed_graph_diagnostic, *args) == want, entry.name
+                        verdicts.add(want)
+    assert verdicts == {True, False, "need at least two sample points"}
+
+
+def test_closed_graph_diagnostic_evaluates_each_point_once():
+    calls = []
+    base = make_sign_map()
+
+    def counted(x):
+        calls.append(tuple(x))
+        return base.eval(x)
+
+    points = [np.array([2.0 ** -k]) for k in range(10)]
+    directions = [np.array([1.0]), np.array([-1.0]), np.array([0.5])]
+    assert closed_graph_diagnostic(SetValuedMap(1, counted), points, np.array([0.0]),
+                                   directions, 1e-9)
+    assert calls == [(0.0,)] + [tuple(p) for p in points]
