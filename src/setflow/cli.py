@@ -4,8 +4,9 @@ Every command reads one problem-spec JSON document and writes plain-text
 artifacts (CSV/JSON at full float precision) into an output directory.  Runs
 are deterministic: the same inputs produce byte-identical outputs.  Exit
 codes: 0 success (classification verdicts are data, not failures), 2 invalid
-input, 3 velocity selection failed (replay state is written next to the other
-outputs), 4 combinatorial budget exceeded.  The budget defaults to 10^6 chains
+input (arithmetic that overflows the float range included), 3 velocity
+selection failed (replay state is written next to the other outputs), 4
+combinatorial budget exceeded.  The budget defaults to 10^6 chains
 per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
 environment variable.  ``classify`` and ``potential`` charge every pair of
 grid points before they build the grid, ``potential`` its query phase, every
@@ -171,7 +172,6 @@ def run_solve(args) -> int:
         [_fmt(t)] + [_fmt(c) for c in x] + [_fmt(c) for c in v]
         for t, x, v in zip(traj.times, traj.states, traj.velocities)
     ]
-    _write_csv(out / "trajectory.csv", header, rows)
     node, hull = trajectory_residual(traj, spec.map)
     summary = {
         "nodes": traj.node_count(),
@@ -187,6 +187,7 @@ def run_solve(args) -> int:
         # advisory horizon bound for the unit ball around x0; never applied
         "horizon_hint_unit_ball": horizon_hint(spec.map, spec.x0, 1.0),
     }
+    _write_csv(out / "trajectory.csv", header, rows)
     _write_json(out / "summary.json", summary)
     print(f"solved {traj.node_count()} nodes, chain_ok={summary['chain_ok']}")
     return EXIT_OK
@@ -241,14 +242,9 @@ def run_potential(args) -> int:
     _charge("potential", len(graph.V) * len(samples), "node-sample checks")
     box = (np.array(grid.low), np.array(grid.high))
     family, stats = _build_family(graph, spec.x0, spec.v0, max_length, box, budget, spec.tol)
-    with open(out / "family.json", "w", newline="\n") as fh:
-        fh.write(family_to_text(family))
-    print("wrote family.json")
-
     potentials = potential_values(family, samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
     rows = [[_fmt(c) for c in p] + [_fmt(value)] for p, value in zip(samples, potentials)]
-    _write_csv(out / "potential_values.csv", header, rows)
 
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible
@@ -269,13 +265,19 @@ def run_potential(args) -> int:
             "values": checks,
         })
     accepted = int(np.count_nonzero(compatible))
-    _write_json(out / "subgradient.json", {"entries": entries})
     summary = {
         "family_size": len(family),
         "anchor_value": potential_value(family, spec.x0),
         "accepted_pairs": accepted,
         **stats,
     }
+    # every figure is computed before the first file is written, so a run
+    # that fails leaves no outputs
+    with open(out / "family.json", "w", newline="\n") as fh:
+        fh.write(family_to_text(family))
+    print("wrote family.json")
+    _write_csv(out / "potential_values.csv", header, rows)
+    _write_json(out / "subgradient.json", {"entries": entries})
     _write_json(out / "potential_summary.json", summary)
     print(f"family of {len(family)} chains, {accepted} compatible pairs")
     return EXIT_OK
@@ -358,10 +360,16 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        # an overflowing product or an inf - inf would leave a verdict or a
+        # slack that no comparison can trust, so it ends the run instead
+        with np.errstate(over="raise", invalid="raise"):
+            return _RUNNERS[args.command](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except FloatingPointError as exc:
+        print(f"error: arithmetic leaves the float range: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -142,8 +142,9 @@ class CompactSet:
         return bool(np.any(np.all(self.points == p, axis=1)))
 
     def norm_max(self) -> float:
-        """Largest Euclidean norm over the points."""
-        return math.sqrt(float(inner_rows(self.points, self.points).max()))
+        """Largest Euclidean norm over the points; ``inf`` where a square overflows."""
+        with np.errstate(over="ignore"):
+            return math.sqrt(float(inner_rows(self.points, self.points).max()))
 
     def __eq__(self, other):
         if not isinstance(other, CompactSet):

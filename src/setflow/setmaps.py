@@ -356,7 +356,7 @@ def pl_subdifferential_map(f: PLConvexFunction) -> SetValuedMap:
     extreme points of the subdifferential, a singleton wherever ``f`` is
     differentiable.
     """
-    bound = max(norm(a) for a in f.slopes)
+    bound = CompactSet._trusted(f.slopes).norm_max()
     return SetValuedMap(
         f.dimension,
         f._active,
@@ -649,7 +649,7 @@ class ProblemSpec:
         try:
             x0 = as_vector(self.x0)
             v0 = as_vector(self.v0)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProblemFormatError(f"x0/v0: {exc}") from exc
         if x0.shape != (self.map.dimension,):
             raise ProblemFormatError("x0: dimension does not match the map")
@@ -762,8 +762,8 @@ def parse_problem(text: str) -> ProblemSpec:
 
     spec = ProblemSpec(
         map=svmap,
-        x0=np.asarray(doc["x0"], dtype=float),
-        v0=np.asarray(doc["v0"], dtype=float),
+        x0=doc["x0"],
+        v0=doc["v0"],
         horizon=_number("T"),
         step=_number("h"),
         strategy=doc["strategy"],

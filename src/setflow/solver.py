@@ -338,7 +338,9 @@ def horizon_hint(svmap: SetValuedMap, x0, radius: float) -> float:
     :class:`ValueError` for a map built without a bound rule; every built-in
     constructor supplies one.
     """
-    bound = svmap.local_bound(np.asarray(x0, dtype=float), radius)
+    with np.errstate(over="ignore"):
+        # a bound past the largest float reads inf, and the hint 0.0
+        bound = svmap.local_bound(np.asarray(x0, dtype=float), radius)
     if bound == 0.0:
         return float("inf")
     return radius / bound

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from setflow import (
     Chain,
@@ -450,6 +450,102 @@ class TestOverflowingChains:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: Euler node ")
         assert list((tmp_path / "o").iterdir()) == []
+
+
+# numbers a document may hold where a float belongs: ordinary, near and past
+# the largest float, and of the wrong type
+_EXTREMES = [1e308, -1e308, 1.7976931348623157e308, 1e200, -1e160, math.nan, math.inf,
+             -math.inf]
+_numbers = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 2.0]),
+                     st.sampled_from(_EXTREMES), st.sampled_from(["1", None, True, [1.0], {}]))
+
+
+@st.composite
+def _vectors(draw, d):
+    # mostly of the right dimension; sometimes ragged, nested or not a list
+    n = draw(st.sampled_from([d, d, d, d + 1, d - 1]))
+    v = draw(st.lists(_numbers, min_size=n, max_size=n))
+    return draw(st.sampled_from([v, v, v, v, "abc", 1.0, {"x": 1}, [v]]))
+
+
+@st.composite
+def _predicates(draw, d):
+    kind = draw(st.sampled_from(["halfspace", "box", "always", "sphere"]))
+    if kind == "halfspace":
+        return {"kind": kind, "normal": draw(_vectors(d)), "value": draw(_numbers),
+                "op": draw(st.sampled_from(["lt", "le", "eq", "ge", "gt", "ne"]))}
+    if kind == "box":
+        return {"kind": kind, "low": draw(_vectors(d)), "high": draw(_vectors(d))}
+    return {"kind": kind}
+
+
+@st.composite
+def _maps(draw, d):
+    points = st.lists(_vectors(d), max_size=3)
+    kind = draw(st.sampled_from(["constant", "subdifferential", "linear", "table", "spiral"]))
+    if kind == "constant":
+        return {"kind": kind, "points": draw(points)}
+    if kind == "subdifferential":
+        return {"kind": kind, "slopes": draw(points), "offsets": draw(st.lists(_numbers, max_size=3))}
+    if kind == "linear":
+        return {"kind": kind, "matrix": draw(st.lists(_vectors(d), max_size=d + 1))}
+    if kind == "table":
+        regions = draw(st.lists(st.fixed_dictionaries({"where": _predicates(d), "points": points}),
+                                max_size=3))
+        return {"kind": kind, "regions": draw(st.sampled_from([regions] * 3 + [{"a": 1}, "r", 3]))}
+    return {"kind": kind}
+
+
+@st.composite
+def _documents(draw):
+    d = draw(st.integers(1, 2))
+    doc = {"map": draw(_maps(d)), "x0": draw(_vectors(d)), "v0": draw(_vectors(d)),
+           "T": draw(_numbers), "h": draw(_numbers),
+           "strategy": draw(st.sampled_from(["exhaustive", "support", "inertial", "euler"])),
+           "tol": draw(st.one_of(st.sampled_from([1e-9, 0.0]), _numbers))}
+    if draw(st.booleans()):
+        doc["grid"] = {"low": draw(_vectors(d)), "high": draw(_vectors(d)),
+                       "counts": draw(st.lists(st.integers(0, 4), min_size=d, max_size=d))}
+    if draw(st.booleans()):
+        doc["max_length"] = draw(st.integers(0, 3))
+    return doc
+
+
+def _huge_values(kind, **fields):
+    # values of 1e200 on a grid out to 1e200: every product passes the float range
+    doc = {"map": {"kind": "constant", "points": [[1e200], [-1e200]]}, "x0": [0.0],
+           "v0": [1e200], "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+           "grid": {"low": [-1e200], "high": [1e200], "counts": [3]}}
+    if kind == "subdifferential":
+        doc["map"] = {"kind": kind, "slopes": [[1e200], [-1.0]], "offsets": [0.0, 0.0]}
+    return dict(doc, **fields)
+
+
+class TestMalformedDocuments:
+    @given(command=st.sampled_from(["solve", "classify", "potential", "refine"]),
+           doc=_documents())
+    @example(command="solve", doc=TestOverflowingChains.DOCS["steps-past-max"])
+    @example(command="refine", doc=TestOverflowingChains.DOCS["one-huge-step"])
+    @example(command="classify", doc=dict(SIGN_PROBLEM, v0={"x": 1}))
+    @example(command="solve", doc=dict(SIGN_PROBLEM, map={"kind": "constant",
+                                                          "points": [[1e308], [1.0]]}))
+    @example(command="classify", doc=_huge_values("constant"))
+    @example(command="potential", doc=_huge_values("constant"))
+    @example(command="solve", doc=_huge_values("constant", T=1e-200, h=0.5e-200))
+    @example(command="classify", doc=_huge_values("subdifferential"))
+    @example(command="solve", doc=_huge_values("subdifferential", x0=[1e200]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_documents_end_in_documented_codes(self, tmp_path, monkeypatch, command, doc):
+        monkeypatch.setenv(BUDGET_ENV, "500")
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc) + "\n")
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(command, "--input", f, "--output", tmp_path / "o")
+        assert time.perf_counter() - start < 5.0
+        assert code in (0, EXIT_INVALID, EXIT_SELECTION, EXIT_BUDGET)
 
 
 class TestGridBudget:
