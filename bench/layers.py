@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --parent ../parent/src --change src \\
         --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
-        --out BENCH_9.json
+        --out BENCH_10.json
 
 Each tree is measured in its own interpreter (``--measure SRC`` prints one
 JSON object), alternating parent and change for ``--rounds`` rounds, and
@@ -13,12 +13,16 @@ node of ``trajectory_residual``, per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per point
-of ``GridSpec.points`` on a 50x80 grid, per ``classify_weakly_monotone`` call
-and per ``setflow classify`` run (``max_length`` 2, through ``cli.main``, its
-five classifiers included) on the kink map of
-``demos/problems/kink_crossing.json`` over a 9x9 grid, on fixed two
-dimensional inputs.  Each is the least of five timed repeats.  The classify
-run writes its output under ``.bench_build/`` next to the measured tree.
+of ``GridSpec.points`` on a 50x80 grid, per ``classify_monotone`` and
+``classify_weakly_monotone`` call and per ``setflow classify`` run
+(``max_length`` 2, through ``cli.main``, its five classifiers included) on the
+kink map of ``demos/problems/kink_crossing.json`` over a 9x9 grid, per
+``verify_chain`` run over the node chain of the subdifferential trajectory of
+the residual figure, and per call of ``inner``, ``extension_slack`` (one
+velocity), ``Chain.extended``, ``support_argmax`` and ``dist_to_hull`` (the
+constant map's four values), on fixed two dimensional inputs.  Each is the
+least of five timed repeats.  The classify run writes its output under
+``.bench_build/`` next to the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
 and end-to-end metric, are recorded with the number of seeds where the
@@ -63,6 +67,7 @@ FAMILY_LENGTH = 3
 POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
 KINK = {"kind": "subdifferential", "slopes": [[1.0, 0.0], [2.0, -1.0]], "offsets": [0.0, 0.0]}
 KINK_GRID = {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [9, 9]}
+PRIMITIVE_CALLS = 2000
 
 
 def _per_call_us(fn, calls):
@@ -78,9 +83,10 @@ def measure(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
     import setflow.cli
-    from setflow import (GridSpec, ProblemSpec, affine_value, build_family,
-                         classify_weakly_monotone, euler_solve, grow_family, map_from_dict,
-                         sample_grid, trajectory_residual, verify_chain)
+    from setflow import (CompactSet, GridSpec, ProblemSpec, affine_value, build_family,
+                         classify_monotone, classify_weakly_monotone, dist_to_hull,
+                         euler_solve, extension_slack, grow_family, inner, map_from_dict,
+                         sample_grid, support_argmax, trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -104,6 +110,10 @@ def measure(src: str) -> dict:
         traj = euler_solve(spec)
         out[f"solver.trajectory_residual.{kind}.us_per_node"] = _per_call_us(
             lambda: trajectory_residual(traj, svmap), traj.node_count())
+        if kind == "subdifferential":
+            node_chain = traj.chain()
+            out["chains.verify_chain.us_per_run"] = _per_call_us(
+                lambda: verify_chain(node_chain), 1)
 
     svmap = map_from_dict(MAPS["subdifferential"])
     grid = sample_grid(*FAMILY_GRID)
@@ -132,8 +142,28 @@ def measure(src: str) -> dict:
         points.points, int(np.prod(POINTS_GRID[2])))
     kink = map_from_dict(KINK)
     kink_grid = sample_grid(KINK_GRID["low"], KINK_GRID["high"], KINK_GRID["counts"])
+    out["chains.classify_monotone.us_per_call"] = _per_call_us(
+        lambda: classify_monotone(kink, kink_grid), 1)
     out["chains.classify_weakly_monotone.us_per_call"] = _per_call_us(
         lambda: classify_weakly_monotone(kink, kink_grid), 1)
+
+    u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
+    short = node_chain.prefix(3)
+    values = CompactSet(MAPS["constant"]["points"])
+    outside = np.array([3.0, 2.5])
+    primitives = {
+        "geometry.inner": lambda: inner(u, w),
+        "chains.extension_slack": lambda: extension_slack(short, u, w),
+        "chains.Chain.extended": lambda: short.extended(u, w),
+        "geometry.support_argmax": lambda: support_argmax(u, values),
+        "geometry.dist_to_hull": lambda: dist_to_hull(outside, values),
+    }
+    for name, call in primitives.items():
+        def repeated(call=call):
+            for _ in range(PRIMITIVE_CALLS):
+                call()
+
+        out[f"{name}.us_per_call"] = _per_call_us(repeated, PRIMITIVE_CALLS)
     work = Path(src).resolve().parent / ".bench_build"
     work.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(dir=work) as tmp:

@@ -202,7 +202,6 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     states = [x0]
     velocities = [v0]
     x = x0
-    k = 0
     try:
         # a chain term past the largest float raises, where it would leave
         # an inf or NaN slack that no comparison can trust

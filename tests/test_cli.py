@@ -451,6 +451,18 @@ class TestOverflowingChains:
         assert capsys.readouterr().err.startswith("error: Euler node ")
         assert list((tmp_path / "o").iterdir()) == []
 
+    def test_overflow_after_the_solve_leaves_no_files(self, tmp_path, capsys):
+        # the polygon stays near 0, but the residual squares the gap 2e160
+        # between the two values
+        doc = dict(TestFiniteNodes.OVERFLOW, map={"kind": "constant",
+                                                  "points": [[1e160], [-1e160]]},
+                   v0=[1e160], T=1e-200, h=0.5e-200)
+        code, out = _timed_run(tmp_path, "solve", doc)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            "error: arithmetic leaves the float range: overflow encountered in vecdot\n"
+        assert list(out.iterdir()) == []
+
 
 # numbers a document may hold where a float belongs: ordinary, near and past
 # the largest float, and of the wrong type
