@@ -305,35 +305,63 @@ def _samples(svmap, samples) -> np.ndarray:
 def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """Pairwise monotonicity ``<x - y, v_x - v_y> >= -tol`` over the samples.
 
-    Every pair of samples holds a check, so the first ``budget`` checks lie
-    among the first ``budget + 1`` samples, and only those are evaluated.
+    The first ``budget`` checks pair the first sample's ``s`` values with the
+    values of the next samples, at least one each, so the samples are
+    evaluated in doubling blocks, none past the first ``ceil(budget / s) + 1``,
+    until those pairs hold ``budget`` checks.
     """
     pts = _samples(svmap, samples)
-    report = _monotone(_ChainGraph(svmap, pts[:budget + 1]), tol, budget)
-    if report.holds and len(pts) > budget + 1:
+    values, owner = svmap.eval_many(pts[:1])
+    m, first = 1, len(values)
+    # the pairs (0, 1) ... (0, m - 1) hold first * (len(values) - first) checks
+    while m < len(pts) and first * (len(values) - first) < budget:
+        step = min(m, -((first * (len(values) - first) - budget) // first))
+        V, own = svmap.eval_many(pts[m:m + step])
+        values, owner = np.concatenate([values, V]), np.concatenate([owner, own + m])
+        m = min(m + step, len(pts))
+    report = _monotone(_ChainGraph(svmap, pts[:m], (values, owner)), tol, budget)
+    if report.holds and len(pts) > m:
         raise BudgetExceededError(budget + 1, budget)
     return replace(report, samples=_describe(pts))
 
 
 def _monotone(graph, tol, budget):
-    # checks run over sample pairs i < j, then the nodes of i, then those of j
-    X, V, start, sizes = graph.X, graph.V, graph.start, np.diff(graph.start)
-    used, witness = 0, None
-    for i, (lo, mid) in enumerate(zip(start, start[1:-1])):
+    # checks run over sample pairs i < j, then the nodes of i, then those of j;
+    # without a violation, sample i's checks follow the first skip[i]
+    (K, d), start, sizes = graph.X.shape, graph.start, np.diff(graph.start)
+    skip = np.concatenate([[0], np.cumsum(sizes[:-1] * (K - start[1:-1]))])
+    # only the nodes b < hi[i] of later samples and the rows a < lo + rows[i]
+    # of sample i hold checks within the budget
+    room = np.maximum(budget - skip, 1)
+    hi = start[np.minimum(np.searchsorted(start, start[1:] - (-room // sizes)), len(sizes))]
+    rows = np.minimum(sizes[:-1], -(-room[:-1] // sizes[1:]))
+    witness = None
+    for i, (lo, mid, end, used, count) in enumerate(zip(
+            start[:-2].tolist(), start[1:-1].tolist(), hi.tolist(), skip.tolist(),
+            rows.tolist())):
         if used >= budget:
             raise BudgetExceededError(budget + 1, budget)
-        gaps = inner_rows(X[lo:mid, None] - X[mid:], V[lo:mid, None] - V[mid:])
-        a, b = np.nonzero(gaps < -tol)
-        if a.size:
-            j = graph.owner[mid + b]
-            order = sizes[i] * (start[j] - mid) + a * sizes[j] + mid + b - start[j]
-            k = int(np.argmin(order))
-            used += int(order[k]) + 1
-            x, y = lo + a[k], mid + b[k]
-            witness = {"x": X[x].tolist(), "y": X[y].tolist(), "v_x": V[x].tolist(),
-                       "v_y": V[y].tolist(), "gap": float(gaps[a[k], b[k]])}
+        block = max(1, _BLOCK_ELEMENTS // ((end - mid) * d))
+        found = None  # (check number in sample i's scan, node a, node b, gap)
+        for r in range(lo, lo + count, block):
+            rs = slice(r, min(r + block, lo + count))
+            gaps = inner_rows(graph.X[rs, None] - graph.X[mid:end],
+                              graph.V[rs, None] - graph.V[mid:end])
+            a, b = np.nonzero(gaps < -tol)
+            if a.size:
+                j = graph.owner[mid + b]
+                order = sizes[i] * (start[j] - mid) + (r - lo + a) * sizes[j] + mid + b - start[j]
+                k = int(np.argmin(order))
+                if found is None or order[k] < found[0]:
+                    found = (int(order[k]), r + a[k], mid + b[k], float(gaps[a[k], b[k]]))
+        if found is not None:
+            used += found[0] + 1
+            x, y = found[1], found[2]
+            witness = {"x": graph.X[x].tolist(), "y": graph.X[y].tolist(),
+                       "v_x": graph.V[x].tolist(), "v_y": graph.V[y].tolist(), "gap": found[3]}
             break
-        used += gaps.size
+    else:
+        used = int(skip[-1])
     if used > budget:
         raise BudgetExceededError(budget + 1, budget)
     return ClassReport("monotone", witness is None, witness, tol, _describe(graph.points),
@@ -395,9 +423,9 @@ class _ChainGraph:
     :func:`inner` of :class:`Chain` and :func:`verify_chain` bit for bit.
     """
 
-    def __init__(self, svmap, points):
+    def __init__(self, svmap, points, evaluated=None):
         self.points = points
-        self.V, self.owner = svmap.eval_many(points)
+        self.V, self.owner = svmap.eval_many(points) if evaluated is None else evaluated
         self.start = np.searchsorted(self.owner, np.arange(len(points) + 1))
         self.X = points[self.owner]
 

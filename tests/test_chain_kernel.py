@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,30 @@ def test_monotone_scan_matches_the_pair_loop():
     assert verdicts == {True, False, "budget"}
 
 
+def test_monotone_blocks_match_the_pair_loop(monkeypatch):
+    # blocks of a few rows; many-valued maps whose budgets end inside a row,
+    # between the rows of a pair of samples and between samples
+    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", 7)
+    rng = np.random.default_rng(1967)
+    cases = [(e.svmap, e.grid) for e in build_corpus()]
+    cases += [(constant_map(rng.integers(-4, 5, (k, dim)) / 4),
+               sample_grid([-1.0] * dim, [1.0] * dim, [n] * dim))
+              for dim, n in ((1, 9), (2, 3), (2, 4)) for k in (2, 3, 5)]
+    cases += [(random_dyadic_map(rng, dim), sample_grid([-1.0] * dim, [1.0] * dim, [3] * dim))
+              for dim in (1, 2, 2, 3) for _ in range(3)]
+    # values across the line of the samples: every gap is 0
+    cases += [(constant_map([[float(k), 0.0] for k in range(k)]),
+               sample_grid([0.0, -1.0], [0.0, 1.0], [1, 7])) for k in (1, 4, 6)]
+    verdicts = set()
+    for svmap, grid in cases:
+        for tol in (0.0, 0.3):
+            for budget in (1, 2, 3, 5, 8, 17, 50, 333, 10**6):
+                want = outcome(monotone_ref, svmap, grid, tol, budget)
+                assert outcome(classify_monotone, svmap, grid, tol, budget) == want
+                verdicts.add(want[0] if isinstance(want, tuple) else json.loads(want)["holds"])
+    assert verdicts == {True, False, "budget"}
+
+
 def random_cases(count=24):
     rng = np.random.default_rng(4096)
     for k in range(count):
@@ -259,3 +284,29 @@ def test_monotone_over_budget_stops_evaluating():
         classify_monotone(svmap, grid, tol=0.0, budget=10)
     assert (info.value.evaluated, info.value.budget) == (11, 10)
     assert len(calls) <= 10 + 2
+
+
+def test_monotone_over_budget_stays_small(monkeypatch):
+    # 40 values across the line of the samples: every gap is 0, and the budget
+    # ends with the pair (0, 625), where the pair loop had evaluated 627
+    # samples; scanning every node against sample 0 took a 125 MB peak
+    svmap = constant_map([[float(k), 0.0] for k in range(40)])
+    grid = sample_grid([0.0, 0.0], [0.0, 1.0], [1, 2000])
+    rows = []
+    eval_many = SetValuedMap.eval_many
+
+    def counted(self, X):
+        rows.extend(X)
+        return eval_many(self, X)
+
+    monkeypatch.setattr(SetValuedMap, "eval_many", counted)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as info:
+            classify_monotone(svmap, grid, tol=0.0, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.evaluated, info.value.budget) == (10**6 + 1, 10**6)
+    assert len(rows) <= 2 * 627
+    assert peak < 8 << 20

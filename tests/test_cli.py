@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -437,10 +438,13 @@ class TestOverflowingChains:
         "steps-past-max": dict(TestFiniteNodes.OVERFLOW, T=8.8e307, h=4e306, strategy="inertial"),
         "one-huge-step": TestFiniteNodes.OVERFLOW,
     }
+    # TestFiniteNodes runs the one-huge-step document through solve; refine at
+    # its default steps reaches the overflowing sums instead of a node past max
+    CASES = [("steps-past-max", "solve"), ("steps-past-max", "refine"),
+             ("one-huge-step", "refine")]
 
     @pytest.mark.parametrize("strategy", ["exhaustive", "support", "inertial"])
-    @pytest.mark.parametrize("command", ["solve", "refine"])
-    @pytest.mark.parametrize("doc", DOCS, ids=str)
+    @pytest.mark.parametrize("doc, command", CASES, ids=[f"{d}-{c}" for d, c in CASES])
     def test_chain_overflow_is_invalid(self, tmp_path, capsys, doc, command, strategy):
         f = tmp_path / "p.json"
         f.write_text(json.dumps(dict(self.DOCS[doc], strategy=strategy)) + "\n")
@@ -586,6 +590,24 @@ class TestGridBudget:
         assert _timed_run(tmp_path, command, doc)[0] == EXIT_BUDGET
         monkeypatch.setenv(BUDGET_ENV, "81")
         assert _timed_run(tmp_path, command, doc)[0] == EXIT_INVALID
+
+    def test_many_values_over_budget_stay_small(self, tmp_path, capsys):
+        # 961 points make 923,521 pairs within the default budget; 300 values
+        # across the first grid line give 30 pairs of 90,000 zero gaps, and
+        # scanning every node against the first point took gigabytes
+        doc = dict(SIGN_PROBLEM, x0=[0.0, 0.0], v0=[0.0, 0.0],
+                   map={"kind": "constant", "points": [[float(k), 0.0] for k in range(300)]},
+                   grid={"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [31, 31]})
+        tracemalloc.start()
+        try:
+            code, out = _timed_run(tmp_path, "classify", doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BUDGET
+        assert capsys.readouterr().err == \
+            "error: combinatorial budget exceeded: 1000001 chains evaluated, cap 1000000\n"
+        assert peak < 32 << 20
 
     def test_query_phase_charges_every_node(self, tmp_path, capsys, monkeypatch):
         # 3 points and 2 values each: 9 pairs of points fit a budget of 10,
