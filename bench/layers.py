@@ -2,27 +2,29 @@
 
     python3 bench/layers.py --parent ../parent/src --change src \\
         --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
-        --out BENCH_10.json
+        --out BENCH_11.json
 
-Each tree is measured in its own interpreter (``--measure SRC`` prints one
-JSON object), alternating parent and change for ``--rounds`` rounds, and
-every figure is the median over rounds.  A figure is microseconds per call
-of ``SetValuedMap.eval`` for each built-in map kind, per row of
+Each tree is measured in a fresh interpreter per round (``--measure SRC``
+prints one JSON object), for ``--rounds`` rounds that alternate which tree
+goes first.  Every figure is the least over rounds, recorded with the
+interquartile range of its rounds: one process alone can read twice as slow
+as the least of a dozen.  A figure is microseconds per call of
+``SetValuedMap.eval`` for each built-in map kind, per row of
 ``SetValuedMap.eval_many`` (``null`` where a tree has no such method), per
 node of ``trajectory_residual``, per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per point
-of ``GridSpec.points`` on a 50x80 grid, per ``classify_monotone`` and
-``classify_weakly_monotone`` call and per ``setflow classify`` run
-(``max_length`` 2, through ``cli.main``, its five classifiers included) on the
-kink map of ``demos/problems/kink_crossing.json`` over a 9x9 grid, per
-``verify_chain`` run over the node chain of the subdifferential trajectory of
-the residual figure, and per call of ``inner``, ``extension_slack`` (one
-velocity), ``Chain.extended``, ``support_argmax`` and ``dist_to_hull`` (the
-constant map's four values), on fixed two dimensional inputs.  Each is the
-least of five timed repeats.  The classify run writes its output under
-``.bench_build/`` next to the measured tree.
+of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
+classifiers and per ``setflow classify`` run (through ``cli.main``, its five
+classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
+over a 9x9 grid at ``max_length`` 2, per ``verify_chain`` run over the node
+chain of the subdifferential trajectory of the residual figure, and per call
+of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
+``support_argmax`` and ``dist_to_hull`` (the constant map's four values), on
+fixed two dimensional inputs.  Within a round each is the least of five timed
+repeats.  The classify run writes its output under ``.bench_build/`` next to
+the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
 and end-to-end metric, are recorded with the number of seeds where the
@@ -67,6 +69,7 @@ FAMILY_LENGTH = 3
 POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
 KINK = {"kind": "subdifferential", "slopes": [[1.0, 0.0], [2.0, -1.0]], "offsets": [0.0, 0.0]}
 KINK_GRID = {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [9, 9]}
+KINK_LENGTH = 2
 PRIMITIVE_CALLS = 2000
 
 
@@ -84,9 +87,11 @@ def measure(src: str) -> dict:
     import numpy as np
     import setflow.cli
     from setflow import (CompactSet, GridSpec, ProblemSpec, affine_value, build_family,
-                         classify_monotone, classify_weakly_monotone, dist_to_hull,
-                         euler_solve, extension_slack, grow_family, inner, map_from_dict,
-                         sample_grid, support_argmax, trajectory_residual, verify_chain)
+                         check_support_chain, classify_cyclic_monotone, classify_monotone,
+                         classify_weak_cyclic_monotone, classify_weakly_monotone,
+                         dist_to_hull, euler_solve, extension_slack, grow_family, inner,
+                         map_from_dict, sample_grid, support_argmax, trajectory_residual,
+                         verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -142,10 +147,13 @@ def measure(src: str) -> dict:
         points.points, int(np.prod(POINTS_GRID[2])))
     kink = map_from_dict(KINK)
     kink_grid = sample_grid(KINK_GRID["low"], KINK_GRID["high"], KINK_GRID["counts"])
-    out["chains.classify_monotone.us_per_call"] = _per_call_us(
-        lambda: classify_monotone(kink, kink_grid), 1)
-    out["chains.classify_weakly_monotone.us_per_call"] = _per_call_us(
-        lambda: classify_weakly_monotone(kink, kink_grid), 1)
+    for classify in (classify_monotone, classify_weakly_monotone):
+        out[f"chains.{classify.__name__}.us_per_call"] = _per_call_us(
+            lambda: classify(kink, kink_grid), 1)
+    for classify in (classify_cyclic_monotone, classify_weak_cyclic_monotone,
+                     check_support_chain):
+        out[f"chains.{classify.__name__}.us_per_call"] = _per_call_us(
+            lambda: classify(kink, kink_grid, KINK_LENGTH), 1)
 
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)
@@ -170,7 +178,7 @@ def measure(src: str) -> dict:
         problem = Path(tmp) / "kink.json"
         problem.write_text(json.dumps({"map": KINK, "x0": [0.0, 0.125], "v0": [1.0, 0.0],
                                        "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
-                                       "grid": KINK_GRID, "max_length": 2}))
+                                       "grid": KINK_GRID, "max_length": KINK_LENGTH}))
         argv = ["classify", "--input", str(problem), "--output", tmp]
         with contextlib.redirect_stdout(io.StringIO()):
             out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
@@ -183,9 +191,14 @@ def _run_tree(src: Path) -> dict:
     return json.loads(child.stdout)
 
 
-def _median(rows, name):
+def _least_and_spread(rows, name):
+    # (least, interquartile range) over rounds, or (None, None) where a tree
+    # lacks the figure
     values = [row[name] for row in rows]
-    return None if values[0] is None else statistics.median(values)
+    if values[0] is None:
+        return None, None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return min(values), q3 - q1
 
 
 def end_to_end(parent_dir: Path, change_dir: Path) -> dict:
@@ -215,7 +228,7 @@ def main(argv=None) -> int:
     p.add_argument("--measure", help="measure the tree whose sources are here, print JSON")
     p.add_argument("--parent", type=Path)
     p.add_argument("--change", type=Path)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=int, default=12)
     p.add_argument("--e2e-parent", type=Path)
     p.add_argument("--e2e-change", type=Path)
     p.add_argument("--out", type=Path)
@@ -225,15 +238,22 @@ def main(argv=None) -> int:
         return 0
     if not (args.parent and args.change and args.out):
         p.error("--parent, --change and --out are required unless --measure is given")
-    rows = {"parent": [], "change": []}
-    for _ in range(args.rounds):
-        rows["parent"].append(_run_tree(args.parent.resolve()))
-        rows["change"].append(_run_tree(args.change.resolve()))
+    if args.rounds < 2:
+        p.error("--rounds must be at least 2 for a spread")
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    rows = {side: [] for side in trees}
+    for k in range(args.rounds):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            rows[side].append(_run_tree(trees[side]))
+    per_layer = {}
+    for name in rows["change"][0]:
+        figures = {side: _least_and_spread(rows[side], name) for side in rows}
+        per_layer[name] = {**{side: least for side, (least, _) in figures.items()},
+                           "iqr": {side: iqr for side, (_, iqr) in figures.items()}}
     doc = {
         "machine": {"python": platform.python_version(), "platform": platform.platform()},
         "rounds": args.rounds,
-        "per_layer": {name: {side: _median(rows[side], name) for side in rows}
-                      for name in rows["change"][0]},
+        "per_layer": per_layer,
     }
     if args.e2e_parent and args.e2e_change:
         doc["end_to_end"] = end_to_end(args.e2e_parent, args.e2e_change)

@@ -291,6 +291,12 @@ class ClassReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+# an overflowing term or an inf - inf leaves a gap or slack that no comparison
+# can trust, so the public classifiers raise FloatingPointError instead of
+# giving a verdict
+_float_checked = np.errstate(over="raise", invalid="raise")
+
+
 def _describe(points) -> str:
     return f"{len(points)} points in R^{points.shape[1]}"
 
@@ -302,6 +308,7 @@ def _samples(svmap, samples) -> np.ndarray:
     return pts
 
 
+@_float_checked
 def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """Pairwise monotonicity ``<x - y, v_x - v_y> >= -tol`` over the samples.
 
@@ -330,6 +337,8 @@ def _monotone(graph, tol, budget):
     # without a violation, sample i's checks follow the first skip[i]
     (K, d), start, sizes = graph.X.shape, graph.start, np.diff(graph.start)
     skip = np.concatenate([[0], np.cumsum(sizes[:-1] * (K - start[1:-1]))])
+    # a budget past every check acts as one just past them, and stays in int64
+    budget = min(budget, int(skip[-1]) + 1)
     # only the nodes b < hi[i] of later samples and the rows a < lo + rows[i]
     # of sample i hold checks within the budget
     room = np.maximum(budget - skip, 1)
@@ -368,6 +377,7 @@ def _monotone(graph, tol, budget):
                        {"pairs_checked": used})
 
 
+@_float_checked
 def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """For-all/exists monotonicity: each (x, v_x, y) admits a matching v_y."""
     return _weakly_monotone(_ChainGraph(svmap, _samples(svmap, samples)), tol, budget)
@@ -569,6 +579,7 @@ class _MaxPlusPaths:
         return nodes
 
 
+@_float_checked
 def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
                              budget=DEFAULT_CHAIN_BUDGET):
     """Cyclic monotonicity over chains drawn from the samples.
@@ -605,6 +616,7 @@ def _cyclic_monotone(graph, max_length, tol, budget):
     return ClassReport("cyclic_monotone", False, witness, tol, _describe(graph.points), details)
 
 
+@_float_checked
 def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
                                   budget=DEFAULT_CHAIN_BUDGET):
     """Extendability of every sampled chain to every next sample point.
@@ -683,6 +695,7 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
     )
 
 
+@_float_checked
 def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
                         budget=DEFAULT_CHAIN_BUDGET):
     """Support-function chain inequality along every sample sequence.

@@ -240,15 +240,23 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
 
     Growing by a list of chains at once, as :func:`build_family` does once per
     block of chains, gives the family this gives one chain at a time; see
-    :func:`_grow`.
+    :func:`_grow_verified`.
     """
-    return _grow(family, [chain])
+    if not (
+        _same(chain.anchor_point, family.anchor_point)
+        and _same(chain.anchor_velocity, family.anchor_velocity)
+    ):
+        raise ValueError("chain anchor does not match the family anchor")
+    ok, index = verify_chain(chain, family.tol)
+    if not ok:
+        raise ValueError(f"chain fails the chain inequality at index {index}")
+    return _grow_verified(family, [chain])
 
 
-def _grow(family: SequenceFamily, chains) -> SequenceFamily:
+def _grow_verified(family, chains):
     """The family :func:`grow_family` gives after each of ``chains`` in turn.
 
-    Every chain is checked first, in order.  While the cap evicts nothing,
+    Every chain is checked by the caller.  While the cap evicts nothing,
     growing one chain at a time keeps exactly the rows that no row grown so far
     dominates.  Dominance (at least as high at every box vertex, and higher at
     one or earlier) is transitive, so a pruned prefix that comes back is pruned
@@ -257,19 +265,6 @@ def _grow(family: SequenceFamily, chains) -> SequenceFamily:
     When they could take the family past its cap, and eviction could start
     partway through, the chains are grown in halves, down to one at a time.
     """
-    for chain in chains:
-        if not (
-            _same(chain.anchor_point, family.anchor_point)
-            and _same(chain.anchor_velocity, family.anchor_velocity)
-        ):
-            raise ValueError("chain anchor does not match the family anchor")
-        ok, index = verify_chain(chain, family.tol)
-        if not ok:
-            raise ValueError(f"chain fails the chain inequality at index {index}")
-    return _grow_verified(family, chains) if chains else family
-
-
-def _grow_verified(family, chains):
     seen = set(family._model.keys)
     picks, keys = [], []
     for chain in chains:
@@ -383,7 +378,7 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
 
     Breadth-first enumeration of chains anchored at ``(x0, v0)`` whose points
     run over ``grid_points`` and whose extension slacks stay nonnegative (so
-    every member verifies exactly, whatever ``tol`` the family carries).
+    every member verifies exactly at any ``tol >= 0`` the family carries).
     Enumeration stops quietly once ``budget`` slack evaluations are spent; the
     family built so far is returned along with a stats dictionary.  A
     heuristic constructor: richer families give tighter models, and any
@@ -407,46 +402,49 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
 
 
 def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMILY_CAP):
+    # children have slack >= 0 in verify_chain's own terms, so verify at tol >= 0
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     X, V = graph.X, graph.V
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
     ends = inner_rows(X - x0, V)
-    # chain tips are nodes, or the anchor (row K) for the trivial chain
-    tip_points, tip_velocities = np.vstack([X, x0]), np.vstack([V, v0])
+    # node K stands for the anchor, the first pair of every chain
+    points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
     family = SequenceFamily.initial(x0, v0, box=box, tol=tol, cap=cap)
     used = 0
     grown = 0
-    exhausted = False
-    level, tips, sums = [Chain([x0], [v0])], [K], [0.0]
+    # row r of a level: the node path of chain r and the step sums of its prefixes
+    paths, sums = np.array([[K]]), np.zeros((1, 1))
     step = max(1, _BLOCK_ELEMENTS // max(1, K * dim))
-    while level and not exhausted:
-        next_level, next_tips, next_sums = [], [], []
-        for lo in range(0, len(level), step):
-            rows = np.array(tips[lo:lo + step])
-            diffs = X[None, :, :] - tip_points[rows, None, :]
-            stepped = np.array(sums[lo:lo + step])[:, None] + inner_rows(
-                diffs, tip_velocities[rows, None, :])
-            slack = ends - stepped
-            children = []
-            for r, chain in enumerate(level[lo:lo + step]):
-                reach = max(0, min(K, budget - used))
-                for b in np.flatnonzero(slack[r, :reach] >= 0.0):
-                    child = chain.extended(X[b], V[b])
-                    children.append(child)
-                    if len(child) < max_length:
-                        next_level.append(child)
-                        next_tips.append(b)
-                        next_sums.append(stepped[r, b])
-                used += reach
-                if reach < K:
-                    used += 1
-                    exhausted = True
-                    break
-            family = _grow(family, children)
-            grown += len(children)
+    while True:
+        next_paths, next_sums = [], []
+        for lo in range(0, len(paths), step):
+            rows, prefix = paths[lo:lo + step], sums[lo:lo + step]
+            tips = rows[:, -1]
+            stepped = prefix[:, -1:] + inner_rows(X[None, :, :] - points[tips, None, :],
+                                                  velocities[tips, None, :])
+            # row-major (chain, node) order is queue order; the first room
+            # evaluations fit the budget, and running out counts one past it
+            room = min(max(0, budget - used), stepped.size)
+            exhausted = room < stepped.size
+            used += room + exhausted
+            r, b = np.divmod(np.flatnonzero((ends - stepped).ravel()[:room] >= 0.0), K)
+            if r.size:
+                kid_paths = np.column_stack([rows[r], b])
+                kid_sums = np.column_stack([prefix[r], stepped[r, b]])
+                family = _grow_verified(family, [
+                    Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s.copy()))
+                    for p, s in zip(kid_paths, kid_sums)])
+                grown += len(r)
+                if kid_paths.shape[1] < max_length:
+                    next_paths.append(kid_paths)
+                    next_sums.append(kid_sums)
             if exhausted:
                 break
-        level, tips, sums = next_level, next_tips, next_sums
+        if exhausted or not next_paths:
+            break
+        paths, sums = np.concatenate(next_paths), np.concatenate(next_sums)
     stats = {"chains_grown": grown, "evaluations": used, "budget_exhausted": exhausted}
     return family, stats
 

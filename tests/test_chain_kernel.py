@@ -13,6 +13,7 @@ import itertools
 import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -310,3 +311,39 @@ def test_monotone_over_budget_stays_small(monkeypatch):
     assert (info.value.evaluated, info.value.budget) == (10**6 + 1, 10**6)
     assert len(rows) <= 2 * 627
     assert peak < 8 << 20
+
+
+CLASSIFIERS = (
+    (classify_monotone, (), False),
+    (classify_weakly_monotone, (), True),
+    (classify_cyclic_monotone, (2,), False),
+    (classify_weak_cyclic_monotone, (2,), True),
+    (check_support_chain, (2,), False),
+)
+
+
+@pytest.mark.parametrize("fn, length, holds", CLASSIFIERS,
+                         ids=[fn.__name__ for fn, _, _ in CLASSIFIERS])
+def test_overflowing_terms_raise_instead_of_a_verdict(fn, length, holds):
+    # on a 2 x 2 grid at +-1e200, values of +-1 give finite terms; values of
+    # +-1e200 overflow them, where the classifiers had given verdicts (cyclic
+    # monotonicity and the support chain held) with only a warning
+    grid = sample_grid([-1e200] * 2, [1e200] * 2, [2, 2])
+    settings = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fn(constant_map([[1.0, -1.0], [-1.0, 1.0]]), grid, *length, 0.0)
+    assert report.holds is holds
+    with pytest.raises(FloatingPointError):
+        fn(constant_map([[1e200, -1e200], [-1e200, 1e200]]), grid, *length, 0.0)
+    assert np.geterr() == settings
+
+
+@pytest.mark.parametrize("fn, length", [(fn, length) for fn, length, _ in CLASSIFIERS],
+                         ids=[fn.__name__ for fn, _, _ in CLASSIFIERS])
+def test_budgets_past_int64_give_the_default_reports(fn, length):
+    for entry in build_corpus():
+        want = outcome(fn, entry.svmap, entry.grid, *length, 0.0)
+        assert isinstance(want, str)
+        for budget in (2**63 - 1, 2**63, 10**30):
+            assert outcome(fn, entry.svmap, entry.grid, *length, 0.0, budget) == want

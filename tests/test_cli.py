@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,6 +620,25 @@ class TestGridBudget:
         assert code == EXIT_BUDGET
         assert list(out.iterdir()) == []
         assert capsys.readouterr().err == "error: potential needs 18 node-sample checks, budget 10\n"
+
+
+class TestHugeBudgets:
+    KINK = Path(__file__).resolve().parent.parent / "demos" / "problems" / "kink_crossing.json"
+
+    @pytest.mark.parametrize("command", ["classify", "potential"])
+    def test_budgets_past_int64_give_the_default_outputs(self, tmp_path, monkeypatch, command):
+        # the default budget covers every check; a larger one, past int64
+        # too, changes only the budget the report records
+        monkeypatch.delenv(BUDGET_ENV, raising=False)
+        assert run(command, "--input", self.KINK, "--output", tmp_path / "default") == 0
+        want = {f.name: f.read_text() for f in (tmp_path / "default").iterdir()}
+        for budget in (2**63 - 1, 2**63, 10**30):
+            monkeypatch.setenv(BUDGET_ENV, str(budget))
+            out = tmp_path / str(budget)
+            assert run(command, "--input", self.KINK, "--output", out) == 0
+            got = {f.name: f.read_text().replace(f'"budget": {budget},', '"budget": 1000000,')
+                   for f in out.iterdir()}
+            assert got == want
 
 
 class TestEvaluationCounts:

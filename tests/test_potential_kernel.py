@@ -242,7 +242,7 @@ def verified_chains(svmap, grid, x0, v0, max_length, limit):
 
 def assert_batch_matches_fold(start, chains):
     want = functools.reduce(grow_family_ref, chains, start)
-    assert family_to_text(potential._grow(start, chains)) == family_to_text(want)
+    assert family_to_text(potential._grow_verified(start, chains)) == family_to_text(want)
 
 
 def test_batched_growth_matches_one_chain_at_a_time(monkeypatch):
@@ -288,8 +288,7 @@ def test_batched_growth_checks_every_chain_first():
     foreign = Chain([[1.0]], [[1.0]])
     for chains in ([good, bad, good], [good, foreign, bad], [bad, foreign]):
         want = outcome(functools.reduce, grow_family_ref, chains, family)
-        assert outcome(potential._grow, family, chains) == want
-    assert potential._grow(family, []) is family
+        assert outcome(functools.reduce, grow_family, chains, family) == want
 
 
 def test_rows_a_member_ties_are_dropped_before_the_dominance_matrix():
@@ -300,7 +299,7 @@ def test_rows_a_member_ties_are_dropped_before_the_dominance_matrix():
     chains = [Chain([[0.0], [k / 1024]], [[1.0], [1.0]]) for k in range(-1000, 1001) if k]
     tracemalloc.start()
     try:
-        grown = potential._grow(family, chains)
+        grown = potential._grow_verified(family, chains)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,6 +326,61 @@ def test_small_blocks_match_references(monkeypatch):
         for box in (None, bounds(entry.grid)):
             for budget in (50, 10**6):
                 assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
+
+
+def test_children_are_neither_extended_nor_verified_again(monkeypatch):
+    # children are gathered from the level's node paths and step sums, whose
+    # slacks the level scan has checked; only the trivial member is verified
+    calls = []
+
+    def counted(name, fn):
+        def spy(*args):
+            calls.append(name)
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(Chain, "extended", counted("extended", Chain.extended))
+    monkeypatch.setattr(potential, "verify_chain",
+                        counted("verify_chain", potential.verify_chain))
+    entry = build_corpus()[4]
+    x0, v0 = next(anchors(entry.svmap, entry.grid))
+    _, stats = build_family(entry.svmap, x0, v0, entry.grid, 3, box=bounds(entry.grid))
+    assert stats["chains_grown"] > 10
+    assert calls == ["verify_chain"]
+
+
+def test_built_members_are_read_only_and_chain_sized():
+    entry = build_corpus()[4]
+    for x0, v0 in anchors(entry.svmap, entry.grid):
+        family, _ = build_family(entry.svmap, x0, v0, entry.grid, 3)
+        assert max(len(member) for member in family.members) == 3
+        for member in family.members:
+            for a in (member.xs, member.vs, member.sums):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+                # its own rows or its chain's, never a view into a level
+                assert len(a if a.base is None else a.base) <= 3
+
+
+def test_negative_or_nan_tolerance_is_refused():
+    entry = build_corpus()[4]
+    x0, v0 = next(anchors(entry.svmap, entry.grid))
+    for tol in (-1e-9, float("nan")):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            build_family(entry.svmap, x0, v0, entry.grid, 2, tol=tol)
+
+
+def test_budgets_past_int64_give_the_default_family():
+    for entry in build_corpus():
+        x0, v0 = next(anchors(entry.svmap, entry.grid))
+        box = bounds(entry.grid)
+        want, want_stats = build_family(entry.svmap, x0, v0, entry.grid, 3, box=box)
+        assert not want_stats["budget_exhausted"]
+        for budget in (2**63 - 1, 2**63, 10**30):
+            got, stats = build_family(entry.svmap, x0, v0, entry.grid, 3, box=box, budget=budget)
+            assert stats == want_stats
+            assert family_to_text(got) == family_to_text(want)
 
 
 def planar_family():
