@@ -2,7 +2,7 @@
 
     python3 bench/layers.py --parent ../parent/src --change src \\
         --e2e-parent ../parent/.perfbench_out --e2e-change .perfbench_out \\
-        --out BENCH_11.json
+        --out BENCH_12.json
 
 Each tree is measured in a fresh interpreter per round (``--measure SRC``
 prints one JSON object), for ``--rounds`` rounds that alternate which tree
@@ -11,7 +11,9 @@ interquartile range of its rounds: one process alone can read twice as slow
 as the least of a dozen.  A figure is microseconds per call of
 ``SetValuedMap.eval`` for each built-in map kind, per row of
 ``SetValuedMap.eval_many`` (``null`` where a tree has no such method), per
-node of ``trajectory_residual``, per ``build_family`` op (the subdifferential
+node of ``trajectory_residual``, per step of ``euler_solve`` (1000 support
+steps from one point, for each map kind, the linear one replaced by the
+gradient map ``diag(1, 2)``), per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per point
@@ -64,6 +66,11 @@ MAPS = {
     ]},
 }
 RESIDUAL_STEPS = 2000
+# euler_solve per step: the constant map never has one value, the
+# subdifferential and table maps coast most of the time, and this gradient
+# linear map has one value at every node but turns there
+GRADIENT = {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 2.0]]}
+SOLVE_STEPS = 1000
 FAMILY_GRID = ([-1.0, -1.0], [1.0, 1.0], [5, 5])
 FAMILY_LENGTH = 3
 POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
@@ -119,6 +126,14 @@ def measure(src: str) -> dict:
             node_chain = traj.chain()
             out["chains.verify_chain.us_per_run"] = _per_call_us(
                 lambda: verify_chain(node_chain), 1)
+
+    for kind, doc in {**MAPS, "linear": GRADIENT}.items():
+        svmap = map_from_dict(doc)
+        x0 = np.array([-0.75, 0.3])
+        spec = ProblemSpec(map=svmap, x0=x0, v0=svmap.eval(x0).points[0], horizon=1.0,
+                           step=1.0 / SOLVE_STEPS, strategy="support", tol=1e-9)
+        out[f"solver.euler_solve.{kind}.us_per_step"] = _per_call_us(
+            lambda: euler_solve(spec), SOLVE_STEPS)
 
     svmap = map_from_dict(MAPS["subdifferential"])
     grid = sample_grid(*FAMILY_GRID)

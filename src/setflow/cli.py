@@ -142,6 +142,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
+    # csv.writer writes a float cell as str(), which in Python 3 is the
+    # shortest repr that round-trips, the text _fmt gives
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -150,6 +152,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _fmt(value) -> str:
+    # for cells that may also be empty or text
     return repr(float(value))
 
 
@@ -168,10 +171,7 @@ def run_solve(args) -> int:
         return EXIT_SELECTION
     n = traj.dimension
     header = ["t"] + [f"x{c}" for c in range(n)] + [f"v{c}" for c in range(n)]
-    rows = [
-        [_fmt(t)] + [_fmt(c) for c in x] + [_fmt(c) for c in v]
-        for t, x, v in zip(traj.times, traj.states, traj.velocities)
-    ]
+    rows = np.column_stack([traj.times, traj.states, traj.velocities]).tolist()
     node, hull = trajectory_residual(traj, spec.map)
     summary = {
         "nodes": traj.node_count(),
@@ -244,7 +244,7 @@ def run_potential(args) -> int:
     family, stats = _build_family(graph, spec.x0, spec.v0, max_length, box, budget, spec.tol)
     potentials = potential_values(family, samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
-    rows = [[_fmt(c) for c in p] + [_fmt(value)] for p, value in zip(samples, potentials)]
+    rows = np.column_stack([samples, potentials]).tolist()
 
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible

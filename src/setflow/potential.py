@@ -120,8 +120,8 @@ class SequenceFamily:
 
     ``box`` (a ``(low, high)`` pair) is the working box used for dominance
     pruning during growth; without one, growth only deduplicates.  ``tol`` is
-    the verification tolerance members must meet; the default 0 keeps the
-    anchor value exact.
+    the verification tolerance members must meet, nonnegative; the default 0
+    keeps the anchor value exact.
     """
 
     __slots__ = ("anchor_point", "anchor_velocity", "members", "box", "tol", "cap", "_model")
@@ -133,6 +133,9 @@ class SequenceFamily:
         members = list(members)
         if not members:
             raise ValueError("a family needs at least its trivial member")
+        # a NaN or negative tol would fail every later growth at index 1
+        if not tol >= 0:
+            raise ValueError("tol must be nonnegative")
         trivial = members[0]
         if len(trivial) != 1 or not (
             _same(trivial.anchor_point, anchor_point)
@@ -402,16 +405,15 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
 
 
 def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMILY_CAP):
-    # children have slack >= 0 in verify_chain's own terms, so verify at tol >= 0
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    # refuses a tol below 0 first: children have slack >= 0 in verify_chain's
+    # own terms, so they verify only at tol >= 0
+    family = SequenceFamily.initial(x0, v0, box=box, tol=tol, cap=cap)
     X, V = graph.X, graph.V
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
     ends = inner_rows(X - x0, V)
     # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
-    family = SequenceFamily.initial(x0, v0, box=box, tol=tol, cap=cap)
     used = 0
     grown = 0
     # row r of a level: the node path of chain r and the step sums of its prefixes

@@ -183,6 +183,51 @@ def _select(chain, x_next, svmap, strategy, tol):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _coast(tip, svmap, deltas, tol):
+    """Steps from the tip that keep its velocity, as ``(count, nodes, sums)``.
+
+    Guesses one node per step in ``deltas``, all at the tip velocity ``v``,
+    and returns the longest prefix that the per-step path would take with
+    ``v`` too: every node, product and sum is finite, the value set is ``{v}``
+    bit for bit (``-0.0 == 0.0``, but the loop stores the map's own row), and
+    the final-index slack is not below ``-tol``, where every rule picks the
+    one value.  The nodes and sums round as the loop's ``x + dt * v`` and
+    :meth:`_ChainTip.extended` do, and a node or term past the largest float
+    leaves a slack that is not finite.  The first node that breaks the prefix
+    is left to the caller, and an ``eval_many`` that raises anywhere leaves
+    the whole block to it.
+    """
+    x, v = tip.last_point, tip.last_velocity
+    try:
+        # an overflow only ends the prefix; the per-step path raises it at
+        # its own node
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = np.add.accumulate(np.vstack([x, deltas[:, None] * v]))[1:]
+        # under the caller's errstate, as the per-step path evaluates
+        values, owner = svmap.eval_many(nodes)
+        if len(values) != len(nodes):
+            # every node has a value, so the first with two or more ends it
+            count = int((np.bincount(owner, minlength=len(nodes)) != 1).argmax())
+            nodes, values = nodes[:count], values[:count]
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = inner_rows(nodes - np.vstack([x, nodes[:-1]]), v)
+            sums = np.add.accumulate(np.concatenate([[tip.last_sum], steps]))[1:]
+            slacks = inner_rows(nodes - tip.anchor_point, v) - sums
+    except Exception:
+        # the map raised somewhere in the block, or an underflow the caller
+        # traps did: the per-step path raises it, or not, at its own node
+        return 0, None, None
+    keep = ((values == v) & (np.signbit(values) == np.signbit(v))).all(axis=1)
+    keep &= np.isfinite(slacks) & ~(slacks < -tol)
+    count = len(keep) if keep.all() else int(keep.argmin())
+    return count, nodes, sums
+
+
+# steps in the first block after a coasting node, and the most in any block
+_BLOCK_MIN = 8
+_BLOCK_MAX = 1024
+
+
 def euler_solve(spec: ProblemSpec) -> Trajectory:
     """Integrate the inclusion by Euler polygons with chain-preserving selection.
 
@@ -191,6 +236,15 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     :class:`SelectionFailed` from any strategy certifies that no value of the
     map extends the chain at that node within the tolerance.  Only the chain
     tip is carried, so each step costs the same however long the chain is.
+
+    A node *coasts* when its value set is one point, bit for bit the previous
+    velocity.  From a coasting node the solver guesses a block of steps at
+    that velocity (:func:`_coast`) and takes the prefix the selection rules
+    would take one step at a time; the node that breaks the prefix is
+    selected alone.  A block holds 8 steps after a break and doubles after
+    each full block, up to 1024.  Trajectories, errors and
+    :class:`SelectionFailed` replay state equal those of selecting every node
+    alone.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
@@ -198,32 +252,54 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     if not svmap.eval(x0).contains(v0):
         raise ValueError("v0: initial velocity not in F(x0)")
     times, deltas = time_grid(spec.horizon, spec.step)
+    steps = deltas.tolist()
     tip = _ChainTip(x0, x0, v0, 0.0)
     states = [x0]
     velocities = [v0]
     x = x0
+    k = 0
+    block = _BLOCK_MIN
+    coasting = False
     try:
         # a chain term past the largest float raises, where it would leave
         # an inf or NaN slack that no comparison can trust
         with np.errstate(over="raise", invalid="raise"):
-            for k, dt in enumerate(deltas.tolist()):
+            while k < len(steps):
+                if coasting:
+                    size = min(block, len(steps) - k)
+                    count, nodes, sums = _coast(tip, svmap, deltas[k:k + size], spec.tol)
+                    if count:
+                        x, v = nodes[count - 1], tip.last_velocity
+                        tip = _ChainTip(tip.anchor_point, x, v, float(sums[count - 1]))
+                        states.append(nodes[:count])
+                        velocities.append(np.broadcast_to(v, (count, len(v))))
+                    full = count == size
+                    k += count
+                    block = min(2 * block, _BLOCK_MAX) if full else _BLOCK_MIN
+                    if full:
+                        continue
                 # Python floats round as numpy does but overflow without a
                 # warning, so a node past the largest float is reported here
-                node = [a + dt * b for a, b in zip(x.tolist(), velocities[-1].tolist())]
+                dt = steps[k]
+                node = [a + dt * b for a, b in zip(x.tolist(), tip.last_velocity.tolist())]
                 if not all(map(math.isfinite, node)):
                     raise ValueError(
                         f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
                 x = np.array(node)
                 v = _select(tip, x, svmap, spec.strategy, spec.tol)
                 if v is None:
-                    chain = Chain(states, velocities)
+                    chain = Chain(np.vstack(states), np.vstack(velocities))
                     candidates = svmap.eval(x).points
                     slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
                     raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
                                           spec.strategy, spec.tol)
+                # the one extra evaluation, only where the pick did not turn
+                coasting = (v.tobytes() == tip.last_velocity.tobytes()
+                            and len(svmap.eval(x)) == 1)
                 tip = tip.extended(x, v)
                 states.append(x)
                 velocities.append(v)
+                k += 1
     except FloatingPointError as exc:
         raise ValueError(
             f"Euler node {k + 1} (t={float(times[k + 1])!r}) leaves the float range: {exc}"

@@ -4,10 +4,11 @@ Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
 evidence rather than tautology.  The exceptions are the brute-force
 classifier references, the per-member potential references, the per-row
-scan references, the per-point map evaluators and the per-pair query phase
-at the end: they run chain by chain, member by member, row by row and point
-by point with the library's own inner product and summation order, so the
-batched kernels must match their outputs byte for byte.
+scan references, the per-point map evaluators, the per-pair query phase and
+the per-step solver at the end: they run chain by chain, member by member,
+row by row, point by point and step by step with the library's own inner
+product and summation order, so the batched kernels must match their outputs
+byte for byte.
 """
 
 import math
@@ -27,7 +28,9 @@ from setflow import (
     Halfspace,
     HullProjectionError,
     PLConvexFunction,
+    SelectionFailed,
     SequenceFamily,
+    Trajectory,
     UncoveredPointError,
     affine_value,
     as_vector,
@@ -41,9 +44,11 @@ from setflow import (
     submap_select,
     support_argmax,
     support_value,
+    time_grid,
     verify_chain,
 )
 from setflow.setmaps import predicate_from_dict
+from setflow.solver import _ChainTip, _select
 from setflow.geometry import HULL_MAX_ITER, _affine_min_weights
 
 
@@ -691,3 +696,46 @@ def subgradient_entries_ref(family, svmap, samples, tol):
             "values": checks,
         })
     return {"entries": entries}
+
+
+def euler_solve_ref(spec):
+    """``euler_solve`` as it selected every node alone, before coasting blocks.
+
+    The per-step loop verbatim: the library's tip, rules and time grid, one
+    ``_select`` per node, so the block path must match it bit for bit,
+    errors and ``SelectionFailed`` replay state included.
+    """
+    svmap = spec.map
+    x0 = np.asarray(spec.x0, dtype=float)
+    v0 = np.asarray(spec.v0, dtype=float)
+    if not svmap.eval(x0).contains(v0):
+        raise ValueError("v0: initial velocity not in F(x0)")
+    times, deltas = time_grid(spec.horizon, spec.step)
+    tip = _ChainTip(x0, x0, v0, 0.0)
+    states = [x0]
+    velocities = [v0]
+    x = x0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for k, dt in enumerate(deltas.tolist()):
+                node = [a + dt * b for a, b in zip(x.tolist(), velocities[-1].tolist())]
+                if not all(map(math.isfinite, node)):
+                    raise ValueError(
+                        f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
+                x = np.array(node)
+                v = _select(tip, x, svmap, spec.strategy, spec.tol)
+                if v is None:
+                    chain = Chain(states, velocities)
+                    candidates = svmap.eval(x).points
+                    slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
+                    raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
+                                          spec.strategy, spec.tol)
+                tip = tip.extended(x, v)
+                states.append(x)
+                velocities.append(v)
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"Euler node {k + 1} (t={float(times[k + 1])!r}) leaves the float range: {exc}"
+        ) from None
+    return Trajectory(np.array(times), np.vstack(states), np.vstack(velocities),
+                      spec.step, spec.strategy)

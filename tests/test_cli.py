@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from setflow import (
     Chain,
     SetValuedMap,
+    euler_solve,
     extend_exhaustive,
     family_from_text,
     map_from_dict,
@@ -26,7 +27,8 @@ from setflow import (
     verify_chain,
 )
 from setflow.chains import ClassReport
-from setflow.cli import BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, main
+from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _fmt, _write_csv,
+                         main)
 
 from conftest import INERTIAL_GAP_PROBLEM, child_env
 
@@ -129,12 +131,35 @@ class TestSolve:
         assert verify_chain(chain, tol)[0]
         assert extend_exhaustive(chain, np.array(failure["point"]), F, tol) is None
 
+    def test_trajectory_cells_are_fmt_of_each_node(self, tmp_path, sign_file):
+        out = tmp_path / "out"
+        assert run("solve", "--input", sign_file, "--output", out) == 0
+        traj = euler_solve(parse_problem(Path(sign_file).read_text()))
+        want = tmp_path / "want.csv"
+        _write_csv(want, ["t", "x0", "v0"], [
+            [_fmt(t)] + [_fmt(c) for c in x] + [_fmt(c) for c in v]
+            for t, x, v in zip(traj.times, traj.states, traj.velocities)])
+        assert (out / "trajectory.csv").read_bytes() == want.read_bytes()
+
     def test_strategy_override(self, tmp_path, sign_file):
         out = tmp_path / "out"
         assert run("solve", "--input", sign_file, "--output", out,
                    "--strategy", "support") == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["strategy"] == "support"
+
+
+def test_float_rows_write_the_bytes_of_fmt_cells(tmp_path, capsys):
+    # csv.writer writes a float as str(), which is repr() in Python 3
+    values = np.array([[-0.0, 5e-324, 1e16, 0.1], [0.0, -2.5e-310, 1.0, 1 / 3]])
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "rows.csv", header, values.tolist())
+    _write_csv(tmp_path / "fmt.csv", header, [[_fmt(c) for c in row] for row in values])
+    text = (tmp_path / "rows.csv").read_bytes()
+    assert text == (tmp_path / "fmt.csv").read_bytes()
+    assert text.splitlines()[1:] == [b"-0.0,5e-324,1e+16,0.1",
+                                     b"0.0,-2.5e-310,1.0,0.3333333333333333"]
+    assert capsys.readouterr().out == "wrote rows.csv\nwrote fmt.csv\n"
 
 
 class TestClassify:

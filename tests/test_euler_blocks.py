@@ -1,0 +1,250 @@
+"""Coasting blocks in ``euler_solve`` against the per-step loop they replace.
+
+Every case must end as ``euler_solve_ref`` ends: the same times, states and
+velocities bit for bit, or the same exception type and message with the same
+``SelectionFailed`` replay document.
+"""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from setflow import (
+    Always,
+    Box,
+    CompactSet,
+    Halfspace,
+    PLConvexFunction,
+    ProblemSpec,
+    SelectionFailed,
+    SetValuedMap,
+    UncoveredPointError,
+    constant_map,
+    euler_solve,
+    linear_map,
+    parse_problem,
+    pl_subdifferential_map,
+    table_map,
+)
+from setflow.cli import DEFAULT_STEP_COUNTS
+
+from conftest import dyadic
+from oracles import euler_solve_ref
+
+STRATEGIES = ["exhaustive", "support", "inertial"]
+
+
+def outcome(solve, spec):
+    try:
+        traj = solve(spec)
+    except Exception as exc:
+        replay = exc.to_json_dict() if isinstance(exc, SelectionFailed) else None
+        return type(exc), str(exc), json.dumps(replay)
+    return tuple((a.shape, a.tobytes()) for a in (traj.times, traj.states, traj.velocities))
+
+
+def assert_as_per_step(spec):
+    got = outcome(euler_solve, spec)
+    assert got == outcome(euler_solve_ref, spec)
+    return got
+
+
+def _spec(svmap, x0, v0, T=1.0, h=1 / 64, strategy="exhaustive", tol=0.0):
+    # never validated, so the cases below may also break its invariants
+    return ProblemSpec(map=svmap, x0=np.array(x0, dtype=float), v0=np.array(v0, dtype=float),
+                       horizon=T, step=h, strategy=strategy, tol=tol)
+
+
+class _Counted:
+    """A map evaluator that counts its point and block evaluations."""
+
+    def __init__(self, svmap):
+        self.svmap = svmap
+        self.calls = 0
+        self.blocks = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.svmap.eval(x)
+
+    def many(self, X):
+        self.blocks += 1
+        return self.svmap.eval_many(X)
+
+
+def _counted(svmap):
+    evaluator = _Counted(svmap)
+    return SetValuedMap(svmap.dimension, evaluator), evaluator
+
+
+def _random_map(rng, kind, dim):
+    if kind == "constant":
+        return constant_map(dyadic(rng, (int(rng.integers(1, 4)), dim)))
+    if kind == "subdifferential":
+        pieces = int(rng.integers(1, 4))
+        return pl_subdifferential_map(
+            PLConvexFunction(dyadic(rng, (pieces, dim)), dyadic(rng, pieces, den=4)))
+    if kind == "linear":
+        # the gradient of a quadratic form, singular now and then
+        m = dyadic(rng, (dim, dim), span=1)
+        return linear_map((m + m.T) / 2)
+    regions = []
+    for _ in range(int(rng.integers(1, 4))):
+        normal = dyadic(rng, dim, span=1, den=1)
+        op = ["lt", "le", "eq", "ge", "gt"][int(rng.integers(5))]
+        regions.append((Halfspace(normal, float(dyadic(rng, (), den=4)), op),
+                        dyadic(rng, (int(rng.integers(1, 3)), dim))))
+    regions.append((Always(), dyadic(rng, (int(rng.integers(1, 3)), dim))))
+    return table_map(regions)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["constant", "subdifferential", "linear", "table"]),
+       dim=st.integers(1, 3), strategy=st.sampled_from(STRATEGIES),
+       tol=st.sampled_from([0.0, 0.25]), steps=st.sampled_from([16, 100, 256]))
+@settings(max_examples=200, deadline=None)
+def test_random_dyadic_maps_solve_as_per_step(seed, kind, dim, strategy, tol, steps):
+    rng = np.random.default_rng(seed)
+    svmap = _random_map(rng, kind, dim)
+    x0 = dyadic(rng, dim, span=1, den=4)
+    values = svmap.eval(x0).points
+    v0 = values[int(rng.integers(len(values)))]
+    assert_as_per_step(_spec(svmap, x0, v0, T=2.0, h=2.0 / steps, strategy=strategy, tol=tol))
+
+
+def test_a_long_coasting_run_is_taken_in_blocks():
+    svmap, evaluator = _counted(constant_map([[1.0, -0.5]]))
+    spec = _spec(svmap, [0.0, 0.0], [1.0, -0.5], h=1 / 4096)
+    assert_as_per_step(spec)
+    evaluator.calls = evaluator.blocks = 0
+    assert euler_solve(spec).node_count() == 4097
+    # one check of v0, then node 1: its pick and the coasting test
+    assert evaluator.calls == 3
+    # blocks of 8, 16, ..., 1024, then 1024 twice and the last 7 steps
+    assert evaluator.blocks == 11
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_velocity_that_turns_at_every_node_never_starts_a_block(strategy):
+    # a singleton everywhere, but never the previous velocity: guessing
+    # blocks here would break every one at its first node
+    svmap, evaluator = _counted(linear_map([[1.0, 0.0], [0.0, 2.0]]))
+    spec = _spec(svmap, [0.5, 0.25], [0.5, 0.5], h=1 / 256, strategy=strategy)
+    assert_as_per_step(spec)
+    assert evaluator.blocks == 0
+    assert euler_solve(spec).node_count() == 257
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("value, h, fails_at", [([1 / 3, 0.1], 0.01, 73),
+                                                ([0.7, 0.1, 0.3], 0.01, 27)])
+def test_slack_below_tol_in_the_middle_of_a_block(strategy, value, h, fails_at):
+    # the exact slack stays 0 along a coasting run; at tol 0 rounding drops
+    # it below 0 inside the blocks of 64 (nodes 58-121) and 32 (26-57)
+    spec = _spec(constant_map([value]), [0.1] * len(value), value, h=h, strategy=strategy)
+    kind, _, replay = assert_as_per_step(spec)
+    assert kind is SelectionFailed
+    assert json.loads(replay)["step_index"] == fails_at
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_negative_zero_value_after_a_positive_zero_velocity(strategy):
+    # -0.0 == 0.0, so only the bits tell the region x >= 0.5 from the first
+    svmap = table_map([(Halfspace([1.0, 0.0], 0.5, "lt"), [[1.0, 0.0]]),
+                       (Always(), [[1.0, -0.0]])])
+    assert_as_per_step(_spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy))
+    velocities = euler_solve(_spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy)).velocities
+    assert np.signbit(velocities[-1, 1]) and not np.signbit(velocities[1, 1])
+
+
+@pytest.mark.parametrize("strategy, turns", [("exhaustive", True), ("support", True),
+                                             ("inertial", False)])
+def test_a_two_valued_node_inside_a_block(strategy, turns):
+    # node 32 at x = 0.5, inside the block of nodes 26-57, holds the coasting
+    # velocity as its first value; only the inertial rule keeps it, and the
+    # others turn to 2 and find no velocity at the next node
+    svmap = table_map([(Halfspace([1.0], 0.5, "eq"), [[1.0], [2.0]]), (Always(), [[1.0]])])
+    got = assert_as_per_step(_spec(svmap, [0.0], [1.0], strategy=strategy))
+    if turns:
+        replay = json.loads(got[2])
+        assert (got[0], replay["step_index"]) == (SelectionFailed, 33)
+        assert replay["chain"]["velocities"][32] == [2.0]
+    else:
+        assert got[0][0] == (65,)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_evaluator_without_many(strategy):
+    def sign(x):
+        if x[0] < 0.25:
+            return CompactSet([[1.0]])
+        if x[0] == 0.25:
+            return CompactSet([[1.0], [-1.0]])
+        return CompactSet([[-1.0]])
+
+    svmap = SetValuedMap(1, sign)
+    for x0, v0 in [(0.0, 1.0), (0.5, -1.0), (-1.0, 1.0)]:
+        assert_as_per_step(_spec(svmap, [x0], [v0], T=2.0, strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_an_uncovered_table_point_in_the_middle_of_a_block(strategy):
+    svmap = table_map([(Box([-1.0], [0.7]), [[1.0]])])
+    # the first node past 0.7 is node 45, inside the block of nodes 26-57
+    kind, message, _ = assert_as_per_step(_spec(svmap, [0.0], [1.0], strategy=strategy))
+    assert kind is UncoveredPointError
+    assert "0.703125" in message
+
+
+OVERFLOW = {"map": {"kind": "constant", "points": [[2.0], [-2.0]]}, "x0": [0.0], "v0": [2.0],
+            "T": 1e308, "h": 1e308, "strategy": "exhaustive", "tol": 1e-9}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("points", [[[2.0], [-2.0]], [[2.0]]])
+def test_overflow_documents(strategy, points):
+    doc = dict(OVERFLOW, strategy=strategy, map={"kind": "constant", "points": points})
+    spec = parse_problem(json.dumps(doc))
+    kind, message, _ = assert_as_per_step(spec)
+    assert (kind, message) == (ValueError, "Euler node 1 (t=1e+308) is not finite")
+    # refine at its default steps: the chain terms leave the float range
+    # inside a block when the map has the one value
+    refine = [replace(spec, step=spec.horizon / steps) for steps in DEFAULT_STEP_COUNTS]
+    for run in refine + [replace(spec, horizon=8.8e307, step=4e306)]:
+        kind, message, _ = assert_as_per_step(run)
+        assert kind is ValueError and "leaves the float range" in message
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_specs_that_were_never_validated(strategy):
+    # from x0 = 0 the velocity turns from 1 to 2 with slack h / 2 = 0.5 and
+    # coasts on with that slack: tol -0.5 takes it, tol -0.75 does not
+    up = table_map([(Halfspace([1.0], 0.125, "lt"), [[1.0]]), (Always(), [[2.0]])])
+    # from 2 to 1 the slack is -h: only a NaN tol accepts it
+    down = table_map([(Halfspace([1.0], 0.125, "lt"), [[2.0]]), (Always(), [[1.0]])])
+    cases = [
+        (_spec(up, [0.0], [1.0], h=0.5, T=64.0, strategy=strategy, tol=-0.5), None),
+        (_spec(up, [0.0], [1.0], h=0.5, T=64.0, strategy=strategy, tol=-0.75), SelectionFailed),
+        (_spec(down, [0.0], [2.0], strategy=strategy, tol=math.nan), None),
+        (_spec(down, [0.0], [2.0], strategy=strategy, tol=0.0), SelectionFailed),
+        (_spec(up, [0.0], [1.0], strategy="bogus"), ValueError),
+    ]
+    for spec, error in cases:
+        got = assert_as_per_step(spec)
+        assert (got[0] if isinstance(got[0], type) else None) is error
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("x0, T, h, node", [(1.55e308, 4e307, 2e307, 2),
+                                            (1.7e308, 1e307, 1e304, 977)])
+def test_a_node_past_the_largest_float_inside_a_block(strategy, x0, T, h, node):
+    # the chain terms stay finite; the node leaves the float range in a
+    # block of one step, or inside the block of nodes 506-1017
+    spec = _spec(constant_map([[1.0]]), [x0], [1.0], T=T, h=h, strategy=strategy)
+    kind, message, _ = assert_as_per_step(spec)
+    assert kind is ValueError
+    assert message.startswith(f"Euler node {node} ") and message.endswith("is not finite")

@@ -1,5 +1,7 @@
 """Potential construction: max-of-affine families and the compatible submap."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from setflow import (
     submap_contains,
     submap_select,
 )
+from setflow.potential import family_from_json_dict
 
 from conftest import ABS_F, PLANAR_F, make_sign_map
 
@@ -66,6 +69,25 @@ class TestFamilyBasics:
         with pytest.raises(ValueError, match="box bounds must be finite"):
             build_family(pl_subdifferential_map(ABS_F), [0.0], [1.0],
                          sample_grid([-1.0], [1.0], [3]), 2, box=(low, high))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_tolerance_must_be_nonnegative(self, tol):
+        # refused before any member is checked, where every later growth
+        # would fail at index 1
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            SequenceFamily.initial([0.0], [1.0], tol=tol)
+        bad_member = Chain([[0.0], [1.0]], [[1.0], [-1.0]])
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            SequenceFamily([0.0], [1.0], [Chain([[0.0]], [[1.0]]), bad_member], tol=tol)
+        doc = json.loads(family_to_text(SequenceFamily.initial([0.0], [1.0])))
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            family_from_json_dict(dict(doc, tol=tol))
+
+    def test_nan_tolerance_in_a_document_is_refused(self):
+        text = family_to_text(SequenceFamily.initial([0.0], [1.0]))
+        assert '"tol": 0.0' in text
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            family_from_text(text.replace('"tol": 0.0', '"tol": NaN'))
 
     def test_grow_rejects_wrong_anchor(self):
         fam = SequenceFamily.initial([0.0], [1.0])
