@@ -16,7 +16,10 @@ steps from one point, for each map kind, the linear one replaced by the
 gradient map ``diag(1, 2)``), per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
-its best member there verifies, as ``subgradient_test`` grows it), per point
+its best member there verifies, as ``subgradient_test`` grows it), per
+compatible node of that family's query phase (every grid pair it accepts,
+checked against every grid point in one kernel call; ``null`` on a tree
+without the kernel), per point
 of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
@@ -97,8 +100,8 @@ def measure(src: str) -> dict:
                          check_support_chain, classify_cyclic_monotone, classify_monotone,
                          classify_weak_cyclic_monotone, classify_weakly_monotone,
                          dist_to_hull, euler_solve, extension_slack, grow_family, inner,
-                         map_from_dict, sample_grid, support_argmax, trajectory_residual,
-                         verify_chain)
+                         map_from_dict, potential_value, sample_grid, support_argmax,
+                         trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -156,6 +159,13 @@ def measure(src: str) -> dict:
             grow_family(family, chain)
 
     out["potential.grow_family.us_per_call"] = _per_call_us(grow_each, len(chains))
+    checks = getattr(setflow.potential, "_subgradient_checks", None)
+    nodes = [(x, v) for x in grid for v in svmap.eval(x).points
+             if inner(x - x0, v) >= potential_value(family, x)]
+    NX, NV = (np.array(column) for column in zip(*nodes))
+    probes = np.array(grid)
+    out["potential.query.us_per_node"] = None if checks is None else _per_call_us(
+        lambda: checks(family, NX, NV, probes, 0.0), len(nodes))
 
     points = GridSpec(*POINTS_GRID)
     out["setmaps.GridSpec.points.us_per_point"] = _per_call_us(

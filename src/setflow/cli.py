@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -40,10 +41,10 @@ from .chains import (
 from .geometry import inner_rows
 from .potential import (
     _build_family,
+    _subgradient_checks,
     family_to_text,
     potential_value,
     potential_values,
-    subgradient_test,
 )
 from .setmaps import GridSpec, ProblemFormatError, parse_problem
 from .solver import (
@@ -249,16 +250,19 @@ def run_potential(args) -> int:
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible
     compatible = inner_rows(graph.X - spec.x0, graph.V) >= potentials[graph.owner] - spec.tol
+    passed = np.zeros(len(compatible), dtype=bool)
+    passed[compatible] = _subgradient_checks(family, graph.X[compatible], graph.V[compatible],
+                                             samples, spec.tol)
     entries = []
     for i, p in enumerate(samples):
         lo, hi = graph.start[i], graph.start[i + 1]
         pick = lo + _anchored_pick(spec.x0, spec.v0, p, graph.V[lo:hi])
         checks = [{
             "v": v.tolist(),
-            "compatible": bool(ok),
-            "subgradient_ok": bool(subgradient_test(family, p, v, samples, spec.tol))
-            if ok else None,
-        } for v, ok in zip(graph.V[lo:hi], compatible[lo:hi])]
+            "compatible": ok,
+            "subgradient_ok": sub if ok else None,
+        } for v, ok, sub in zip(graph.V[lo:hi], compatible[lo:hi].tolist(),
+                                passed[lo:hi].tolist())]
         entries.append({
             "x": p.tolist(),
             "selected": graph.V[pick].tolist() if compatible[pick] else None,
@@ -317,7 +321,9 @@ def run_refine(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: building it costs far more than a parse
     parser = argparse.ArgumentParser(
         prog="setflow",
         description="Set-valued analysis and differential inclusions on finite data.",

@@ -18,7 +18,8 @@ their values at the box vertices), built once and carried through growth, so
 growing evaluates only the new prefixes.  The model is evaluated at many
 points by one :func:`inner_rows` call per block of members, in the operand
 order of :func:`affine_value`, so batched and one-at-a-time values agree bit
-for bit.
+for bit.  Subgradient tests of many nodes run as one batched kernel, which
+works out each grown family's kept rows from the cached vertex values.
 """
 
 from __future__ import annotations
@@ -86,18 +87,31 @@ class _AffineModel:
     Row ``k`` is ``x -> <x - P[k], S[k]> + c[k]`` for member ``k``'s last
     point, last velocity and last sum; ``keys[k]`` is its dedup key and, when
     the family has a box, ``at_vertices[k]`` its values at the box
-    ``vertices``.  Arrays are read-only: growth builds a new model.
+    ``vertices``.  Arrays are read-only: growth builds a new model, which it
+    marks :attr:`settled`.
     """
 
-    __slots__ = ("P", "S", "c", "keys", "vertices", "at_vertices")
+    __slots__ = ("P", "S", "c", "keys", "vertices", "at_vertices", "_settled")
 
-    def __init__(self, P, S, c, keys, vertices, at_vertices=None):
+    def __init__(self, P, S, c, keys, vertices, at_vertices=None, settled=None):
         self.P, self.S, self.c = _frozen(P), _frozen(S), _frozen(c)
         self.keys = keys
         self.vertices = vertices
         if vertices is not None and at_vertices is None:
             at_vertices = _affine_values(P, S, c, vertices)
         self.at_vertices = None if at_vertices is None else _frozen(at_vertices)
+        self._settled = settled
+
+    @property
+    def settled(self) -> bool:
+        """Whether no member but the trivial one is dominated by another.
+
+        Growth leaves only rows that no other row dominates, so a grown
+        model is settled; a constructor's members are checked on first use.
+        """
+        if self._settled is None:
+            self._settled = self.at_vertices is None or not _dominated(self.at_vertices)[1:].any()
+        return self._settled
 
     def values(self, X) -> np.ndarray:
         """Members by points matrix of affine values."""
@@ -245,6 +259,11 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
     block of chains, gives the family this gives one chain at a time; see
     :func:`_grow_verified`.
     """
+    _check_chain(family, chain)
+    return _grow_verified(family, [chain])
+
+
+def _check_chain(family, chain):
     if not (
         _same(chain.anchor_point, family.anchor_point)
         and _same(chain.anchor_velocity, family.anchor_velocity)
@@ -253,7 +272,6 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
     ok, index = verify_chain(chain, family.tol)
     if not ok:
         raise ValueError(f"chain fails the chain inequality at index {index}")
-    return _grow_verified(family, [chain])
 
 
 def _grow_verified(family, chains):
@@ -298,12 +316,7 @@ def _grow_verified(family, chains):
         keep[m:] = ~(at_vertices[:m, None, :] >= at_vertices[None, m:, :]).all(axis=2).any(axis=0)
         V = at_vertices[keep]
         if len(V) > 1:
-            # i dominates j when it is >= at every vertex and either > at one
-            # or earlier; where geq[i, j] holds no value is NaN, so "> at one"
-            # is "not geq[j, i]", and no member dominates itself
-            geq = (V[:, None, :] >= V[None, :, :]).all(axis=2)
-            order = np.arange(len(V))
-            keep[keep] = ~(geq & (~geq.T | np.less.outer(order, order))).any(axis=0)
+            keep[keep] = ~_dominated(V)
             keep[0] = True  # the trivial member is load-bearing
 
     # evict the oldest non-trivial members down to the cap
@@ -315,9 +328,21 @@ def _grow_verified(family, chains):
         picks[k][0].prefix(picks[k][1] + 1) for k in np.flatnonzero(keep[m:]))
     model = _AffineModel(
         P[keep], S[keep], c[keep], tuple(itertools.compress(model.keys + tuple(keys), keep)),
-        model.vertices, None if at_vertices is None else at_vertices[keep],
+        model.vertices, None if at_vertices is None else at_vertices[keep], settled=True,
     )
     return SequenceFamily._grown(family, members, model)
+
+
+def _dominated(V) -> np.ndarray:
+    """Which rows of the vertex-value matrix ``V`` another row dominates.
+
+    Row i dominates row j when it is >= at every vertex and either > at one
+    or earlier; where geq[i, j] holds no value is NaN, so "> at one" is "not
+    geq[j, i]", and no row dominates itself.
+    """
+    geq = (V[:, None, :] >= V[None, :, :]).all(axis=2)
+    order = np.arange(len(V))
+    return (geq & (~geq.T | np.less.outer(order, order))).any(axis=0)
 
 
 def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0.0):
@@ -366,12 +391,90 @@ def subgradient_test(family: SequenceFamily, x, v, probes, tol: float = 0.0) -> 
     v = np.asarray(v, dtype=float)
     if x.shape != (dim,) or v.shape != (dim,):
         raise ValueError(f"dimension mismatch: x {x.shape}, v {v.shape}, family ({dim},)")
-    Y = _point_rows(probes, dim)
-    at_x = family._model.values(x[None, :])[:, 0]
-    best = int(np.argmax(at_x))
-    grown = grow_family(family, family.members[best].extended(x, v))
-    floor = at_x[best] + inner_rows(v, Y - x) - tol
-    return not np.any(grown._model.max(Y) < floor)
+    return bool(_subgradient_checks(family, x[None, :], v[None, :],
+                                    _point_rows(probes, dim), tol)[0])
+
+
+def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
+    """:func:`subgradient_test` of every node ``(X[n], V[n])`` at the probes ``Y``.
+
+    Nodes are taken in blocks.  A node's extension has the best member's
+    model value at ``X[n]`` as its last sum, so only its final slack needs
+    checking; the first node whose extension fails raises the error of
+    :func:`grow_family`.  Growing a settled family (see
+    :attr:`_AffineModel.settled`) by a chain whose proper prefixes are all
+    members adds just the new row, which keeps every member it does not
+    dominate at every vertex; the cap then evicts the oldest non-trivial
+    rows.  The grown maximum at the probes is the maximum over the kept rows,
+    whose values are computed as the grown model computes them, bit for bit.
+    Any other node is grown through :func:`_grow_verified`.
+    """
+    model = family._model
+    m, dim = len(family), family.dimension
+    nv = 0 if model.vertices is None else len(model.vertices)
+    seen = set(model.keys)
+    closed = {}  # best member -> whether all its proper prefixes are members
+    out = np.empty(len(X), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // ((m + dim) * (len(Y) + nv + dim)))
+    for lo in range(0, len(X), step):
+        Xb, Vb = X[lo:lo + step], V[lo:lo + step]
+        best, base = _best_members(model, Xb)
+        # verify_chain's final slack of each extension, whose last sum is base
+        slack = inner_rows(Xb - family.anchor_point, Vb) - base
+        fast = np.zeros(len(Xb), dtype=bool)
+        for j, k in enumerate(best.tolist()):
+            member = family.members[k]
+            if k not in closed:
+                _check_chain(family, member)
+                closed[k] = all((member.xs[:count].tobytes(), member.vs[:count].tobytes()) in seen
+                                for count in range(1, len(member)))
+            if not slack[j] >= -family.tol:
+                raise ValueError(f"chain fails the chain inequality at index {len(member)}")
+            fast[j] = closed[k] and (member.xs.tobytes() + Xb[j].tobytes(),
+                                     member.vs.tobytes() + Vb[j].tobytes()) not in seen
+        fast &= model.settled
+        for j in np.flatnonzero(~fast):
+            grown = _grow_verified(family, [family.members[best[j]].extended(Xb[j], Vb[j])])
+            floor = base[j] + inner_rows(Vb[j], Y - Xb[j]) - tol
+            out[lo + j] = not np.any(grown._model.max(Y) < floor)
+        f = np.flatnonzero(fast)
+        if not f.size:
+            continue
+        Xf, Vf, cf = Xb[f], Vb[f], base[f]
+        # which members, then whether the new row, each grown family keeps
+        keep = np.ones((len(f), m + 1), dtype=bool)
+        if nv:
+            A = model.at_vertices
+            new = inner_rows(model.vertices[None, :, :] - Xf[:, None, :], Vf[:, None, :]) + cf[:, None]
+            keep[:, m] = ~(A[None, :, :] >= new[:, None, :]).all(axis=2).any(axis=1)
+            keep[:, 1:m] = ~((new[:, None, :] >= A[None, 1:, :]).all(axis=2) & keep[:, m:])
+        # evict the oldest non-trivial rows down to the cap
+        excess = keep.sum(axis=1) - family.cap
+        keep[:, 1:] &= keep[:, 1:].cumsum(axis=1) > excess[:, None]
+        top = _kept_max(model, keep[:, :m], Y)
+        new = inner_rows(Y[None, :, :] - Xf[:, None, :], Vf[:, None, :]) + cf[:, None]
+        np.maximum(top, np.where(keep[:, m:], new, -np.inf), out=top)
+        floor = cf[:, None] + inner_rows(Vf[:, None, :], Y[None, :, :] - Xf[:, None, :]) - tol
+        out[lo + f] = ~(top < floor).any(axis=1)
+    return out
+
+
+def _best_members(model, X):
+    # the first member of highest value at each point, and that value
+    at_x = _affine_values(model.P, model.S, model.c, X)
+    best = at_x.argmax(axis=0)
+    return best, at_x[best, np.arange(len(X))]
+
+
+def _kept_max(model, keep, Y) -> np.ndarray:
+    # row r: the largest value at each of Y over the members keep[r] holds
+    top = np.full((len(keep), len(Y)), -np.inf)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(keep) * len(Y)))
+    for lo in range(0, len(model.c), step):
+        hi = lo + step
+        values = _affine_values(model.P[lo:hi], model.S[lo:hi], model.c[lo:hi], Y)
+        np.maximum(top, np.where(keep[:, lo:hi, None], values, -np.inf).max(axis=1), out=top)
+    return top
 
 
 def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
@@ -414,6 +517,10 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     ends = inner_rows(X - x0, V)
     # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
+    vertices = family._model.vertices
+    # whether the cap may have evicted a member: growth then keeps the family
+    # at the cap, and the children are no longer filtered first
+    capped = False
     used = 0
     grown = 0
     # row r of a level: the node path of chain r and the step sums of its prefixes
@@ -435,9 +542,21 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
             if r.size:
                 kid_paths = np.column_stack([rows[r], b])
                 kid_sums = np.column_stack([prefix[r], stepped[r, b]])
-                family = _grow_verified(family, [
+                live = slice(None)
+                if vertices is not None and not capped and len(family) + kid_paths.size <= cap:
+                    # growth drops a child a member dominates at every vertex;
+                    # while the cap evicts nothing, its pruned prefixes would
+                    # come back only to be pruned again, so it is left out
+                    at_vertices = inner_rows(vertices[None, :, :] - X[b, None, :],
+                                             V[b, None, :]) + kid_sums[:, -1:]
+                    live = ~(family._model.at_vertices[None, :, :]
+                             >= at_vertices[:, None, :]).all(axis=2).any(axis=1)
+                chains = [
                     Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s.copy()))
-                    for p, s in zip(kid_paths, kid_sums)])
+                    for p, s in zip(kid_paths[live], kid_sums[live])]
+                if chains:
+                    family = _grow_verified(family, chains)
+                    capped = capped or len(family) >= cap
                 grown += len(r)
                 if kid_paths.shape[1] < max_length:
                     next_paths.append(kid_paths)

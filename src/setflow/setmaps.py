@@ -481,7 +481,7 @@ class _Table:
 
 
 def _uncovered(x) -> UncoveredPointError:
-    return UncoveredPointError(f"point {tuple(x)} matches no region")
+    return UncoveredPointError(f"point {tuple(x.tolist())} matches no region")
 
 
 def table_map(regions) -> SetValuedMap:

@@ -39,7 +39,6 @@ from setflow import (
     extension_slack,
     inner,
     norm,
-    subgradient_test,
     submap_contains,
     submap_select,
     support_argmax,
@@ -637,7 +636,7 @@ def eval_ref(svmap, x):
     for region in d["regions"]:
         if _matches_ref(predicate_from_dict(region["where"]), x):
             return CompactSet(region["points"])
-    raise UncoveredPointError(f"point {tuple(x)} matches no region")
+    raise UncoveredPointError(f"point {tuple(x.tolist())} matches no region")
 
 
 def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
@@ -678,7 +677,8 @@ def subgradient_entries_ref(family, svmap, samples, tol):
 
     Built as the command built it before its query phase compared all
     (sample, value) nodes at once: the map evaluated at each sample again,
-    ``submap_select`` per sample and ``submap_contains`` per value.
+    ``submap_select`` per sample, ``submap_contains`` per value and
+    :func:`subgradient_test_ref` per compatible value.
     """
     probes = np.array(samples)
     entries = []
@@ -687,7 +687,7 @@ def subgradient_entries_ref(family, svmap, samples, tol):
         checks = []
         for v in svmap.eval(p).points:
             compatible = submap_contains(family, svmap, p, v, tol)
-            ok = bool(subgradient_test(family, p, v, probes, tol)) if compatible else None
+            ok = subgradient_test_ref(family, p, v, probes, tol) if compatible else None
             checks.append({"v": [float(c) for c in v], "compatible": bool(compatible),
                            "subgradient_ok": ok})
         entries.append({

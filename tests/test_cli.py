@@ -28,7 +28,7 @@ from setflow import (
 )
 from setflow.chains import ClassReport
 from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _fmt, _write_csv,
-                         main)
+                         build_parser, main)
 
 from conftest import INERTIAL_GAP_PROBLEM, child_env
 
@@ -757,6 +757,17 @@ class TestTableDimensions:
         assert "of dimension 1, values of dimension 2" in err
 
 
+class TestTableCoverage:
+    def test_uncovered_point_prints_plain_floats(self, tmp_path, capsys):
+        # the Euler node 45 / 64 lies past the only region
+        doc = dict(CONSTANT_PROBLEM, map={"kind": "table", "regions": [
+            {"where": {"kind": "box", "low": [-1.0], "high": [0.7]}, "points": [[1.0]]}]},
+            x0=[0.0], v0=[1.0], T=1.0, h=1 / 64)
+        code, _ = _timed_run(tmp_path, "solve", doc)
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: point (0.703125,) matches no region\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, sign_file):
         outs = []
@@ -773,3 +784,35 @@ class TestDeterminism:
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_repeated_calls_match_fresh_parsers(self, tmp_path, sign_file, capsys):
+        # one parser serves every call of a process, bad argument lists too
+        argvs = [
+            ["potential", "--input", sign_file, "--output", "{out}"],
+            ["potential", "--input", sign_file],
+            ["nonsense"],
+            ["classify", "--input", sign_file, "--output", "{out}", "--grid=-1:1:3"],
+            ["solve", "--input", sign_file, "--output", "{out}", "--strategy", "nope"],
+            ["solve", "--input", sign_file, "--output", "{out}"],
+            ["refine", "--input", sign_file, "--output", "{out}", "--steps", "10,20"],
+        ]
+
+        def outcomes(tag, fresh):
+            got = []
+            for k, argv in enumerate(argvs):
+                out = tmp_path / tag / str(k)
+                if fresh:
+                    build_parser.cache_clear()
+                try:
+                    code = main([str(a).format(out=out) for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+                files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+                got.append((code, capsys.readouterr(), files))
+            return got
+
+        fresh = outcomes("fresh", True)
+        cached = outcomes("cached", False)
+        assert build_parser() is build_parser()
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [0, 2, 2, 0, 2, 0, 0]

@@ -10,6 +10,7 @@ the family that growing by one chain at a time gives.
 
 import contextlib
 import functools
+import itertools
 import json
 import tracemalloc
 from collections import deque
@@ -26,6 +27,7 @@ from setflow import (
     build_family,
     family_to_text,
     grow_family,
+    map_from_dict,
     map_to_dict,
     parse_problem,
     potential_value,
@@ -35,6 +37,7 @@ from setflow import (
     submap_contains,
 )
 from setflow.chains import extension_slack
+from setflow.geometry import inner_rows
 from setflow.potential import family_from_json_dict, family_from_text, family_to_json_dict
 
 import oracles
@@ -80,19 +83,38 @@ def grown_chains(module, name):
         setattr(module, name, original)
 
 
+@contextlib.contextmanager
+def best_members():
+    """Record the member indices the kernel picks to extend, node by node."""
+    seen = []
+    original = potential._best_members
+
+    def spy(model, X):
+        best, base = original(model, X)
+        seen.extend(best.tolist())
+        return best, base
+
+    potential._best_members = spy
+    try:
+        yield seen
+    finally:
+        potential._best_members = original
+
+
 def assert_same_subgradients(svmap, grid, family, want, tols, compatible_only=True):
     """Same booleans (or errors) and the same extended best members."""
-    results = []
-    with grown_chains(potential, "grow_family") as got_chains, \
-            grown_chains(oracles, "grow_family_ref") as want_chains:
+    results, got_chains = [], []
+    with best_members() as picked, grown_chains(oracles, "grow_family_ref") as want_chains:
         for tol in tols:
             for p in grid:
                 for v in svmap.eval(p).points:
                     if compatible_only and not submap_contains(family, svmap, p, v, tol):
                         continue
+                    picked.clear()
                     result = outcome(subgradient_test, family, p, v, grid, tol)
                     assert result == outcome(subgradient_test_ref, want, p, v, grid, tol)
                     results.append(result)
+                    got_chains += [family.members[k].extended(p, v).to_dict() for k in picked]
     assert got_chains == want_chains
     return results
 
@@ -455,7 +477,8 @@ def test_cli_outputs_match_the_references(problem, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "potential_values", lambda family, points: np.array(
         [potential_value_ref(family, p) for p in points]))
     monkeypatch.setattr(cli, "potential_value", potential_value_ref)
-    monkeypatch.setattr(cli, "subgradient_test", subgradient_test_ref)
+    monkeypatch.setattr(cli, "_subgradient_checks", lambda family, X, V, probes, tol: np.array(
+        [subgradient_test_ref(family, x, v, probes, tol) for x, v in zip(X, V)], dtype=bool))
     monkeypatch.setattr(potential, "potential_value", potential_value_ref)
     assert run_potential(problem, tmp_path / "reference") == 0
     for name in POTENTIAL_FILES:
@@ -499,3 +522,160 @@ def test_query_phase_matches_the_per_pair_loop(name, doc, tmp_path):
     family = family_from_text((tmp_path / "o" / "family.json").read_text())
     want = subgradient_entries_ref(family, spec.map, grid_points_ref(spec.grid), spec.tol)
     assert (tmp_path / "o" / "subgradient.json").read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def graph_nodes(svmap, grid):
+    """Every (point, value) node of the map on the grid, in grid order."""
+    pairs = [(p, v) for p in grid for v in svmap.eval(p).points]
+    return np.array([p for p, _ in pairs]), np.array([v for _, v in pairs])
+
+
+def assert_kernel_matches(family, X, V, probes, tol):
+    """The kernel over all nodes at once against the reference node by node:
+    the same booleans, or the error of the first node that raises."""
+    want = []
+    for x, v in zip(X, V):
+        result = outcome(subgradient_test_ref, family, x, v, probes, tol)
+        if isinstance(result, tuple):
+            want = result
+            break
+        want.append(result)
+    got = outcome(potential._subgradient_checks, family, X, V, probes, tol)
+    assert (got if isinstance(got, tuple) else got.tolist()) == want
+    return want
+
+
+def kernel_cases():
+    """Built families at caps 1, 2, 3 and the default, boxed, with their nodes."""
+    maps = [(entry.svmap, entry.grid, 3) for entry in build_corpus()]
+    for svmap, grid, max_length in maps + list(random_cases(9)):
+        x0 = grid[len(grid) // 2]
+        v0 = svmap.eval(x0).points[-1]
+        X, V = graph_nodes(svmap, grid)
+        for cap in (1, 2, 3, 4096):
+            family, _ = build_family(svmap, x0, v0, grid, max_length, box=bounds(grid), cap=cap)
+            yield family, svmap, grid, X, V
+        family, _ = build_family(svmap, x0, v0, grid, max_length)
+        yield family, svmap, grid, X, V
+
+
+@pytest.fixture
+def grown_in_kernel(monkeypatch):
+    """Count the nodes the kernel grows through ``_grow_verified``."""
+    calls = []
+    grow = potential._grow_verified
+    monkeypatch.setattr(potential, "_grow_verified",
+                        lambda family, chains: calls.append(len(chains)) or grow(family, chains))
+    return calls
+
+
+def test_kernel_matches_per_node_references(grown_in_kernel):
+    cases = list(kernel_cases())
+    grown_in_kernel.clear()
+    nodes = 0
+    outcomes = set()
+    for family, svmap, grid, X, V in cases:
+        probes = np.array(grid).reshape(len(grid), -1)
+        compatible = np.array([potential_value(family, x) <= inner_rows(x - family.anchor_point, v)
+                               for x, v in zip(X, V)])
+        for tol in (0.0, 0.3):
+            # compatible nodes only, then every node: an incompatible one raises
+            outcomes.update(assert_kernel_matches(family, X[compatible], V[compatible],
+                                                  probes, tol))
+            outcomes.add(type(assert_kernel_matches(family, X, V, probes, tol)))
+            nodes += np.count_nonzero(compatible)
+    assert {True, False, tuple} <= outcomes
+    # both the batched rows and the nodes grown one at a time were exercised
+    assert 0 < len(grown_in_kernel) < nodes
+
+
+def test_kernel_in_small_blocks_matches_per_node_references(monkeypatch):
+    # blocks of a node or two, and of single members at the probes
+    monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 7)
+    for family, svmap, grid, X, V in itertools.islice(kernel_cases(), 0, None, 3):
+        probes = np.array(grid).reshape(len(grid), -1)
+        assert_kernel_matches(family, X, V, probes, 0.3)
+
+
+@pytest.mark.parametrize("box", [None, ([-1.0], [1.0])], ids=["unboxed", "boxed"])
+@pytest.mark.parametrize("cap", [2, 4, 4096])
+def test_kernel_on_families_given_to_the_constructor(box, cap, grown_in_kernel):
+    # members that dominate each other, more of them than a small cap, and
+    # members whose proper prefixes are not members
+    family = dominated_family(box, cap)
+    grid = np.array(sample_grid([-1.0], [1.0], [9]))
+    X = np.repeat(grid, 4, axis=0)
+    V = np.tile([[1.0], [2.0], [-1.0], [0.5]], (len(grid), 1))
+    compatible = np.array([potential_value(family, x) <= inner_rows(x, v) for x, v in zip(X, V)])
+    for tol in (0.0, 0.3):
+        assert_kernel_matches(family, X[compatible], V[compatible], grid, tol)
+        assert_kernel_matches(family, X, V, grid, tol)
+    # a family whose members dominate each other is grown node by node
+    grown_in_kernel.clear()
+    potential._subgradient_checks(family, X[compatible], V[compatible], grid, 0.0)
+    if box is None:
+        assert len(grown_in_kernel) < np.count_nonzero(compatible)
+    else:
+        assert len(grown_in_kernel) == np.count_nonzero(compatible)
+
+
+def test_kernel_with_empty_probes():
+    for family, svmap, grid, X, V in itertools.islice(kernel_cases(), 0, None, 4):
+        empty = np.empty((0, family.dimension))
+        compatible = [potential_value(family, x) <= inner_rows(x - family.anchor_point, v)
+                      for x, v in zip(X, V)]
+        assert assert_kernel_matches(family, X[compatible], V[compatible], empty, 0.0) == \
+            [True] * sum(compatible)
+        assert potential._subgradient_checks(family, X[:0], V[:0], empty, 0.0).shape == (0,)
+
+
+# a node the model accepts at tol 0.75 * 2**-53, whose extension fails by one
+# ulp: 1 - 2**-53 >= 1.0 - tol, as rounded, yet (1 - 2**-53) - 1.0 < -tol
+ULP_DOC = {
+    "map": {"kind": "constant", "points": [[1.0], [1.0 - 2.0**-53]]},
+    "x0": [0.0], "v0": [1.0], "T": 1.0, "h": 0.5, "strategy": "support",
+    "tol": 0.75 * 2.0**-53,
+    "grid": {"low": [0.0], "high": [1.0], "counts": [2]}, "max_length": 2,
+}
+
+
+def test_compatible_node_whose_extension_fails(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(ULP_DOC) + "\n")
+    assert run_potential(f, tmp_path / "o") == cli.EXIT_INVALID
+    message = "chain fails the chain inequality at index 1"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any((tmp_path / "o").iterdir())
+    spec = parse_problem(f.read_text())
+    family, _ = build_family(spec.map, spec.x0, spec.v0, [[0.0], [1.0]], 2,
+                             box=([0.0], [1.0]), tol=spec.tol)
+    x, v = np.array([1.0]), np.array([1.0 - 2.0**-53])
+    assert inner_rows(x, v) >= potential_value(family, x) - spec.tol
+    X, V = np.array([[0.0], [1.0], [1.0]]), np.array([[1.0], [1.0], [1.0 - 2.0**-53]])
+    assert assert_kernel_matches(family, X, V, X, spec.tol) == ("error", message)
+
+
+def test_kernel_grows_back_prefixes_that_are_not_members(grown_in_kernel):
+    # the member's prefix [(1/4, 3/4), (0, -1/2)] is not a member; growing
+    # brings it back, and past the box it is the row that clears the probes
+    xs, vs = [[0.25], [0.0], [0.25]], [[0.75], [-0.5], [0.25]]
+    family = SequenceFamily(xs[0], vs[0], [Chain(xs[:1], vs[:1]), Chain(xs, vs)],
+                            box=([-1.0], [1.0]), cap=3)
+    probes = np.arange(-12, 13)[:, None] / 4.0
+    x, v = np.array([-1.0]), np.array([-0.25])
+    assert subgradient_test_ref(family, x, v, probes)
+    assert subgradient_test(family, x, v, probes)
+    assert len(grown_in_kernel) == 1
+
+
+def test_children_are_filtered_only_while_the_cap_cannot_evict():
+    # a block whose children could take this family past a cap of 3: a
+    # dropped child's prefix may come back and be what the cap evicts
+    svmap = map_from_dict({"kind": "table", "regions": [
+        {"where": {"kind": "halfspace", "normal": [0.0, 1.0], "value": 0.0, "op": "le"},
+         "points": [[1.0, 2.0], [-2.0, 1.5]]},
+        {"where": {"kind": "always"}, "points": [[1.0, -1.0], [-2.0, 1.0]]}]})
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [3, 3])
+    _, stats = assert_same_build(svmap, grid, [1.0, 0.0], [1.0, 2.0], 3, bounds(grid), 10**6,
+                                 cap=3)
+    assert stats["chains_grown"] > 3
