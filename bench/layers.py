@@ -13,7 +13,8 @@ as the least of a dozen.  A figure is microseconds per call of
 ``SetValuedMap.eval_many`` (``null`` where a tree has no such method), per
 node of ``trajectory_residual``, per step of ``euler_solve`` (1000 support
 steps from one point, for each map kind, the linear one replaced by the
-gradient map ``diag(1, 2)``), per ``build_family`` op (the subdifferential
+gradient map ``diag(1, 2)``, and 1000 exhaustive and inertial steps on the
+constant map), per ``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per
@@ -69,9 +70,11 @@ MAPS = {
     ]},
 }
 RESIDUAL_STEPS = 2000
-# euler_solve per step: the constant map never has one value, the
-# subdifferential and table maps coast most of the time, and this gradient
-# linear map has one value at every node but turns there
+# euler_solve per step: the constant map's first value dominates its other
+# three (<a, b> < |a|^2), so every rule keeps it and it coasts with four
+# values; the subdifferential and table maps coast most of the time with
+# one; and this gradient linear map has one value at every node but turns
+# there, so it never coasts
 GRADIENT = {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 2.0]]}
 SOLVE_STEPS = 1000
 FAMILY_GRID = ([-1.0, -1.0], [1.0, 1.0], [5, 5])
@@ -130,12 +133,15 @@ def measure(src: str) -> dict:
             out["chains.verify_chain.us_per_run"] = _per_call_us(
                 lambda: verify_chain(node_chain), 1)
 
-    for kind, doc in {**MAPS, "linear": GRADIENT}.items():
-        svmap = map_from_dict(doc)
+    solves = [(kind, "support") for kind in (*MAPS, "linear")]
+    solves += [("constant", "exhaustive"), ("constant", "inertial")]
+    for kind, strategy in solves:
+        svmap = map_from_dict(GRADIENT if kind == "linear" else MAPS[kind])
         x0 = np.array([-0.75, 0.3])
         spec = ProblemSpec(map=svmap, x0=x0, v0=svmap.eval(x0).points[0], horizon=1.0,
-                           step=1.0 / SOLVE_STEPS, strategy="support", tol=1e-9)
-        out[f"solver.euler_solve.{kind}.us_per_step"] = _per_call_us(
+                           step=1.0 / SOLVE_STEPS, strategy=strategy, tol=1e-9)
+        name = kind if strategy == "support" else f"{kind}.{strategy}"
+        out[f"solver.euler_solve.{name}.us_per_step"] = _per_call_us(
             lambda: euler_solve(spec), SOLVE_STEPS)
 
     svmap = map_from_dict(MAPS["subdifferential"])

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import (
+    _BLOCK_ELEMENTS,
     Chain,
     extend_exhaustive,
     extend_inertial,
@@ -183,19 +184,25 @@ def _select(chain, x_next, svmap, strategy, tol):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _coast(tip, svmap, deltas, tol):
-    """Steps from the tip that keep its velocity, as ``(count, nodes, sums)``.
+def _coast(tip, svmap, deltas, strategy, tol):
+    """Steps from the tip that keep its velocity, as ``(count, nodes, sums, width)``.
 
     Guesses one node per step in ``deltas``, all at the tip velocity ``v``,
-    and returns the longest prefix that the per-step path would take with
-    ``v`` too: every node, product and sum is finite, the value set is ``{v}``
-    bit for bit (``-0.0 == 0.0``, but the loop stores the map's own row), and
-    the final-index slack is not below ``-tol``, where every rule picks the
-    one value.  The nodes and sums round as the loop's ``x + dt * v`` and
-    :meth:`_ChainTip.extended` do, and a node or term past the largest float
-    leaves a slack that is not finite.  The first node that breaks the prefix
-    is left to the caller, and an ``eval_many`` that raises anywhere leaves
-    the whole block to it.
+    evaluates them with one ``eval_many`` and returns the longest prefix that
+    the per-step path would take with ``v`` too, and ``width``, the number of
+    values at the first guessed node.  Every node of the prefix holds that
+    node's value set ``S`` bit for bit, every node, product and sum is
+    finite, and the strategy's rule, replayed on the whole prefix at once
+    (:func:`_replayed_picks`), takes ``v`` bit for bit (``-0.0 == 0.0``, but
+    the loop stores the map's own row).  Where ``S`` is one point every rule
+    takes it, at once or through the exhaustive fallback, wherever the
+    final-index slack is not below ``-tol``.  The nodes and sums round as
+    the loop's ``x + dt * v`` and :meth:`_ChainTip.extended` do, and a node
+    or term past the largest float leaves a slack that is not finite.  The
+    first node that breaks the prefix is left to the caller, and an
+    ``eval_many`` that raises anywhere leaves the whole block to it.  The
+    replay reads at most ``_BLOCK_ELEMENTS`` (node, value) pairs, and one
+    node at least.
     """
     x, v = tip.last_point, tip.last_velocity
     try:
@@ -205,22 +212,77 @@ def _coast(tip, svmap, deltas, tol):
             nodes = np.add.accumulate(np.vstack([x, deltas[:, None] * v]))[1:]
         # under the caller's errstate, as the per-step path evaluates
         values, owner = svmap.eval_many(nodes)
-        if len(values) != len(nodes):
-            # every node has a value, so the first with two or more ends it
-            count = int((np.bincount(owner, minlength=len(nodes)) != 1).argmax())
-            nodes, values = nodes[:count], values[:count]
+        counts = np.bincount(owner, minlength=len(nodes))
+        width = int(counts[0])
+        # every node has a value, so the first with another count ends it
+        n = min(int((counts != width).argmax()) or len(nodes), max(1, _BLOCK_ELEMENTS // width))
+        nodes, S = nodes[:n], values[:width]
         with np.errstate(over="ignore", invalid="ignore"):
             steps = inner_rows(nodes - np.vstack([x, nodes[:-1]]), v)
             sums = np.add.accumulate(np.concatenate([[tip.last_sum], steps]))[1:]
-            slacks = inner_rows(nodes - tip.anchor_point, v) - sums
+            offsets = nodes - tip.anchor_point
+            products = inner_rows(offsets[:, None], S)
+            slacks = products - sums[:, None]
+            if width == 1:
+                slack = slacks[:, 0]
+                pick, keep = 0, np.isfinite(slack) & ~(slack < -tol)
+            else:
+                pick, keep = _replayed_picks(strategy, S, v, offsets, products, slacks, tol)
     except Exception:
         # the map raised somewhere in the block, or an underflow the caller
         # traps did: the per-step path raises it, or not, at its own node
-        return 0, None, None
-    keep = ((values == v) & (np.signbit(values) == np.signbit(v))).all(axis=1)
-    keep &= np.isfinite(slacks) & ~(slacks < -tol)
-    count = len(keep) if keep.all() else int(keep.argmin())
-    return count, nodes, sums
+        return 0, None, None, None
+    rows = _bits(values[:n * width]).reshape(n, width, -1)
+    keep &= (rows == rows[0]).all(axis=(1, 2)) & (rows[0] == _bits(v)).all(axis=1)[pick]
+    count = n if keep.all() else int(keep.argmin())
+    return count, nodes, sums, width
+
+
+def _bits(a):
+    # float entries as integers, equal only where the floats are bit for bit
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _replayed_picks(strategy, S, v, offsets, products, slacks, tol):
+    """The row of ``S`` the strategy picks at each node, and where it keeps it.
+
+    ``products[i]`` and ``slacks[i]`` are the per-step path's
+    ``inner_rows(offsets[i], S)`` and final-index slacks at node ``i``,
+    whose tip velocity is ``v``.  The scores are the slacks (exhaustive),
+    the products in the anchored direction (support) or, among the values
+    aligned with ``v``, the nearness to ``v`` (inertial).  Ties go by
+    :func:`geometry._best_row`'s rule: the highest score, then the lowest
+    rank under a stable lexicographic sort of ``S`` (``-0.0`` ties ``0.0``),
+    then the first row.  A node keeps its pick only where the per-step path
+    would take it with no fallback: every product is finite, and the pick's
+    slack is at least ``-tol``, or for ``exhaustive`` not below it.  At the
+    anchor every support product is zero, so the replay takes the
+    lexicographically first value; where that is ``v``, the value nearest
+    ``v`` that the per-step rule takes there is ``v`` too.
+    """
+    keep = np.isfinite(slacks).all(axis=1)
+    if strategy == "exhaustive":
+        scores = slacks
+    elif strategy == "support":
+        scores = products
+    else:
+        turns = S - v
+        aligned = inner_rows(turns, offsets[:, None])
+        nearness = -inner_rows(turns, turns)
+        keep &= np.isfinite(aligned).all(axis=1) & np.isfinite(nearness).all()
+        scores = np.where(aligned >= -tol, nearness, -np.inf)
+    order = np.lexsort(S.T[::-1])
+    ranked = scores[:, order]
+    pick = order[(ranked == ranked.max(axis=1, keepdims=True)).argmax(axis=1)]
+    at = np.arange(len(pick))
+    picked = slacks[at, pick]
+    if strategy == "exhaustive":
+        keep &= ~(picked < -tol)
+    else:
+        keep &= picked >= -tol
+    if strategy == "inertial":
+        keep &= aligned[at, pick] >= -tol
+    return pick, keep
 
 
 # steps in the first block after a coasting node, and the most in any block
@@ -237,19 +299,22 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     map extends the chain at that node within the tolerance.  Only the chain
     tip is carried, so each step costs the same however long the chain is.
 
-    A node *coasts* when its value set is one point, bit for bit the previous
-    velocity.  From a coasting node the solver guesses a block of steps at
-    that velocity (:func:`_coast`) and takes the prefix the selection rules
-    would take one step at a time; the node that breaks the prefix is
-    selected alone.  A block holds 8 steps after a break and doubles after
-    each full block, up to 1024.  Trajectories, errors and
-    :class:`SelectionFailed` replay state equal those of selecting every node
-    alone.
+    A node *coasts* when its pick is bit for bit the previous velocity.  From
+    a coasting node the solver guesses a block of steps at that velocity
+    (:func:`_coast`), replays the strategy's rule on the whole block at once,
+    and takes the prefix where the value set stays the same and the rule
+    would take that velocity one step at a time; the node that breaks the
+    prefix is selected alone.  A block holds 8 steps after a break and
+    doubles after each full block, up to 1024 and to at most
+    ``_BLOCK_ELEMENTS`` (node, value) pairs at the width of the last block.
+    Trajectories, errors and :class:`SelectionFailed` replay state equal
+    those of selecting every node alone.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
     v0 = np.asarray(spec.v0, dtype=float)
-    if not svmap.eval(x0).contains(v0):
+    first = svmap.eval(x0)
+    if not first.contains(v0):
         raise ValueError("v0: initial velocity not in F(x0)")
     times, deltas = time_grid(spec.horizon, spec.step)
     steps = deltas.tolist()
@@ -259,6 +324,8 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     x = x0
     k = 0
     block = _BLOCK_MIN
+    # values per node in the last block evaluated, which caps the next one
+    width = len(first)
     coasting = False
     try:
         # a chain term past the largest float raises, where it would leave
@@ -266,8 +333,10 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
         with np.errstate(over="raise", invalid="raise"):
             while k < len(steps):
                 if coasting:
-                    size = min(block, len(steps) - k)
-                    count, nodes, sums = _coast(tip, svmap, deltas[k:k + size], spec.tol)
+                    size = min(block, len(steps) - k, max(1, _BLOCK_ELEMENTS // width))
+                    count, nodes, sums, seen = _coast(tip, svmap, deltas[k:k + size],
+                                                      spec.strategy, spec.tol)
+                    width = seen or width
                     if count:
                         x, v = nodes[count - 1], tip.last_velocity
                         tip = _ChainTip(tip.anchor_point, x, v, float(sums[count - 1]))
@@ -293,9 +362,7 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
                     slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
                     raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
                                           spec.strategy, spec.tol)
-                # the one extra evaluation, only where the pick did not turn
-                coasting = (v.tobytes() == tip.last_velocity.tobytes()
-                            and len(svmap.eval(x)) == 1)
+                coasting = v.tobytes() == tip.last_velocity.tobytes()
                 tip = tip.extended(x, v)
                 states.append(x)
                 velocities.append(v)

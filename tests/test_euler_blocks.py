@@ -30,9 +30,11 @@ from setflow import (
     pl_subdifferential_map,
     table_map,
 )
+from setflow import solver
 from setflow.cli import DEFAULT_STEP_COUNTS
+from setflow.geometry import inner_rows
 
-from conftest import dyadic
+from conftest import bits, dyadic, signed_zeros
 from oracles import euler_solve_ref
 
 STRATEGIES = ["exhaustive", "support", "inertial"]
@@ -84,6 +86,13 @@ def _counted(svmap):
 def _random_map(rng, kind, dim):
     if kind == "constant":
         return constant_map(dyadic(rng, (int(rng.integers(1, 4)), dim)))
+    if kind == "dominant":
+        # one longest value a with <a, b> < |a|^2 for up to 7 others b,
+        # duplicates and signed-zero twins included: every rule keeps a
+        a = np.concatenate([[2.0 * rng.choice([-1.0, 1.0])], dyadic(rng, dim - 1, span=1, den=1)])
+        others = dyadic(rng, (int(rng.integers(0, 8)), dim), span=1, den=4)
+        points = np.vstack([others[inner_rows(others, a) < inner_rows(a, a)], a])
+        return constant_map(signed_zeros(rng, rng.permutation(points)))
     if kind == "subdifferential":
         pieces = int(rng.integers(1, 4))
         return pl_subdifferential_map(
@@ -103,7 +112,7 @@ def _random_map(rng, kind, dim):
 
 
 @given(seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["constant", "subdifferential", "linear", "table"]),
+       kind=st.sampled_from(["constant", "dominant", "subdifferential", "linear", "table"]),
        dim=st.integers(1, 3), strategy=st.sampled_from(STRATEGIES),
        tol=st.sampled_from([0.0, 0.25]), steps=st.sampled_from([16, 100, 256]))
 @settings(max_examples=200, deadline=None)
@@ -112,7 +121,8 @@ def test_random_dyadic_maps_solve_as_per_step(seed, kind, dim, strategy, tol, st
     svmap = _random_map(rng, kind, dim)
     x0 = dyadic(rng, dim, span=1, den=4)
     values = svmap.eval(x0).points
-    v0 = values[int(rng.integers(len(values)))]
+    longest = int(inner_rows(values, values).argmax())
+    v0 = values[longest if kind == "dominant" else int(rng.integers(len(values)))]
     assert_as_per_step(_spec(svmap, x0, v0, T=2.0, h=2.0 / steps, strategy=strategy, tol=tol))
 
 
@@ -122,8 +132,9 @@ def test_a_long_coasting_run_is_taken_in_blocks():
     assert_as_per_step(spec)
     evaluator.calls = evaluator.blocks = 0
     assert euler_solve(spec).node_count() == 4097
-    # one check of v0, then node 1: its pick and the coasting test
-    assert evaluator.calls == 3
+    # one check of v0, then node 1's pick, which repeats v0 and so starts
+    # the blocks without a further evaluation
+    assert evaluator.calls == 2
     # blocks of 8, 16, ..., 1024, then 1024 twice and the last 7 steps
     assert evaluator.blocks == 11
 
@@ -248,3 +259,234 @@ def test_a_node_past_the_largest_float_inside_a_block(strategy, x0, T, h, node):
     kind, message, _ = assert_as_per_step(spec)
     assert kind is ValueError
     assert message.startswith(f"Euler node {node} ") and message.endswith("is not finite")
+
+
+def _solved_alone(spec, evaluator):
+    # the block evaluations and point evaluations of one euler_solve
+    evaluator.calls = evaluator.blocks = 0
+    traj = euler_solve(spec)
+    return traj, evaluator.calls, evaluator.blocks
+
+
+def _turns(traj):
+    # the nodes whose velocity differs from the last one, bit for bit
+    return [k for k in range(1, traj.node_count())
+            if bits(traj.velocities[k]) != bits(traj.velocities[k - 1])]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_dominant_value_among_eight_coasts_in_blocks(strategy):
+    # <a, b> < |a|^2 for every other value b, so every rule keeps a: the
+    # shape of a constant map whose one longest value carries the flow
+    a = [2.0, -1.0]
+    others = [[1.25, -0.5], [-1.0, 1.0], [0.0, 0.0], [0.5, 1.25], [-1.25, -1.25],
+              [1.0, 0.75], [0.25, -1.0]]
+    svmap, evaluator = _counted(constant_map(others[:3] + [a] + others[3:]))
+    spec = _spec(svmap, [0.25, -0.5], a, h=1 / 4096, strategy=strategy)
+    assert_as_per_step(spec)
+    traj, calls, blocks = _solved_alone(spec, evaluator)
+    assert traj.node_count() == 4097 and (traj.velocities == a).all()
+    # the check of v0 and node 1's pick, then the blocks of the one-value run
+    assert (calls, blocks) == (2, 11)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("points, v0", [
+    # an exact duplicate of v ahead of it, and behind it
+    ([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.5]], [1.0, 0.0]),
+    # a signed-zero twin after v: ties in every score and in the order of
+    # points, so the first row, v itself, is kept
+    ([[1.0, 0.0], [1.0, -0.0], [-1.0, 0.5]], [1.0, 0.0]),
+    # the twin first: node 1 turns to it, bit for bit, and coasts with it
+    ([[1.0, -0.0], [-1.0, 0.5], [1.0, 0.0]], [1.0, 0.0]),
+    ([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0], [0.5, -1.0]], [-0.0, 1.0]),
+])
+def test_duplicates_and_signed_zero_twins_of_the_velocity(strategy, points, v0):
+    svmap, evaluator = _counted(constant_map(points))
+    spec = _spec(svmap, [0.0, 0.0], v0, strategy=strategy)
+    assert_as_per_step(spec)
+    traj, _, blocks = _solved_alone(spec, evaluator)
+    assert blocks > 0
+    first = [k for k, row in enumerate(points) if row == traj.velocities[1].tolist()]
+    assert bits(traj.velocities[-1]) == bits(points[first[0]])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("points, v0", [
+    # along v = (1, 0), (1, 1) scores as v does under every slack and
+    # support product: the lexicographic rule keeps v
+    ([[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0]),
+    # and (1, -1) comes first in that order, so node 1 turns to it
+    ([[1.0, 0.0], [1.0, -1.0]], [1.0, 0.0]),
+    # ties on the first two coordinates, decided by the third
+    ([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]], [1.0, 0.0, 0.0]),
+    # v = (1, 1), node 1's pick, ties (0, 2.125) at node 6 alone, inside the
+    # block of nodes 3-10: the later row comes first in that order
+    ([[1.0, 1.0], [0.0, 2.125], [0.625, 0.0]], [0.625, 0.0]),
+])
+def test_equal_scores_go_by_the_lexicographic_rule(strategy, points, v0):
+    svmap, evaluator = _counted(constant_map(points))
+    spec = _spec(svmap, [0.0] * len(v0), v0, strategy=strategy)
+    assert_as_per_step(spec)
+    assert _solved_alone(spec, evaluator)[2] > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_block_that_starts_where_a_twin_comes_first(strategy):
+    # the block of nodes 26-57 starts past x = 0.40625, where the twin
+    # (1, -0.0) comes before v = (1, 0.0): every rule takes the twin there
+    svmap = table_map([(Halfspace([1.0, 0.0], 0.40625, "lt"), [[1.0, 0.0]]),
+                       (Always(), [[1.0, -0.0], [1.0, 0.0]])])
+    assert_as_per_step(_spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_pick_that_turns_inside_a_block(strategy):
+    # from v0 = (0, 1) the anchored direction turns toward v = (1, 2), node 1's
+    # pick, until (5.5, 0) overtakes it at node 6, inside the block of nodes
+    # 3-10; the inertial rule keeps v0
+    svmap, evaluator = _counted(constant_map([[0.0, 1.0], [1.0, 2.0], [5.5, 0.0]]))
+    spec = _spec(svmap, [0.0, 0.0], [0.0, 1.0], strategy=strategy)
+    assert_as_per_step(spec)
+    traj, _, blocks = _solved_alone(spec, evaluator)
+    assert blocks > 0
+    assert _turns(traj) == ([] if strategy == "inertial" else [1, 6])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", ["slack", "aligned"])
+def test_a_fallback_that_turns_inside_a_block(strategy, case):
+    if case == "slack":
+        # the singleton of test_slack_below_tol_in_the_middle_of_a_block plus
+        # a value with a larger slack: the inertial rule keeps v until its
+        # slack drops below 0 at node 73, inside the block of nodes 58-121,
+        # where the exhaustive fallback turns; the other rules turn at node 1
+        svmap, evaluator = _counted(constant_map([[1 / 3, 0.1], [0.5, 0.1]]))
+        spec = _spec(svmap, [0.1, 0.1], [1 / 3, 0.1], h=0.01, strategy=strategy)
+        expected = [73] if strategy == "inertial" else [1]
+    else:
+        # at a negative tol v is never aligned with itself, so from node 2
+        # the inertial rule falls back to the exhaustive scan, which keeps
+        # v = (1, 1) until u = (2.125, 0) gains h / 8 on it at node 7, inside
+        # the block of nodes 3-10; u is first aligned only at node 8.  Every
+        # rule turns there.
+        svmap, evaluator = _counted(table_map([
+            (Halfspace([0.0, 1.0], 0.0, "eq"), [[0.0, 0.625]]),
+            (Always(), [[1.0, 1.0], [2.125, 0.0]])]))
+        spec = _spec(svmap, [0.0, 0.0], [0.0, 0.625], h=1 / 16, strategy=strategy,
+                     tol=-3 / 256)
+        expected = [1, 7]
+    assert_as_per_step(spec)
+    traj, _, blocks = _solved_alone(spec, evaluator)
+    assert blocks > 0
+    assert _turns(traj)[:len(expected)] == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("after", [
+    [[1.0, 0.0], [-1.0, 0.25]],                # one value changes, same count
+    [[1.0, 0.0], [-1.0, 0.5], [0.0, -1.0]],    # one more value
+    [[1.0, 0.0]],                              # one fewer
+    [[-1.0, 0.5], [1.0, 0.0]],                 # the same values, reordered
+])
+def test_a_non_picked_value_that_changes_inside_a_block(strategy, after):
+    # x = 0.5 is node 32, inside the block of nodes 26-57
+    svmap, evaluator = _counted(table_map([
+        (Halfspace([1.0, 0.0], 0.5, "lt"), [[1.0, 0.0], [-1.0, 0.5]]), (Always(), after)]))
+    spec = _spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy)
+    assert_as_per_step(spec)
+    traj, calls, _ = _solved_alone(spec, evaluator)
+    assert traj.node_count() == 65 and (traj.velocities == [1.0, 0.0]).all()
+    # node 32 alone is selected by the per-step path, besides node 1
+    assert calls <= 6
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("points", [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]])
+def test_nodes_at_the_anchor(strategy, points):
+    # a zero velocity keeps every node at the anchor, where the support rule
+    # takes the value nearest the last velocity instead of a product
+    assert_as_per_step(_spec(constant_map(points), [0.0, 0.0], [0.0, 0.0], strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_block_that_crosses_the_anchor(strategy):
+    # past x = 0.25 only -1 is left; the inertial rule then keeps -1 back
+    # through the anchor x0 = 0 at node 34, inside the block of nodes 27-42,
+    # where {-1, 1} ties every product; the other rules turn back at once
+    svmap = table_map([(Halfspace([1.0], 0.25, "gt"), [[-1.0]]),
+                       (Always(), [[-1.0], [1.0]])])
+    spec = _spec(svmap, [0.0], [1.0], strategy=strategy, tol=4.0)
+    assert_as_per_step(spec)
+    if strategy == "inertial":
+        assert euler_solve(spec).states[34, 0] == 0.0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("tol", [math.nan, -0.25, -0.0, -1e-300])
+def test_nan_or_negative_tol_on_a_multi_valued_map(strategy, tol):
+    # up: the turn from 1 to 2 has slack h / 2; down: from 2 to 1, slack -h
+    up = table_map([(Halfspace([1.0], 0.125, "lt"), [[1.0], [-1.0]]),
+                    (Always(), [[2.0], [-2.0], [0.5]])])
+    down = table_map([(Halfspace([1.0], 0.125, "lt"), [[2.0], [-1.0]]),
+                      (Always(), [[1.0], [-1.0]])])
+    for spec in [_spec(up, [0.0], [1.0], h=0.5, T=64.0, strategy=strategy, tol=tol),
+                 _spec(up, [0.0], [1.0], strategy=strategy, tol=tol),
+                 _spec(down, [0.0], [2.0], strategy=strategy, tol=tol),
+                 _spec(constant_map([[1.0, 0.5], [-0.5, 1.0]]), [0.0, 0.0], [1.0, 0.5],
+                       strategy=strategy, tol=tol)]:
+        assert_as_per_step(spec)
+    # no slack is below a NaN tol, so the exhaustive rule never fails and
+    # coasts; the others never pass it and fall back at every node
+    svmap, evaluator = _counted(constant_map([[1.0, 0.5], [-0.5, 1.0]]))
+    spec = _spec(svmap, [0.0, 0.0], [1.0, 0.5], strategy=strategy, tol=tol)
+    if strategy == "exhaustive" and math.isnan(tol):
+        assert _solved_alone(spec, evaluator)[1] == 2
+
+
+def _dominant(count):
+    # (2, 1) and count - 1 other values b with <b, (2, 1)> < 5
+    rng = np.random.default_rng(5)
+    a = np.array([2.0, 1.0])
+    others = dyadic(rng, (2 * count, 2), span=1, den=4)
+    others = others[inner_rows(others, a) < inner_rows(a, a)][:count - 1]
+    return a, np.vstack([others[:count // 4], a, others[count // 4:]])
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("elements", [7, 1000])
+def test_a_block_holds_at_most_block_elements_node_values(monkeypatch, strategy, elements):
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", elements)
+    a, points = _dominant(200)
+    svmap, evaluator = _counted(constant_map(points))
+    spec = _spec(svmap, [0.0, 0.0], a, h=1 / 256, strategy=strategy)
+    assert_as_per_step(spec)
+    nodes = []
+    many = evaluator.many
+    evaluator.many = lambda X: nodes.append(len(X)) or many(X)
+    traj = euler_solve(spec)
+    assert (traj.velocities == a).all()
+    # nodes 2-256 coast, 1 node per block at 7 elements and 5 at 1000
+    assert max(nodes) == max(1, elements // 200) and sum(nodes) == 255
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_block_sized_for_fewer_values_is_cut(monkeypatch, strategy):
+    # one value before x = 0.5 and 200 after: the first block past node 64
+    # is sized for one value per node, and its replay is cut to 5 nodes
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1000)
+    a, points = _dominant(200)
+    svmap = table_map([(Halfspace([1.0, 0.0], 0.5, "lt"), [a]), (Always(), points)])
+    spec = _spec(svmap, [0.0, 0.0], a, h=1 / 256, strategy=strategy)
+    assert_as_per_step(spec)
+    blocks = []
+    coast = solver._coast
+
+    def spy(*args):
+        out = coast(*args)
+        blocks.append((out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(solver, "_coast", spy)
+    assert (euler_solve(spec).velocities == a).all()
+    assert (5, 200) in blocks and all(count * width <= 1000 for count, width in blocks)
