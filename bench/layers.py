@@ -27,9 +27,10 @@ classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
 over a 9x9 grid at ``max_length`` 2, per ``verify_chain`` run over the node
 chain of the subdifferential trajectory of the residual figure, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
-``support_argmax`` and ``dist_to_hull`` (the constant map's four values), on
-fixed two dimensional inputs.  Within a round each is the least of five timed
-repeats.  The classify run writes its output under ``.bench_build/`` next to
+``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
+each ``extend_*`` rule and of ``submap_select`` (against the constant map,
+from the ``build_family`` family), on fixed two dimensional inputs.  Within
+a round each is the least of five timed repeats.  The classify run writes its output under ``.bench_build/`` next to
 the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
@@ -102,8 +103,9 @@ def measure(src: str) -> dict:
     from setflow import (CompactSet, GridSpec, ProblemSpec, affine_value, build_family,
                          check_support_chain, classify_cyclic_monotone, classify_monotone,
                          classify_weak_cyclic_monotone, classify_weakly_monotone,
-                         dist_to_hull, euler_solve, extension_slack, grow_family, inner,
-                         map_from_dict, potential_value, sample_grid, support_argmax,
+                         dist_to_hull, euler_solve, extend_exhaustive, extend_inertial,
+                         extend_support, extension_slack, grow_family, inner, map_from_dict,
+                         potential_value, sample_grid, submap_select, support_argmax,
                          trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
@@ -189,6 +191,7 @@ def measure(src: str) -> dict:
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)
     values = CompactSet(MAPS["constant"]["points"])
+    constant = map_from_dict(MAPS["constant"])
     outside = np.array([3.0, 2.5])
     primitives = {
         "geometry.inner": lambda: inner(u, w),
@@ -196,6 +199,10 @@ def measure(src: str) -> dict:
         "chains.Chain.extended": lambda: short.extended(u, w),
         "geometry.support_argmax": lambda: support_argmax(u, values),
         "geometry.dist_to_hull": lambda: dist_to_hull(outside, values),
+        "chains.extend_exhaustive": lambda: extend_exhaustive(short, u, constant),
+        "chains.extend_support": lambda: extend_support(short, u, constant),
+        "chains.extend_inertial": lambda: extend_inertial(short, u, constant),
+        "potential.submap_select": lambda: submap_select(family, constant, u),
     }
     for name, call in primitives.items():
         def repeated(call=call):

@@ -196,29 +196,61 @@ def extension_slack(chain: Chain, x_next, v):
     return inner_rows(x_next - chain.anchor_point, v) - new_sum
 
 
+def _rule_picks(strategy, S, v, offsets, scores, tol):
+    """The row of ``S`` that ``strategy``'s rule picks at each of n nodes.
+
+    The nodes share the value set ``S`` and the last velocity ``v``, and
+    ``offsets`` holds each node less the anchor, one row per node.
+    Exhaustive scores by ``scores``, the final-index slacks, and support by
+    ``scores``, the products ``inner_rows(offsets[:, None], S)``, or at a
+    node that equals the anchor by the nearness ``-|s - v|^2``; inertial
+    scores by the nearness over the values with ``<s - v, offset> >= -tol``.
+    Ties go by :func:`geometry._best_row`.  Returns the rows and where the
+    rule picks one: not where no value is aligned, nor where a difference,
+    product or square formed here is not finite.  For one node this forms
+    what the rule forms there, in order, so under an errstate that raises it
+    raises where the rule does, with the same message.
+    """
+    if strategy == "exhaustive":
+        return _best_row(S, scores), np.ones(len(scores), dtype=bool)
+    if strategy == "support":
+        at = ~offsets.any(axis=1)
+        finite = True
+        if at.any():
+            turns = S - v
+            nearness = -inner_rows(turns, turns)
+            finite = np.isfinite(nearness).all()
+            scores = np.where(at[:, None], nearness, scores)
+        return _best_row(S, scores), ~at | finite
+    turns = S - v
+    aligned = inner_rows(turns, offsets[:, None])
+    feasible = aligned >= -tol
+    # squares only of the values aligned somewhere, as one node forms them
+    wanted = feasible.any(axis=0)
+    nearness = np.zeros(len(S))
+    aligned_turns = turns[wanted]
+    nearness[wanted] = -inner_rows(aligned_turns, aligned_turns)
+    # the values not aligned score NaN, which never wins, so the least
+    # score is a number where some value is aligned and no square overflowed
+    scores = np.where(feasible, nearness, np.nan)
+    found = np.isfinite(np.fmin.reduce(scores, axis=1)) & np.isfinite(aligned).all(axis=1)
+    return _best_row(S, scores), found
+
+
 def extend_exhaustive(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFAULT_TOL):
     """Best velocity at ``x_next`` by slack, or ``None`` if all fall short.
 
     Scans every value of the map, maximizing :func:`extension_slack` (ties
     lexicographic).  A returned velocity keeps the extended chain verified at
-    the same tolerance.
+    the same tolerance.  A NaN slack, of terms past the largest float, never
+    beats a number, and a pick whose slack is NaN is declined.
     """
     candidates = svmap.eval(x_next).points
     slacks = extension_slack(chain, x_next, candidates)
-    pick = _best_row(candidates, slacks)
-    if slacks[pick] < -tol:
+    pick = _rule_picks("exhaustive", candidates, None, None, slacks[None], None)[0][0]
+    if math.isnan(slacks[pick]) or slacks[pick] < -tol:
         return None
     return candidates[pick]
-
-
-def _anchored_pick(anchor_point, reference, x, values) -> int:
-    # row of the support-maximizing value in the anchored direction
-    # x - anchor_point; at the anchor itself that direction is zero, so the
-    # value nearest ``reference`` is taken instead
-    if np.array_equal(x, anchor_point):
-        diffs = values - reference
-        return _best_row(values, -inner_rows(diffs, diffs))
-    return _best_row(values, inner_rows(values, x - anchor_point))
 
 
 def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
@@ -232,7 +264,10 @@ def extend_support(chain: Chain, x_next, svmap: SetValuedMap) -> np.ndarray:
     """
     x_next = np.asarray(x_next, dtype=float)
     values = svmap.eval(x_next).points
-    return values[_anchored_pick(chain.anchor_point, chain.last_velocity, x_next, values)]
+    offsets = (x_next - chain.anchor_point)[None]
+    pick = _rule_picks("support", values, chain.last_velocity, offsets,
+                       inner_rows(offsets[:, None], values), None)[0][0]
+    return values[pick]
 
 
 def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFAULT_TOL):
@@ -247,13 +282,10 @@ def extend_inertial(chain: Chain, x_next, svmap: SetValuedMap, tol: float = DEFA
     """
     x_next = np.asarray(x_next, dtype=float)
     pts = svmap.eval(x_next).points
-    turns = pts - chain.last_velocity
-    feasible = inner_rows(turns, x_next - chain.anchor_point) >= -tol
-    if not feasible.any():
-        return None
-    pts, turns = pts[feasible], turns[feasible]
-    v = pts[_best_row(pts, -inner_rows(turns, turns))]
-    if not extension_slack(chain, x_next, v) >= -tol:
+    picks, found = _rule_picks("inertial", pts, chain.last_velocity,
+                               (x_next - chain.anchor_point)[None], None, tol)
+    v = pts[picks[0]]
+    if not (found[0] and extension_slack(chain, x_next, v) >= -tol):
         return None
     return v
 

@@ -30,10 +30,10 @@ import numpy as np
 from .chains import (
     BudgetExceededError,
     DEFAULT_CHAIN_BUDGET,
-    _anchored_pick,
     _ChainGraph,
     _cyclic_monotone,
     _monotone,
+    _rule_picks,
     _support_chain,
     _weak_cyclic_monotone,
     _weakly_monotone,
@@ -136,9 +136,9 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
+    # one write: json.dump with an indent writes every chunk on its own
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
     print(f"wrote {path.name}")
 
 
@@ -249,14 +249,17 @@ def run_potential(args) -> int:
 
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible
-    compatible = inner_rows(graph.X - spec.x0, graph.V) >= potentials[graph.owner] - spec.tol
+    offsets = graph.X - spec.x0
+    products = inner_rows(offsets, graph.V)
+    compatible = products >= potentials[graph.owner] - spec.tol
     passed = np.zeros(len(compatible), dtype=bool)
     passed[compatible] = _subgradient_checks(family, graph.X[compatible], graph.V[compatible],
                                              samples, spec.tol)
     entries = []
     for i, p in enumerate(samples):
         lo, hi = graph.start[i], graph.start[i + 1]
-        pick = lo + _anchored_pick(spec.x0, spec.v0, p, graph.V[lo:hi])
+        pick = lo + _rule_picks("support", graph.V[lo:hi], spec.v0, offsets[lo:lo + 1],
+                                products[None, lo:hi], None)[0][0]
         checks = [{
             "v": v.tolist(),
             "compatible": ok,

@@ -6,10 +6,11 @@ an exact maximum and support values, maximizers and distances can be computed
 by enumeration.  Every inner product in the package goes through
 :func:`inner_rows` (one pair at a time through :func:`inner`) so that identical
 expressions round identically, batched or not, and every scan of a finite set
-is one :func:`inner_rows` call over its rows.  A scan that picks a row breaks
-ties by one rule, :func:`_best_row`: highest score, then the
-lexicographically smallest point, then the first row.  That keeps repeated
-runs byte-for-byte reproducible.
+is one :func:`inner_rows` call over its rows.  Every pick of a row, for one
+scan or for many scans of the same points at once, breaks ties by one rule,
+:func:`_best_row`: highest score, then the lexicographically smallest point,
+then the first row, and a NaN score never beats a number.  That keeps
+repeated runs byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -155,16 +156,16 @@ class CompactSet:
     __hash__ = None
 
 
-def _best_row(points: np.ndarray, scores: np.ndarray) -> int:
-    # the package's one tie-break rule: the highest score, then the
-    # lexicographically smallest point (-0.0 ties 0.0), then the first row
-    ties = np.flatnonzero(scores == scores.max())
-    for c in range(points.shape[1]):
-        if len(ties) == 1:
-            break
-        column = points[ties, c]
-        ties = ties[column == column.min()]
-    return int(ties[0])
+def _best_row(points: np.ndarray, scores: np.ndarray):
+    # the package's one tie-break rule, over (m,) scores for one scan of the
+    # m points or (n, m) for n scans of them: the highest score, then the
+    # lexicographically smallest point (-0.0 ties 0.0), then the first row.
+    # A NaN score never beats a number; where every score is NaN, no score
+    # equals the NaN top and argmax takes the first row in that order.
+    order = np.lexsort(points.T[::-1])
+    ranked = scores[..., order]
+    top = np.fmax.reduce(ranked, axis=-1, keepdims=True)
+    return order[(ranked == top).argmax(axis=-1)]
 
 
 def support_value(d, A: CompactSet) -> float:

@@ -29,7 +29,7 @@ import json
 
 import numpy as np
 
-from .chains import _BLOCK_ELEMENTS, Chain, _anchored_pick, _ChainGraph, verify_chain
+from .chains import _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks, verify_chain
 from .geometry import inner, inner_rows
 from .setmaps import SetValuedMap, _point_rows
 
@@ -112,10 +112,6 @@ class _AffineModel:
         if self._settled is None:
             self._settled = self.at_vertices is None or not _dominated(self.at_vertices)[1:].any()
         return self._settled
-
-    def values(self, X) -> np.ndarray:
-        """Members by points matrix of affine values."""
-        return _affine_values(self.P, self.S, self.c, X)
 
     def max(self, X) -> np.ndarray:
         """Largest member value at each point."""
@@ -354,9 +350,11 @@ def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0
     """
     x = np.asarray(x, dtype=float)
     values = svmap.eval(x).points
-    v = values[_anchored_pick(family.anchor_point, family.anchor_velocity, x, values)]
-    if inner(x - family.anchor_point, v) >= potential_value(family, x) - tol:
-        return v
+    offsets = (x - family.anchor_point)[None]
+    products = inner_rows(offsets[:, None], values)
+    pick = _rule_picks("support", values, family.anchor_velocity, offsets, products, None)[0][0]
+    if products[0, pick] >= potential_value(family, x) - tol:
+        return values[pick]
     return None
 
 

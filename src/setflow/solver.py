@@ -19,6 +19,7 @@ import numpy as np
 from .chains import (
     _BLOCK_ELEMENTS,
     Chain,
+    _rule_picks,
     extend_exhaustive,
     extend_inertial,
     extend_support,
@@ -191,18 +192,18 @@ def _coast(tip, svmap, deltas, strategy, tol):
     evaluates them with one ``eval_many`` and returns the longest prefix that
     the per-step path would take with ``v`` too, and ``width``, the number of
     values at the first guessed node.  Every node of the prefix holds that
-    node's value set ``S`` bit for bit, every node, product and sum is
-    finite, and the strategy's rule, replayed on the whole prefix at once
-    (:func:`_replayed_picks`), takes ``v`` bit for bit (``-0.0 == 0.0``, but
-    the loop stores the map's own row).  Where ``S`` is one point every rule
-    takes it, at once or through the exhaustive fallback, wherever the
-    final-index slack is not below ``-tol``.  The nodes and sums round as
-    the loop's ``x + dt * v`` and :meth:`_ChainTip.extended` do, and a node
-    or term past the largest float leaves a slack that is not finite.  The
-    first node that breaks the prefix is left to the caller, and an
-    ``eval_many`` that raises anywhere leaves the whole block to it.  The
-    replay reads at most ``_BLOCK_ELEMENTS`` (node, value) pairs, and one
-    node at least.
+    node's value set ``S`` bit for bit, and there the strategy's rule, scored
+    on all nodes at once by the per-step rules' own scorer
+    (:func:`chains._rule_picks`), picks ``v`` bit for bit (``-0.0 == 0.0``,
+    but the loop stores the map's own row) with no fallback; where ``S`` is
+    one point, every rule takes it wherever its slack is not below ``-tol``.
+    Everything one step forms there is finite, and the nodes and sums round
+    as the loop's ``x + dt * v`` and :meth:`_ChainTip.extended` do, so a term
+    past the largest float ends the prefix and the per-step path raises it
+    at its own node.  The first node that breaks the prefix is left to the
+    caller, and an ``eval_many`` that raises anywhere leaves the whole block
+    to it.  The scoring reads at most ``_BLOCK_ELEMENTS`` (node, value)
+    pairs, and one node at least.
     """
     x, v = tip.last_point, tip.last_velocity
     try:
@@ -227,7 +228,12 @@ def _coast(tip, svmap, deltas, strategy, tol):
                 slack = slacks[:, 0]
                 pick, keep = 0, np.isfinite(slack) & ~(slack < -tol)
             else:
-                pick, keep = _replayed_picks(strategy, S, v, offsets, products, slacks, tol)
+                pick, keep = _rule_picks(strategy, S, v, offsets,
+                                         slacks if strategy == "exhaustive" else products, tol)
+                picked = slacks[np.arange(n), pick]
+                # where the per-step path takes the pick with no fallback
+                keep &= np.isfinite(slacks).all(axis=1) & (
+                    ~(picked < -tol) if strategy == "exhaustive" else picked >= -tol)
     except Exception:
         # the map raised somewhere in the block, or an underflow the caller
         # traps did: the per-step path raises it, or not, at its own node
@@ -241,48 +247,6 @@ def _coast(tip, svmap, deltas, strategy, tol):
 def _bits(a):
     # float entries as integers, equal only where the floats are bit for bit
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
-
-
-def _replayed_picks(strategy, S, v, offsets, products, slacks, tol):
-    """The row of ``S`` the strategy picks at each node, and where it keeps it.
-
-    ``products[i]`` and ``slacks[i]`` are the per-step path's
-    ``inner_rows(offsets[i], S)`` and final-index slacks at node ``i``,
-    whose tip velocity is ``v``.  The scores are the slacks (exhaustive),
-    the products in the anchored direction (support) or, among the values
-    aligned with ``v``, the nearness to ``v`` (inertial).  Ties go by
-    :func:`geometry._best_row`'s rule: the highest score, then the lowest
-    rank under a stable lexicographic sort of ``S`` (``-0.0`` ties ``0.0``),
-    then the first row.  A node keeps its pick only where the per-step path
-    would take it with no fallback: every product is finite, and the pick's
-    slack is at least ``-tol``, or for ``exhaustive`` not below it.  At the
-    anchor every support product is zero, so the replay takes the
-    lexicographically first value; where that is ``v``, the value nearest
-    ``v`` that the per-step rule takes there is ``v`` too.
-    """
-    keep = np.isfinite(slacks).all(axis=1)
-    if strategy == "exhaustive":
-        scores = slacks
-    elif strategy == "support":
-        scores = products
-    else:
-        turns = S - v
-        aligned = inner_rows(turns, offsets[:, None])
-        nearness = -inner_rows(turns, turns)
-        keep &= np.isfinite(aligned).all(axis=1) & np.isfinite(nearness).all()
-        scores = np.where(aligned >= -tol, nearness, -np.inf)
-    order = np.lexsort(S.T[::-1])
-    ranked = scores[:, order]
-    pick = order[(ranked == ranked.max(axis=1, keepdims=True)).argmax(axis=1)]
-    at = np.arange(len(pick))
-    picked = slacks[at, pick]
-    if strategy == "exhaustive":
-        keep &= ~(picked < -tol)
-    else:
-        keep &= picked >= -tol
-    if strategy == "inertial":
-        keep &= aligned[at, pick] >= -tol
-    return pick, keep
 
 
 # steps in the first block after a coasting node, and the most in any block
@@ -301,11 +265,11 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
 
     A node *coasts* when its pick is bit for bit the previous velocity.  From
     a coasting node the solver guesses a block of steps at that velocity
-    (:func:`_coast`), replays the strategy's rule on the whole block at once,
-    and takes the prefix where the value set stays the same and the rule
-    would take that velocity one step at a time; the node that breaks the
-    prefix is selected alone.  A block holds 8 steps after a break and
-    doubles after each full block, up to 1024 and to at most
+    (:func:`_coast`), scores the whole block at once with the scorer the
+    per-step rules use, and takes the prefix where the value set stays the
+    same and the rule would take that velocity one step at a time; the node
+    that breaks the prefix is selected alone.  A block holds 8 steps after
+    a break and doubles after each full block, up to 1024 and to at most
     ``_BLOCK_ELEMENTS`` (node, value) pairs at the width of the last block.
     Trajectories, errors and :class:`SelectionFailed` replay state equal
     those of selecting every node alone.

@@ -47,8 +47,8 @@ from setflow import (
     verify_chain,
 )
 from setflow.setmaps import predicate_from_dict
-from setflow.solver import _ChainTip, _select
-from setflow.geometry import HULL_MAX_ITER, _affine_min_weights
+from setflow.solver import _ChainTip
+from setflow.geometry import HULL_MAX_ITER, _affine_min_weights, inner_rows
 
 
 def first_chain_violation_exact(points, velocities):
@@ -698,12 +698,79 @@ def subgradient_entries_ref(family, svmap, samples, tol):
     return {"entries": entries}
 
 
+# The per-node selection as it was before one batched scorer served both the
+# per-node rules and the solver's blocks: ``_select``, the three rules, the
+# anchored pick and the column-by-column tie loop, verbatim, so that
+# ``euler_solve_ref`` runs none of the library's scoring.
+
+def _step_best_row(points, scores):
+    ties = np.flatnonzero(scores == scores.max())
+    for c in range(points.shape[1]):
+        if len(ties) == 1:
+            break
+        column = points[ties, c]
+        ties = ties[column == column.min()]
+    return int(ties[0])
+
+
+def _step_exhaustive(chain, x_next, svmap, tol=1e-9):
+    candidates = svmap.eval(x_next).points
+    slacks = extension_slack(chain, x_next, candidates)
+    pick = _step_best_row(candidates, slacks)
+    if slacks[pick] < -tol:
+        return None
+    return candidates[pick]
+
+
+def _step_anchored_pick(anchor_point, reference, x, values):
+    if np.array_equal(x, anchor_point):
+        diffs = values - reference
+        return _step_best_row(values, -inner_rows(diffs, diffs))
+    return _step_best_row(values, inner_rows(values, x - anchor_point))
+
+
+def _step_support(chain, x_next, svmap):
+    x_next = np.asarray(x_next, dtype=float)
+    values = svmap.eval(x_next).points
+    return values[_step_anchored_pick(chain.anchor_point, chain.last_velocity, x_next, values)]
+
+
+def _step_inertial(chain, x_next, svmap, tol=1e-9):
+    x_next = np.asarray(x_next, dtype=float)
+    pts = svmap.eval(x_next).points
+    turns = pts - chain.last_velocity
+    feasible = inner_rows(turns, x_next - chain.anchor_point) >= -tol
+    if not feasible.any():
+        return None
+    pts, turns = pts[feasible], turns[feasible]
+    v = pts[_step_best_row(pts, -inner_rows(turns, turns))]
+    if not extension_slack(chain, x_next, v) >= -tol:
+        return None
+    return v
+
+
+def _step_select(chain, x_next, svmap, strategy, tol):
+    if strategy == "exhaustive":
+        return _step_exhaustive(chain, x_next, svmap, tol)
+    if strategy == "support":
+        v = _step_support(chain, x_next, svmap)
+        if extension_slack(chain, x_next, v) >= -tol:
+            return v
+        return _step_exhaustive(chain, x_next, svmap, tol)
+    if strategy == "inertial":
+        v = _step_inertial(chain, x_next, svmap, tol)
+        if v is not None:
+            return v
+        return _step_exhaustive(chain, x_next, svmap, tol)
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def euler_solve_ref(spec):
     """``euler_solve`` as it selected every node alone, before coasting blocks.
 
-    The per-step loop verbatim: the library's tip, rules and time grid, one
-    ``_select`` per node, so the block path must match it bit for bit,
-    errors and ``SelectionFailed`` replay state included.
+    The per-step loop verbatim: the library's tip and time grid, the rules
+    above, one ``_step_select`` per node, so the block path must match it
+    bit for bit, errors and ``SelectionFailed`` replay state included.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
@@ -723,7 +790,7 @@ def euler_solve_ref(spec):
                     raise ValueError(
                         f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
                 x = np.array(node)
-                v = _select(tip, x, svmap, spec.strategy, spec.tol)
+                v = _step_select(tip, x, svmap, spec.strategy, spec.tol)
                 if v is None:
                     chain = Chain(states, velocities)
                     candidates = svmap.eval(x).points

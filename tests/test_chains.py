@@ -195,6 +195,14 @@ class TestExtensionRules:
             assert np.isnan(extension_slack(c, np.array([1.7e308]), np.array([1.7])))
             assert extend_inertial(c, np.array([1.7e308]), constant_map([[1.7]]), 0.0) is None
 
+    def test_exhaustive_declines_a_nan_slack(self):
+        # the new sum 1e308 * 2 overflows, so every slack is inf - inf = NaN
+        c = Chain([[0.0]], [[2.0]])
+        with np.errstate(all="ignore"):
+            assert extend_exhaustive(c, [1e308], constant_map([[2.0]]), 0.0) is None
+            # 0.5 has the slack 5e307 - inf, a number, which beats NaN
+            assert extend_exhaustive(c, [1e308], constant_map([[2.0], [0.5]]), 0.0) is None
+
     def test_inertial_prefers_smallest_velocity_change(self):
         F = constant_map([[-1.0], [1.0]])
         c = Chain([[0.0]], [[1.0]])

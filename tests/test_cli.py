@@ -28,7 +28,7 @@ from setflow import (
 )
 from setflow.chains import ClassReport
 from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _fmt, _write_csv,
-                         build_parser, main)
+                         _write_json, build_parser, main)
 
 from conftest import INERTIAL_GAP_PROBLEM, child_env
 
@@ -160,6 +160,16 @@ def test_float_rows_write_the_bytes_of_fmt_cells(tmp_path, capsys):
     assert text.splitlines()[1:] == [b"-0.0,5e-324,1e+16,0.1",
                                      b"0.0,-2.5e-310,1.0,0.3333333333333333"]
     assert capsys.readouterr().out == "wrote rows.csv\nwrote fmt.csv\n"
+
+
+def test_json_files_write_the_bytes_of_json_dump(tmp_path, capsys):
+    obj = {"a": [-0.0, 5e-324, 1e16, math.nan, None], "b": {"c": [[1.0, [2, []]], {}], "d": "e"}}
+    _write_json(tmp_path / "one.json", obj)
+    with open(tmp_path / "dump.json", "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+    assert capsys.readouterr().out == "wrote one.json\n"
 
 
 class TestClassify:

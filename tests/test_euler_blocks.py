@@ -423,6 +423,34 @@ def test_a_block_that_crosses_the_anchor(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("scale, far, error", [
+    # v = -1 coasts from node 2 back to the anchor at node 3, inside the
+    # block of nodes 3-10, where the far value's nearness |1e200 + 1|^2
+    # overflows
+    (1.0, 1e200, "overflow encountered in vecdot"),
+    # the same path scaled by 2^975 with steps of 2^-1000: there the
+    # difference of the largest float and v = -2^975 overflows
+    (2.0**975, np.finfo(float).max, "overflow encountered in subtract"),
+], ids=["square", "difference"])
+def test_an_overflowing_nearness_at_the_anchor_inside_a_block(strategy, scale, far, error):
+    # the support rule scores a node at the anchor by the nearness to the
+    # last velocity, which the per-step path forms for every value there;
+    # the inertial rule forms the nearness wherever it aligns the far value
+    v = -scale
+    svmap = table_map([(Halfspace([1.0], 0.0, "gt"), [[v]]),
+                       (Always(), [[v], [-2 * v], [far]])])
+    h = 1 / 64 if scale == 1.0 else 2.0**-1000
+    tol = 4.0 if scale == 1.0 else 1e300
+    got = assert_as_per_step(_spec(svmap, [0.0], [-2 * v], T=16 * h, h=h, strategy=strategy,
+                                   tol=tol))
+    if strategy == "exhaustive":
+        assert got[0][0] == (17,)
+    elif strategy == "support":
+        assert got[0] is ValueError
+        assert got[1].startswith("Euler node 3 ") and got[1].endswith(error)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("tol", [math.nan, -0.25, -0.0, -1e-300])
 def test_nan_or_negative_tol_on_a_multi_valued_map(strategy, tol):
     # up: the turn from 1 to 2 has slack h / 2; down: from 2 to 1, slack -h

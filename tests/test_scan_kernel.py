@@ -142,6 +142,21 @@ def test_tie_break_rule_matches_the_reference():
         assert _best_row(P, scores) == lex_min_index_ref(P, top)
 
 
+def test_tie_break_rule_over_many_scans_and_nan_scores():
+    # (n, m) scores pick one row per scan, as (m,) scores of each scan do; a
+    # NaN score never beats a number, and where every score is NaN all tie
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        dim = int(rng.integers(1, 6))
+        P = signed_zeros(rng, rng.integers(-1, 2, size=(int(rng.integers(1, 9)), dim)))
+        scores = rng.choice([0.0, 1.0, 2.0, -np.inf, np.nan], size=(4, len(P)))
+        picks = _best_row(P, scores)
+        for row, pick in zip(scores, picks):
+            numbers = np.flatnonzero(~np.isnan(row))
+            top = numbers[row[numbers] == row[numbers].max()] if len(numbers) else range(len(P))
+            assert _best_row(P, row) == pick == lex_min_index_ref(P, list(top))
+
+
 def _chain_data(rng, pairs, dim, dyadic):
     if dyadic:
         xs = rng.integers(-4, 5, size=(pairs, dim)) / 2
