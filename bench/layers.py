@@ -15,7 +15,11 @@ node of ``trajectory_residual``, per step of ``euler_solve`` (1000 support
 steps from one point, for each map kind, the linear one replaced by the
 gradient map ``diag(1, 2)``, and 1000 exhaustive and inertial steps on the
 constant map), per ``build_family`` op (the subdifferential
-map on a 5x5 grid, ``max_length`` 3, boxed by the grid) and per
+map on a 5x5 grid, ``max_length`` 3, boxed by the grid; and the
+subdifferential of ``max(+-x1, +-x2)`` on a 9x9 grid over the square, anchored
+at ``((0.5, 0.25), (1, 0))``, at ``max_length`` 4 and budget 10^6, timed once
+per round, since a tree that stops filtering children on large levels takes
+about a minute there) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per
 compatible node of that family's query phase (every grid pair it accepts,
@@ -24,7 +28,9 @@ without the kernel), per point
 of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
-over a 9x9 grid at ``max_length`` 2, per ``verify_chain`` run over the node
+over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
+on the constant map ``{+-e1, +-e2}`` over a 17x17 grid at ``max_length`` 2,
+per ``verify_chain`` run over the node
 chain of the subdifferential trajectory of the residual figure, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
 ``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
@@ -84,12 +90,16 @@ POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
 KINK = {"kind": "subdifferential", "slopes": [[1.0, 0.0], [2.0, -1.0]], "offsets": [0.0, 0.0]}
 KINK_GRID = {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [9, 9]}
 KINK_LENGTH = 2
+# the subdifferential of max(+-x1, +-x2), and the constant map of its slopes
+SQUARE_SLOPES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+SQUARE_KINK = {"kind": "subdifferential", "slopes": SQUARE_SLOPES, "offsets": [0.0] * 4}
+FOUR_VALUED = {"kind": "constant", "points": SQUARE_SLOPES}
 PRIMITIVE_CALLS = 2000
 
 
-def _per_call_us(fn, calls):
+def _per_call_us(fn, calls, repeats=REPEATS):
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -153,6 +163,10 @@ def measure(src: str) -> dict:
     box = FAMILY_GRID[:2]
     out["potential.build_family.us_per_op"] = _per_call_us(
         lambda: build_family(svmap, x0, v0, grid, FAMILY_LENGTH, box=box), 1)
+    square, square_grid = map_from_dict(SQUARE_KINK), sample_grid(*FAMILY_GRID[:2], [9, 9])
+    out["potential.build_family.kink9.L4.us_per_op"] = _per_call_us(
+        lambda: build_family(square, [0.5, 0.25], [1.0, 0.0], square_grid, 4,
+                             box=FAMILY_GRID[:2], budget=10**6), 1, repeats=1)
     family, _ = build_family(svmap, x0, v0, grid, FAMILY_LENGTH, box=box)
     chains = []
     for x in grid:
@@ -187,6 +201,9 @@ def measure(src: str) -> dict:
                      check_support_chain):
         out[f"chains.{classify.__name__}.us_per_call"] = _per_call_us(
             lambda: classify(kink, kink_grid, KINK_LENGTH), 1)
+    four, four_grid = map_from_dict(FOUR_VALUED), sample_grid(*FAMILY_GRID[:2], [17, 17])
+    out["chains.classify_cyclic_monotone.four17.us_per_call"] = _per_call_us(
+        lambda: classify_cyclic_monotone(four, four_grid, KINK_LENGTH), 1)
 
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)

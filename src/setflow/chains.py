@@ -453,16 +453,18 @@ class _ChainGraph:
     in sample order and then value order, all from one ``eval_many`` call at
     the ``(n, d)`` array ``points``; the nodes of sample ``i`` are
     ``start[i]:start[i + 1]`` and ``owner[a]`` is the sample of node ``a``.  A
-    chain through nodes ``a_0, ..., a_m`` has step sums
-    ``W[a_0, a_1] + ... + W[a_{m-1}, a_m]`` (added left to right) and final
-    anchored term ``E[owner[a_0], a_m]``, where
+    step reads its head only through its point, so a chain through nodes
+    ``a_0, ..., a_m`` has step sums ``W[a_0, owner[a_1]] + ...`` (added left
+    to right) and final anchored term ``E[owner[a_0], a_m]``, where
 
-        W[a, b] = <X[b] - X[a], V[a]>,    E[i, b] = <X[b] - x_i, V[b]>.
+        W[a, j] = <points[j] - X[a], V[a]>,    E[i, b] = <X[b] - points[i], V[b]>.
 
-    Both come from :func:`inner_rows` over the difference vectors, built once
-    on first use in row blocks so that only ``W`` (``K x K`` for ``K`` nodes)
-    and ``E`` (samples by nodes) are held whole; every term equals the scalar
-    :func:`inner` of :class:`Chain` and :func:`verify_chain` bit for bit.
+    ``ends[i, j]`` and ``lows[i, j]`` are the largest and least ``E[i, b]``
+    over the nodes ``b`` of sample ``j``.  The terms come from
+    :func:`inner_rows` over the difference vectors, built once on first use
+    in row blocks, so that only ``W`` (``K x n`` for ``K`` nodes) and ``E``
+    are held whole; each equals the scalar :func:`inner` of :class:`Chain`
+    and :func:`verify_chain` bit for bit.
     """
 
     def __init__(self, svmap, points, evaluated=None):
@@ -471,17 +473,18 @@ class _ChainGraph:
         self.start = np.searchsorted(self.owner, np.arange(len(points) + 1))
         self.X = points[self.owner]
 
-    W = cached_property(lambda self: self._terms(self.X, self.V[:, None, :]))
-    E = cached_property(lambda self: self._terms(self.points, self.V[None, :, :]))
+    W = cached_property(lambda self: self._terms(self.X, self.points, self.V[:, None]))
+    E = cached_property(lambda self: self._terms(self.points, self.X, self.V[None]))
+    ends = cached_property(lambda self: np.maximum.reduceat(self.E, self.start[:-1], axis=1))
+    lows = cached_property(lambda self: np.minimum.reduceat(self.E, self.start[:-1], axis=1))
 
-    def _terms(self, tails, velocities):
-        # <X[b] - tails[r], velocities[r, b]> for every row r and node b
-        K, d = self.X.shape
-        velocities = np.broadcast_to(velocities, (len(tails), K, d))
-        out = np.empty((len(tails), K))
-        block = max(1, _BLOCK_ELEMENTS // (K * d))
+    def _terms(self, tails, heads, velocities):
+        # <heads[c] - tails[r], velocities[r, c]> for every row r and column c
+        out = np.empty((len(tails), len(heads)))
+        velocities = np.broadcast_to(velocities, out.shape + heads.shape[1:])
+        block = max(1, _BLOCK_ELEMENTS // heads.size)
         for lo in range(0, len(tails), block):
-            diffs = self.X[None, :, :] - tails[lo:lo + block, None, :]
+            diffs = heads - tails[lo:lo + block, None]
             out[lo:lo + block] = inner_rows(diffs, velocities[lo:lo + block])
         return out
 
@@ -490,39 +493,39 @@ class _MaxPlusPaths:
     """Worst anchored chain slacks over a grouped node graph, by max-plus DP.
 
     Chains of ``m`` steps run through nodes of ``m + 1`` groups (contiguous
-    node ranges ``start[g]:start[g + 1]``), with step weights ``W`` and end
-    weights ``E[g_0]`` of the anchor group.  They are ordered by ``m``, then
-    by group tuple, then by node tuple within the groups, both
-    lexicographically; a chain violates when ``E[g_0, a_m] - sums < -tol``.
+    node ranges, ``owner[a]`` the group of node ``a``), with step weights
+    ``W[a, owner[b]]`` and end weights ``E[g_0]`` of the anchor group.  They
+    are ordered by ``m``, then by group tuple, then by node tuple within the
+    groups, both lexicographically; a chain violates when
+    ``E[g_0, a_m] - sums < -tol``.
 
-    Because float addition is monotone, ``max_a fl(S[a] + W[a, b])`` over the
+    Because float addition is monotone, ``max_a fl(S[a] + W[a, g])`` over the
     best sums ``S`` of shorter chains is exactly the largest left-to-right sum
-    of any chain ending at ``b``, and ``fl(E - S)`` is then its smallest
-    slack.  So one forward pass per anchor decides every length at ``O(K^2)``
-    per step, and a depth-first descent with the same pass as an existence
-    test finds the first violating chain in the order above.
+    of any chain ending in group ``g``, and ``fl(E - S)`` is then the smallest
+    slack at each node.  So one forward pass per anchor decides every length
+    at ``O(K * groups)`` per step, and a depth-first descent with the same
+    pass as an existence test finds the first violating chain in that order.
     """
 
-    def __init__(self, W, E, start, tol):
-        self.W, self.E, self.tol = W, E, tol
-        self.start = [int(s) for s in start]
-        self.size = W.shape[0]
-        self.groups = len(start) - 1
+    def __init__(self, W, E, owner, tol):
+        self.W, self.E, self.owner, self.tol = W, E, owner, tol
+        self.size, self.groups = W.shape
+        start = np.searchsorted(owner, np.arange(self.groups + 1)).tolist()
+        self.ranges = list(zip(start, start[1:]))
         self.every = [(0, self.size)]
 
     def _advance(self, S, ranges):
-        # best sums after one step into each node range in turn
+        # best sums after one step into each node range in turn, one per
+        # group of the range and then one per node
         for lo, hi in ranges:
+            g, h = self.owner[lo], self.owner[hi - 1] + 1
             nxt = np.full(self.size, -np.inf)
-            nxt[lo:hi] = np.max(S[:, None] + self.W[:, lo:hi], axis=0)
+            nxt[lo:hi] = np.max(S[:, None] + self.W[:, g:h], axis=0)[self.owner[lo:hi] - g]
             S = nxt
         return S
 
     def _violates(self, S, g0) -> bool:
         return bool(np.any(self.E[g0] - S < -self.tol))
-
-    def _group(self, g):
-        return (self.start[g], self.start[g + 1])
 
     def _seed(self, lo, hi):
         S = np.full(self.size, -np.inf)
@@ -548,14 +551,14 @@ class _MaxPlusPaths:
 
         def past_budget(m, g0):
             # the first chain of m steps anchored in g0 lies beyond the budget
-            return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
+            return m >= len(shorter) or shorter[m] + self.ranges[g0][0] * K ** m >= budget
 
         found = None  # (m, g0) of the first violation seen so far
         for g0 in range(n):
             if past_budget(1, g0):
                 break
             reach = max_length if found is None else found[0] - 1
-            S = self._seed(*self._group(g0))
+            S = self._seed(*self.ranges[g0])
             for m in range(1, reach + 1):
                 if past_budget(m, g0):
                     break
@@ -570,15 +573,15 @@ class _MaxPlusPaths:
                 raise BudgetExceededError(budget + 1, budget)
             return shorter[max_length + 1], None
         m, g0 = found
-        groups = self._first_groups(m, g0)
-        nodes = self._first_nodes(groups)
+        ranges = [self.ranges[g] for g in self._first_groups(m, g0)]
+        nodes = self._first_nodes(ranges, g0)
         # chains of shorter length, of earlier group tuples, of earlier node
         # tuples on these groups, and this one
-        sizes = [self.start[g + 1] - self.start[g] for g in groups]
+        sizes = [hi - lo for lo, hi in ranges]
         rank = shorter[m] + 1
-        for j, (g, a) in enumerate(zip(groups, nodes)):
-            rank += math.prod(sizes[:j]) * self.start[g] * K ** (m - j)
-            rank += (a - self.start[g]) * math.prod(sizes[j + 1:])
+        for j, ((lo, _), a) in enumerate(zip(ranges, nodes)):
+            rank += math.prod(sizes[:j]) * lo * K ** (m - j)
+            rank += (a - lo) * math.prod(sizes[j + 1:])
         if rank > budget:
             raise BudgetExceededError(budget + 1, budget)
         return rank, nodes
@@ -586,25 +589,23 @@ class _MaxPlusPaths:
     def _first_groups(self, m, g0):
         # lexicographically first group tuple with a violating chain
         groups = [g0]
-        S = self._seed(*self._group(g0))
+        S = self._seed(*self.ranges[g0])
         for j in range(1, m + 1):
             for g in range(self.groups):
-                T = self._advance(S, [self._group(g)])
+                T = self._advance(S, [self.ranges[g]])
                 if self._violates(self._advance(T, self.every * (m - j)), g0):
                     groups.append(g)
                     S = T
                     break
         return groups
 
-    def _first_nodes(self, groups):
-        # lexicographically first node tuple on those groups that violates
-        ranges = [self._group(g) for g in groups]
-        nodes = []
-        S = None
+    def _first_nodes(self, ranges, g0):
+        # lexicographically first node tuple on those node ranges that violates
+        nodes, S = [], None
         for j, (lo, hi) in enumerate(ranges):
             for a in range(lo, hi):
                 T = self._seed(a, a + 1) if S is None else self._advance(S, [(a, a + 1)])
-                if self._violates(self._advance(T, ranges[j + 1:]), groups[0]):
+                if self._violates(self._advance(T, ranges[j + 1:]), g0):
                     nodes.append(a)
                     S = T
                     break
@@ -620,7 +621,7 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     repetition) and every combination of map values on it, checking the chain
     inequality at the final index; shorter tuples cover the earlier indices.
     A max-plus dynamic program over the (point, value) graph decides this in
-    ``O(n * max_length * K^2)`` for ``n`` samples and ``K`` nodes, and the
+    ``O(n^2 * max_length * K)`` for ``n`` samples and ``K`` nodes, and the
     report reads as if the ``K^(m+1)`` chains of each length ``m`` had been
     enumerated in order: the witness is the first violating chain and
     ``chains_checked`` its position.  The verdict is relative to the samples:
@@ -631,14 +632,14 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
 
 
 def _cyclic_monotone(graph, max_length, tol, budget):
-    paths = _MaxPlusPaths(graph.W, graph.E, graph.start, tol)
+    paths = _MaxPlusPaths(graph.W, graph.E, graph.owner, tol)
     checked, nodes = paths.first_violation(max_length, budget)
     details = {"max_length": max_length, "chains_checked": checked}
     if nodes is None:
         return ClassReport("cyclic_monotone", True, None, tol, _describe(graph.points), details)
     rhs = 0.0
     for a, b in zip(nodes, nodes[1:]):
-        rhs += float(graph.W[a, b])
+        rhs += float(graph.W[a, graph.owner[b]])
     witness = {
         "points": graph.X[nodes].tolist(),
         "velocities": graph.V[nodes].tolist(),
@@ -668,7 +669,6 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
 
 def _weak_cyclic_monotone(graph, max_length, tol, budget):
     n, K = len(graph.points), len(graph.V)
-    firsts = graph.start[:-1]
     # chains whose first check falls within the budget
     cap = (budget - 1) // K + 1
     block = max(1, _BLOCK_ELEMENTS // K)
@@ -688,29 +688,31 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
         kids_paths, kids_sums, kids = [], [], 0
         for lo in range(0, min(len(paths), room), block):
             rows = paths[lo:min(lo + block, room)]
+            anchors = graph.owner[rows[:, 0]]
+            # one step sum per sample: rounding is monotone, so the best slack at a
+            # sample and a node's overflow follow from its largest and least E
             stepped = sums[lo:lo + len(rows), None] + graph.W[rows[:, -1]]
-            slack = graph.E[graph.owner[rows[:, 0]]] - stepped
-            best = np.maximum.reduceat(slack, firsts, axis=1)
+            best = graph.ends[anchors] - stepped
+            collect = grow and kids <= room - len(paths)
+            slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
+                     else graph.lows[anchors] - stepped)
             stuck = np.flatnonzero(best < -tol)
             if stuck.size:
                 r, j = divmod(int(stuck[0]), n)
                 used = (done + lo + r) * K + int(graph.start[j + 1])
                 if used > budget:
                     raise BudgetExceededError(budget + 1, budget)
-                witness = {
-                    "points": graph.X[rows[r]].tolist(),
-                    "velocities": graph.V[rows[r]].tolist(),
-                    "next_point": graph.points[j].tolist(),
-                    "best_slack": float(best[r, j]),
-                }
+                witness = {"points": graph.X[rows[r]].tolist(),
+                           "velocities": graph.V[rows[r]].tolist(),
+                           "next_point": graph.points[j].tolist(), "best_slack": float(best[r, j])}
                 return ClassReport(
                     "weak_cyclic_monotone", False, witness, tol, _describe(graph.points),
                     {"max_length": max_length, "extensions_checked": used},
                 )
-            if grow and kids <= room - len(paths):
+            if collect:
                 r, b = np.nonzero(slack >= -tol)
                 kids_paths.append(np.column_stack([rows[r], b]))
-                kids_sums.append(stepped[r, b])
+                kids_sums.append(stepped[r, graph.owner[b]])
                 kids += len(r)
         if len(paths) > room:
             raise BudgetExceededError(budget + 1, budget)
@@ -758,11 +760,9 @@ def _support_chain(graph, max_length, tol, budget):
             total = max_length
             break
         total += n ** length
-    firsts = graph.start[:-1]
     # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
-    steps = np.maximum.reduceat(graph.W[:, firsts], firsts, axis=0)
-    ends = np.maximum.reduceat(graph.E, firsts, axis=1)
-    paths = _MaxPlusPaths(steps, ends, np.arange(n + 1), tol)
+    steps = np.maximum.reduceat(graph.W, graph.start[:-1], axis=0)
+    paths = _MaxPlusPaths(steps, graph.ends, np.arange(n), tol)
     checked, seq = paths.first_violation(max_length)
     samples_text = f"{total} sequences"
     if seq is None:
@@ -773,7 +773,7 @@ def _support_chain(graph, max_length, tol, budget):
     for i, j in zip(seq, seq[1:]):
         rhs += float(steps[i, j])
     witness = {"points": graph.points[seq].tolist(),
-               "lhs": float(ends[seq[0], seq[-1]]), "rhs": rhs}
+               "lhs": float(graph.ends[seq[0], seq[-1]]), "rhs": rhs}
     return ClassReport(
         "support_chain", False, witness, tol, samples_text, {"sequences_checked": checked},
     )

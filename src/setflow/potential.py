@@ -541,14 +541,21 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
                 kid_paths = np.column_stack([rows[r], b])
                 kid_sums = np.column_stack([prefix[r], stepped[r, b]])
                 live = slice(None)
-                if vertices is not None and not capped and len(family) + kid_paths.size <= cap:
+                if vertices is not None and not capped:
                     # growth drops a child a member dominates at every vertex;
                     # while the cap evicts nothing, its pruned prefixes would
-                    # come back only to be pruned again, so it is left out
+                    # come back only to be pruned again, so it is left out.
+                    # The family then grows by at most the survivors' prefixes
                     at_vertices = inner_rows(vertices[None, :, :] - X[b, None, :],
                                              V[b, None, :]) + kid_sums[:, -1:]
-                    live = ~(family._model.at_vertices[None, :, :]
-                             >= at_vertices[:, None, :]).all(axis=2).any(axis=1)
+                    kept = np.empty(len(b), dtype=bool)
+                    chunk = max(1, _BLOCK_ELEMENTS // family._model.at_vertices.size)
+                    for c in range(0, len(b), chunk):
+                        kept[c:c + chunk] = ~(family._model.at_vertices[None, :, :]
+                                              >= at_vertices[c:c + chunk, None, :]
+                                              ).all(axis=2).any(axis=1)
+                    if len(family) + kid_paths[kept].size <= cap:
+                        live = kept
                 chains = [
                     Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s.copy()))
                     for p, s in zip(kid_paths[live], kid_sums[live])]

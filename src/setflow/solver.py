@@ -170,19 +170,20 @@ class _ChainTip(NamedTuple):
 
 
 def _select(chain, x_next, svmap, strategy, tol):
+    # the pick, and whether the strategy's own rule made it
     if strategy == "exhaustive":
-        return extend_exhaustive(chain, x_next, svmap, tol)
+        return extend_exhaustive(chain, x_next, svmap, tol), True
     if strategy == "support":
         v = extend_support(chain, x_next, svmap)
         if extension_slack(chain, x_next, v) >= -tol:
-            return v
-        return extend_exhaustive(chain, x_next, svmap, tol)
-    if strategy == "inertial":
+            return v, True
+    elif strategy == "inertial":
         v = extend_inertial(chain, x_next, svmap, tol)
         if v is not None:
-            return v
-        return extend_exhaustive(chain, x_next, svmap, tol)
-    raise ValueError(f"unknown strategy {strategy!r}")
+            return v, True
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return extend_exhaustive(chain, x_next, svmap, tol), False
 
 
 def _coast(tip, svmap, deltas, strategy, tol):
@@ -263,16 +264,17 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     map extends the chain at that node within the tolerance.  Only the chain
     tip is carried, so each step costs the same however long the chain is.
 
-    A node *coasts* when its pick is bit for bit the previous velocity.  From
-    a coasting node the solver guesses a block of steps at that velocity
-    (:func:`_coast`), scores the whole block at once with the scorer the
-    per-step rules use, and takes the prefix where the value set stays the
-    same and the rule would take that velocity one step at a time; the node
-    that breaks the prefix is selected alone.  A block holds 8 steps after
-    a break and doubles after each full block, up to 1024 and to at most
-    ``_BLOCK_ELEMENTS`` (node, value) pairs at the width of the last block.
-    Trajectories, errors and :class:`SelectionFailed` replay state equal
-    those of selecting every node alone.
+    A node *coasts* when the strategy's own rule, not the exhaustive
+    fallback, picks bit for bit the previous velocity there: a block keeps
+    only such picks.  From a coasting node the solver guesses a block of
+    steps at that velocity (:func:`_coast`), scores the whole block at once
+    with the scorer the per-step rules use, and takes the prefix where the
+    value set stays the same and the rule would take that velocity one step
+    at a time; the node that breaks the prefix is selected alone.  A block
+    holds 8 steps after a break and doubles after each full block, up to
+    1024 and to at most ``_BLOCK_ELEMENTS`` (node, value) pairs at the width
+    of the last block.  Trajectories, errors and :class:`SelectionFailed`
+    replay state equal those of selecting every node alone.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
@@ -319,14 +321,14 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
                     raise ValueError(
                         f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")
                 x = np.array(node)
-                v = _select(tip, x, svmap, spec.strategy, spec.tol)
+                v, ruled = _select(tip, x, svmap, spec.strategy, spec.tol)
                 if v is None:
                     chain = Chain(np.vstack(states), np.vstack(velocities))
                     candidates = svmap.eval(x).points
                     slacks = list(zip(candidates, extension_slack(chain, x, candidates).tolist()))
                     raise SelectionFailed(k + 1, times[k + 1], x, chain, slacks,
                                           spec.strategy, spec.tol)
-                coasting = v.tobytes() == tip.last_velocity.tobytes()
+                coasting = ruled and v.tobytes() == tip.last_velocity.tobytes()
                 tip = tip.extended(x, v)
                 states.append(x)
                 velocities.append(v)

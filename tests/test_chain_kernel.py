@@ -38,7 +38,7 @@ from setflow import (
 )
 from setflow.geometry import inner_rows
 
-from conftest import build_corpus, random_dyadic_map
+from conftest import bits, build_corpus, random_dyadic_map
 from oracles import (
     chain_holds_exact,
     cyclic_monotone_brute,
@@ -327,16 +327,62 @@ CLASSIFIERS = (
 def test_overflowing_terms_raise_instead_of_a_verdict(fn, length, holds):
     # on a 2 x 2 grid at +-1e200, values of +-1 give finite terms; values of
     # +-1e200 overflow them, where the classifiers had given verdicts (cyclic
-    # monotonicity and the support chain held) with only a warning
+    # monotonicity and the support chain held) with only a warning.  One such
+    # value beside a finite one at every sample overflows too, though each
+    # sample's largest term per step is then the finite value's
     grid = sample_grid([-1e200] * 2, [1e200] * 2, [2, 2])
     settings = np.geterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = fn(constant_map([[1.0, -1.0], [-1.0, 1.0]]), grid, *length, 0.0)
     assert report.holds is holds
-    with pytest.raises(FloatingPointError):
-        fn(constant_map([[1e200, -1e200], [-1e200, 1e200]]), grid, *length, 0.0)
+    for values in ([[1e200, -1e200], [-1e200, 1e200]], [[1.0, -1.0], [1e200, -1e200]]):
+        with pytest.raises(FloatingPointError):
+            fn(constant_map(values), grid, *length, 0.0)
     assert np.geterr() == settings
+
+
+def test_a_slack_that_overflows_below_its_samples_best_raises():
+    # F(0) = {5e307, 1e307} and F(1) = {+-1.5e308}: from (0, 5e307) the step
+    # to 1 sums to 5e307, and the value -1.5e308 there leaves the slack
+    # -2e308 while the sample's best, 1e308, is finite; from (1, -1.5e308)
+    # no value of F(0) extends the chain, which the search would report
+    svmap = table_map([(Halfspace([1.0], 0.5, "le"), [[5e307], [1e307]]),
+                       (Always(), [[1.5e308], [-1.5e308]])])
+    with pytest.raises(FloatingPointError):
+        classify_weak_cyclic_monotone(svmap, sample_grid([0.0], [1.0], [2]), 1, 0.0)
+
+
+FOUR_VALUED = constant_map([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def test_step_terms_are_held_per_sample():
+    # W[a, j] = <x_j - X[a], V[a]>: expanded by owner it is the node-by-node
+    # matrix bit for bit
+    rng = np.random.default_rng(3)
+    for svmap, counts in ((FOUR_VALUED, [5, 5]), (random_dyadic_map(rng, 2), [4, 3])):
+        graph = chains._ChainGraph(svmap, sample_grid([-1.0, -1.0], [1.0, 1.0], counts))
+        K, n = len(graph.V), len(graph.points)
+        assert graph.W.shape == (K, n) and graph.E.shape == (n, K)
+        nodes = inner_rows(graph.X[None, :, :] - graph.X[:, None, :], graph.V[:, None, :])
+        assert bits(graph.W[:, graph.owner]) == bits(nodes)
+        for table, pick in ((graph.ends, np.max), (graph.lows, np.min)):
+            assert bits(table) == bits([[pick(graph.E[i, graph.start[j]:graph.start[j + 1]])
+                                         for j in range(n)] for i in range(n)])
+
+
+def test_cyclic_monotone_on_a_four_valued_grid_stays_small():
+    # 1156 nodes on 289 samples: a K x K step matrix alone is 10 MiB, and the
+    # run peaked at 23 MiB with one
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [17, 17])
+    tracemalloc.start()
+    try:
+        report = classify_cyclic_monotone(FOUR_VALUED, grid, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.holds
+    assert peak < 12 << 20
 
 
 @pytest.mark.parametrize("fn, length", [(fn, length) for fn, length, _ in CLASSIFIERS],

@@ -353,9 +353,8 @@ def test_a_pick_that_turns_inside_a_block(strategy):
     assert _turns(traj) == ([] if strategy == "inertial" else [1, 6])
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("case", ["slack", "aligned"])
-def test_a_fallback_that_turns_inside_a_block(strategy, case):
+def _fallback_case(strategy, case):
+    # a counted map, a spec and the first nodes where the velocity turns
     if case == "slack":
         # the singleton of test_slack_below_tol_in_the_middle_of_a_block plus
         # a value with a larger slack: the inertial rule keeps v until its
@@ -363,23 +362,48 @@ def test_a_fallback_that_turns_inside_a_block(strategy, case):
         # where the exhaustive fallback turns; the other rules turn at node 1
         svmap, evaluator = _counted(constant_map([[1 / 3, 0.1], [0.5, 0.1]]))
         spec = _spec(svmap, [0.1, 0.1], [1 / 3, 0.1], h=0.01, strategy=strategy)
-        expected = [73] if strategy == "inertial" else [1]
-    else:
-        # at a negative tol v is never aligned with itself, so from node 2
-        # the inertial rule falls back to the exhaustive scan, which keeps
-        # v = (1, 1) until u = (2.125, 0) gains h / 8 on it at node 7, inside
-        # the block of nodes 3-10; u is first aligned only at node 8.  Every
-        # rule turns there.
-        svmap, evaluator = _counted(table_map([
-            (Halfspace([0.0, 1.0], 0.0, "eq"), [[0.0, 0.625]]),
-            (Always(), [[1.0, 1.0], [2.125, 0.0]])]))
-        spec = _spec(svmap, [0.0, 0.0], [0.0, 0.625], h=1 / 16, strategy=strategy,
-                     tol=-3 / 256)
-        expected = [1, 7]
+        return evaluator, spec, [73] if strategy == "inertial" else [1]
+    # at a negative tol v is never aligned with itself, so from node 2 the
+    # inertial rule falls back to the exhaustive scan, which keeps v = (1, 1)
+    # until u = (2.125, 0) gains h / 8 on it at node 7, inside the block of
+    # nodes 3-10 of the other rules; u is first aligned only at node 8.
+    # Every rule turns there.
+    svmap, evaluator = _counted(table_map([
+        (Halfspace([0.0, 1.0], 0.0, "eq"), [[0.0, 0.625]]),
+        (Always(), [[1.0, 1.0], [2.125, 0.0]])]))
+    spec = _spec(svmap, [0.0, 0.0], [0.0, 0.625], h=1 / 16, strategy=strategy, tol=-3 / 256)
+    return evaluator, spec, [1, 7]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", ["slack", "aligned"])
+def test_a_fallback_that_turns_inside_a_block(strategy, case):
+    evaluator, spec, expected = _fallback_case(strategy, case)
     assert_as_per_step(spec)
     traj, _, blocks = _solved_alone(spec, evaluator)
-    assert blocks > 0
+    # the inertial rule never keeps v at a negative tol, and a pick of the
+    # fallback starts no block
+    assert (blocks == 0) == (case == "aligned" and strategy == "inertial")
     assert _turns(traj)[:len(expected)] == expected
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("case", ["slack", "aligned"])
+def test_no_block_breaks_at_its_first_node(monkeypatch, strategy, case):
+    # a block that followed a repeat of the exhaustive fallback broke at its
+    # first node, where the rule does not keep v: 13 such blocks in the
+    # inertial "aligned" run
+    counts = []
+    coast = solver._coast
+
+    def spy(*args):
+        out = coast(*args)
+        counts.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver, "_coast", spy)
+    euler_solve(_fallback_case(strategy, case)[1])
+    assert 0 not in counts
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

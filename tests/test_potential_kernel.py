@@ -22,7 +22,9 @@ import pytest
 import setflow.cli as cli
 import setflow.potential as potential
 from setflow import (
+    Always,
     Chain,
+    Halfspace,
     SequenceFamily,
     build_family,
     family_to_text,
@@ -35,6 +37,7 @@ from setflow import (
     sample_grid,
     subgradient_test,
     submap_contains,
+    table_map,
 )
 from setflow.chains import extension_slack
 from setflow.geometry import inner_rows
@@ -666,6 +669,44 @@ def test_kernel_grows_back_prefixes_that_are_not_members(grown_in_kernel):
     assert subgradient_test_ref(family, x, v, probes)
     assert subgradient_test(family, x, v, probes)
     assert len(grown_in_kernel) == 1
+
+
+def test_children_are_not_filtered_once_the_cap_has_evicted():
+    # F = {1, -2, 2} for x >= 0 and {-1} below, anchored at (0, -2), cap 2:
+    # the anchor's child (0, 2) evicts its first child (0, 1), whose own
+    # first child is one the members dominate.  Growing it still brings
+    # (0, 1) back, which evicts (0, 2); a budget of 8 stops right there
+    svmap = table_map([(Halfspace([1.0], 0.0, "ge"), [[1.0], [-2.0], [2.0]]),
+                       (Always(), [[-1.0]])])
+    grid = sample_grid([-1.0], [1.0], [3])
+    for budget in (8, 50):
+        family, _ = assert_same_build(svmap, grid, [0.0], [-2.0], 4, bounds(grid), budget,
+                                      cap=2)
+        assert family.members[1].vs.tolist() == [[-2.0], [1.0]]
+
+
+def test_capped_builds_match_the_reference_fold():
+    # caps of 2 to 11 that bind partway through a level, and budgets that
+    # stop a level partway, where a filtered child would change the family
+    rng = np.random.default_rng(1009)
+    evicted = 0
+    for k in range(40):
+        dim = 1 + k % 2
+        grid = sample_grid([-1.0] * dim, [1.0] * dim, [int(rng.integers(2, 5 - dim))] * dim)
+        svmap = random_dyadic_map(rng, dim)
+        x0 = grid[int(rng.integers(len(grid)))]
+        values = svmap.eval(x0).points
+        v0 = values[int(rng.integers(len(values)))]
+        cap, max_length = 2 + k % 10, 2 + k % 3
+        for budget in (8, 50, 400):
+            got = build_family(svmap, x0, v0, grid, max_length, box=bounds(grid), cap=cap,
+                               budget=budget)
+            want = build_family_ref(svmap, x0, v0, grid, max_length, box=bounds(grid), cap=cap,
+                                    budget=budget)
+            assert got[1] == want[1]
+            assert family_to_text(got[0]) == family_to_text(want[0])
+            evicted += got[1]["chains_grown"] > cap
+    assert evicted > 20
 
 
 def test_children_are_filtered_only_while_the_cap_cannot_evict():
