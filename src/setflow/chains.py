@@ -689,8 +689,8 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
         for lo in range(0, min(len(paths), room), block):
             rows = paths[lo:min(lo + block, room)]
             anchors = graph.owner[rows[:, 0]]
-            # one step sum per sample: rounding is monotone, so the best slack at a
-            # sample and a node's overflow follow from its largest and least E
+            # one step sum per sample; rounding is monotone, so the best slack is
+            # the largest E less it, and the least E less it raises as a node would
             stepped = sums[lo:lo + len(rows), None] + graph.W[rows[:, -1]]
             best = graph.ends[anchors] - stepped
             collect = grow and kids <= room - len(paths)

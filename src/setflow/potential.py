@@ -548,6 +548,8 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
                     # The family then grows by at most the survivors' prefixes
                     at_vertices = inner_rows(vertices[None, :, :] - X[b, None, :],
                                              V[b, None, :]) + kid_sums[:, -1:]
+                    # in chunks: a level's block may hold tens of thousands of
+                    # children, each compared with every member at every vertex
                     kept = np.empty(len(b), dtype=bool)
                     chunk = max(1, _BLOCK_ELEMENTS // family._model.at_vertices.size)
                     for c in range(0, len(b), chunk):
