@@ -390,9 +390,9 @@ def test_a_fallback_that_turns_inside_a_block(strategy, case):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case", ["slack", "aligned"])
 def test_no_block_breaks_at_its_first_node(monkeypatch, strategy, case):
-    # a block that followed a repeat of the exhaustive fallback broke at its
-    # first node, where the rule does not keep v: 13 such blocks in the
-    # inertial "aligned" run
+    # a repeat of the exhaustive fallback starts no block: where the rule does
+    # not keep v, a block would break at its first node (13 times in the
+    # inertial "aligned" run)
     counts = []
     coast = solver._coast
 
