@@ -35,9 +35,13 @@ chain of the subdifferential trajectory of the residual figure, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
 ``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
 each ``extend_*`` rule and of ``submap_select`` (against the constant map,
-from the ``build_family`` family), on fixed two dimensional inputs.  Within
-a round each is the least of five timed repeats.  The classify run writes its output under ``.bench_build/`` next to
-the measured tree.
+from the ``build_family`` family), on fixed two dimensional inputs.  Two
+figures time the CLI's writers: ``cli._write_json`` on the
+``subgradient.json`` document of ``setflow potential`` on that kink problem,
+and ``cli._write_csv`` on the 1001-row table of a 3-d polygon (1000 support
+steps of the gradient map ``GRADIENT3``), given as the tree's ``run_solve``
+gives it.  Within a round each is the least of five timed repeats.  The CLI
+runs and the writers write under ``.bench_build/`` next to the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
 and end-to-end metric, are recorded with the number of seeds where the
@@ -95,6 +99,9 @@ SQUARE_SLOPES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 SQUARE_KINK = {"kind": "subdifferential", "slopes": SQUARE_SLOPES, "offsets": [0.0] * 4}
 FOUR_VALUED = {"kind": "constant", "points": SQUARE_SLOPES}
 PRIMITIVE_CALLS = 2000
+WRITES = 20
+# the 3-d gradient map diag(1, 2, 1/2), whose polygon fills the CSV figure's table
+GRADIENT3 = {"kind": "linear", "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
 
 
 def _per_call_us(fn, calls, repeats=REPEATS):
@@ -237,6 +244,32 @@ def measure(src: str) -> dict:
         argv = ["classify", "--input", str(problem), "--output", tmp]
         with contextlib.redirect_stdout(io.StringIO()):
             out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
+            setflow.cli.main(["potential", *argv[1:]])
+            subgradient = json.loads((Path(tmp) / "subgradient.json").read_text())
+            target = Path(tmp) / "written.json"
+
+            def write_json():
+                for _ in range(WRITES):
+                    setflow.cli._write_json(target, subgradient)
+
+            out["cli.write_json.subgradient.us_per_call"] = _per_call_us(write_json, WRITES)
+            gradient = map_from_dict(GRADIENT3)
+            x0 = np.array([-0.75, 0.3, 0.5])
+            traj = euler_solve(ProblemSpec(map=gradient, x0=x0, v0=gradient.eval(x0).points[0],
+                                           horizon=1.0, step=1.0 / SOLVE_STEPS,
+                                           strategy="support", tol=1e-9))
+            table = np.column_stack([traj.times, traj.states, traj.velocities])
+            # the table as run_solve passes it: the array to a writer that
+            # formats it by column, else its rows as lists
+            rows = (lambda: table) if hasattr(setflow.cli, "_CSV_BLOCK") else table.tolist
+            header = ["t", "x0", "x1", "x2", "v0", "v1", "v2"]
+            target = Path(tmp) / "written.csv"
+
+            def write_csv():
+                for _ in range(WRITES):
+                    setflow.cli._write_csv(target, header, rows())
+
+            out["cli.write_csv.trajectory.us_per_call"] = _per_call_us(write_csv, WRITES)
     return out
 
 

@@ -24,7 +24,6 @@ be replayed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -32,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import _best_row, inner, inner_rows, support_value
-from .setmaps import SetValuedMap, _point_rows
+from .setmaps import SetValuedMap, _json_text, _point_rows
 
 __all__ = [
     "DEFAULT_TOL",
@@ -320,7 +319,7 @@ class ClassReport:
         }
 
     def to_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return _json_text(self.to_json_dict()) + "\n"
 
 
 # an overflowing term or an inf - inf leaves a gap or slack that no comparison

@@ -17,9 +17,7 @@ Euler steps, against the same budget before any work.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -46,7 +44,7 @@ from .potential import (
     potential_value,
     potential_values,
 )
-from .setmaps import GridSpec, ProblemFormatError, parse_problem
+from .setmaps import GridSpec, ProblemFormatError, _json_text, parse_problem
 from .solver import (
     SelectionFailed,
     euler_solve,
@@ -67,6 +65,8 @@ EXIT_BUDGET = 4
 
 DEFAULT_MAX_LENGTH = 2
 DEFAULT_STEP_COUNTS = (25, 50, 100, 200)
+# rows of a float table formatted per write
+_CSV_BLOCK = 256
 
 
 def _chain_budget() -> int:
@@ -118,15 +118,18 @@ def _parse_steps_option(text: str):
 def _load_spec(args):
     text = Path(args.input).read_text()
     spec = parse_problem(text)
-    grid = _parse_grid_option(args.grid) if getattr(args, "grid", None) else None
-    steps = _parse_steps_option(args.steps) if getattr(args, "steps", None) else None
-    return spec.with_overrides(
-        tol=args.tol,
-        strategy=getattr(args, "strategy", None),
-        grid=grid,
-        max_length=getattr(args, "max_length", None),
-        steps=steps,
-    )
+    overrides = {
+        "tol": args.tol,
+        "strategy": getattr(args, "strategy", None),
+        "grid": _parse_grid_option(args.grid) if getattr(args, "grid", None) else None,
+        "max_length": getattr(args, "max_length", None),
+        "steps": _parse_steps_option(args.steps) if getattr(args, "steps", None) else None,
+    }
+    # parse_problem has validated the spec; with_overrides validates the copy
+    # it makes, so it runs only where a flag changes something
+    if all(value is None for value in overrides.values()):
+        return spec
+    return spec.with_overrides(**overrides)
 
 
 def _out_dir(args) -> Path:
@@ -136,19 +139,26 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    # one write: json.dump with an indent writes every chunk on its own
+    # the text of json.dumps(obj, indent=2) and a newline, in one write
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")
+        fh.write(_json_text(obj) + "\n")
     print(f"wrote {path.name}")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    # csv.writer writes a float cell as str(), which in Python 3 is the
-    # shortest repr that round-trips, the text _fmt gives
+    # the bytes csv.writer writes: no cell here needs quoting, and it writes a
+    # float cell as repr(), the shortest text that round-trips, as _fmt does.
+    # A float array is formatted a column at a time, a block of rows per write;
+    # any other rows are rows of text or float cells
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            block = rows[lo:lo + _CSV_BLOCK]
+            if isinstance(block, np.ndarray):
+                block = zip(*[map(float.__repr__, column) for column in block.T.tolist()])
+            else:
+                block = (map(str, row) for row in block)
+            fh.write("".join([",".join(row) + "\n" for row in block]))
     print(f"wrote {path.name}")
 
 
@@ -172,7 +182,7 @@ def run_solve(args) -> int:
         return EXIT_SELECTION
     n = traj.dimension
     header = ["t"] + [f"x{c}" for c in range(n)] + [f"v{c}" for c in range(n)]
-    rows = np.column_stack([traj.times, traj.states, traj.velocities]).tolist()
+    rows = np.column_stack([traj.times, traj.states, traj.velocities])
     node, hull = trajectory_residual(traj, spec.map)
     summary = {
         "nodes": traj.node_count(),
@@ -245,7 +255,7 @@ def run_potential(args) -> int:
     family, stats = _build_family(graph, spec.x0, spec.v0, max_length, box, budget, spec.tol)
     potentials = potential_values(family, samples)
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
-    rows = np.column_stack([samples, potentials]).tolist()
+    rows = np.column_stack([samples, potentials])
 
     # a node is compatible when <x - x0, v> clears the model at x; the
     # selected value of a sample is its anchored pick, if compatible
@@ -255,22 +265,28 @@ def run_potential(args) -> int:
     passed = np.zeros(len(compatible), dtype=bool)
     passed[compatible] = _subgradient_checks(family, graph.X[compatible], graph.V[compatible],
                                              samples, spec.tol)
-    entries = []
-    for i, p in enumerate(samples):
-        lo, hi = graph.start[i], graph.start[i + 1]
-        pick = lo + _rule_picks("support", graph.V[lo:hi], spec.v0, offsets[lo:lo + 1],
-                                products[None, lo:hi], None)[0][0]
-        checks = [{
-            "v": v.tolist(),
-            "compatible": ok,
-            "subgradient_ok": sub if ok else None,
-        } for v, ok, sub in zip(graph.V[lo:hi], compatible[lo:hi].tolist(),
-                                passed[lo:hi].tolist())]
-        entries.append({
-            "x": p.tolist(),
-            "selected": graph.V[pick].tolist() if compatible[pick] else None,
-            "values": checks,
-        })
+    # the rule scores each sample's row alone, so the samples whose value
+    # sets are equal bit for bit share one batched pick
+    start = graph.start.tolist()
+    groups = {}
+    for i in range(len(samples)):
+        groups.setdefault(graph.V[start[i]:start[i + 1]].tobytes(), []).append(i)
+    picks = np.empty(len(samples), dtype=np.intp)
+    for members in groups.values():
+        S = graph.V[start[members[0]]:start[members[0] + 1]]
+        lo = graph.start[members]
+        picks[members] = lo + _rule_picks("support", S, spec.v0, offsets[lo],
+                                          products[lo[:, None] + np.arange(len(S))], None)[0]
+    values, ok, sub = graph.V.tolist(), compatible.tolist(), passed.tolist()
+    entries = [{
+        "x": p,
+        "selected": values[pick] if ok[pick] else None,
+        "values": [{
+            "v": values[a],
+            "compatible": ok[a],
+            "subgradient_ok": sub[a] if ok[a] else None,
+        } for a in range(start[i], start[i + 1])],
+    } for i, (p, pick) in enumerate(zip(samples.tolist(), picks.tolist()))]
     accepted = int(np.count_nonzero(compatible))
     summary = {
         "family_size": len(family),

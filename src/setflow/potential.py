@@ -31,7 +31,7 @@ import numpy as np
 
 from .chains import _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks, verify_chain
 from .geometry import inner, inner_rows
-from .setmaps import SetValuedMap, _point_rows
+from .setmaps import SetValuedMap, _json_text, _point_rows
 
 __all__ = [
     "DEFAULT_FAMILY_CAP",
@@ -609,7 +609,7 @@ def family_from_json_dict(d) -> SequenceFamily:
 
 
 def family_to_text(family: SequenceFamily) -> str:
-    return json.dumps(family_to_json_dict(family), indent=2) + "\n"
+    return _json_text(family_to_json_dict(family)) + "\n"
 
 
 def family_from_text(text: str) -> SequenceFamily:

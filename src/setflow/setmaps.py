@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -775,6 +776,84 @@ def parse_problem(text: str) -> ProblemSpec:
     return spec.validated()
 
 
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_key(key) -> str:
+    # a dict key as json writes it, with the separator after it
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    if isinstance(key, float):
+        text = float.__repr__(key)
+        key = _NONFINITE_JSON.get(text, text)
+    elif key is True:
+        key = "true"
+    elif key is False:
+        key = "false"
+    elif key is None:
+        key = "null"
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}")
+    return f'"{key}": '
+
+
+def _json_parts(obj, newline, parts) -> None:
+    # the list, tuple or dict obj, whose line starts with newline: one part
+    # per scalar item and its separator, formatted here in json's order of
+    # checks, and a recursive call per container item
+    append = parts.append
+    inner = newline + "  "
+    keyed = isinstance(obj, dict)
+    if not obj:
+        append("{}" if keyed else "[]")
+        return
+    sep = ("{" if keyed else "[") + inner
+    for item in obj.items() if keyed else obj:
+        if keyed:
+            key, item = item
+            head = sep + _json_key(key)
+        else:
+            head = sep
+        sep = "," + inner
+        if isinstance(item, float):
+            text = float.__repr__(item)
+            append(head + _NONFINITE_JSON.get(text, text))
+        elif isinstance(item, str):
+            append(head + encode_basestring_ascii(item))
+        elif item is None:
+            append(head + "null")
+        elif item is True:
+            append(head + "true")
+        elif item is False:
+            append(head + "false")
+        elif isinstance(item, int):
+            append(head + int.__repr__(item))
+        elif isinstance(item, (list, tuple, dict)):
+            append(head)
+            _json_parts(item, inner, parts)
+        else:
+            raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
+    append(newline + ("}" if keyed else "]"))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, written without json's encoder.
+
+    With an indent, json runs its pure-Python encoder, a generator per
+    container and a call per item; this is one loop per container.  It
+    raises ``TypeError`` where json does, but does not look for cycles.
+    """
+    if not isinstance(obj, (list, tuple, dict)):
+        # no indent to write, so json's C encoder writes the same text
+        return json.dumps(obj)
+    parts = []
+    _json_parts(obj, "\n", parts)
+    return "".join(parts)
+
+
 def serialize_problem(spec: ProblemSpec) -> str:
     """Inverse of :func:`parse_problem`, to full float precision."""
     doc = {
@@ -792,7 +871,7 @@ def serialize_problem(spec: ProblemSpec) -> str:
         doc["max_length"] = int(spec.max_length)
     if spec.step_counts is not None:
         doc["steps"] = [int(c) for c in spec.step_counts]
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Everything here is written against the library from scratch, with
 different algorithms and different summation orders, so agreement is
 evidence rather than tautology.  The exceptions are the brute-force
 classifier references, the per-member potential references, the per-row
-scan references, the per-point map evaluators, the per-pair query phase and
-the per-step solver at the end: they run chain by chain, member by member,
-row by row, point by point and step by step with the library's own inner
-product and summation order, so the batched kernels must match their outputs
-byte for byte.
+scan references, the per-point map evaluators, the per-pair query phase, the
+per-sample pick loop and the per-step solver at the end: they run chain by
+chain, member by member, row by row, point by point, sample by sample and
+step by step with the library's own inner product, summation order and (for
+the pick loop) scorer, so the batched kernels must match their outputs byte
+for byte.
 """
 
 import math
@@ -46,6 +47,7 @@ from setflow import (
     time_grid,
     verify_chain,
 )
+from setflow.chains import _ChainGraph, _rule_picks
 from setflow.setmaps import predicate_from_dict
 from setflow.solver import _ChainTip
 from setflow.geometry import HULL_MAX_ITER, _affine_min_weights, inner_rows
@@ -696,6 +698,27 @@ def subgradient_entries_ref(family, svmap, samples, tol):
             "values": checks,
         })
     return {"entries": entries}
+
+
+def selected_values_ref(svmap, samples, x0, v0, potentials, tol):
+    """The ``"selected"`` entries of ``subgradient.json``, sample by sample.
+
+    The pick loop ``setflow potential`` ran before samples with equal value
+    sets shared one batched pick: the anchored rule on each sample's values
+    alone, with its offset and products, kept where it is compatible.  Run
+    it under the command's errstate to raise where the command raises.
+    """
+    graph = _ChainGraph(svmap, samples)
+    offsets = graph.X - x0
+    products = inner_rows(offsets, graph.V)
+    compatible = products >= potentials[graph.owner] - tol
+    selected = []
+    for i in range(len(samples)):
+        lo, hi = graph.start[i], graph.start[i + 1]
+        pick = lo + _rule_picks("support", graph.V[lo:hi], v0, offsets[lo:lo + 1],
+                                products[None, lo:hi], None)[0][0]
+        selected.append(graph.V[pick].tolist() if compatible[pick] else None)
+    return selected
 
 
 # The per-node selection as it was before one batched scorer served both the

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from setflow import (
     Chain,
+    ProblemSpec,
     SetValuedMap,
     euler_solve,
     extend_exhaustive,
@@ -27,8 +28,8 @@ from setflow import (
     verify_chain,
 )
 from setflow.chains import ClassReport
-from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _fmt, _write_csv,
-                         _write_json, build_parser, main)
+from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _CSV_BLOCK, _fmt,
+                         _write_csv, _write_json, build_parser, main)
 
 from conftest import INERTIAL_GAP_PROBLEM, child_env
 
@@ -160,6 +161,20 @@ def test_float_rows_write_the_bytes_of_fmt_cells(tmp_path, capsys):
     assert text.splitlines()[1:] == [b"-0.0,5e-324,1e+16,0.1",
                                      b"0.0,-2.5e-310,1.0,0.3333333333333333"]
     assert capsys.readouterr().out == "wrote rows.csv\nwrote fmt.csv\n"
+
+
+def test_float_arrays_write_the_bytes_of_csv_writer(tmp_path, capsys):
+    # a table of more than two blocks, formatted a column at a time
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((2 * _CSV_BLOCK + 3, 4)) * 10.0 ** rng.integers(-320, 300, (1, 4))
+    values[0] = [-0.0, 5e-324, math.inf, math.nan]
+    values[-1] = [1e16, -2.5e-310, -math.inf, 1 / 3]
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "array.csv", header, values)
+    with open(tmp_path / "writer.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + values.tolist())
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+    assert capsys.readouterr().out == "wrote array.csv\n"
 
 
 def test_json_files_write_the_bytes_of_json_dump(tmp_path, capsys):
@@ -313,6 +328,27 @@ class TestFailureModes:
         f = tmp_path / "p.json"
         f.write_text(json.dumps(doc) + "\n")
         assert run("solve", "--input", f, "--output", tmp_path / "o") == EXIT_INVALID
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("command", ["solve", "classify", "potential", "refine"])
+    def test_a_run_without_flags_validates_once(self, tmp_path, sign_file, monkeypatch, command):
+        calls = []
+        validated = ProblemSpec.validated
+        monkeypatch.setattr(ProblemSpec, "validated",
+                            lambda spec: calls.append(command) or validated(spec))
+        assert run(command, "--input", sign_file, "--output", tmp_path / "o") == 0
+        assert calls == [command]
+
+    @pytest.mark.parametrize("command", ["solve", "refine"])
+    def test_override_flags_are_validated(self, tmp_path, sign_file, capsys, command):
+        out = tmp_path / "o"
+        assert run(command, "--input", sign_file, "--output", out, "--tol=-1") == EXIT_INVALID
+        assert capsys.readouterr().err == "error: tol: must be nonnegative\n"
+        with pytest.raises(SystemExit) as info:
+            run(command, "--input", sign_file, "--output", out, "--strategy", "euler")
+        assert info.value.code == EXIT_INVALID
+        assert not out.exists()
 
 
 def _with_fields(**fields):

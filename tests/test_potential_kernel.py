@@ -51,6 +51,7 @@ from oracles import (
     grow_family_ref,
     grid_points_ref,
     potential_value_ref,
+    selected_values_ref,
     subgradient_entries_ref,
     subgradient_test_ref,
 )
@@ -525,6 +526,84 @@ def test_query_phase_matches_the_per_pair_loop(name, doc, tmp_path):
     family = family_from_text((tmp_path / "o" / "family.json").read_text())
     want = subgradient_entries_ref(family, spec.map, grid_points_ref(spec.grid), spec.tol)
     assert (tmp_path / "o" / "subgradient.json").read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def _halfspace(value, op, points):
+    return {"where": {"kind": "halfspace", "normal": [1.0, 0.0], "value": value, "op": op},
+            "points": points}
+
+
+def _pick_case(svmap, x0, v0, counts):
+    return {"map": svmap, "x0": x0, "v0": v0, "T": 1.0, "h": 0.5, "strategy": "support",
+            "tol": 1e-9, "max_length": 2,
+            "grid": {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": counts}}
+
+
+# each case with the number of samples of each distinct value set
+PICK_CASES = {
+    "constant": (_pick_case(
+        {"kind": "constant", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]},
+        [0.3, -0.2], [1.0, 0.0], [4, 4]), [16]),
+    # one value left and right of x1 = 0, both on it
+    "kinked-table": (_pick_case({"kind": "table", "regions": [
+        _halfspace(0.0, "lt", [[-1.0, 0.5]]),
+        _halfspace(0.0, "eq", [[-1.0, 0.5], [1.0, 0.5]]),
+        {"where": {"kind": "always"}, "points": [[1.0, 0.5]]},
+    ]}, [0.5, 0.25], [1.0, 0.5], [5, 3]), [6, 3, 6]),
+    # the anchor is a grid point, where the rule scores by nearness to v0
+    "anchor-on-grid": (_pick_case(
+        {"kind": "constant", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [0.5, 0.5]]},
+        [0.0, 0.0], [0.0, 1.0], [3, 3]), [9]),
+    # value sets equal but for the sign of a zero
+    "signed-zeros": (_pick_case({"kind": "table", "regions": [
+        _halfspace(0.0, "lt", [[0.0, 1.0], [1.0, 0.0]]),
+        {"where": {"kind": "always"}, "points": [[-0.0, 1.0], [1.0, 0.0]]},
+    ]}, [0.5, 0.5], [1.0, 0.0], [4, 4]), [8, 8]),
+}
+
+
+@pytest.mark.parametrize("name", PICK_CASES)
+def test_selected_values_match_the_per_sample_picks(name, tmp_path, monkeypatch):
+    doc, sizes = PICK_CASES[name]
+    groups = []
+    picks = cli._rule_picks
+    monkeypatch.setattr(cli, "_rule_picks",
+                        lambda *args: groups.append(len(args[3])) or picks(*args))
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc) + "\n")
+    assert run_potential(f, tmp_path / "o") == 0
+    # one pick per distinct value set, for all of its samples at once
+    assert groups == sizes
+    spec = parse_problem(f.read_text())
+    samples = spec.grid.points()
+    family = family_from_text((tmp_path / "o" / "family.json").read_text())
+    with np.errstate(over="raise", invalid="raise"):
+        want = selected_values_ref(spec.map, samples, spec.x0, spec.v0,
+                                   potential_values(family, samples), spec.tol)
+    entries = json.loads((tmp_path / "o" / "subgradient.json").read_text())["entries"]
+    # as text, where -0.0 and 0.0 differ
+    assert json.dumps([entry["selected"] for entry in entries]) == json.dumps(want)
+    if name == "signed-zeros":
+        assert {"[0.0, 1.0]", "[-0.0, 1.0]"} <= {json.dumps(v) for v in want}
+
+
+def test_an_anchor_whose_nearness_overflows_exits_invalid(tmp_path, capsys):
+    # the anchor's turn to the other value squares past the float range; every
+    # other figure of the run stays in it
+    doc = {"map": {"kind": "constant", "points": [[1e200], [-1e200]]}, "x0": [0.0],
+           "v0": [1e200], "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+           "grid": {"low": [-1.0], "high": [1.0], "counts": [3]}}
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc) + "\n")
+    assert run_potential(f, tmp_path / "o") == cli.EXIT_INVALID
+    assert capsys.readouterr().err == \
+        "error: arithmetic leaves the float range: overflow encountered in vecdot\n"
+    assert not any((tmp_path / "o").iterdir())
+    spec = parse_problem(f.read_text())
+    samples = spec.grid.points()
+    with pytest.raises(FloatingPointError), np.errstate(over="raise", invalid="raise"):
+        selected_values_ref(spec.map, samples, spec.x0, spec.v0, np.zeros(len(samples)),
+                            spec.tol)
 
 
 def graph_nodes(svmap, grid):

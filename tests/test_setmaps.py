@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setflow import (
     ACTIVITY_TOL,
@@ -30,6 +31,7 @@ from setflow import (
     serialize_problem,
     table_map,
 )
+from setflow.setmaps import _json_text
 
 from conftest import bits, build_corpus, make_non_wcm_map, make_sign_map
 from oracles import closed_graph_diagnostic_ref, grid_points_ref
@@ -355,3 +357,49 @@ def test_closed_graph_diagnostic_evaluates_each_point_once():
     assert closed_graph_diagnostic(SetValuedMap(1, counted), points, np.array([0.0]),
                                    directions, 1e-9)
     assert calls == [(0.0,)] + [tuple(p) for p in points]
+
+
+_json_leaves = st.one_of(
+    st.text(),
+    st.sampled_from(["caf\u00e9", "\u2211 x\U0001f600", 'say "hi"\\', "\x00\x1f\t\n\x7f"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64),
+)
+_json_keys = st.one_of(st.text(max_size=4), st.integers(), st.booleans(), st.none(),
+                       st.sampled_from([-0.0, 1e16, math.nan, math.inf]))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(_json_keys, children, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_json_text_writes_the_text_of_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
+
+
+def assert_refused_alike(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(obj)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), {1.0}, object()])
+def test_json_text_refuses_the_values_json_refuses(value):
+    for obj in (value, [1.0, [value]], {"a": {"b": value}}):
+        assert_refused_alike(obj)
+
+
+@pytest.mark.parametrize("key", [np.int64(3), np.bool_(True), (1.0,), object()])
+def test_json_text_refuses_the_keys_json_refuses(key):
+    assert_refused_alike({"a": {key: 1.0}})
