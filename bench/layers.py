@@ -24,7 +24,8 @@ about a minute there) and per
 its best member there verifies, as ``subgradient_test`` grows it), per
 compatible node of that family's query phase (every grid pair it accepts,
 checked against every grid point in one kernel call; ``null`` on a tree
-without the kernel), per point
+without the kernel), and likewise per compatible node of the kink family
+built on the 9x9 grid at ``max_length`` 3 (its 100 nodes), per point
 of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
@@ -195,6 +196,13 @@ def measure(src: str) -> dict:
     probes = np.array(grid)
     out["potential.query.us_per_node"] = None if checks is None else _per_call_us(
         lambda: checks(family, NX, NV, probes, 0.0), len(nodes))
+    kink9, _ = build_family(square, [0.5, 0.25], [1.0, 0.0], square_grid, 3,
+                            box=FAMILY_GRID[:2])
+    nodes = [(x, v) for x in square_grid for v in square.eval(x).points
+             if inner(x - kink9.anchor_point, v) >= potential_value(kink9, x)]
+    KX, KV = (np.array(column) for column in zip(*nodes))
+    out["potential.query.kink9.us_per_node"] = None if checks is None else _per_call_us(
+        lambda: checks(kink9, KX, KV, np.array(square_grid), 0.0), len(nodes))
 
     points = GridSpec(*POINTS_GRID)
     out["setmaps.GridSpec.points.us_per_point"] = _per_call_us(
@@ -339,7 +347,8 @@ def main(argv=None) -> int:
         per_layer[name] = {**{side: least for side, (least, _) in figures.items()},
                            "iqr": {side: iqr for side, (_, iqr) in figures.items()}}
     doc = {
-        "machine": {"python": platform.python_version(), "platform": platform.platform()},
+        "machine": {"python": platform.python_version(), "platform": platform.platform(),
+                    "dont_write_bytecode": sys.flags.dont_write_bytecode},
         "rounds": args.rounds,
         "per_layer": per_layer,
     }

@@ -69,16 +69,15 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tolist() == b.tolist()
 
 
-def _affine_blocks(P, S, c, X):
+def _affine_values(P, S, c, X) -> np.ndarray:
     # <X[j] - P[k], S[k]> + c[k] for every row k and point j, in row blocks
+    out = np.empty((len(c), len(X)))
     step = max(1, _BLOCK_ELEMENTS // max(1, X.size))
     for lo in range(0, len(c), step):
         hi = lo + step
-        yield inner_rows(X[None, :, :] - P[lo:hi, None, :], S[lo:hi, None, :]) + c[lo:hi, None]
-
-
-def _affine_values(P, S, c, X) -> np.ndarray:
-    return np.concatenate([np.empty((0, len(X))), *_affine_blocks(P, S, c, X)])
+        out[lo:hi] = inner_rows(X[None, :, :] - P[lo:hi, None, :],
+                                S[lo:hi, None, :]) + c[lo:hi, None]
+    return out
 
 
 class _AffineModel:
@@ -89,14 +88,23 @@ class _AffineModel:
     the family has a box, ``at_vertices[k]`` its values at the box
     ``vertices``.  Arrays are read-only: growth builds a new model, which it
     marks :attr:`settled`.
+
+    ``closed`` holds when every proper prefix of a member is a member, or
+    some member is at least as high at every box vertex; a constructor's
+    members are closed when each proper prefix is a member.  Growth keeps it
+    until the cap first evicts, since a row leaves only for one at least as
+    high.  So a pruned prefix that comes back is pruned again, and a chain
+    whose proper prefixes are members or pruned prefixes adds at most its
+    last row.
     """
 
-    __slots__ = ("P", "S", "c", "keys", "vertices", "at_vertices", "_settled")
+    __slots__ = ("P", "S", "c", "keys", "vertices", "closed", "at_vertices", "_settled")
 
-    def __init__(self, P, S, c, keys, vertices, at_vertices=None, settled=None):
+    def __init__(self, P, S, c, keys, vertices, closed, at_vertices=None, settled=None):
         self.P, self.S, self.c = _frozen(P), _frozen(S), _frozen(c)
         self.keys = keys
         self.vertices = vertices
+        self.closed = closed
         if vertices is not None and at_vertices is None:
             at_vertices = _affine_values(P, S, c, vertices)
         self.at_vertices = None if at_vertices is None else _frozen(at_vertices)
@@ -112,13 +120,6 @@ class _AffineModel:
         if self._settled is None:
             self._settled = self.at_vertices is None or not _dominated(self.at_vertices)[1:].any()
         return self._settled
-
-    def max(self, X) -> np.ndarray:
-        """Largest member value at each point."""
-        best = np.full(len(X), -np.inf)
-        for block in _affine_blocks(self.P, self.S, self.c, X):
-            np.maximum(best, block.max(axis=0), out=best)
-        return best
 
 
 class SequenceFamily:
@@ -170,11 +171,14 @@ class SequenceFamily:
         self.tol = float(tol)
         self.cap = int(cap)
         vertices = None if self.box is None else _frozen(np.array(_box_vertices(self.box)))
+        keys = tuple((c.xs.tobytes(), c.vs.tobytes()) for c in self.members)
+        seen = set(keys)
         self._model = _AffineModel(
             np.array([chain.last_point for chain in self.members]),
             np.array([chain.last_velocity for chain in self.members]),
-            np.array([chain.last_sum for chain in self.members]),
-            tuple((c.xs.tobytes(), c.vs.tobytes()) for c in self.members), vertices,
+            np.array([chain.last_sum for chain in self.members]), keys, vertices,
+            all((c.xs[:n].tobytes(), c.vs[:n].tobytes()) in seen
+                for c in self.members for n in range(1, len(c))),
         )
 
     @classmethod
@@ -228,7 +232,9 @@ def _box_vertices(box):
 
 def potential_values(family: SequenceFamily, points) -> np.ndarray:
     """Lower-model potential at each of ``points`` (an ``n x d`` array)."""
-    return family._model.max(_point_rows(points, family.dimension))
+    model = family._model
+    return _kept_max(model, np.ones((1, len(model.c)), dtype=bool),
+                     _point_rows(points, family.dimension))[0]
 
 
 def potential_value(family: SequenceFamily, x) -> float:
@@ -236,7 +242,7 @@ def potential_value(family: SequenceFamily, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (family.dimension,):
         raise ValueError(f"dimension mismatch: {x.shape} vs ({family.dimension},)")
-    return float(family._model.max(x[None, :])[0])
+    return float(potential_values(family, x[None, :])[0])
 
 
 def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
@@ -309,14 +315,15 @@ def _grow_verified(family, chains):
         # first drop the new rows a member dominates: members come first, so
         # one as high at every vertex does, ties included; the matrix below
         # then spans the members and the surviving new rows only
-        keep[m:] = ~(at_vertices[:m, None, :] >= at_vertices[None, m:, :]).all(axis=2).any(axis=0)
+        keep[m:] = ~_dominated_by(at_vertices[:m], at_vertices[m:])
         V = at_vertices[keep]
         if len(V) > 1:
             keep[keep] = ~_dominated(V)
             keep[0] = True  # the trivial member is load-bearing
 
     # evict the oldest non-trivial members down to the cap
-    if np.count_nonzero(keep) > family.cap:
+    evicts = np.count_nonzero(keep) > family.cap
+    if evicts:
         kept = np.flatnonzero(keep)
         keep[kept[1:len(kept) - family.cap + 1]] = False
 
@@ -324,7 +331,8 @@ def _grow_verified(family, chains):
         picks[k][0].prefix(picks[k][1] + 1) for k in np.flatnonzero(keep[m:]))
     model = _AffineModel(
         P[keep], S[keep], c[keep], tuple(itertools.compress(model.keys + tuple(keys), keep)),
-        model.vertices, None if at_vertices is None else at_vertices[keep], settled=True,
+        model.vertices, model.closed and not evicts,
+        None if at_vertices is None else at_vertices[keep], settled=True,
     )
     return SequenceFamily._grown(family, members, model)
 
@@ -339,6 +347,16 @@ def _dominated(V) -> np.ndarray:
     geq = (V[:, None, :] >= V[None, :, :]).all(axis=2)
     order = np.arange(len(V))
     return (geq & (~geq.T | np.less.outer(order, order))).any(axis=0)
+
+
+def _dominated_by(A, R) -> np.ndarray:
+    # whether some row of A is at least each row of R at every column, in
+    # chunks of R: a level's block may hold tens of thousands of children
+    out = np.empty(len(R), dtype=bool)
+    step = max(1, _BLOCK_ELEMENTS // max(1, A.size))
+    for lo in range(0, len(R), step):
+        out[lo:lo + step] = (A[None, :, :] >= R[lo:lo + step, None, :]).all(axis=2).any(axis=1)
+    return out
 
 
 def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0.0):
@@ -399,19 +417,20 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
     Nodes are taken in blocks.  A node's extension has the best member's
     model value at ``X[n]`` as its last sum, so only its final slack needs
     checking; the first node whose extension fails raises the error of
-    :func:`grow_family`.  Growing a settled family (see
-    :attr:`_AffineModel.settled`) by a chain whose proper prefixes are all
-    members adds just the new row, which keeps every member it does not
-    dominate at every vertex; the cap then evicts the oldest non-trivial
-    rows.  The grown maximum at the probes is the maximum over the kept rows,
-    whose values are computed as the grown model computes them, bit for bit.
-    Any other node is grown through :func:`_grow_verified`.
+    :func:`grow_family`.  Growing a settled and closed family (see
+    :class:`_AffineModel`) by an extension adds at most its last row, and
+    none when the extension is a member already.  That row, unless a member
+    is as high at every vertex, keeps every member it does not dominate at
+    every vertex; the cap then evicts the oldest non-trivial rows.  The grown
+    maximum at the probes is the maximum over the kept rows, whose values are
+    computed as the grown model computes them, bit for bit.  Any other
+    family grows each node's extension through :func:`_grow_verified`.
     """
     model = family._model
     m, dim = len(family), family.dimension
     nv = 0 if model.vertices is None else len(model.vertices)
-    seen = set(model.keys)
-    closed = {}  # best member -> whether all its proper prefixes are members
+    batched = model.settled and model.closed
+    seen, checked = set(model.keys), set()
     out = np.empty(len(X), dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // ((m + dim) * (len(Y) + nv + dim)))
     for lo in range(0, len(X), step):
@@ -419,41 +438,36 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
         best, base = _best_members(model, Xb)
         # verify_chain's final slack of each extension, whose last sum is base
         slack = inner_rows(Xb - family.anchor_point, Vb) - base
-        fast = np.zeros(len(Xb), dtype=bool)
+        fresh = np.empty(len(Xb), dtype=bool)  # whether the extension is no member
         for j, k in enumerate(best.tolist()):
             member = family.members[k]
-            if k not in closed:
+            if k not in checked:
+                checked.add(k)
                 _check_chain(family, member)
-                closed[k] = all((member.xs[:count].tobytes(), member.vs[:count].tobytes()) in seen
-                                for count in range(1, len(member)))
             if not slack[j] >= -family.tol:
                 raise ValueError(f"chain fails the chain inequality at index {len(member)}")
-            fast[j] = closed[k] and (member.xs.tobytes() + Xb[j].tobytes(),
-                                     member.vs.tobytes() + Vb[j].tobytes()) not in seen
-        fast &= model.settled
-        for j in np.flatnonzero(~fast):
-            grown = _grow_verified(family, [family.members[best[j]].extended(Xb[j], Vb[j])])
-            floor = base[j] + inner_rows(Vb[j], Y - Xb[j]) - tol
-            out[lo + j] = not np.any(grown._model.max(Y) < floor)
-        f = np.flatnonzero(fast)
-        if not f.size:
+            fresh[j] = (member.xs.tobytes() + Xb[j].tobytes(),
+                        member.vs.tobytes() + Vb[j].tobytes()) not in seen
+        floor = base[:, None] + inner_rows(Vb[:, None, :], Y[None, :, :] - Xb[:, None, :]) - tol
+        if not batched:
+            for j, k in enumerate(best.tolist()):
+                grown = _grow_verified(family, [family.members[k].extended(Xb[j], Vb[j])])
+                out[lo + j] = not np.any(potential_values(grown, Y) < floor[j])
             continue
-        Xf, Vf, cf = Xb[f], Vb[f], base[f]
         # which members, then whether the new row, each grown family keeps
-        keep = np.ones((len(f), m + 1), dtype=bool)
+        keep = np.ones((len(Xb), m + 1), dtype=bool)
+        keep[:, m] = fresh
         if nv:
-            A = model.at_vertices
-            new = inner_rows(model.vertices[None, :, :] - Xf[:, None, :], Vf[:, None, :]) + cf[:, None]
-            keep[:, m] = ~(A[None, :, :] >= new[:, None, :]).all(axis=2).any(axis=1)
-            keep[:, 1:m] = ~((new[:, None, :] >= A[None, 1:, :]).all(axis=2) & keep[:, m:])
+            new = _affine_values(Xb, Vb, base, model.vertices)
+            keep[:, m] &= ~_dominated_by(model.at_vertices, new)
+            keep[:, 1:m] = ~((new[:, None, :] >= model.at_vertices[None, 1:, :]).all(axis=2)
+                             & keep[:, m:])
         # evict the oldest non-trivial rows down to the cap
         excess = keep.sum(axis=1) - family.cap
         keep[:, 1:] &= keep[:, 1:].cumsum(axis=1) > excess[:, None]
         top = _kept_max(model, keep[:, :m], Y)
-        new = inner_rows(Y[None, :, :] - Xf[:, None, :], Vf[:, None, :]) + cf[:, None]
-        np.maximum(top, np.where(keep[:, m:], new, -np.inf), out=top)
-        floor = cf[:, None] + inner_rows(Vf[:, None, :], Y[None, :, :] - Xf[:, None, :]) - tol
-        out[lo + f] = ~(top < floor).any(axis=1)
+        np.maximum(top, np.where(keep[:, m:], _affine_values(Xb, Vb, base, Y), -np.inf), out=top)
+        out[lo:lo + len(Xb)] = ~(top < floor).any(axis=1)
     return out
 
 
@@ -495,7 +509,9 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
     budget runs out is grown with the children found before that point.
     Growing a block at once gives the family growing each child in turn
     would (see :func:`grow_family`).  A slack evaluation is one chain and one
-    node.
+    node.  While the family is closed (see :class:`_AffineModel`), children
+    that a member is as high as at every vertex are dropped first, unless
+    the others could take the family past its cap: growth would prune them.
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -516,9 +532,6 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
     vertices = family._model.vertices
-    # whether the cap may have evicted a member: growth then keeps the family
-    # at the cap, and the children are no longer filtered first
-    capped = False
     used = 0
     grown = 0
     # row r of a level: the node path of chain r and the step sums of its prefixes
@@ -529,8 +542,9 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
         for lo in range(0, len(paths), step):
             rows, prefix = paths[lo:lo + step], sums[lo:lo + step]
             tips = rows[:, -1]
-            stepped = prefix[:, -1:] + inner_rows(X[None, :, :] - points[tips, None, :],
-                                                  velocities[tips, None, :])
+            # a step reads its head only through its sample, as in _ChainGraph.W
+            stepped = prefix[:, -1:] + inner_rows(graph.points[None, :, :] - points[tips, None, :],
+                                                  velocities[tips, None, :])[:, graph.owner]
             # row-major (chain, node) order is queue order; the first room
             # evaluations fit the budget, and running out counts one past it
             room = min(max(0, budget - used), stepped.size)
@@ -541,29 +555,18 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
                 kid_paths = np.column_stack([rows[r], b])
                 kid_sums = np.column_stack([prefix[r], stepped[r, b]])
                 live = slice(None)
-                if vertices is not None and not capped:
-                    # growth drops a child a member dominates at every vertex;
-                    # while the cap evicts nothing, its pruned prefixes would
-                    # come back only to be pruned again, so it is left out.
-                    # The family then grows by at most the survivors' prefixes
-                    at_vertices = inner_rows(vertices[None, :, :] - X[b, None, :],
-                                             V[b, None, :]) + kid_sums[:, -1:]
-                    # in chunks: a level's block may hold tens of thousands of
-                    # children, each compared with every member at every vertex
-                    kept = np.empty(len(b), dtype=bool)
-                    chunk = max(1, _BLOCK_ELEMENTS // family._model.at_vertices.size)
-                    for c in range(0, len(b), chunk):
-                        kept[c:c + chunk] = ~(family._model.at_vertices[None, :, :]
-                                              >= at_vertices[c:c + chunk, None, :]
-                                              ).all(axis=2).any(axis=1)
-                    if len(family) + kid_paths[kept].size <= cap:
+                if vertices is not None and family._model.closed:
+                    # a survivor adds at most its last row: under the gate
+                    # nothing is evicted, so a dropped child is pruned at its turn
+                    kept = ~_dominated_by(family._model.at_vertices,
+                                          _affine_values(X[b], V[b], kid_sums[:, -1], vertices))
+                    if len(family) + np.count_nonzero(kept) <= cap:
                         live = kept
                 chains = [
                     Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s.copy()))
                     for p, s in zip(kid_paths[live], kid_sums[live])]
                 if chains:
                     family = _grow_verified(family, chains)
-                    capped = capped or len(family) >= cap
                 grown += len(r)
                 if kid_paths.shape[1] < max_length:
                     next_paths.append(kid_paths)
