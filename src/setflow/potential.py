@@ -18,8 +18,11 @@ their values at the box vertices), built once and carried through growth, so
 growing evaluates only the new prefixes.  The model is evaluated at many
 points by one :func:`inner_rows` call per block of members, in the operand
 order of :func:`affine_value`, so batched and one-at-a-time values agree bit
-for bit.  Subgradient tests of many nodes run as one batched kernel, which
-works out each grown family's kept rows from the cached vertex values.
+for bit.  Subgradient tests of many nodes run as one batched kernel.  It
+regrows no family: an extension's own row is the tangent the test compares
+against, so a grown family that keeps that row passes, and one that drops it
+(a member already, a member as high at every box vertex, or a cap of 1) is
+the family grown by no chain, whose maximum at the probes is taken once.
 """
 
 from __future__ import annotations
@@ -232,9 +235,7 @@ def _box_vertices(box):
 
 def potential_values(family: SequenceFamily, points) -> np.ndarray:
     """Lower-model potential at each of ``points`` (an ``n x d`` array)."""
-    model = family._model
-    return _kept_max(model, np.ones((1, len(model.c)), dtype=bool),
-                     _point_rows(points, family.dimension))[0]
+    return _model_max(family._model, _point_rows(points, family.dimension))
 
 
 def potential_value(family: SequenceFamily, x) -> float:
@@ -400,7 +401,11 @@ def subgradient_test(family: SequenceFamily, x, v, probes, tol: float = 0.0) -> 
 
     Growing raises when the pair was not actually compatible (the extension
     then fails the chain inequality), surfacing precondition violations.  All
-    probes are checked at once; with none, only the growth is checked.
+    probes are checked at once; with none, only the growth is checked.  The
+    extension's own affine function is the right-hand side before ``tol`` is
+    taken off, so at ``tol >= 0`` the test passes whenever growth keeps it, and
+    otherwise compares the family grown by no chain; see
+    :func:`_subgradient_checks`.
     """
     dim = family.dimension
     x = np.asarray(x, dtype=float)
@@ -415,22 +420,25 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
     """:func:`subgradient_test` of every node ``(X[n], V[n])`` at the probes ``Y``.
 
     Nodes are taken in blocks.  A node's extension has the best member's
-    model value at ``X[n]`` as its last sum, so only its final slack needs
-    checking; the first node whose extension fails raises the error of
+    model value ``base`` at ``X[n]`` as its last sum, so only its final slack
+    needs checking; the first node whose extension fails raises the error of
     :func:`grow_family`.  Growing a settled and closed family (see
-    :class:`_AffineModel`) by an extension adds at most its last row, and
-    none when the extension is a member already.  That row, unless a member
-    is as high at every vertex, keeps every member it does not dominate at
-    every vertex; the cap then evicts the oldest non-trivial rows.  The grown
-    maximum at the probes is the maximum over the kept rows, whose values are
-    computed as the grown model computes them, bit for bit.  Any other
-    family grows each node's extension through :func:`_grow_verified`.
+    :class:`_AffineModel`) by an extension adds at most its last row.  At a
+    probe ``y`` that row is ``<y - X[n], V[n]> + base``, the test's bound
+    before ``tol`` is taken off, as rounded: so at ``tol >= 0`` a grown family
+    that keeps the row passes.  Growth drops it when the extension is a
+    member already, when a member is as high at every box vertex, or when a
+    cap of 1 evicts it; the grown family is then the family grown by no
+    chain, the trivial row and the newest ``cap - 1`` others, whose maximum at
+    the probes is computed once.  Any other family, and any ``tol`` below 0
+    or NaN, grows each node's extension through :func:`_grow_verified`.
     """
     model = family._model
     m, dim = len(family), family.dimension
     nv = 0 if model.vertices is None else len(model.vertices)
-    batched = model.settled and model.closed
+    batched = tol >= 0 and model.closed and model.settled
     seen, checked = set(model.keys), set()
+    top = None
     out = np.empty(len(X), dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // ((m + dim) * (len(Y) + nv + dim)))
     for lo in range(0, len(X), step):
@@ -438,7 +446,7 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
         best, base = _best_members(model, Xb)
         # verify_chain's final slack of each extension, whose last sum is base
         slack = inner_rows(Xb - family.anchor_point, Vb) - base
-        fresh = np.empty(len(Xb), dtype=bool)  # whether the extension is no member
+        dropped = np.full(len(Xb), family.cap == 1)  # whether growth drops the new row
         for j, k in enumerate(best.tolist()):
             member = family.members[k]
             if k not in checked:
@@ -446,28 +454,23 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
                 _check_chain(family, member)
             if not slack[j] >= -family.tol:
                 raise ValueError(f"chain fails the chain inequality at index {len(member)}")
-            fresh[j] = (member.xs.tobytes() + Xb[j].tobytes(),
-                        member.vs.tobytes() + Vb[j].tobytes()) not in seen
+            dropped[j] |= (member.xs.tobytes() + Xb[j].tobytes(),
+                           member.vs.tobytes() + Vb[j].tobytes()) in seen
         floor = base[:, None] + inner_rows(Vb[:, None, :], Y[None, :, :] - Xb[:, None, :]) - tol
         if not batched:
             for j, k in enumerate(best.tolist()):
                 grown = _grow_verified(family, [family.members[k].extended(Xb[j], Vb[j])])
                 out[lo + j] = not np.any(potential_values(grown, Y) < floor[j])
             continue
-        # which members, then whether the new row, each grown family keeps
-        keep = np.ones((len(Xb), m + 1), dtype=bool)
-        keep[:, m] = fresh
         if nv:
-            new = _affine_values(Xb, Vb, base, model.vertices)
-            keep[:, m] &= ~_dominated_by(model.at_vertices, new)
-            keep[:, 1:m] = ~((new[:, None, :] >= model.at_vertices[None, 1:, :]).all(axis=2)
-                             & keep[:, m:])
-        # evict the oldest non-trivial rows down to the cap
-        excess = keep.sum(axis=1) - family.cap
-        keep[:, 1:] &= keep[:, 1:].cumsum(axis=1) > excess[:, None]
-        top = _kept_max(model, keep[:, :m], Y)
-        np.maximum(top, np.where(keep[:, m:], _affine_values(Xb, Vb, base, Y), -np.inf), out=top)
-        out[lo:lo + len(Xb)] = ~(top < floor).any(axis=1)
+            dropped |= _dominated_by(model.at_vertices,
+                                     _affine_values(Xb, Vb, base, model.vertices))
+        if top is None:
+            # the family grown by no chain: the trivial row and the newest cap - 1
+            rows = np.arange(max(0, m - family.cap), m)
+            rows[0] = 0
+            top = _model_max(model, Y, rows)
+        out[lo:lo + len(Xb)] = ~dropped | ~(top < floor).any(axis=1)
     return out
 
 
@@ -478,14 +481,14 @@ def _best_members(model, X):
     return best, at_x[best, np.arange(len(X))]
 
 
-def _kept_max(model, keep, Y) -> np.ndarray:
-    # row r: the largest value at each of Y over the members keep[r] holds
-    top = np.full((len(keep), len(Y)), -np.inf)
-    step = max(1, _BLOCK_ELEMENTS // max(1, len(keep) * len(Y)))
-    for lo in range(0, len(model.c), step):
+def _model_max(model, Y, rows=slice(None)) -> np.ndarray:
+    # the largest value at each of Y over the given rows, in row blocks
+    P, S, c = model.P[rows], model.S[rows], model.c[rows]
+    top = np.full(len(Y), -np.inf)
+    step = max(1, _BLOCK_ELEMENTS // max(1, len(Y)))
+    for lo in range(0, len(c), step):
         hi = lo + step
-        values = _affine_values(model.P[lo:hi], model.S[lo:hi], model.c[lo:hi], Y)
-        np.maximum(top, np.where(keep[:, lo:hi, None], values, -np.inf).max(axis=1), out=top)
+        np.maximum(top, _affine_values(P[lo:hi], S[lo:hi], c[lo:hi], Y).max(axis=0), out=top)
     return top
 
 

@@ -287,7 +287,6 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     tip = _ChainTip(x0, x0, v0, 0.0)
     states = [x0]
     velocities = [v0]
-    x = x0
     k = 0
     block = _BLOCK_MIN
     # values per node in the last block evaluated, which caps the next one
@@ -304,8 +303,9 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
                                                       spec.strategy, spec.tol)
                     width = seen or width
                     if count:
-                        x, v = nodes[count - 1], tip.last_velocity
-                        tip = _ChainTip(tip.anchor_point, x, v, float(sums[count - 1]))
+                        v = tip.last_velocity
+                        tip = tip._replace(last_point=nodes[count - 1],
+                                           last_sum=float(sums[count - 1]))
                         states.append(nodes[:count])
                         velocities.append(np.broadcast_to(v, (count, len(v))))
                     full = count == size
@@ -316,7 +316,8 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
                 # Python floats round as numpy does but overflow without a
                 # warning, so a node past the largest float is reported here
                 dt = steps[k]
-                node = [a + dt * b for a, b in zip(x.tolist(), tip.last_velocity.tolist())]
+                node = [a + dt * b
+                        for a, b in zip(tip.last_point.tolist(), tip.last_velocity.tolist())]
                 if not all(map(math.isfinite, node)):
                     raise ValueError(
                         f"Euler node {k + 1} (t={float(times[k + 1])!r}) is not finite")

@@ -40,8 +40,13 @@ from setflow import (
     table_map,
 )
 from setflow.chains import extension_slack
-from setflow.geometry import inner_rows
-from setflow.potential import family_from_json_dict, family_from_text, family_to_json_dict
+from setflow.geometry import inner, inner_rows
+from setflow.potential import (
+    affine_value,
+    family_from_json_dict,
+    family_from_text,
+    family_to_json_dict,
+)
 
 import oracles
 from conftest import bits, build_corpus, random_dyadic_map
@@ -711,6 +716,20 @@ def test_an_extension_that_is_a_member_adds_no_row(grown_in_kernel):
     assert grown_in_kernel == []
 
 
+def test_a_row_dominated_on_the_box_is_dropped_past_it(grown_in_kernel):
+    # on the box [-1, 1] the extension row y - 1 of (1, 1) is nowhere above
+    # the trivial member's 0, so growth prunes it, and past the box, at
+    # y = 2, the tangent 1 is above the grown model's 0.  Inside the box the
+    # member that prunes a row is as high as it, so the test passes there
+    family = SequenceFamily.initial([0.0], [0.0], box=([-1.0], [1.0]))
+    probes = np.arange(-12, 13)[:, None] / 4.0
+    x, v = np.array([1.0]), np.array([1.0])
+    assert not subgradient_test_ref(family, x, v, probes)
+    assert not subgradient_test(family, x, v, probes)
+    assert subgradient_test(family, x, v, probes[np.abs(probes[:, 0]) <= 1.0])
+    assert grown_in_kernel == []
+
+
 def test_families_read_back_answer_as_built():
     # a file holds the members, not the prefixes growth pruned, so a family
     # read back may not be closed by key; its nodes are then grown one at a
@@ -754,6 +773,96 @@ def test_kernel_on_families_given_to_the_constructor(box, cap, grown_in_kernel):
     grown_in_kernel.clear()
     potential._subgradient_checks(family, X[ok], V[ok], grid, 0.0)
     assert len(grown_in_kernel) == (0 if box is None else np.count_nonzero(ok))
+
+
+def constructor_nodes(box, cap):
+    """``dominated_family(box, cap)`` with four values at each of nine points."""
+    grid = np.array(sample_grid([-1.0], [1.0], [9]))
+    X = np.repeat(grid, 4, axis=0)
+    V = np.tile([[1.0], [2.0], [-1.0], [0.5]], (len(grid), 1))
+    return dominated_family(box, cap), grid, X, V
+
+
+def test_a_kept_extension_row_passes_and_a_dropped_one_leaves_the_family_ungrown():
+    # at a probe y the extension's row, <y - x, v> + base, is the test's bound
+    # base + <v, y - x> before tol is taken off, as rounded; so a grown family
+    # that keeps the row passes at tol >= 0, and one that drops it answers as
+    # the family grown by no chain (the trivial one, which adds no row)
+    cases = [(family, grid, X, V) for family, _, grid, X, V in kernel_cases()]
+    cases += [constructor_nodes(box, cap)
+              for box in (None, ([-1.0], [1.0])) for cap in (2, 4, 4096)]
+    seen = set()
+    for family, grid, X, V in cases:
+        probes = np.array(grid).reshape(len(grid), -1)
+        ungrown = grow_family_ref(family, family.members[0])
+        ok = compatible(family, X, V)
+        for x, v in zip(X[ok], V[ok]):
+            values = [affine_value(chain, x) for chain in family.members]
+            base = max(values)
+            extension = family.members[values.index(base)].extended(x, v)
+            key = (extension.xs.tobytes(), extension.vs.tobytes())
+            kept = key in {(c.xs.tobytes(), c.vs.tobytes())
+                           for c in grow_family_ref(family, extension).members}
+            for tol in (0.0, 0.3):
+                want = subgradient_test_ref(family, x, v, probes, tol)
+                if kept:
+                    assert want
+                else:
+                    assert want == all(
+                        potential_value_ref(ungrown, y) >= base + inner(v, y - x) - tol
+                        for y in probes)
+                seen.add((kept, want))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("tol", [-0.25, np.nan], ids=["negative", "nan"])
+def test_negative_or_nan_query_tolerances_grow_each_node(tol, grown_in_kernel):
+    # below 0 a kept row no longer clears its own bound, so such a tol, and
+    # NaN with it, is answered by growing node by node, errors included
+    outcomes, batched = set(), 0
+    for family, svmap, grid, X, V in itertools.islice(kernel_cases(), 0, None, 4):
+        probes = np.array(grid).reshape(len(grid), -1)
+        ok = compatible(family, X, V)
+        outcomes.update(assert_kernel_matches(family, X[ok], V[ok], probes, tol))
+        outcomes.add(type(assert_kernel_matches(family, X, V, probes, tol)))
+        grown_in_kernel.clear()
+        potential._subgradient_checks(family, X[ok], V[ok], probes, tol)
+        assert grown_in_kernel == [1] * np.count_nonzero(ok)
+        if family._model.closed and family._model.settled:
+            grown_in_kernel.clear()
+            for nonnegative in (0.0, 0.3):
+                potential._subgradient_checks(family, X[ok], V[ok], probes, nonnegative)
+            assert grown_in_kernel == []
+            batched += 1
+    assert batched
+    # each node is a probe, where a tol below 0 fails every test and NaN none
+    assert {not tol < 0, tuple} <= outcomes
+
+
+@pytest.mark.parametrize("block", [None, 3, 2 * 17], ids=["one-block", "row-blocks", "pairs"])
+def test_signed_zero_ties_in_potential_values_keep_the_last_row(block, monkeypatch):
+    # rows tied at zero everywhere, their zeros signed +, -, +, - in member
+    # order: np.maximum keeps its second operand on a tie of +0.0 and -0.0,
+    # so the maximum is the last row's -0.0 however the rows are bracketed.
+    # The model's own rows never give -0.0 (vecdot sums from +0.0), so the
+    # signs are put in where the rows are evaluated
+    x0, v0 = [0.0], [0.0]
+    family = SequenceFamily(x0, v0, [Chain([x0], [v0])] + [
+        Chain([x0, [p]], [v0, [0.0]]) for p in (0.5, -0.5, 1.0)])
+    probes = np.arange(-8, 9)[:, None] / 4.0
+    evaluate = potential._affine_values
+
+    def signed(P, S, c, X):
+        out = evaluate(P, S, c, X)
+        out[P[:, 0] > 0.0] *= -1.0
+        return out
+
+    monkeypatch.setattr(potential, "_affine_values", signed)
+    if block is not None:
+        monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", block)
+    got = potential_values(family, probes)
+    assert bits(got) == bits(np.full(len(probes), -0.0))
+    assert bits([potential_value(family, y) for y in probes]) == bits(np.full(len(probes), -0.0))
 
 
 def test_kernel_with_empty_probes():
