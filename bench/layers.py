@@ -32,7 +32,8 @@ classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
 over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
 on the constant map ``{+-e1, +-e2}`` over a 17x17 grid at ``max_length`` 2,
 per ``verify_chain`` run over the node
-chain of the subdifferential trajectory of the residual figure, and per call
+chain of the subdifferential trajectory of the residual figure and over its
+first two pairs, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
 ``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
 each ``extend_*`` rule and of ``submap_select`` (against the constant map,
@@ -152,6 +153,14 @@ def measure(src: str) -> dict:
             node_chain = traj.chain()
             out["chains.verify_chain.us_per_run"] = _per_call_us(
                 lambda: verify_chain(node_chain), 1)
+            pair2 = node_chain.prefix(2)
+
+            def verify_pair2():
+                for _ in range(PRIMITIVE_CALLS):
+                    verify_chain(pair2)
+
+            out["chains.verify_chain.pair2.us_per_run"] = _per_call_us(
+                verify_pair2, PRIMITIVE_CALLS)
 
     solves = [(kind, "support") for kind in (*MAPS, "linear")]
     solves += [("constant", "exhaustive"), ("constant", "inertial")]

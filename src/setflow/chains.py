@@ -174,13 +174,30 @@ def verify_chain(chain: Chain, tol: float = 0.0):
     Returns ``(True, None)`` or ``(False, m)`` with the first index whose
     slack ``<x_m - x_0, v_m> - sums[m]`` is not at least ``-tol``, a NaN
     slack of overflowing terms included.  With ``tol=0`` the comparison is
-    sign-exact in floating point.
+    sign-exact in floating point.  The slacks are one :func:`inner` scan over
+    the rows, each rounding as that index's scalar expression does.  Where
+    the caller's errstate raises on overflow or an invalid operation, this
+    raises at the index where checking the indices in order would, and not
+    for an index past the first failing one.  An underflow is left to the
+    caller's errstate over the whole scan.
     """
-    for m in range(1, len(chain)):
-        slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
-        if not slack >= -tol:
-            return False, m
-    return True, None
+    xs, vs, sums = chain.xs, chain.vs, chain.sums
+    if len(sums) < 2:
+        return True, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        slacks = inner(xs[1:] - xs[0], vs[1:]) - sums[1:]
+    held = slacks >= -tol
+    ok = held.all()
+    # the last index checked: the first that fails, or the last one
+    stop = len(slacks) if ok else int(held.argmin()) + 1
+    # an overflow or inf - inf in an offset, product or slack leaves the slack
+    # not finite: form those indices up to the stop again, in order, under
+    # the caller's errstate
+    finite = np.isfinite(slacks[:stop])
+    if not finite.all():
+        for m in np.flatnonzero(~finite) + 1:
+            inner(xs[m] - xs[0], vs[m]) - sums[m]
+    return (True, None) if ok else (False, stop)
 
 
 def extension_slack(chain: Chain, x_next, v):

@@ -4,13 +4,13 @@ Points and directions are one dimensional float64 arrays.  A compact set is
 represented by a nonempty finite list of points, so every supremum over it is
 an exact maximum and support values, maximizers and distances can be computed
 by enumeration.  Every inner product in the package goes through
-:func:`inner_rows` (one pair at a time through :func:`inner`) so that identical
-expressions round identically, batched or not, and every scan of a finite set
-is one :func:`inner_rows` call over its rows.  Every pick of a row, for one
-scan or for many scans of the same points at once, breaks ties by one rule,
-:func:`_best_row`: highest score, then the lexicographically smallest point,
-then the first row, and a NaN score never beats a number.  That keeps
-repeated runs byte-for-byte reproducible.
+:func:`inner_rows` (directly, or through :func:`inner` for one pair or for two
+stacks of rows) so that identical expressions round identically, batched or
+not, and every scan of a finite set is one call over its rows.  Every pick of
+a row, for one scan or for many scans of the same points at once, breaks ties
+by one rule, :func:`_best_row`: highest score, then the lexicographically
+smallest point, then the first row, and a NaN score never beats a number.
+That keeps repeated runs byte-for-byte reproducible.
 """
 
 from __future__ import annotations
@@ -60,24 +60,34 @@ def as_vector(coords) -> np.ndarray:
 
 # The single dot-product primitive of the package: inner products over the
 # last axis, broadcasting the leading axes.  :func:`inner` is this function on
-# one pair, so a batched product and the scalar products of the same rows
-# agree bit for bit.  Callers that need two expressions to agree must both
-# route through here: a sum of elementwise products rounds differently for
-# d >= 2, and ``np.dot`` keeps the sign of a zero result that this drops.
+# one pair or on two stacks of rows, so a batched product and the scalar
+# products of the same rows agree bit for bit.  Callers that need two
+# expressions to agree must both route through here: a sum of elementwise
+# products rounds differently for d >= 2, and ``np.dot`` keeps the sign of a
+# zero result that this drops.
 inner_rows = np.vecdot
 
 
-def inner(u, v) -> float:
-    """Standard inner product ``<u, v>`` of two vectors (see :func:`inner_rows`)."""
+def inner(u, v):
+    """Standard inner product ``<u, v>`` (see :func:`inner_rows`).
+
+    Two vectors give a float.  Two ``(n, d)`` stacks of the same shape give
+    the ``n`` products of their rows, an array equal to :func:`inner_rows`
+    bit for bit.  Any other pair of shapes is a dimension mismatch.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
+    if u.shape != v.shape or u.ndim not in (1, 2):
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(inner_rows(u, v))
+    products = inner_rows(u, v)
+    return float(products) if u.ndim == 1 else products
 
 
 def norm(v) -> float:
-    """Euclidean norm, routed through :func:`inner`."""
+    """Euclidean norm of one vector, routed through :func:`inner`."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"dimension mismatch: {v.shape} is not a vector")
     return math.sqrt(inner(v, v))
 
 

@@ -56,7 +56,8 @@ class SelectionFailed(RuntimeError):
     """
 
     def __init__(self, step_index, time, point, chain, candidate_slacks, strategy, tol):
-        best = max(s for _, s in candidate_slacks)
+        # a NaN slack never beats a number, whatever the candidate order
+        best = np.fmax.reduce([s for _, s in candidate_slacks])
         super().__init__(
             f"no velocity keeps the chain verified at step {step_index} "
             f"(t={float(time)!r}, best slack {float(best)!r}, tol {float(tol)!r})"

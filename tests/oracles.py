@@ -481,6 +481,15 @@ def chain_sums_ref(xs, vs):
     return sums
 
 
+def verify_chain_ref(chain, tol=0.0):
+    # the per-index loop, one scalar inner product per index
+    for m in range(1, len(chain)):
+        slack = inner(chain.xs[m] - chain.xs[0], chain.vs[m]) - chain.sums[m]
+        if not slack >= -tol:
+            return False, m
+    return True, None
+
+
 def extension_slack_ref(chain, x_next, v):
     x_next = np.asarray(x_next, dtype=float)
     new_sum = chain.last_sum + inner(x_next - chain.last_point, chain.last_velocity)

@@ -16,6 +16,9 @@ from setflow import (
     support_value,
 )
 
+from setflow.geometry import inner_rows
+
+from conftest import bits, signed_zeros
 from oracles import hull_distance_by_faces, support_value_naive
 
 
@@ -44,6 +47,37 @@ def test_inner_and_norm():
     assert inner([1.0, 2.0], [3.0, -1.0]) == 1.0
     assert norm([3.0, 4.0]) == 5.0
     assert isinstance(inner([1.0], [1.0]), float)
+
+
+def test_inner_on_stacks_is_inner_rows_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n, dim in [(1, 1), (2, 3), (7, 2), (40, 4)]:
+        U = signed_zeros(rng, np.where(rng.random((n, dim)) < 0.3, 0.0,
+                                       rng.normal(size=(n, dim))))
+        V = signed_zeros(rng, np.where(rng.random((n, dim)) < 0.3, 0.0,
+                                       rng.normal(size=(n, dim))))
+        got = inner(U, V)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        assert bits(got) == bits(inner_rows(U, V))
+        assert bits(got) == bits([inner(u, v) for u, v in zip(U, V)])
+        assert isinstance(inner(U[0], V[0]), float)
+
+
+@pytest.mark.parametrize("u, v", [
+    (np.ones((3, 2)), np.ones((2, 2))),
+    (np.ones(2), np.ones(3)),
+    (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+    (np.ones(()), np.ones(())),
+    (np.ones(2), np.ones((1, 2))),
+])
+def test_inner_refuses_other_shapes(u, v):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        inner(u, v)
+
+
+def test_norm_is_of_one_vector():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        norm(np.ones((1, 2)))
 
 
 class TestCompactSet:

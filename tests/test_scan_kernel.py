@@ -1,7 +1,7 @@
 """One ``inner_rows`` scan per finite set against the per-row loops it replaced.
 
-The value-set primitives of ``geometry``, the chain sums, the extension
-rules, the pairwise best gap of ``classify_weakly_monotone``,
+The value-set primitives of ``geometry``, the chain sums and verification,
+the extension rules, the pairwise best gap of ``classify_weakly_monotone``,
 ``piece_values`` / ``active_slopes`` and ``Halfspace.matches`` must return
 what the loops in ``tests/oracles.py`` return: values bit for bit (compared
 as int64 views, so ``-0.0`` and ``0.0`` differ), the same picked rows and
@@ -9,9 +9,11 @@ as int64 views, so ``-0.0`` and ``0.0`` differ), the same picked rows and
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setflow import (
     ACTIVITY_TOL,
@@ -34,15 +36,18 @@ from setflow import (
     submap_select,
     support_argmax,
     support_value,
+    verify_chain,
 )
+from setflow import chains
 from setflow.chains import BudgetExceededError
-from setflow.geometry import _best_row
+from setflow.geometry import _best_row, inner
 from setflow.setmaps import ProblemSpec
 from setflow.solver import SelectionFailed
 
 from conftest import (
     bits,
     build_corpus,
+    dyadic,
     make_non_wcm_map,
     pl_function,
     random_dyadic_map,
@@ -65,6 +70,7 @@ from oracles import (
     submap_select_ref,
     support_argmax_ref,
     support_value_ref,
+    verify_chain_ref,
     weakly_monotone_ref,
 )
 
@@ -182,6 +188,97 @@ def test_chain_sums_match_row_loops(pairs, dyadic):
             for x, v in zip(xs[1:], vs[1:]):
                 grown = grown.extended(x, v)
             assert bits(grown.sums) == bits(chain.sums)
+
+
+def verify_outcomes(fn, chain, tol):
+    """``fn(chain, tol)`` with every float error ignored, and the outcome
+    (the result, or the error's message) where overflow and invalid raise."""
+    with np.errstate(all="ignore"):
+        quiet = fn(chain, tol)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            loud = fn(chain, tol)
+    except FloatingPointError as exc:
+        loud = str(exc)
+    for result in (quiet, loud):
+        if isinstance(result, tuple):
+            assert type(result[0]) is bool and type(result[1]) in (int, type(None))
+    return quiet, loud
+
+
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 1200), dim=st.integers(1, 4),
+       tol=st.sampled_from([0.0, 1e-9, 0.5, math.nan, math.inf]), planted=st.booleans(),
+       huge_before=st.booleans(), huge_after=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_verify_chain_matches_the_index_loop(seed, pairs, dim, tol, planted, huge_before,
+                                             huge_after):
+    rng = np.random.default_rng(seed)
+    # v = x, the gradient of |x|^2 / 2, at dyadic points: every slack is
+    # exact and not negative, up to a violation planted at index bad
+    xs = signed_zeros(rng, dyadic(rng, (pairs, dim)))
+    vs = xs.copy()
+    bad = int(rng.integers(1, pairs)) if planted and pairs > 1 else pairs
+    if bad < pairs:
+        xs[bad, 0] = xs[0, 0] + 1.0
+        vs[bad] = (xs[0] - xs[bad]) * 2.0**20
+    # rows scaled toward the largest float, at or before bad and past it
+    spans = [(huge_before, 0, min(bad, pairs - 1)), (huge_after, bad + 1, pairs - 1)]
+    for wanted, low, high in spans:
+        if wanted and low <= high:
+            rows = rng.integers(low, high + 1, size=int(rng.integers(1, 4)))
+            scale = 2.0 ** rng.integers(500, 1022, size=(len(rows), 1))
+            xs[rows] *= scale
+            vs[rows] *= scale
+    with np.errstate(all="ignore"):
+        chain = Chain(xs, vs)
+    got = verify_outcomes(verify_chain, chain, tol)
+    assert got == verify_outcomes(verify_chain_ref, chain, tol)
+    if not huge_before and tol == 0.0:
+        want = (False, bad) if bad < pairs else (True, None)
+        assert got == (want, want)
+
+
+# (points, velocities, outcome with errors ignored, outcome where they raise)
+EDGE_CHAINS = [
+    # index 1 fails; the product at index 2 overflows past it and raises nothing
+    ([[0.0], [1.0], [2.0**1020]], [[1.0], [-1.0], [2.0**1020]], (False, 1), (False, 1)),
+    # the product at index 1 overflows before index 2 would fail
+    ([[0.0], [2.0**1020], [1.0]], [[1.0], [2.0**1020], [-1.0]], (True, None),
+     "overflow encountered in vecdot"),
+    # an offset overflows at index 1, and its slack is inf - inf
+    ([[-(2.0**1023)], [2.0**1023]], [[1.0], [1.0]], (False, 1),
+     "overflow encountered in subtract"),
+    # sums[1] is already inf, so index 1 fails with nothing left to trap
+    ([[0.0], [2.0**1000]], [[2.0**100], [1.0]], (False, 1), (False, 1)),
+]
+
+
+@pytest.mark.parametrize("xs, vs, quiet, loud", EDGE_CHAINS)
+def test_verify_chain_traps_only_up_to_the_first_failure(xs, vs, quiet, loud):
+    with np.errstate(all="ignore"):
+        chain = Chain(xs, vs)
+    assert verify_outcomes(verify_chain, chain, 0.0) == (quiet, loud)
+    assert verify_outcomes(verify_chain_ref, chain, 0.0) == (quiet, loud)
+
+
+def test_verify_chain_is_one_inner_scan(monkeypatch):
+    # one inner call over the stacked rows, and none for a single pair
+    calls = []
+
+    def spy(u, v):
+        calls.append(np.shape(u))
+        return inner(u, v)
+
+    monkeypatch.setattr(chains, "inner", spy)
+    rng = np.random.default_rng(5)
+    for pairs in (1, 2, 50, 1000):
+        xs = dyadic(rng, (pairs, 2))
+        chain = Chain(xs, xs)
+        for tol in (0.0, math.nan):
+            calls.clear()
+            held = pairs == 1 or tol == 0.0
+            assert verify_chain(chain, tol) == ((True, None) if held else (False, 1))
+            assert calls == ([] if pairs == 1 else [(pairs - 1, 2)])
 
 
 def _maps(rng, dim):

@@ -129,6 +129,22 @@ class TestEulerSolve:
         assert err.candidate_slacks[0][1] < -0.1
         assert err.to_json_dict()["time"] == 2.0
 
+    @pytest.mark.parametrize("slacks", [[float("nan"), -1.0], [-1.0, float("nan")]])
+    def test_message_best_slack_skips_a_nan_in_any_order(self, slacks):
+        values = [np.array([1.0]), np.array([-1.0])]
+        candidates = list(zip(values, slacks))
+        err = SelectionFailed(3, 0.5, np.array([0.0]), Chain([[0.0]], [[1.0]]),
+                              candidates, "exhaustive", 0.0)
+        assert str(err) == ("no velocity keeps the chain verified at step 3 "
+                            "(t=0.5, best slack -1.0, tol 0.0)")
+        assert json.dumps(err.to_json_dict()["candidate_slacks"]) == json.dumps(
+            [{"velocity": v.tolist(), "slack": s} for v, s in candidates])
+
+    def test_message_best_slack_of_nans_is_nan(self):
+        err = SelectionFailed(1, 0.25, np.array([0.0]), Chain([[0.0]], [[1.0]]),
+                              [(np.array([1.0]), float("nan"))], "support", 0.0)
+        assert "best slack nan," in str(err)
+
     def test_velocity_rows_come_from_the_map(self):
         F = pl_subdifferential_map(ABS_F)
         traj = euler_solve(_spec(F, [-0.5], [-1.0]))
