@@ -30,7 +30,9 @@ of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
 over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
-on the constant map ``{+-e1, +-e2}`` over a 17x17 grid at ``max_length`` 2,
+and ``check_support_chain`` on the constant map ``{+-e1, +-e2}`` over a 17x17
+grid at ``max_length`` 2, and of ``classify_cyclic_monotone`` on the
+subdifferential of ``max(+-x1, +-x2)`` over that grid (both at budget 10^8),
 per ``verify_chain`` run over the node
 chain of the subdifferential trajectory of the residual figure and over its
 first two pairs, and per call
@@ -100,6 +102,9 @@ KINK_LENGTH = 2
 SQUARE_SLOPES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 SQUARE_KINK = {"kind": "subdifferential", "slopes": SQUARE_SLOPES, "offsets": [0.0] * 4}
 FOUR_VALUED = {"kind": "constant", "points": SQUARE_SLOPES}
+# admits the 289**3 sequences and the 324**2 + 324**3 chains of the 17x17 grid
+# figures at max_length 2
+WIDE_BUDGET = 10**8
 PRIMITIVE_CALLS = 2000
 WRITES = 20
 # the 3-d gradient map diag(1, 2, 1/2), whose polygon fills the CSV figure's table
@@ -228,6 +233,10 @@ def measure(src: str) -> dict:
     four, four_grid = map_from_dict(FOUR_VALUED), sample_grid(*FAMILY_GRID[:2], [17, 17])
     out["chains.classify_cyclic_monotone.four17.us_per_call"] = _per_call_us(
         lambda: classify_cyclic_monotone(four, four_grid, KINK_LENGTH), 1)
+    out["chains.check_support_chain.four17.us_per_call"] = _per_call_us(
+        lambda: check_support_chain(four, four_grid, KINK_LENGTH, budget=WIDE_BUDGET), 1)
+    out["chains.classify_cyclic_monotone.kink17.us_per_call"] = _per_call_us(
+        lambda: classify_cyclic_monotone(square, four_grid, KINK_LENGTH, budget=WIDE_BUDGET), 1)
 
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)

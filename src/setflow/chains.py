@@ -178,25 +178,29 @@ def verify_chain(chain: Chain, tol: float = 0.0):
     the rows, each rounding as that index's scalar expression does.  Where
     the caller's errstate raises on overflow or an invalid operation, this
     raises at the index where checking the indices in order would, and not
-    for an index past the first failing one.  An underflow is left to the
-    caller's errstate over the whole scan.
+    for an index past the first failing one.  The same holds for an
+    underflow where the caller's errstate does not ignore it.
     """
     xs, vs, sums = chain.xs, chain.vs, chain.sums
     if len(sums) < 2:
         return True, None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         slacks = inner(xs[1:] - xs[0], vs[1:]) - sums[1:]
     held = slacks >= -tol
     ok = held.all()
     # the last index checked: the first that fails, or the last one
     stop = len(slacks) if ok else int(held.argmin()) + 1
-    # an overflow or inf - inf in an offset, product or slack leaves the slack
-    # not finite: form those indices up to the stop again, in order, under
-    # the caller's errstate
-    finite = np.isfinite(slacks[:stop])
-    if not finite.all():
-        for m in np.flatnonzero(~finite) + 1:
-            inner(xs[m] - xs[0], vs[m]) - sums[m]
+    # form indices up to the stop again, in order, under the caller's
+    # errstate: every one where it heeds an underflow, which leaves no trace
+    # in the slacks, and otherwise those whose slack is not finite, which an
+    # overflow or inf - inf in an offset, product or slack leaves
+    if np.geterr()["under"] != "ignore":
+        replay = range(1, stop + 1)
+    else:
+        finite = np.isfinite(slacks[:stop])
+        replay = () if finite.all() else np.flatnonzero(~finite) + 1
+    for m in replay:
+        inner(xs[m] - xs[0], vs[m]) - sums[m]
     return (True, None) if ok else (False, stop)
 
 
@@ -518,9 +522,14 @@ class _MaxPlusPaths:
     Because float addition is monotone, ``max_a fl(S[a] + W[a, g])`` over the
     best sums ``S`` of shorter chains is exactly the largest left-to-right sum
     of any chain ending in group ``g``, and ``fl(E - S)`` is then the smallest
-    slack at each node.  So one forward pass per anchor decides every length
-    at ``O(K * groups)`` per step, and a depth-first descent with the same
-    pass as an existence test finds the first violating chain in that order.
+    slack at each node.  So one forward pass per block of anchors decides
+    every length at ``O(K * groups)`` per anchor and step, and a depth-first
+    descent with the same pass as an existence test finds the first violating
+    chain in that order.  A block holds ``_BLOCK_ELEMENTS // (K * groups)``
+    anchors, at least one, so that a step's ``anchors x K x groups``
+    temporary holds no more than ``_BLOCK_ELEMENTS`` entries unless one
+    anchor needs more.  Where a sum could overflow it holds one anchor, so
+    that an errstate that raises does so where one anchor at a time would.
     """
 
     def __init__(self, W, E, owner, tol):
@@ -569,21 +578,49 @@ class _MaxPlusPaths:
             # the first chain of m steps anchored in g0 lies beyond the budget
             return m >= len(shorter) or shorter[m] + self.ranges[g0][0] * K ** m >= budget
 
+        block = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
+        if block > 1:
+            # one anchor at a time where a step sum or a slack could overflow,
+            # so that an errstate that raises does so where that loop did
+            terms = float(np.abs(self.W).max()) + float(np.abs(self.E).max())
+            block = block if min(max_length, len(shorter)) * terms < 2.0**1000 else 1
         found = None  # (m, g0) of the first violation seen so far
-        for g0 in range(n):
-            if past_budget(1, g0):
-                break
+        for lo in range(0, n, block):
             reach = max_length if found is None else found[0] - 1
-            S = self._seed(*self.ranges[g0])
+            if past_budget(1, lo) or reach < 1:
+                break
+            anchors = np.arange(lo, min(lo + block, n))
+            S = np.where(self.owner == anchors[:, None], 0.0, -np.inf)
+            ends = self.E[lo:lo + block]
             for m in range(1, reach + 1):
-                if past_budget(m, g0):
+                # later anchors start their chains later, so those past the
+                # budget are the last ones
+                keep = len(anchors)
+                while keep and past_budget(m, int(anchors[keep - 1])):
+                    keep -= 1
+                if not keep:
                     break
-                S, last = self._advance(S, self.every), S
-                if self._violates(S, g0):
-                    found = (m, g0)
+                anchors, ends, last = anchors[:keep], ends[:keep], S[:keep]
+                if m == 1:
+                    # from the seed sums, 0.0 on an anchor's own nodes and
+                    # -inf elsewhere, a step gives 0.0 plus the largest term
+                    # of those nodes into each group; the 0.0 turns a -0.0
+                    # into 0.0, as adding it to each term does
+                    first, end = self.ranges[lo][0], self.ranges[lo + keep - 1][1]
+                    offsets = [self.ranges[g][0] - first for g in range(lo, lo + keep)]
+                    step = np.maximum.reduceat(self.W[first:end], offsets, axis=0) + 0.0
+                else:
+                    step = np.maximum.reduce(last[:, :, None] + self.W, axis=1)
+                S = step[:, self.owner]
+                low = ends - S < -self.tol
+                if low.any():
+                    found = (m, int(anchors[low.any(axis=1).argmax()]))
                     break
-                if S.tobytes() == last.tobytes():
-                    break  # every longer chain repeats these sums
+                # every longer chain of an anchor whose sums repeat bit for
+                # bit repeats them
+                moving = np.logical_or.reduce(S.view(np.int64) != last.view(np.int64), axis=1)
+                if not moving.all():
+                    anchors, ends, S = anchors[moving], ends[moving], S[moving]
         if found is None:
             if max_length + 1 >= len(shorter) or shorter[max_length + 1] > budget:
                 raise BudgetExceededError(budget + 1, budget)
@@ -606,25 +643,36 @@ class _MaxPlusPaths:
         # lexicographically first group tuple with a violating chain
         groups = [g0]
         S = self._seed(*self.ranges[g0])
-        for j in range(1, m + 1):
+        for j in range(1, m):
             for g in range(self.groups):
                 T = self._advance(S, [self.ranges[g]])
                 if self._violates(self._advance(T, self.every * (m - j)), g0):
                     groups.append(g)
                     S = T
                     break
+        # at the last step the first violating node names the group; only the
+        # nodes of the group chosen last have finite sums, and the other rows
+        # add -inf to finite terms
+        lo, hi = self.ranges[groups[-1]]
+        best = np.max(S[lo:hi, None] + self.W[lo:hi], axis=0)[self.owner]
+        groups.append(int(self.owner[np.argmax(self.E[g0] - best < -self.tol)]))
         return groups
 
     def _first_nodes(self, ranges, g0):
         # lexicographically first node tuple on those node ranges that violates
         nodes, S = [], None
-        for j, (lo, hi) in enumerate(ranges):
+        for j, (lo, hi) in enumerate(ranges[:-1]):
             for a in range(lo, hi):
                 T = self._seed(a, a + 1) if S is None else self._advance(S, [(a, a + 1)])
                 if self._violates(self._advance(T, ranges[j + 1:]), g0):
                     nodes.append(a)
                     S = T
                     break
+        # at the last step, from the one node whose sum is finite, the first
+        # violating node is the last one
+        (lo, hi), a = ranges[-1], nodes[-1]
+        best = S[a] + self.W[a, self.owner[lo]]
+        nodes.append(lo + int(np.argmax(self.E[g0, lo:hi] - best < -self.tol)))
         return nodes
 
 

@@ -23,6 +23,7 @@ from setflow import (
     Always,
     BudgetExceededError,
     Halfspace,
+    PLConvexFunction,
     SetValuedMap,
     check_support_chain,
     classify_cyclic_monotone,
@@ -31,6 +32,7 @@ from setflow import (
     classify_weakly_monotone,
     constant_map,
     inner,
+    pl_subdifferential_map,
     replay_witness,
     sample_grid,
     support_argmax,
@@ -143,6 +145,142 @@ def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
                 got = outcome(classify_weak_cyclic_monotone, entry.svmap, entry.grid,
                               max_length, 0.0, budget)
                 assert got == want, (entry.name, max_length, budget)
+
+
+# ---------------------------------------------------------------------------
+# blocks of anchors in the max-plus sweep of classify_cyclic_monotone and
+# check_support_chain
+
+ANCHOR_BLOCKS = (1, 2, 3, None)  # anchors per block; None for all of them
+
+
+def max_plus_graphs(svmap, grid):
+    """Each max-plus classifier with its oracle, node count and group starts."""
+    graph = chains._ChainGraph(svmap, np.asarray(grid, dtype=float))
+    n = len(graph.points)
+    return n, ((classify_cyclic_monotone, cyclic_monotone_brute, len(graph.V), graph.start),
+               (check_support_chain, support_chain_brute, n, np.arange(n + 1)))
+
+
+def cut_budgets(nodes, starts, lengths):
+    """Budgets just before and at the first chain of each length anchored in
+    each group but the first, so that they cut a length's anchors inside a
+    block of two or more."""
+    shorter = [0, 0]  # chains of fewer than m steps
+    while len(shorter) <= max(lengths):
+        shorter.append(shorter[-1] + nodes ** len(shorter))
+    return {shorter[m] + int(start) * nodes ** m + extra
+            for m in lengths for start in starts[1:-1] for extra in (0, 1)}
+
+
+def assert_blocks_match_brute(monkeypatch, svmap, grid, max_lengths, budgets, cut_lengths,
+                              cut_groups=None):
+    n, graphs = max_plus_graphs(svmap, grid)
+    for fast, brute, nodes, starts in graphs:
+        cuts = cut_budgets(nodes, starts[:cut_groups], cut_lengths)
+        for max_length in max_lengths:
+            for budget in sorted(set(budgets) | cuts):
+                want = outcome(brute, svmap, grid, max_length, 0.0, budget)
+                for anchors in ANCHOR_BLOCKS:
+                    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", (anchors or n) * nodes * n)
+                    got = outcome(fast, svmap, grid, max_length, 0.0, budget)
+                    assert got == want, (fast.__name__, anchors, max_length, budget)
+
+
+@pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
+def test_anchor_blocks_match_brute_force(monkeypatch, entry):
+    assert_blocks_match_brute(monkeypatch, entry.svmap, entry.grid, (1, 2, 3), (1, 50, 10**6),
+                              (1, 2), cut_groups=5)
+
+
+GRID5 = sample_grid([-1.0], [1.0], [5])
+
+
+def point_table(values):
+    """The map with the values ``values[i]`` (one number or a list) at the
+    ``i``-th point of GRID5."""
+    return table_map([(Halfspace([1.0], float(x[0]), "eq"), np.reshape(v, (-1, 1)))
+                      for x, v in zip(GRID5, values)] + [(Always(), [[0.0]])])
+
+
+def anchor_runs(svmap, grid, max_length):
+    """How each anchor's own loop of max-plus steps ends, at tol 0: its first
+    violation, its sums repeating bit for bit, or still moving."""
+    graph = chains._ChainGraph(svmap, np.asarray(grid, dtype=float))
+    paths = chains._MaxPlusPaths(graph.W, graph.E, graph.owner, 0.0)
+    runs = []
+    for g, (lo, hi) in enumerate(paths.ranges):
+        S, run = paths._seed(lo, hi), ("moving", max_length)
+        for m in range(1, max_length + 1):
+            S, last = paths._advance(S, paths.every), S
+            if paths._violates(S, g) or bits(S) == bits(last):
+                run = ("fails" if paths._violates(S, g) else "repeats", m)
+                break
+        runs.append(run)
+    return runs
+
+
+# (values at GRID5, how each anchor's loop ends within 6 steps)
+BLOCK_CASES = {
+    # the pair (0, 0.5) alone is not monotone: anchors 2 and 3 fail at the
+    # same length, and in one block the lower one must win
+    "two-anchors-fail-together": ([-1.0, -0.5, 0.75, 0.5, 1.0],
+                                  [("moving", 6), ("moving", 6), ("fails", 1), ("fails", 1),
+                                   ("fails", 4)]),
+    # as above, with two values at 0.5 that both fail a step from 0: the
+    # witness takes the first
+    "two-last-nodes-fail": ([-1.0, -0.5, 0.75, [0.25, 0.5], 1.0],
+                            [("moving", 6), ("fails", 4), ("fails", 1), ("fails", 1),
+                             ("fails", 2)]),
+    # anchor 1 fails while anchor 0 of its block keeps moving
+    "a-later-anchor-fails-first": ([-1.0, 0.5, 0.25, 0.5, 1.0],
+                                   [("moving", 6), ("fails", 1), ("fails", 1), ("fails", 2),
+                                    ("moving", 6)]),
+    # the gradient of x^2 / 2: anchor 2's sums repeat after 3 steps, while the
+    # other anchors of its block keep rising for one or two more
+    "anchors-settle-apart": ([-1.0, -0.5, 0.0, 0.5, 1.0],
+                             [("repeats", 5), ("repeats", 4), ("repeats", 3), ("repeats", 4),
+                              ("repeats", 5)]),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=str)
+def test_anchor_blocks_keep_each_anchors_own_loop(monkeypatch, case):
+    values, runs = BLOCK_CASES[case]
+    svmap = point_table(values)
+    assert anchor_runs(svmap, GRID5, 6) == runs
+    assert_blocks_match_brute(monkeypatch, svmap, GRID5, (1, 2, 3, 4, 6), (1, 50, 10**6),
+                              (1, 2, 3))
+
+
+# Two anchors of one group each, with the step terms W and end terms E of
+# _MaxPlusPaths.  "lower-overflows-later": anchor 0 holds at one step and its
+# sums overflow at the second, while anchor 1 fails at one step; anchor 0's
+# own loop reaches the overflow first.  "upper-overflows-later": anchor 0
+# fails at two steps, and anchor 1's sums would overflow only at a second
+# step that its loop no longer takes.
+OVERFLOW_ORDER = {
+    "lower-overflows-later": ([[1e308, 0.0], [0.0, 0.0]], [[1e308, 1e308], [-1.0, -1.0]],
+                              "overflow encountered in add"),
+    "upper-overflows-later": ([[1.0, 0.0], [0.0, 1e308]], [[1.0, 1.0], [0.0, 1e308]],
+                              (5, [0, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_ORDER, ids=str)
+@pytest.mark.parametrize("anchors", (1, 2))
+def test_anchor_blocks_raise_where_each_anchors_loop_does(monkeypatch, case, anchors):
+    # a block steps every anchor in it at once, so where a sum could overflow
+    # the sweep takes one anchor at a time
+    W, E, want = OVERFLOW_ORDER[case]
+    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", anchors * 4)
+    paths = chains._MaxPlusPaths(np.array(W), np.array(E), np.arange(2), 0.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            got = paths.first_violation(3)
+    except FloatingPointError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_weakly_monotone_blocks_match_the_row_loop(monkeypatch):
@@ -383,6 +521,39 @@ def test_cyclic_monotone_on_a_four_valued_grid_stays_small():
         tracemalloc.stop()
     assert not report.holds
     assert peak < 12 << 20
+
+
+def test_support_chain_on_a_four_valued_grid_stays_small():
+    # the same graph as above, stepped over its 289 samples one anchor at a time
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [17, 17])
+    tracemalloc.start()
+    try:
+        report = check_support_chain(FOUR_VALUED, grid, 2, budget=10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.holds
+    assert peak < 12 << 20
+
+
+KINK = pl_subdifferential_map(PLConvexFunction(FOUR_VALUED.eval([0.0, 0.0]).points, [0.0] * 4))
+
+
+def test_cyclic_monotone_on_a_kink_grid_stays_small():
+    # the subdifferential of max(+-x1, +-x2) on a 9x9 grid: 100 nodes on 81
+    # samples, so a block steps several anchors at once, and its temporary
+    # stays within the block's 2**16 entries
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [9, 9])
+    nodes = len(KINK.eval_many(grid)[0])
+    assert chains._BLOCK_ELEMENTS // (nodes * len(grid)) > 1
+    tracemalloc.start()
+    try:
+        report = classify_cyclic_monotone(KINK, grid, 3, budget=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.details["chains_checked"] == nodes**2 + nodes**3 + nodes**4
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("fn, length", [(fn, length) for fn, length, _ in CLASSIFIERS],

@@ -221,12 +221,14 @@ def test_verify_chain_matches_the_index_loop(seed, pairs, dim, tol, planted, hug
     if bad < pairs:
         xs[bad, 0] = xs[0, 0] + 1.0
         vs[bad] = (xs[0] - xs[bad]) * 2.0**20
-    # rows scaled toward the largest float, at or before bad and past it
+    # rows scaled toward the largest float, at or before bad and past it; a
+    # row whose entries lie below 2**top stays below 2**1024, so finite
     spans = [(huge_before, 0, min(bad, pairs - 1)), (huge_after, bad + 1, pairs - 1)]
     for wanted, low, high in spans:
         if wanted and low <= high:
             rows = rng.integers(low, high + 1, size=int(rng.integers(1, 4)))
-            scale = 2.0 ** rng.integers(500, 1022, size=(len(rows), 1))
+            top = np.frexp(np.abs(np.concatenate([xs[rows], vs[rows]], axis=1)).max(axis=1))[1]
+            scale = 2.0 ** rng.integers(500, np.minimum(1022, 1024 - top))[:, None]
             xs[rows] *= scale
             vs[rows] *= scale
     with np.errstate(all="ignore"):
@@ -259,6 +261,30 @@ def test_verify_chain_traps_only_up_to_the_first_failure(xs, vs, quiet, loud):
         chain = Chain(xs, vs)
     assert verify_outcomes(verify_chain, chain, 0.0) == (quiet, loud)
     assert verify_outcomes(verify_chain_ref, chain, 0.0) == (quiet, loud)
+
+
+# (points, velocities, outcome where underflow raises); either chain fails
+# at index 1 where it does not
+UNDERFLOW_CHAINS = [
+    # the product at index 2 underflows past the failure and raises nothing
+    ([[0.0], [1.0], [2.0**-600]], [[1.0], [-1.0], [2.0**-600]], (False, 1)),
+    # the product at index 1 underflows, as that index is checked
+    ([[0.0], [2.0**-600], [1.0]], [[1.0], [2.0**-600], [-1.0]],
+     "underflow encountered in vecdot"),
+]
+
+
+@pytest.mark.parametrize("xs, vs, loud", UNDERFLOW_CHAINS)
+def test_verify_chain_traps_underflow_only_up_to_the_first_failure(xs, vs, loud):
+    chain = Chain(xs, vs)
+    for fn in (verify_chain, verify_chain_ref):
+        assert fn(chain, 0.0) == (False, 1)
+        try:
+            with np.errstate(under="raise"):
+                got = fn(chain, 0.0)
+        except FloatingPointError as exc:
+            got = str(exc)
+        assert got == loud
 
 
 def test_verify_chain_is_one_inner_scan(monkeypatch):
