@@ -10,152 +10,15 @@ whose node velocities form a verified chain.  A command-line front end
 problem-spec JSON documents.
 """
 
-from .geometry import (
-    CompactSet,
-    HullProjectionError,
-    as_vector,
-    dist_to_hull,
-    dist_to_set,
-    inner,
-    nearest_point,
-    norm,
-    support_argmax,
-    support_value,
-)
-from .setmaps import (
-    ACTIVITY_TOL,
-    Always,
-    Box,
-    GridSpec,
-    Halfspace,
-    PLConvexFunction,
-    ProblemFormatError,
-    ProblemSpec,
-    SetValuedMap,
-    UncoveredPointError,
-    closed_graph_diagnostic,
-    constant_map,
-    linear_map,
-    map_from_dict,
-    map_to_dict,
-    parse_problem,
-    pl_subdifferential_map,
-    sample_grid,
-    serialize_problem,
-    table_map,
-)
-from .chains import (
-    BudgetExceededError,
-    Chain,
-    ClassReport,
-    DEFAULT_CHAIN_BUDGET,
-    DEFAULT_TOL,
-    check_support_chain,
-    classify_cyclic_monotone,
-    classify_monotone,
-    classify_weak_cyclic_monotone,
-    classify_weakly_monotone,
-    extend_exhaustive,
-    extend_inertial,
-    extend_support,
-    extension_slack,
-    replay_witness,
-    verify_chain,
-)
-from .potential import (
-    SequenceFamily,
-    affine_value,
-    build_family,
-    family_from_text,
-    family_to_text,
-    grow_family,
-    potential_value,
-    potential_values,
-    subgradient_test,
-    submap_contains,
-    submap_select,
-)
-from .solver import (
-    SelectionFailed,
-    Trajectory,
-    euler_solve,
-    horizon_hint,
-    lyapunov_check,
-    polygon_sup_distance,
-    refine_study,
-    time_grid,
-    trajectory_cm_check,
-    trajectory_residual,
-)
+from . import geometry, setmaps, chains, potential, solver
+from .geometry import *
+from .setmaps import *
+from .chains import *
+from .potential import *
+from .solver import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIVITY_TOL",
-    "Always",
-    "Box",
-    "BudgetExceededError",
-    "Chain",
-    "ClassReport",
-    "CompactSet",
-    "DEFAULT_CHAIN_BUDGET",
-    "DEFAULT_TOL",
-    "GridSpec",
-    "Halfspace",
-    "HullProjectionError",
-    "PLConvexFunction",
-    "ProblemFormatError",
-    "ProblemSpec",
-    "SelectionFailed",
-    "SequenceFamily",
-    "SetValuedMap",
-    "Trajectory",
-    "UncoveredPointError",
-    "affine_value",
-    "as_vector",
-    "build_family",
-    "check_support_chain",
-    "classify_cyclic_monotone",
-    "classify_monotone",
-    "classify_weak_cyclic_monotone",
-    "classify_weakly_monotone",
-    "closed_graph_diagnostic",
-    "constant_map",
-    "dist_to_hull",
-    "dist_to_set",
-    "euler_solve",
-    "extend_exhaustive",
-    "extend_inertial",
-    "extend_support",
-    "extension_slack",
-    "family_from_text",
-    "family_to_text",
-    "grow_family",
-    "horizon_hint",
-    "inner",
-    "linear_map",
-    "lyapunov_check",
-    "map_from_dict",
-    "map_to_dict",
-    "nearest_point",
-    "norm",
-    "parse_problem",
-    "pl_subdifferential_map",
-    "polygon_sup_distance",
-    "potential_value",
-    "potential_values",
-    "refine_study",
-    "replay_witness",
-    "sample_grid",
-    "serialize_problem",
-    "subgradient_test",
-    "submap_contains",
-    "submap_select",
-    "support_argmax",
-    "support_value",
-    "table_map",
-    "time_grid",
-    "trajectory_cm_check",
-    "trajectory_residual",
-    "verify_chain",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted(geometry.__all__ + setmaps.__all__ + chains.__all__
+                 + potential.__all__ + solver.__all__)

@@ -44,7 +44,7 @@ from .potential import (
     potential_value,
     potential_values,
 )
-from .setmaps import GridSpec, ProblemFormatError, _json_text, parse_problem
+from .setmaps import STRATEGIES, GridSpec, ProblemFormatError, _json_text, parse_problem
 from .solver import (
     SelectionFailed,
     euler_solve,
@@ -354,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", required=True, help="output directory")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         if strategy:
-            p.add_argument("--strategy", default=None,
-                           choices=["exhaustive", "support", "inertial"])
+            p.add_argument("--strategy", default=None, choices=STRATEGIES)
         if grid:
             p.add_argument("--grid", default=None,
                            help="low:high:count per axis, comma separated")

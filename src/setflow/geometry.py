@@ -24,14 +24,12 @@ __all__ = [
     "HullProjectionError",
     "as_vector",
     "inner",
-    "inner_rows",
     "norm",
     "support_value",
     "support_argmax",
     "nearest_point",
     "dist_to_set",
     "dist_to_hull",
-    "HULL_MAX_ITER",
 ]
 
 HULL_MAX_ITER = 10_000

@@ -37,7 +37,6 @@ from .geometry import inner, inner_rows
 from .setmaps import SetValuedMap, _json_text, _point_rows
 
 __all__ = [
-    "DEFAULT_FAMILY_CAP",
     "SequenceFamily",
     "affine_value",
     "potential_value",
@@ -47,8 +46,6 @@ __all__ = [
     "submap_contains",
     "subgradient_test",
     "build_family",
-    "family_to_json_dict",
-    "family_from_json_dict",
     "family_to_text",
     "family_from_text",
 ]
@@ -531,7 +528,7 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     X, V = graph.X, graph.V
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
-    ends = inner_rows(X - x0, V)
+    ends = graph._terms(x0[None], X, V[None])[0]
     # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
     vertices = family._model.vertices
@@ -545,9 +542,9 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
         for lo in range(0, len(paths), step):
             rows, prefix = paths[lo:lo + step], sums[lo:lo + step]
             tips = rows[:, -1]
-            # a step reads its head only through its sample, as in _ChainGraph.W
-            stepped = prefix[:, -1:] + inner_rows(graph.points[None, :, :] - points[tips, None, :],
-                                                  velocities[tips, None, :])[:, graph.owner]
+            # a step reads its head only through its sample
+            stepped = prefix[:, -1:] + graph._terms(points[tips], graph.points,
+                                                    velocities[tips, None])[:, graph.owner]
             # row-major (chain, node) order is queue order; the first room
             # evaluations fit the budget, and running out counts one past it
             room = min(max(0, budget - used), stepped.size)

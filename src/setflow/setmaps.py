@@ -23,7 +23,6 @@ from .geometry import CompactSet, as_vector, inner, inner_rows, norm, support_ar
 
 __all__ = [
     "ACTIVITY_TOL",
-    "STRATEGIES",
     "UncoveredPointError",
     "ProblemFormatError",
     "SetValuedMap",

@@ -39,6 +39,7 @@ __all__ = [
     "refine_study",
     "lyapunov_check",
     "horizon_hint",
+    "polygon_sup_distance",
 ]
 
 
@@ -123,10 +124,7 @@ class Trajectory:
 
     def interpolate(self, t) -> np.ndarray:
         """Piecewise-linear state at time ``t`` (clamped to the time range)."""
-        t = float(t)
-        return np.array([
-            np.interp(t, self.times, self.states[:, c]) for c in range(self.dimension)
-        ])
+        return _states_at(self, [float(t)])[0]
 
 
 def time_grid(horizon: float, step: float):
@@ -385,7 +383,7 @@ def polygon_sup_distance(a: Trajectory, b: Trajectory) -> float:
 
 
 def _states_at(traj: Trajectory, times) -> np.ndarray:
-    # one row per time, equal to Trajectory.interpolate at that time
+    # one row per time, each column interpolated and clamped by np.interp
     return np.column_stack([
         np.interp(times, traj.times, traj.states[:, c]) for c in range(traj.dimension)
     ])

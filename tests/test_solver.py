@@ -27,6 +27,8 @@ from setflow import (
     trajectory_residual,
 )
 
+from setflow.solver import _states_at
+
 from conftest import ABS_F, INERTIAL_GAP_PROBLEM, TWO_MAX_F, make_non_wcm_map, make_sign_map
 
 
@@ -159,6 +161,15 @@ class TestTrajectoryType:
         assert traj.interpolate(0.0).tolist() == [0.0]
         assert traj.interpolate(1.0).tolist() == [1.0]
         assert traj.interpolate(0.125).tolist() == [0.125]
+        # a 2-d polygon reads the rows of _states_at, clamped outside [0, T]
+        F = constant_map([[1.0, -0.3]])
+        traj = euler_solve(_spec(F, [0.1, 0.7], [1.0, -0.3], T=0.9, h=0.2))
+        for t, node in ((-0.5, 0), (1.9, -1), (0.37, None)):
+            got = traj.interpolate(t)
+            assert got.shape == (2,)
+            assert got.tobytes() == _states_at(traj, [t])[0].tobytes()
+            if node is not None:
+                assert got.tobytes() == traj.states[node].tobytes()
 
     def test_chain_view_matches_nodes(self):
         F = constant_map([[1.0]])

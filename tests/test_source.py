@@ -4,6 +4,28 @@ import ast
 from pathlib import Path
 
 import setflow
+from setflow import chains, geometry, potential, setmaps, solver
+
+# the package's public names, in the order the package lists them
+PUBLIC_NAMES = [
+    "ACTIVITY_TOL", "Always", "Box", "BudgetExceededError", "Chain", "ClassReport",
+    "CompactSet", "DEFAULT_CHAIN_BUDGET", "DEFAULT_TOL", "GridSpec", "Halfspace",
+    "HullProjectionError", "PLConvexFunction", "ProblemFormatError", "ProblemSpec",
+    "SelectionFailed", "SequenceFamily", "SetValuedMap", "Trajectory",
+    "UncoveredPointError", "affine_value", "as_vector", "build_family",
+    "check_support_chain", "classify_cyclic_monotone", "classify_monotone",
+    "classify_weak_cyclic_monotone", "classify_weakly_monotone",
+    "closed_graph_diagnostic", "constant_map", "dist_to_hull", "dist_to_set",
+    "euler_solve", "extend_exhaustive", "extend_inertial", "extend_support",
+    "extension_slack", "family_from_text", "family_to_text", "grow_family",
+    "horizon_hint", "inner", "linear_map", "lyapunov_check", "map_from_dict",
+    "map_to_dict", "nearest_point", "norm", "parse_problem", "pl_subdifferential_map",
+    "polygon_sup_distance", "potential_value", "potential_values", "refine_study",
+    "replay_witness", "sample_grid", "serialize_problem", "subgradient_test",
+    "submap_contains", "submap_select", "support_argmax", "support_value",
+    "table_map", "time_grid", "trajectory_cm_check", "trajectory_residual",
+    "verify_chain",
+]
 
 
 def test_no_contract_rests_on_assert():
@@ -17,3 +39,21 @@ def test_no_contract_rests_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_exports_exactly_its_modules_lists():
+    modules = (geometry, setmaps, chains, potential, solver)
+    assert setflow.__all__ == PUBLIC_NAMES
+    assert len(set(PUBLIC_NAMES)) == len(PUBLIC_NAMES) == 67
+    assert setflow.__all__ == sorted(name for m in modules for name in m.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(setflow, name) is getattr(module, name), (module.__name__, name)
+    # so the package writes no name itself: its only strings are the
+    # docstring and the version
+    tree = ast.parse(Path(setflow.__file__).read_text())
+    strings = [node for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    version = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "__version__")
+    assert strings == [tree.body[0].value, version]
