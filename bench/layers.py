@@ -33,6 +33,9 @@ over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
 and ``check_support_chain`` on the constant map ``{+-e1, +-e2}`` over a 17x17
 grid at ``max_length`` 2, and of ``classify_cyclic_monotone`` on the
 subdifferential of ``max(+-x1, +-x2)`` over that grid (both at budget 10^8),
+per call of both on the rotation ``[[0, -1], [1, 0]]`` over a 9x9 grid at
+``max_length`` 3 (budget 10^8), whose first violating chain has two steps, so
+that the witness descent tests a level of candidates before its last,
 per ``verify_chain`` run over the node
 chain of the subdifferential trajectory of the residual figure and over its
 first two pairs, and per call
@@ -102,8 +105,10 @@ KINK_LENGTH = 2
 SQUARE_SLOPES = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
 SQUARE_KINK = {"kind": "subdifferential", "slopes": SQUARE_SLOPES, "offsets": [0.0] * 4}
 FOUR_VALUED = {"kind": "constant", "points": SQUARE_SLOPES}
+ROTATION = {"kind": "linear", "matrix": [[0.0, -1.0], [1.0, 0.0]]}
+ROTATION_LENGTH = 3
 # admits the 289**3 sequences and the 324**2 + 324**3 chains of the 17x17 grid
-# figures at max_length 2
+# figures at max_length 2, and the 81**4 sequences of the rotation figures
 WIDE_BUDGET = 10**8
 PRIMITIVE_CALLS = 2000
 WRITES = 20
@@ -237,6 +242,10 @@ def measure(src: str) -> dict:
         lambda: check_support_chain(four, four_grid, KINK_LENGTH, budget=WIDE_BUDGET), 1)
     out["chains.classify_cyclic_monotone.kink17.us_per_call"] = _per_call_us(
         lambda: classify_cyclic_monotone(square, four_grid, KINK_LENGTH, budget=WIDE_BUDGET), 1)
+    rotation = map_from_dict(ROTATION)
+    for classify in (classify_cyclic_monotone, check_support_chain):
+        out[f"chains.{classify.__name__}.rot9.us_per_call"] = _per_call_us(
+            lambda: classify(rotation, kink_grid, ROTATION_LENGTH, budget=WIDE_BUDGET), 1)
 
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)

@@ -493,20 +493,21 @@ class _ChainGraph:
         self.start = np.searchsorted(self.owner, np.arange(len(points) + 1))
         self.X = points[self.owner]
 
-    W = cached_property(lambda self: self._terms(self.X, self.points, self.V[:, None]))
-    E = cached_property(lambda self: self._terms(self.points, self.X, self.V[None]))
+    W = cached_property(lambda self: _terms(self.X, self.points, self.V[:, None]))
+    E = cached_property(lambda self: _terms(self.points, self.X, self.V[None]))
     ends = cached_property(lambda self: np.maximum.reduceat(self.E, self.start[:-1], axis=1))
     lows = cached_property(lambda self: np.minimum.reduceat(self.E, self.start[:-1], axis=1))
 
-    def _terms(self, tails, heads, velocities):
-        # <heads[c] - tails[r], velocities[r, c]> for every row r and column c
-        out = np.empty((len(tails), len(heads)))
-        velocities = np.broadcast_to(velocities, out.shape + heads.shape[1:])
-        block = max(1, _BLOCK_ELEMENTS // heads.size)
-        for lo in range(0, len(tails), block):
-            diffs = heads - tails[lo:lo + block, None]
-            out[lo:lo + block] = inner_rows(diffs, velocities[lo:lo + block])
-        return out
+
+def _terms(tails, heads, velocities):
+    # <heads[c] - tails[r], velocities[r, c]> for every row r and column c, in
+    # row blocks; velocities holds one row for every tail or one row per tail
+    out = np.empty((len(tails), len(heads)))
+    block = max(1, _BLOCK_ELEMENTS // max(1, heads.size))
+    for lo in range(0, len(tails), block):
+        rows = velocities if len(velocities) == 1 else velocities[lo:lo + block]
+        out[lo:lo + block] = inner_rows(heads - tails[lo:lo + block, None], rows)
+    return out
 
 
 class _MaxPlusPaths:
@@ -525,37 +526,27 @@ class _MaxPlusPaths:
     slack at each node.  So one forward pass per block of anchors decides
     every length at ``O(K * groups)`` per anchor and step, and a depth-first
     descent with the same pass as an existence test finds the first violating
-    chain in that order.  A block holds ``_BLOCK_ELEMENTS // (K * groups)``
-    anchors, at least one, so that a step's ``anchors x K x groups``
-    temporary holds no more than ``_BLOCK_ELEMENTS`` entries unless one
-    anchor needs more.  Where a sum could overflow it holds one anchor, so
-    that an errstate that raises does so where one anchor at a time would.
+    chain in that order, testing a block of candidates per pass.  A block
+    holds ``_BLOCK_ELEMENTS // (K * groups)`` anchors or candidates, at least
+    one, so that a step's ``rows x K x groups`` temporary holds no more than
+    ``_BLOCK_ELEMENTS`` entries unless one row needs more.  Where a sum could
+    overflow it holds one, so that an errstate that raises does so where one
+    anchor, and then one candidate, at a time would.
     """
 
     def __init__(self, W, E, owner, tol):
         self.W, self.E, self.owner, self.tol = W, E, owner, tol
         self.size, self.groups = W.shape
-        start = np.searchsorted(owner, np.arange(self.groups + 1)).tolist()
-        self.ranges = list(zip(start, start[1:]))
-        self.every = [(0, self.size)]
+        self.start = np.searchsorted(owner, np.arange(self.groups + 1)).tolist()
 
-    def _advance(self, S, ranges):
-        # best sums after one step into each node range in turn, one per
-        # group of the range and then one per node
-        for lo, hi in ranges:
-            g, h = self.owner[lo], self.owner[hi - 1] + 1
-            nxt = np.full(self.size, -np.inf)
-            nxt[lo:hi] = np.max(S[:, None] + self.W[:, g:h], axis=0)[self.owner[lo:hi] - g]
-            S = nxt
-        return S
-
-    def _violates(self, S, g0) -> bool:
-        return bool(np.any(self.E[g0] - S < -self.tol))
-
-    def _seed(self, lo, hi):
-        S = np.full(self.size, -np.inf)
-        S[lo:hi] = 0.0
-        return S
+    def _step(self, S, span, nodes):
+        # best sums after one step from each row of S, the sums at the nodes
+        # span (-inf off it), to each node of the range nodes: a step's term
+        # depends on its head's group alone
+        (a, b), (lo, hi) = span, nodes
+        g = self.owner[lo]
+        best = np.maximum.reduce(S[:, :, None] + self.W[a:b, g:self.owner[hi - 1] + 1], axis=1)
+        return best[:, self.owner[lo:hi] - g]
 
     def first_violation(self, max_length, budget=math.inf):
         """``(chains up to and including it, its nodes)`` or ``(count, None)``.
@@ -576,7 +567,7 @@ class _MaxPlusPaths:
 
         def past_budget(m, g0):
             # the first chain of m steps anchored in g0 lies beyond the budget
-            return m >= len(shorter) or shorter[m] + self.ranges[g0][0] * K ** m >= budget
+            return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
 
         block = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
         if block > 1:
@@ -606,12 +597,12 @@ class _MaxPlusPaths:
                     # -inf elsewhere, a step gives 0.0 plus the largest term
                     # of those nodes into each group; the 0.0 turns a -0.0
                     # into 0.0, as adding it to each term does
-                    first, end = self.ranges[lo][0], self.ranges[lo + keep - 1][1]
-                    offsets = [self.ranges[g][0] - first for g in range(lo, lo + keep)]
+                    first, end = self.start[lo], self.start[lo + keep]
+                    offsets = [self.start[g] - first for g in range(lo, lo + keep)]
                     step = np.maximum.reduceat(self.W[first:end], offsets, axis=0) + 0.0
+                    S = step[:, self.owner]
                 else:
-                    step = np.maximum.reduce(last[:, :, None] + self.W, axis=1)
-                S = step[:, self.owner]
+                    S = self._step(last, (0, K), (0, K))
                 low = ends - S < -self.tol
                 if low.any():
                     found = (m, int(anchors[low.any(axis=1).argmax()]))
@@ -626,53 +617,57 @@ class _MaxPlusPaths:
                 raise BudgetExceededError(budget + 1, budget)
             return shorter[max_length + 1], None
         m, g0 = found
-        ranges = [self.ranges[g] for g in self._first_groups(m, g0)]
-        nodes = self._first_nodes(ranges, g0)
+        # the first violating group tuple, then node tuple on its groups
+        first, end = self.start[g0], self.start[g0 + 1]
+        heads = self._descend(np.zeros((1, end - first)), (first, end), [self.start] * m,
+                              self.owner, g0, block)
+        # each node of those groups is a cell of its own
+        levels = [range(self.start[g], self.start[g + 1] + 1)
+                  for g in [g0, *self.owner[heads].tolist()]]
+        nodes = self._descend(None, None, levels, np.arange(K), g0, block)
         # chains of shorter length, of earlier group tuples, of earlier node
         # tuples on these groups, and this one
-        sizes = [hi - lo for lo, hi in ranges]
+        sizes = [len(level) - 1 for level in levels]
         rank = shorter[m] + 1
-        for j, ((lo, _), a) in enumerate(zip(ranges, nodes)):
-            rank += math.prod(sizes[:j]) * lo * K ** (m - j)
-            rank += (a - lo) * math.prod(sizes[j + 1:])
+        for j, (level, a) in enumerate(zip(levels, nodes)):
+            rank += math.prod(sizes[:j]) * level[0] * K ** (m - j)
+            rank += (a - level[0]) * math.prod(sizes[j + 1:])
         if rank > budget:
             raise BudgetExceededError(budget + 1, budget)
         return rank, nodes
 
-    def _first_groups(self, m, g0):
-        # lexicographically first group tuple with a violating chain
-        groups = [g0]
-        S = self._seed(*self.ranges[g0])
-        for j in range(1, m):
-            for g in range(self.groups):
-                T = self._advance(S, [self.ranges[g]])
-                if self._violates(self._advance(T, self.every * (m - j)), g0):
-                    groups.append(g)
-                    S = T
+    def _descend(self, S, span, levels, labels, g0, block):
+        # the first violating chain through one cell of each level in turn:
+        # the first node of its cell at each level but the last, then its
+        # last node.  A level is the node boundaries of its cells, and
+        # labels numbers consecutive cells consecutively.  S holds the sums
+        # of the chain so far at the nodes span, or is None for 0.0 at the
+        # first level's cells.  A level tests a block of candidate cells per
+        # pass, one row each, finite on its own cell; the last level is read
+        # off one stepped row
+        nodes = []
+        for j, bounds in enumerate(levels[:-1]):
+            rest = [(level[0], level[-1]) for level in levels[j + 1:]]
+            for c0 in range(0, len(bounds) - 1, block):
+                cells = bounds[c0:c0 + block + 1]
+                a, b = cells[0], cells[-1]
+                T = np.zeros((1, b - a)) if S is None else self._step(S, span, (a, b))
+                if len(cells) > 2:
+                    own = labels[a:b]
+                    T = np.where(own - own[0] == np.arange(len(cells) - 1)[:, None], T, -np.inf)
+                U, reached = T, (a, b)
+                for nxt in rest:
+                    U, reached = self._step(U, reached, nxt), nxt
+                low = (self.E[g0, reached[0]:reached[1]] - U < -self.tol).any(axis=1)
+                if low.any():
+                    c = int(low.argmax())
+                    span = cells[c], cells[c + 1]
+                    S = T[c:c + 1, span[0] - a:span[1] - a]
+                    nodes.append(span[0])
                     break
-        # at the last step the first violating node names the group; only the
-        # nodes of the group chosen last have finite sums, and the other rows
-        # add -inf to finite terms
-        lo, hi = self.ranges[groups[-1]]
-        best = np.max(S[lo:hi, None] + self.W[lo:hi], axis=0)[self.owner]
-        groups.append(int(self.owner[np.argmax(self.E[g0] - best < -self.tol)]))
-        return groups
-
-    def _first_nodes(self, ranges, g0):
-        # lexicographically first node tuple on those node ranges that violates
-        nodes, S = [], None
-        for j, (lo, hi) in enumerate(ranges[:-1]):
-            for a in range(lo, hi):
-                T = self._seed(a, a + 1) if S is None else self._advance(S, [(a, a + 1)])
-                if self._violates(self._advance(T, ranges[j + 1:]), g0):
-                    nodes.append(a)
-                    S = T
-                    break
-        # at the last step, from the one node whose sum is finite, the first
-        # violating node is the last one
-        (lo, hi), a = ranges[-1], nodes[-1]
-        best = S[a] + self.W[a, self.owner[lo]]
-        nodes.append(lo + int(np.argmax(self.E[g0, lo:hi] - best < -self.tol)))
+        lo, hi = levels[-1][0], levels[-1][-1]
+        low = self.E[g0, lo:hi] - self._step(S, span, (lo, hi))[0] < -self.tol
+        nodes.append(lo + int(low.argmax()))
         return nodes
 
 

@@ -17,6 +17,7 @@ Euler steps, against the same budget before any work.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -116,20 +117,18 @@ def _parse_steps_option(text: str):
 
 
 def _load_spec(args):
-    text = Path(args.input).read_text()
-    spec = parse_problem(text)
-    overrides = {
+    spec = parse_problem(Path(args.input).read_text())
+    flags = {
         "tol": args.tol,
         "strategy": getattr(args, "strategy", None),
         "grid": _parse_grid_option(args.grid) if getattr(args, "grid", None) else None,
         "max_length": getattr(args, "max_length", None),
-        "steps": _parse_steps_option(args.steps) if getattr(args, "steps", None) else None,
+        "step_counts": _parse_steps_option(args.steps) if getattr(args, "steps", None) else None,
     }
-    # parse_problem has validated the spec; with_overrides validates the copy
-    # it makes, so it runs only where a flag changes something
-    if all(value is None for value in overrides.values()):
-        return spec
-    return spec.with_overrides(**overrides)
+    changed = {name: value for name, value in flags.items() if value is not None}
+    # parse_problem has validated the spec, so only a copy that a flag
+    # changes is validated again
+    return dataclasses.replace(spec, **changed).validated() if changed else spec
 
 
 def _out_dir(args) -> Path:

@@ -32,7 +32,8 @@ import json
 
 import numpy as np
 
-from .chains import _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks, verify_chain
+from .chains import (DEFAULT_CHAIN_BUDGET, _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks,
+                     _terms, verify_chain)
 from .geometry import inner, inner_rows
 from .setmaps import SetValuedMap, _json_text, _point_rows
 
@@ -70,14 +71,8 @@ def _same(a, b) -> bool:
 
 
 def _affine_values(P, S, c, X) -> np.ndarray:
-    # <X[j] - P[k], S[k]> + c[k] for every row k and point j, in row blocks
-    out = np.empty((len(c), len(X)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, X.size))
-    for lo in range(0, len(c), step):
-        hi = lo + step
-        out[lo:hi] = inner_rows(X[None, :, :] - P[lo:hi, None, :],
-                                S[lo:hi, None, :]) + c[lo:hi, None]
-    return out
+    # <X[j] - P[k], S[k]> + c[k] for every row k and point j
+    return _terms(P, X, S[:, None]) + c[:, None]
 
 
 class _AffineModel:
@@ -490,7 +485,7 @@ def _model_max(model, Y, rows=slice(None)) -> np.ndarray:
 
 
 def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
-                 box=None, cap: int = DEFAULT_FAMILY_CAP, budget: int = 10**6,
+                 box=None, cap: int = DEFAULT_FAMILY_CAP, budget: int = DEFAULT_CHAIN_BUDGET,
                  tol: float = 0.0):
     """Grow a family from every verified chain discoverable over a grid.
 
@@ -528,7 +523,7 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     X, V = graph.X, graph.V
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
-    ends = graph._terms(x0[None], X, V[None])[0]
+    ends = _terms(x0[None], X, V[None])[0]
     # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
     vertices = family._model.vertices
@@ -543,8 +538,8 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
             rows, prefix = paths[lo:lo + step], sums[lo:lo + step]
             tips = rows[:, -1]
             # a step reads its head only through its sample
-            stepped = prefix[:, -1:] + graph._terms(points[tips], graph.points,
-                                                    velocities[tips, None])[:, graph.owner]
+            stepped = prefix[:, -1:] + _terms(points[tips], graph.points,
+                                              velocities[tips, None])[:, graph.owner]
             # row-major (chain, node) order is queue order; the first room
             # evaluations fit the budget, and running out counts one past it
             room = min(max(0, budget - used), stepped.size)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -687,20 +687,6 @@ class ProblemSpec:
         return serialize_problem(self) == serialize_problem(other)
 
     __hash__ = None
-
-    def with_overrides(self, tol=None, strategy=None, grid=None, max_length=None, steps=None):
-        out = replace(self)
-        if tol is not None:
-            out.tol = float(tol)
-        if strategy is not None:
-            out.strategy = strategy
-        if grid is not None:
-            out.grid = grid
-        if max_length is not None:
-            out.max_length = int(max_length)
-        if steps is not None:
-            out.step_counts = tuple(int(c) for c in steps)
-        return out.validated()
 
 
 def _integer(name, value) -> int:

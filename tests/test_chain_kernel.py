@@ -32,6 +32,7 @@ from setflow import (
     classify_weakly_monotone,
     constant_map,
     inner,
+    linear_map,
     pl_subdifferential_map,
     replay_witness,
     sample_grid,
@@ -207,14 +208,16 @@ def anchor_runs(svmap, grid, max_length):
     """How each anchor's own loop of max-plus steps ends, at tol 0: its first
     violation, its sums repeating bit for bit, or still moving."""
     graph = chains._ChainGraph(svmap, np.asarray(grid, dtype=float))
-    paths = chains._MaxPlusPaths(graph.W, graph.E, graph.owner, 0.0)
     runs = []
-    for g, (lo, hi) in enumerate(paths.ranges):
-        S, run = paths._seed(lo, hi), ("moving", max_length)
+    for g in range(len(graph.points)):
+        # the best sum of a chain anchored in g at each node: 0.0 on its own
+        # nodes, and after a step the largest sum into the node's sample
+        S, run = np.where(graph.owner == g, 0.0, -np.inf), ("moving", max_length)
         for m in range(1, max_length + 1):
-            S, last = paths._advance(S, paths.every), S
-            if paths._violates(S, g) or bits(S) == bits(last):
-                run = ("fails" if paths._violates(S, g) else "repeats", m)
+            S, last = np.max(S[:, None] + graph.W, axis=0)[graph.owner], S
+            fails = bool(np.any(graph.E[g] - S < 0.0))
+            if fails or bits(S) == bits(last):
+                run = ("fails" if fails else "repeats", m)
                 break
         runs.append(run)
     return runs
@@ -281,6 +284,81 @@ def test_anchor_blocks_raise_where_each_anchors_loop_does(monkeypatch, case, anc
     except FloatingPointError as exc:
         got = str(exc)
     assert got == want
+
+
+# Hand-built W, E graphs whose anchor 0 fails first, with the chain the
+# descent finds under an errstate that raises and one that ignores overflow.
+# "group-earlier-fails": three groups of one node each; at the first level
+# candidate 0 (steps of 1 from node 0) fails at three steps, while candidate
+# 2's chain 0 -> 2 -> 1 -> 2 sums three terms of -0.7e308, which overflow; the
+# sweep's best sums never come near.  "group-earlier-overflows": the same
+# three-term sum 0 -> 0 -> 0 -> 0 belongs to candidate 0, and candidate 2
+# (steps of 1 through node 2) fails.  "node-earlier-fails": two groups of two
+# nodes; the first violating chain runs through groups 0, 1, 0, where node 0
+# fails, while node 1's chains through node 3 sum -1e308 twice.  In
+# "node-earlier-overflows" nodes 0 and 1 trade places.
+P = 0.7e308
+DESCENT_OVERFLOW_ORDER = {
+    "group-earlier-fails": ([[1.0, 0.0, -P], [0.0, 0.0, -P], [0.0, -P, 0.0]],
+                            [[2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+                            (37, [0, 0, 0, 0]), (37, [0, 0, 0, 0])),
+    "group-earlier-overflows": ([[-P, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                                [[1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                                "overflow encountered in add", (61, [0, 2, 2, 0])),
+    "node-earlier-fails": ([[-1.0, 0.0], [-1.0, -1e308], [1.0, 0.0], [-1e308, 0.0]],
+                           [[0.0] * 4, [1.0] * 4], (33, [0, 2, 0]), (33, [0, 2, 0])),
+    "node-earlier-overflows": ([[-1.0, -1e308], [-1.0, 0.0], [1.0, 0.0], [-1e308, 0.0]],
+                               [[0.0] * 4, [1.0] * 4], "overflow encountered in add",
+                               (37, [1, 2, 0])),
+}
+
+
+@pytest.mark.parametrize("case", DESCENT_OVERFLOW_ORDER, ids=str)
+@pytest.mark.parametrize("candidates", (1, 3))
+def test_descent_tests_one_candidate_at_a_time_where_sums_could_overflow(monkeypatch, case,
+                                                                           candidates):
+    # a block of candidates forms all their sums at once, so where one could
+    # overflow the descent tests one candidate at a time, in order, as the
+    # sweep steps one anchor
+    W, E, want, ignoring = DESCENT_OVERFLOW_ORDER[case]
+    W, E = np.array(W), np.array(E)
+    (K, n), owner = W.shape, np.repeat(np.arange(len(E)), len(W) // len(E))
+    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", candidates * K * n)
+    paths = chains._MaxPlusPaths(W, E, owner, 0.0)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            got = paths.first_violation(3)
+    except FloatingPointError as exc:
+        got = str(exc)
+    assert got == want
+    with np.errstate(over="ignore"):
+        assert paths.first_violation(3) == ignoring
+
+
+ROTATION = linear_map([[0.0, -1.0], [1.0, 0.0]])
+THREE_VALUED = constant_map([[1.0, -1.0], [-1.0, -1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("svmap, counts, candidates", [
+    # the first violating chain's second sample is the fourth of nine
+    (ROTATION, [3, 3], 2), (ROTATION, [3, 3], 3),
+    # its first value is the third of the first sample's three
+    (THREE_VALUED, [2, 2], 2),
+], ids=["rotation-2", "rotation-3", "three-valued-2"])
+def test_descent_blocks_split_a_level(monkeypatch, svmap, counts, candidates):
+    # a descent level tests blocks of candidates, and the first that fails
+    # lies in a later block than the first
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], counts)
+    report = classify_cyclic_monotone(svmap, grid, 2)
+    first = (report.witness["points"][1] == grid[3].tolist() if svmap is ROTATION
+             else report.witness["velocities"][0] == svmap.eval(grid[0]).points[2].tolist())
+    assert first
+    n, graphs = max_plus_graphs(svmap, grid)
+    for fast, brute, nodes, _ in graphs:
+        monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", candidates * nodes * n)
+        for max_length in (1, 2, 3):
+            want = outcome(brute, svmap, grid, max_length, 0.0, 10**6)
+            assert outcome(fast, svmap, grid, max_length, 0.0, 10**6) == want, fast.__name__
 
 
 def test_weakly_monotone_blocks_match_the_row_loop(monkeypatch):
