@@ -14,7 +14,10 @@ as the least of a dozen.  A figure is microseconds per call of
 node of ``trajectory_residual``, per step of ``euler_solve`` (1000 support
 steps from one point, for each map kind, the linear one replaced by the
 gradient map ``diag(1, 2)``, and 1000 exhaustive and inertial steps on the
-constant map), per ``build_family`` op (the subdifferential
+constant map; and per step of the support solve on ``RAISE_AHEAD``, up to
+the uncovered node 1025 where it raises, the blocks guessed across that node
+raising with it), per call of ``time_grid`` at 1000 steps, per
+``build_family`` op (the subdifferential
 map on a 5x5 grid, ``max_length`` 3, boxed by the grid; and the
 subdifferential of ``max(+-x1, +-x2)`` on a 9x9 grid over the square, anchored
 at ``((0.5, 0.25), (1, 0))``, at ``max_length`` 4 and budget 10^6, timed once
@@ -95,6 +98,22 @@ RESIDUAL_STEPS = 2000
 # there, so it never coasts
 GRADIENT = {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 2.0]]}
 SOLVE_STEPS = 1000
+# from (0, 0) at v = (1, 0) and h = 1/1024, x1 + x2 reaches 1 at node 1024,
+# where the value (2, 1) joins; the node after the turn to (2, 1) matches no
+# region, so every block guessed across it raises
+INF = float("inf")
+RAISE_EDGE = 1 + 1 / 1024
+RAISE_AHEAD = {"kind": "table", "regions": [
+    {"where": {"kind": "halfspace", "normal": [1.0, 1.0], "value": 1.0, "op": "lt"},
+     "points": [[1.0, 0.0]]},
+    {"where": {"kind": "halfspace", "normal": [1.0, 1.0], "value": 1.0, "op": "eq"},
+     "points": [[1.0, 0.0], [2.0, 1.0]]},
+    {"where": {"kind": "box", "low": [-INF, -INF], "high": [RAISE_EDGE, INF]},
+     "points": [[2.0, 1.0]]},
+    {"where": {"kind": "box", "low": [RAISE_EDGE, 0.001], "high": [INF, INF]},
+     "points": [[2.0, 1.0]]},
+]}
+RAISE_AHEAD_STEPS = 1025
 FAMILY_GRID = ([-1.0, -1.0], [1.0, 1.0], [5, 5])
 FAMILY_LENGTH = 3
 POINTS_GRID = ([-1.0, -1.0], [1.0, 1.0], [50, 80])
@@ -111,6 +130,7 @@ ROTATION_LENGTH = 3
 # figures at max_length 2, and the 81**4 sequences of the rotation figures
 WIDE_BUDGET = 10**8
 PRIMITIVE_CALLS = 2000
+GRID_CALLS = 200
 WRITES = 20
 # the 3-d gradient map diag(1, 2, 1/2), whose polygon fills the CSV figure's table
 GRADIENT3 = {"kind": "linear", "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
@@ -129,13 +149,13 @@ def measure(src: str) -> dict:
     sys.path.insert(0, src)
     import numpy as np
     import setflow.cli
-    from setflow import (CompactSet, GridSpec, ProblemSpec, affine_value, build_family,
-                         check_support_chain, classify_cyclic_monotone, classify_monotone,
-                         classify_weak_cyclic_monotone, classify_weakly_monotone,
-                         dist_to_hull, euler_solve, extend_exhaustive, extend_inertial,
-                         extend_support, extension_slack, grow_family, inner, map_from_dict,
-                         potential_value, sample_grid, submap_select, support_argmax,
-                         trajectory_residual, verify_chain)
+    from setflow import (CompactSet, GridSpec, ProblemSpec, UncoveredPointError, affine_value,
+                         build_family, check_support_chain, classify_cyclic_monotone,
+                         classify_monotone, classify_weak_cyclic_monotone,
+                         classify_weakly_monotone, dist_to_hull, euler_solve, extend_exhaustive,
+                         extend_inertial, extend_support, extension_slack, grow_family, inner,
+                         map_from_dict, potential_value, sample_grid, submap_select,
+                         support_argmax, time_grid, trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
     X = np.array(GRID)
@@ -182,6 +202,25 @@ def measure(src: str) -> dict:
         name = kind if strategy == "support" else f"{kind}.{strategy}"
         out[f"solver.euler_solve.{name}.us_per_step"] = _per_call_us(
             lambda: euler_solve(spec), SOLVE_STEPS)
+    raise_ahead = ProblemSpec(map=map_from_dict(RAISE_AHEAD), x0=np.zeros(2),
+                              v0=np.array([1.0, 0.0]), horizon=1.5, step=1 / 1024,
+                              strategy="support", tol=1e-9)
+
+    def solve_raise_ahead():
+        try:
+            euler_solve(raise_ahead)
+        except UncoveredPointError:
+            return
+        raise AssertionError("the raise-ahead solve did not raise")
+
+    out["solver.euler_solve.raise_ahead.us_per_step"] = _per_call_us(
+        solve_raise_ahead, RAISE_AHEAD_STEPS)
+
+    def grids():
+        for _ in range(GRID_CALLS):
+            time_grid(1.0, 1.0 / SOLVE_STEPS)
+
+    out["solver.time_grid.n1000.us_per_call"] = _per_call_us(grids, GRID_CALLS)
 
     svmap = map_from_dict(MAPS["subdifferential"])
     grid = sample_grid(*FAMILY_GRID)

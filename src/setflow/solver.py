@@ -47,6 +47,18 @@ __all__ = [
 # memory whatever the number of nodes
 _RESIDUAL_BLOCK = 1024
 
+# Steps in the first block of a coasting run, and the most in any block.  A
+# block costs about as much fixed overhead (its eval_many and scoring calls)
+# as 256 guessed nodes do, so a first block of 256 that breaks at once wastes
+# about one block's overhead, while a shorter start pays that overhead again
+# for every doubling on a long run.  A full block doubles the next, a block
+# that breaks starts the next run at _BLOCK_MIN, and a block in which the map
+# or the scoring raised is followed by one of half its size, at least 1, so
+# that a failure a few nodes ahead costs a few blocks, not one per node.
+# _BLOCK_MAX also bounds the blocks in which time_grid accumulates its times.
+_BLOCK_MIN = 256
+_BLOCK_MAX = 1024
+
 
 class SelectionFailed(RuntimeError):
     """No admissible velocity at a step.
@@ -133,20 +145,32 @@ def time_grid(horizon: float, step: float):
     Times accumulate so that halved steps revisit the coarse nodes; the last
     node is pinned to the horizon and its step recomputed, which keeps the
     recursion ``x_{k+1} = x_k + dt_k v_k`` consistent with the stored times.
-    The final step is at most a rounding error longer than ``step``.
+    The final step is at most a rounding error longer than ``step``.  The
+    times are running sums ``t = t + h``, rounded one addition at a time, up
+    to the first ``t`` with ``horizon - t`` at most ``h (1 + 1e-12)``; they
+    are formed ``_BLOCK_MAX`` steps at a time, so no intermediate array grows
+    with the number of steps.
     """
     if not (horizon > 0 and 0 < step <= horizon):
         raise ValueError("need 0 < step <= horizon")
-    times = [0.0]
-    deltas = []
+    limit = step * (1.0 + 1e-12)
+    runs = []
     t = 0.0
-    while horizon - t > step * (1.0 + 1e-12):
-        deltas.append(step)
-        t = t + step
-        times.append(t)
-    deltas.append(horizon - t)
-    times.append(horizon)
-    return np.array(times), np.array(deltas)
+    while True:
+        # t, t + h, t + 2h, ...: accumulate adds left to right, and a sum
+        # past the largest float reads inf, as Python's float addition gives
+        with np.errstate(over="ignore"):
+            run = np.add.accumulate(np.concatenate([[t], np.full(_BLOCK_MAX, step)]))
+        last = ~(horizon - run > limit)
+        if last.any():
+            runs.append(run[:int(last.argmax()) + 1])
+            break
+        runs.append(run[:-1])
+        t = run[-1]
+    times = np.concatenate([*runs, [horizon]])
+    deltas = np.full(len(times) - 1, step, dtype=float)
+    deltas[-1] = horizon - times[-2]
+    return times, deltas
 
 
 class _ChainTip(NamedTuple):
@@ -249,11 +273,6 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-# steps in the first block after a coasting node, and the most in any block
-_BLOCK_MIN = 8
-_BLOCK_MAX = 1024
-
-
 def euler_solve(spec: ProblemSpec) -> Trajectory:
     """Integrate the inclusion by Euler polygons with chain-preserving selection.
 
@@ -270,10 +289,14 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
     with the scorer the per-step rules use, and takes the prefix where the
     value set stays the same and the rule would take that velocity one step
     at a time; the node that breaks the prefix is selected alone.  A block
-    holds 8 steps after a break and doubles after each full block, up to
+    holds 256 steps after a break and doubles after each full block, up to
     1024 and to at most ``_BLOCK_ELEMENTS`` (node, value) pairs at the width
-    of the last block.  Trajectories, errors and :class:`SelectionFailed`
-    replay state equal those of selecting every node alone.
+    of the last block; after a block in which the map or the scoring raised,
+    the next holds half as many steps, at least 1.  One block costs about
+    as much fixed overhead as 256 guessed nodes, so a first block that
+    breaks early wastes about one block's cost, and a long run takes few
+    blocks.  Trajectories, errors and :class:`SelectionFailed` replay state
+    equal those of selecting every node alone.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
@@ -309,7 +332,10 @@ def euler_solve(spec: ProblemSpec) -> Trajectory:
                         velocities.append(np.broadcast_to(v, (count, len(v))))
                     full = count == size
                     k += count
-                    block = min(2 * block, _BLOCK_MAX) if full else _BLOCK_MIN
+                    if seen is None:
+                        block = max(1, size // 2)
+                    else:
+                        block = min(2 * block, _BLOCK_MAX) if full else _BLOCK_MIN
                     if full:
                         continue
                 # Python floats round as numpy does but overflow without a

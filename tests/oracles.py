@@ -9,7 +9,8 @@ per-sample pick loop and the per-step solver at the end: they run chain by
 chain, member by member, row by row, point by point, sample by sample and
 step by step with the library's own inner product, summation order and (for
 the pick loop) scorer, so the batched kernels must match their outputs byte
-for byte.
+for byte.  ``time_grid_ref`` is the solver's time grid as one Python loop, one
+addition per step, which ``time_grid`` must match byte for byte.
 """
 
 import math
@@ -44,7 +45,6 @@ from setflow import (
     submap_select,
     support_argmax,
     support_value,
-    time_grid,
     verify_chain,
 )
 from setflow.chains import _ChainGraph, _rule_picks
@@ -797,19 +797,36 @@ def _step_select(chain, x_next, svmap, strategy, tol):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def time_grid_ref(horizon, step):
+    """``time_grid`` as the loop it replaced: ``t = t + step`` once per node."""
+    if not (horizon > 0 and 0 < step <= horizon):
+        raise ValueError("need 0 < step <= horizon")
+    times = [0.0]
+    deltas = []
+    t = 0.0
+    while horizon - t > step * (1.0 + 1e-12):
+        deltas.append(step)
+        t = t + step
+        times.append(t)
+    deltas.append(horizon - t)
+    times.append(horizon)
+    return np.array(times), np.array(deltas)
+
+
 def euler_solve_ref(spec):
     """``euler_solve`` as it selected every node alone, before coasting blocks.
 
-    The per-step loop verbatim: the library's tip and time grid, the rules
-    above, one ``_step_select`` per node, so the block path must match it
-    bit for bit, errors and ``SelectionFailed`` replay state included.
+    The per-step loop verbatim: the library's tip, the loop time grid
+    ``time_grid_ref``, the rules above, one ``_step_select`` per node, so
+    the block path must match it bit for bit, errors and ``SelectionFailed``
+    replay state included.
     """
     svmap = spec.map
     x0 = np.asarray(spec.x0, dtype=float)
     v0 = np.asarray(spec.v0, dtype=float)
     if not svmap.eval(x0).contains(v0):
         raise ValueError("v0: initial velocity not in F(x0)")
-    times, deltas = time_grid(spec.horizon, spec.step)
+    times, deltas = time_grid_ref(spec.horizon, spec.step)
     tip = _ChainTip(x0, x0, v0, 0.0)
     states = [x0]
     velocities = [v0]

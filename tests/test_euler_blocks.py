@@ -5,6 +5,7 @@ velocities bit for bit, or the same exception type and message with the same
 ``SelectionFailed`` replay document.
 """
 
+import functools
 import json
 import math
 from dataclasses import replace
@@ -83,6 +84,94 @@ def _counted(svmap):
     return SetValuedMap(svmap.dimension, evaluator), evaluator
 
 
+def _at_each_block_min(test):
+    # runs the test at the default first block of a coasting run, then at 8
+    # steps, whose doubling blocks (nodes 2-9, 10-25, 26-57, 58-121, ...) the
+    # cases below were first placed in; what the test patches is undone
+    # between the two runs
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for block_min in (solver._BLOCK_MIN, 8):
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(solver, "_BLOCK_MIN", block_min)
+                test(*args, **kwargs)
+            if "monkeypatch" in kwargs:
+                kwargs["monkeypatch"].undo()
+
+    return run
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_block_that_raises_halves_the_next(strategy):
+    # (1, 0) coasts from x0 = 0 to the line x1 + x2 = 1 at node 1024, where
+    # (2, 1) is the other value, and only (2, 1) is left past it; the node
+    # after the turn to (2, 1) lies past x1 = 1 + h below x2 = 0.001, which
+    # no region covers
+    edge = 1 + 1 / 1024
+    svmap, evaluator = _counted(table_map([
+        (Halfspace([1.0, 1.0], 1.0, "lt"), [[1.0, 0.0]]),
+        (Halfspace([1.0, 1.0], 1.0, "eq"), [[1.0, 0.0], [2.0, 1.0]]),
+        (Box([-math.inf, -math.inf], [edge, math.inf]), [[2.0, 1.0]]),
+        (Box([edge, 0.001], [math.inf, math.inf]), [[2.0, 1.0]])]))
+    spec = _spec(svmap, [0.0, 0.0], [1.0, 0.0], T=1.5, h=1 / 1024, strategy=strategy)
+    kind, message, _ = assert_as_per_step(spec)
+    assert kind is UncoveredPointError and "0.0009765625" in message
+    raised = []
+    many = evaluator.many
+
+    def counting(X):
+        try:
+            return many(X)
+        except UncoveredPointError:
+            raised.append(len(X))
+            raise
+
+    evaluator.many = counting
+    with pytest.raises(UncoveredPointError):
+        euler_solve(spec)
+    # the block of nodes 770-1536 raises, and after one node selected alone
+    # the next holds half its steps; a block that stops short of the
+    # uncovered node doubles the next as before.  Had each block after one
+    # that raised been the first of a run, 256 steps, one would raise for
+    # every node from 770 to 1023
+    assert raised[:2] == [767, 383]
+    assert len(raised) <= 12
+
+
+def _guessed(monkeypatch, spec):
+    # the node ranges (first, last) of the blocks one euler_solve guesses, in
+    # order, from counting the nodes that _select and _coast take
+    blocks = []
+    k = 0
+    select, coast = solver._select, solver._coast
+
+    def on_select(*args):
+        nonlocal k
+        k += 1
+        return select(*args)
+
+    def on_coast(tip, svmap, deltas, *rest):
+        nonlocal k
+        out = coast(tip, svmap, deltas, *rest)
+        blocks.append((k + 1, k + len(deltas)))
+        k += out[0]
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "_select", on_select)
+        patched.setattr(solver, "_coast", on_coast)
+        try:
+            euler_solve(spec)
+        except Exception:
+            pass
+    return blocks
+
+
+def _inside(blocks, node):
+    # whether a guessed block holds the node past its first one
+    return any(first < node <= last for first, last in blocks)
+
+
 def _random_map(rng, kind, dim):
     if kind == "constant":
         return constant_map(dyadic(rng, (int(rng.integers(1, 4)), dim)))
@@ -114,16 +203,22 @@ def _random_map(rng, kind, dim):
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["constant", "dominant", "subdifferential", "linear", "table"]),
        dim=st.integers(1, 3), strategy=st.sampled_from(STRATEGIES),
-       tol=st.sampled_from([0.0, 0.25]), steps=st.sampled_from([16, 100, 256]))
+       tol=st.sampled_from([0.0, 0.25]), steps=st.sampled_from([16, 100, 256]),
+       block_min=st.sampled_from([1, 8, solver._BLOCK_MIN]))
 @settings(max_examples=200, deadline=None)
-def test_random_dyadic_maps_solve_as_per_step(seed, kind, dim, strategy, tol, steps):
+def test_random_dyadic_maps_solve_as_per_step(seed, kind, dim, strategy, tol, steps, block_min):
+    # first blocks of 1 and 8 steps reach doubled blocks within 256 steps,
+    # which the default first block does not
     rng = np.random.default_rng(seed)
     svmap = _random_map(rng, kind, dim)
     x0 = dyadic(rng, dim, span=1, den=4)
     values = svmap.eval(x0).points
     longest = int(inner_rows(values, values).argmax())
     v0 = values[longest if kind == "dominant" else int(rng.integers(len(values)))]
-    assert_as_per_step(_spec(svmap, x0, v0, T=2.0, h=2.0 / steps, strategy=strategy, tol=tol))
+    spec = _spec(svmap, x0, v0, T=2.0, h=2.0 / steps, strategy=strategy, tol=tol)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(solver, "_BLOCK_MIN", block_min)
+        assert_as_per_step(spec)
 
 
 def test_a_long_coasting_run_is_taken_in_blocks():
@@ -135,8 +230,8 @@ def test_a_long_coasting_run_is_taken_in_blocks():
     # one check of v0, then node 1's pick, which repeats v0 and so starts
     # the blocks without a further evaluation
     assert evaluator.calls == 2
-    # blocks of 8, 16, ..., 1024, then 1024 twice and the last 7 steps
-    assert evaluator.blocks == 11
+    # blocks of 256, 512, then 1024 three times and the last 255 steps
+    assert evaluator.blocks == 6
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -153,13 +248,16 @@ def test_a_velocity_that_turns_at_every_node_never_starts_a_block(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("value, h, fails_at", [([1 / 3, 0.1], 0.01, 73),
                                                 ([0.7, 0.1, 0.3], 0.01, 27)])
-def test_slack_below_tol_in_the_middle_of_a_block(strategy, value, h, fails_at):
+@_at_each_block_min
+def test_slack_below_tol_in_the_middle_of_a_block(monkeypatch, strategy, value, h, fails_at):
     # the exact slack stays 0 along a coasting run; at tol 0 rounding drops
-    # it below 0 inside the blocks of 64 (nodes 58-121) and 32 (26-57)
+    # it below 0 inside the block of nodes 2-100 (at a first block of 8, the
+    # blocks of nodes 58-100 and 26-57)
     spec = _spec(constant_map([value]), [0.1] * len(value), value, h=h, strategy=strategy)
     kind, _, replay = assert_as_per_step(spec)
     assert kind is SelectionFailed
     assert json.loads(replay)["step_index"] == fails_at
+    assert _inside(_guessed(monkeypatch, spec), fails_at)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -174,12 +272,16 @@ def test_negative_zero_value_after_a_positive_zero_velocity(strategy):
 
 @pytest.mark.parametrize("strategy, turns", [("exhaustive", True), ("support", True),
                                              ("inertial", False)])
-def test_a_two_valued_node_inside_a_block(strategy, turns):
-    # node 32 at x = 0.5, inside the block of nodes 26-57, holds the coasting
-    # velocity as its first value; only the inertial rule keeps it, and the
-    # others turn to 2 and find no velocity at the next node
+@_at_each_block_min
+def test_a_two_valued_node_inside_a_block(monkeypatch, strategy, turns):
+    # node 32 at x = 0.5, inside the block of nodes 2-64 (26-57 at a first
+    # block of 8), holds the coasting velocity as its first value; only the
+    # inertial rule keeps it, and the others turn to 2 and find no velocity
+    # at the next node
     svmap = table_map([(Halfspace([1.0], 0.5, "eq"), [[1.0], [2.0]]), (Always(), [[1.0]])])
-    got = assert_as_per_step(_spec(svmap, [0.0], [1.0], strategy=strategy))
+    spec = _spec(svmap, [0.0], [1.0], strategy=strategy)
+    got = assert_as_per_step(spec)
+    assert _inside(_guessed(monkeypatch, spec), 32)
     if turns:
         replay = json.loads(got[2])
         assert (got[0], replay["step_index"]) == (SelectionFailed, 33)
@@ -203,12 +305,19 @@ def test_an_evaluator_without_many(strategy):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_an_uncovered_table_point_in_the_middle_of_a_block(strategy):
+@_at_each_block_min
+def test_an_uncovered_table_point_in_the_middle_of_a_block(monkeypatch, strategy):
     svmap = table_map([(Box([-1.0], [0.7]), [[1.0]])])
-    # the first node past 0.7 is node 45, inside the block of nodes 26-57
-    kind, message, _ = assert_as_per_step(_spec(svmap, [0.0], [1.0], strategy=strategy))
+    # the first node past 0.7 is node 45, inside the block of nodes 2-64
+    # (26-57 at a first block of 8), which raises; the blocks after it are
+    # halved until the per-step path reaches node 45
+    spec = _spec(svmap, [0.0], [1.0], strategy=strategy)
+    kind, message, _ = assert_as_per_step(spec)
     assert kind is UncoveredPointError
     assert "0.703125" in message
+    blocks = _guessed(monkeypatch, spec)
+    assert blocks[0] == ((2, 9) if solver._BLOCK_MIN == 8 else (2, 64))
+    assert blocks[-1] == (45, 49 if solver._BLOCK_MIN == 8 else 47)
 
 
 OVERFLOW = {"map": {"kind": "constant", "points": [[2.0], [-2.0]]}, "x0": [0.0], "v0": [2.0],
@@ -252,13 +361,17 @@ def test_specs_that_were_never_validated(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("x0, T, h, node", [(1.55e308, 4e307, 2e307, 2),
                                             (1.7e308, 1e307, 1e304, 977)])
-def test_a_node_past_the_largest_float_inside_a_block(strategy, x0, T, h, node):
-    # the chain terms stay finite; the node leaves the float range in a
-    # block of one step, or inside the block of nodes 506-1017
+@_at_each_block_min
+def test_a_node_past_the_largest_float_inside_a_block(monkeypatch, strategy, x0, T, h, node):
+    # the chain terms stay finite; the node leaves the float range in the
+    # block of node 2 alone, or inside the block of nodes 770-1000 (506-1000
+    # at a first block of 8)
     spec = _spec(constant_map([[1.0]]), [x0], [1.0], T=T, h=h, strategy=strategy)
     kind, message, _ = assert_as_per_step(spec)
     assert kind is ValueError
     assert message.startswith(f"Euler node {node} ") and message.endswith("is not finite")
+    blocks = _guessed(monkeypatch, spec)
+    assert (2, 2) in blocks if node == 2 else _inside(blocks, node)
 
 
 def _solved_alone(spec, evaluator):
@@ -286,8 +399,9 @@ def test_a_dominant_value_among_eight_coasts_in_blocks(strategy):
     assert_as_per_step(spec)
     traj, calls, blocks = _solved_alone(spec, evaluator)
     assert traj.node_count() == 4097 and (traj.velocities == a).all()
-    # the check of v0 and node 1's pick, then the blocks of the one-value run
-    assert (calls, blocks) == (2, 11)
+    # the check of v0 and node 1's pick, then the blocks of the one-value run:
+    # 256, 512, 1024 three times and the last 255 steps
+    assert (calls, blocks) == (2, 6)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -321,9 +435,11 @@ def test_duplicates_and_signed_zero_twins_of_the_velocity(strategy, points, v0):
     # ties on the first two coordinates, decided by the third
     ([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [-1.0, 1.0, 0.0]], [1.0, 0.0, 0.0]),
     # v = (1, 1), node 1's pick, ties (0, 2.125) at node 6 alone, inside the
-    # block of nodes 3-10: the later row comes first in that order
+    # block of nodes 3-64 (3-10 at a first block of 8): the later row comes
+    # first in that order
     ([[1.0, 1.0], [0.0, 2.125], [0.625, 0.0]], [0.625, 0.0]),
 ])
+@_at_each_block_min
 def test_equal_scores_go_by_the_lexicographic_rule(strategy, points, v0):
     svmap, evaluator = _counted(constant_map(points))
     spec = _spec(svmap, [0.0] * len(v0), v0, strategy=strategy)
@@ -332,25 +448,32 @@ def test_equal_scores_go_by_the_lexicographic_rule(strategy, points, v0):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_block_that_starts_where_a_twin_comes_first(strategy):
-    # the block of nodes 26-57 starts past x = 0.40625, where the twin
-    # (1, -0.0) comes before v = (1, 0.0): every rule takes the twin there
-    svmap = table_map([(Halfspace([1.0, 0.0], 0.40625, "lt"), [[1.0, 0.0]]),
+@_at_each_block_min
+def test_a_block_that_starts_where_a_twin_comes_first(monkeypatch, strategy):
+    # the block of nodes 258-512 (26-57 at a first block of 8) starts at
+    # x = node / 64, where the twin (1, -0.0) comes before v = (1, 0.0):
+    # every rule takes the twin there
+    node = 26 if solver._BLOCK_MIN == 8 else 258
+    svmap = table_map([(Halfspace([1.0, 0.0], node / 64, "lt"), [[1.0, 0.0]]),
                        (Always(), [[1.0, -0.0], [1.0, 0.0]])])
-    assert_as_per_step(_spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy))
+    spec = _spec(svmap, [0.0, 0.0], [1.0, 0.0], T=8.0, strategy=strategy)
+    assert_as_per_step(spec)
+    assert node in [first for first, _ in _guessed(monkeypatch, spec)]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_pick_that_turns_inside_a_block(strategy):
+@_at_each_block_min
+def test_a_pick_that_turns_inside_a_block(monkeypatch, strategy):
     # from v0 = (0, 1) the anchored direction turns toward v = (1, 2), node 1's
     # pick, until (5.5, 0) overtakes it at node 6, inside the block of nodes
-    # 3-10; the inertial rule keeps v0
+    # 3-64 (3-10 at a first block of 8); the inertial rule keeps v0
     svmap, evaluator = _counted(constant_map([[0.0, 1.0], [1.0, 2.0], [5.5, 0.0]]))
     spec = _spec(svmap, [0.0, 0.0], [0.0, 1.0], strategy=strategy)
     assert_as_per_step(spec)
     traj, _, blocks = _solved_alone(spec, evaluator)
     assert blocks > 0
     assert _turns(traj) == ([] if strategy == "inertial" else [1, 6])
+    assert strategy == "inertial" or _inside(_guessed(monkeypatch, spec), 6)
 
 
 def _fallback_case(strategy, case):
@@ -358,16 +481,17 @@ def _fallback_case(strategy, case):
     if case == "slack":
         # the singleton of test_slack_below_tol_in_the_middle_of_a_block plus
         # a value with a larger slack: the inertial rule keeps v until its
-        # slack drops below 0 at node 73, inside the block of nodes 58-121,
-        # where the exhaustive fallback turns; the other rules turn at node 1
+        # slack drops below 0 at node 73, inside the block of nodes 2-100
+        # (58-100 at a first block of 8), where the exhaustive fallback
+        # turns; the other rules turn at node 1
         svmap, evaluator = _counted(constant_map([[1 / 3, 0.1], [0.5, 0.1]]))
         spec = _spec(svmap, [0.1, 0.1], [1 / 3, 0.1], h=0.01, strategy=strategy)
         return evaluator, spec, [73] if strategy == "inertial" else [1]
     # at a negative tol v is never aligned with itself, so from node 2 the
     # inertial rule falls back to the exhaustive scan, which keeps v = (1, 1)
     # until u = (2.125, 0) gains h / 8 on it at node 7, inside the block of
-    # nodes 3-10 of the other rules; u is first aligned only at node 8.
-    # Every rule turns there.
+    # nodes 3-16 (3-10 at a first block of 8) of the other rules; u is first
+    # aligned only at node 8.  Every rule turns there.
     svmap, evaluator = _counted(table_map([
         (Halfspace([0.0, 1.0], 0.0, "eq"), [[0.0, 0.625]]),
         (Always(), [[1.0, 1.0], [2.125, 0.0]])]))
@@ -377,7 +501,8 @@ def _fallback_case(strategy, case):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case", ["slack", "aligned"])
-def test_a_fallback_that_turns_inside_a_block(strategy, case):
+@_at_each_block_min
+def test_a_fallback_that_turns_inside_a_block(monkeypatch, strategy, case):
     evaluator, spec, expected = _fallback_case(strategy, case)
     assert_as_per_step(spec)
     traj, _, blocks = _solved_alone(spec, evaluator)
@@ -385,10 +510,13 @@ def test_a_fallback_that_turns_inside_a_block(strategy, case):
     # fallback starts no block
     assert (blocks == 0) == (case == "aligned" and strategy == "inertial")
     assert _turns(traj)[:len(expected)] == expected
+    if blocks and expected[-1] > 1:
+        assert _inside(_guessed(monkeypatch, spec), expected[-1])
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("case", ["slack", "aligned"])
+@_at_each_block_min
 def test_no_block_breaks_at_its_first_node(monkeypatch, strategy, case):
     # a repeat of the exhaustive fallback starts no block: where the rule does
     # not keep v, a block would break at its first node (13 times in the
@@ -413,8 +541,10 @@ def test_no_block_breaks_at_its_first_node(monkeypatch, strategy, case):
     [[1.0, 0.0]],                              # one fewer
     [[-1.0, 0.5], [1.0, 0.0]],                 # the same values, reordered
 ])
-def test_a_non_picked_value_that_changes_inside_a_block(strategy, after):
-    # x = 0.5 is node 32, inside the block of nodes 26-57
+@_at_each_block_min
+def test_a_non_picked_value_that_changes_inside_a_block(monkeypatch, strategy, after):
+    # x = 0.5 is node 32, inside the block of nodes 2-64 (26-57 at a first
+    # block of 8)
     svmap, evaluator = _counted(table_map([
         (Halfspace([1.0, 0.0], 0.5, "lt"), [[1.0, 0.0], [-1.0, 0.5]]), (Always(), after)]))
     spec = _spec(svmap, [0.0, 0.0], [1.0, 0.0], strategy=strategy)
@@ -423,6 +553,7 @@ def test_a_non_picked_value_that_changes_inside_a_block(strategy, after):
     assert traj.node_count() == 65 and (traj.velocities == [1.0, 0.0]).all()
     # node 32 alone is selected by the per-step path, besides node 1
     assert calls <= 6
+    assert _inside(_guessed(monkeypatch, spec), 32)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -434,28 +565,32 @@ def test_nodes_at_the_anchor(strategy, points):
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_a_block_that_crosses_the_anchor(strategy):
+@_at_each_block_min
+def test_a_block_that_crosses_the_anchor(monkeypatch, strategy):
     # past x = 0.25 only -1 is left; the inertial rule then keeps -1 back
-    # through the anchor x0 = 0 at node 34, inside the block of nodes 27-42,
-    # where {-1, 1} ties every product; the other rules turn back at once
+    # through the anchor x0 = 0 at node 34, inside the block of nodes 19-64
+    # (27-42 at a first block of 8), where {-1, 1} ties every product; the
+    # other rules turn back at once
     svmap = table_map([(Halfspace([1.0], 0.25, "gt"), [[-1.0]]),
                        (Always(), [[-1.0], [1.0]])])
     spec = _spec(svmap, [0.0], [1.0], strategy=strategy, tol=4.0)
     assert_as_per_step(spec)
     if strategy == "inertial":
         assert euler_solve(spec).states[34, 0] == 0.0
+        assert _inside(_guessed(monkeypatch, spec), 34)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("scale, far, error", [
-    # v = -1 coasts from node 2 back to the anchor at node 3, inside the
-    # block of nodes 3-10, where the far value's nearness |1e200 + 1|^2
-    # overflows
+    # v = -1 coasts from node 2 back to the anchor at node 3, the first of
+    # the block of nodes 3-16 (3-10 at a first block of 8), where the far
+    # value's nearness |1e200 + 1|^2 overflows
     (1.0, 1e200, "overflow encountered in vecdot"),
     # the same path scaled by 2^975 with steps of 2^-1000: there the
     # difference of the largest float and v = -2^975 overflows
     (2.0**975, np.finfo(float).max, "overflow encountered in subtract"),
 ], ids=["square", "difference"])
+@_at_each_block_min
 def test_an_overflowing_nearness_at_the_anchor_inside_a_block(strategy, scale, far, error):
     # the support rule scores a node at the anchor by the nearness to the
     # last velocity, which the per-step path forms for every value there;
@@ -523,9 +658,11 @@ def test_a_block_holds_at_most_block_elements_node_values(monkeypatch, strategy,
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
+@_at_each_block_min
 def test_a_block_sized_for_fewer_values_is_cut(monkeypatch, strategy):
-    # one value before x = 0.5 and 200 after: the first block past node 64
-    # is sized for one value per node, and its replay is cut to 5 nodes
+    # one value before x = 0.5, node 128, and 200 after: the block after
+    # node 128 (nodes 129-256, or 129-136 at a first block of 8) is sized
+    # for one value per node, and its replay is cut to 5 nodes
     monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1000)
     a, points = _dominant(200)
     svmap = table_map([(Halfspace([1.0, 0.0], 0.5, "lt"), [a]), (Always(), points)])

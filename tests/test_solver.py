@@ -1,9 +1,11 @@
 """Euler polygons: time grids, selection strategies, residuals, refinement."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setflow import (
     Chain,
@@ -30,6 +32,7 @@ from setflow import (
 from setflow.solver import _states_at
 
 from conftest import ABS_F, INERTIAL_GAP_PROBLEM, TWO_MAX_F, make_non_wcm_map, make_sign_map
+from oracles import time_grid_ref
 
 
 def _spec(svmap, x0, v0, T=1.0, h=0.01, strategy="inertial", tol=1e-9, **kw):
@@ -68,6 +71,40 @@ class TestTimeGrid:
             time_grid(0.0, 0.1)
         with pytest.raises(ValueError):
             time_grid(1.0, 0.0)
+
+
+def _grid_or_error(grid, horizon, step):
+    # the arrays' dtype, shape and bytes, or the ValueError's message
+    try:
+        return tuple((a.dtype, a.shape, a.tobytes()) for a in grid(horizon, step))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("horizon, step", [
+    # step == horizon
+    (1.0, 1.0), (0.3, 0.3), (1e308, 1e308),
+    # 1, 2, 1,023-1,025 and 4,097 steps
+    *((h, h / n) for h in (1.0, 0.7, 3.0) for n in (1, 2, 1023, 1024, 1025, 4097)),
+    # horizon / step within 1e-13 of an integer, either side
+    *((1.0, 1.0 / (n + d)) for n in (3, 1024, 4097) for d in (-1e-13, 1e-13)),
+    # times past the largest float within the block formed after the last
+    (1.7e308, 1e308), (8.8e307, 4e306),
+    # bad input
+    (0.0, 0.1), (1.0, 0.0), (1.0, 2.0), (-1.0, -0.5), (1.0, -0.1),
+    (math.nan, 0.1), (1.0, math.nan),
+])
+def test_time_grid_is_the_loop(horizon, step):
+    got = _grid_or_error(time_grid, horizon, step)
+    assert got == _grid_or_error(time_grid_ref, horizon, step)
+
+
+@given(horizon=st.floats(1e-6, 1e6), steps=st.integers(1, 5000),
+       nudge=st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.25, -0.25]))
+@settings(max_examples=300, deadline=None)
+def test_random_time_grids_are_the_loop(horizon, steps, nudge):
+    step = horizon / (steps + nudge)
+    assert _grid_or_error(time_grid, horizon, step) == _grid_or_error(time_grid_ref, horizon, step)
 
 
 class TestEulerSolve:
