@@ -45,13 +45,15 @@ first two pairs, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
 ``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
 each ``extend_*`` rule and of ``submap_select`` (against the constant map,
-from the ``build_family`` family), on fixed two dimensional inputs.  Two
+from the ``build_family`` family), on fixed two dimensional inputs.  Three
 figures time the CLI's writers: ``cli._write_json`` on the
 ``subgradient.json`` document of ``setflow potential`` on that kink problem,
 and ``cli._write_csv`` on the 1001-row table of a 3-d polygon (1000 support
 steps of the gradient map ``GRADIENT3``), given as the tree's ``run_solve``
-gives it.  Within a round each is the least of five timed repeats.  The CLI
-runs and the writers write under ``.bench_build/`` next to the measured tree.
+gives it, and on that table with a state of ``1e-17`` in every 50th row,
+which the writer formats by ``float.__repr__``.  Within a round each is the
+least of five timed repeats.  The CLI runs and the writers write under
+``.bench_build/`` next to the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
 and end-to-end metric, are recorded with the number of seeds where the
@@ -339,11 +341,17 @@ def measure(src: str) -> dict:
             header = ["t", "x0", "x1", "x2", "v0", "v1", "v2"]
             target = Path(tmp) / "written.csv"
 
-            def write_csv():
+            def write_csv(rows=rows):
                 for _ in range(WRITES):
                     setflow.cli._write_csv(target, header, rows())
 
             out["cli.write_csv.trajectory.us_per_call"] = _per_call_us(write_csv, WRITES)
+            # a state of 1e-17, as at a zero crossing, in every 50th row
+            residues = table.copy()
+            residues[::50, 1] = 1e-17
+            fallback = (lambda: residues) if hasattr(setflow.cli, "_CSV_BLOCK") else residues.tolist
+            out["cli.write_csv.fallback.us_per_call"] = _per_call_us(
+                lambda: write_csv(fallback), WRITES)
     return out
 
 

@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .chains import (
     BudgetExceededError,
@@ -66,8 +67,8 @@ EXIT_BUDGET = 4
 
 DEFAULT_MAX_LENGTH = 2
 DEFAULT_STEP_COUNTS = (25, 50, 100, 200)
-# rows of a float table formatted per write
-_CSV_BLOCK = 256
+# cells of a float table formatted per write
+_CSV_BLOCK = 1 << 16
 
 
 def _chain_budget() -> int:
@@ -147,18 +148,30 @@ def _write_json(path: Path, obj) -> None:
 def _write_csv(path: Path, header, rows) -> None:
     # the bytes csv.writer writes: no cell here needs quoting, and it writes a
     # float cell as repr(), the shortest text that round-trips, as _fmt does.
-    # A float array is formatted a column at a time, a block of rows per write;
-    # any other rows are rows of text or float cells
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(rows), _CSV_BLOCK):
-            block = rows[lo:lo + _CSV_BLOCK]
-            if isinstance(block, np.ndarray):
-                block = zip(*[map(float.__repr__, column) for column in block.T.tolist()])
-            else:
-                block = (map(str, row) for row in block)
-            fh.write("".join([",".join(row) + "\n" for row in block]))
+    # A float64 array is written a block of rows at a time; any other rows are
+    # rows of text or float cells
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if isinstance(rows, np.ndarray):
+            step = max(1, _CSV_BLOCK // max(1, rows.shape[1]))
+            for lo in range(0, len(rows), step):
+                fh.write(_float_lines(rows[lo:lo + step]))
+        else:
+            fh.write("".join([",".join(map(str, row)) + "\n" for row in rows]).encode())
     print(f"wrote {path.name}")
+
+
+def _float_lines(block) -> bytes:
+    # orjson writes the digits of repr() for 0.0, -0.0 and every 1e-4 <= |x| <
+    # 1e16, but 5e24 for 5e+24, 0.0000117 for 1.17e-05 and null for nan and
+    # inf; a row that holds any such value is formatted by repr() instead
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = np.abs(block)
+    plain = ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)
+    for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+        lines[i] = ",".join(map(float.__repr__, block[i].tolist())).encode()
+    return b"\n".join(lines) + b"\n"
 
 
 def _fmt(value) -> str:

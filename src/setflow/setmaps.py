@@ -11,6 +11,7 @@ JSON document whose exact field names are part of the public interface (see
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -306,6 +307,8 @@ class Always:
 
 
 def predicate_from_dict(d) -> Halfspace | Box | Always:
+    if not isinstance(d, dict):
+        raise ProblemFormatError(f"map.regions: predicate must be an object, got {type(d).__name__}")
     kind = d.get("kind")
     if kind == "halfspace":
         return Halfspace(d["normal"], d["value"], d["op"])
@@ -384,18 +387,29 @@ class _Linear:
             raise ValueError("set points must be finite")
         return CompactSet._trusted(value)
 
+    def many(self, X):
+        # one matrix-vector product per row, as __call__ forms it
+        values = np.matmul(self.matrix, X[:, :, None])[:, :, 0]
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            self(X[finite.argmin()])  # raises what eval raises there
+        return values, np.arange(len(X))
+
 
 def linear_map(M) -> SetValuedMap:
     """Singleton-valued map ``x -> {M x}``."""
     M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
     M.flags.writeable = False
-    opnorm = float(np.linalg.norm(M, 2))
+    # the operator norm is an SVD, and only a bound reads it
+    opnorm = functools.cache(lambda: float(np.linalg.norm(M, 2)))
     return SetValuedMap(
         M.shape[0],
         _Linear(M),
-        bound_rule=lambda c, r: opnorm * (norm(c) + r),
+        bound_rule=lambda c, r: opnorm() * (norm(c) + r),
         kind="linear",
         params={"kind": "linear", "matrix": M.tolist()},
     )
@@ -592,8 +606,14 @@ class GridSpec:
         Endpoints are included on every axis; a count of 1 keeps the low
         endpoint only.  Rows are in row-major order (last axis fastest).
         """
-        axes = [np.linspace(l, h, c) for l, h, c in zip(self.low, self.high, self.counts)]
-        return _frozen(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)))
+        d = len(self.counts)
+        points = np.empty(self.counts + (d,))
+        for k, (l, h, c) in enumerate(zip(self.low, self.high, self.counts)):
+            # axis k of the lattice, broadcast over the axes after it
+            points[..., k] = np.linspace(l, h, c).reshape((c,) + (1,) * (d - 1 - k))
+        points = points.reshape(-1, d)
+        points.flags.writeable = False
+        return points
 
     def to_dict(self):
         return {"low": list(self.low), "high": list(self.high), "counts": list(self.counts)}

@@ -11,6 +11,10 @@ step by step with the library's own inner product, summation order and (for
 the pick loop) scorer, so the batched kernels must match their outputs byte
 for byte.  ``time_grid_ref`` is the solver's time grid as one Python loop, one
 addition per step, which ``time_grid`` must match byte for byte.
+``write_csv_ref`` is the CSV writer that formats every float cell by
+``float.__repr__``, and ``grid_points_meshgrid_ref`` the grid built by
+``meshgrid``; ``cli._write_csv`` and ``GridSpec.points`` must match their
+bytes.
 """
 
 import math
@@ -683,6 +687,14 @@ def grid_points_ref(grid):
     return [as_vector(t) for t in product(*axes)]
 
 
+def grid_points_meshgrid_ref(grid):
+    """``GridSpec.points`` as ``meshgrid``, ``stack`` and a frozen copy built it."""
+    axes = [np.linspace(l, h, c) for l, h, c in zip(grid.low, grid.high, grid.counts)]
+    points = np.array(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes)))
+    points.flags.writeable = False
+    return points
+
+
 def subgradient_entries_ref(family, svmap, samples, tol):
     """The document ``setflow potential`` writes to ``subgradient.json``.
 
@@ -855,3 +867,21 @@ def euler_solve_ref(spec):
         ) from None
     return Trajectory(np.array(times), np.vstack(states), np.vstack(velocities),
                       spec.step, spec.strategy)
+
+
+def write_csv_ref(path, header, rows):
+    """``cli._write_csv`` as it wrote a float array: ``float.__repr__`` per cell.
+
+    A block of 256 rows at a time, formatted a column at a time and zipped
+    into rows; any other rows are rows of text or float cells, each written
+    by ``str``.  These are the bytes ``csv.writer`` writes.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), 256):
+            block = rows[lo:lo + 256]
+            if isinstance(block, np.ndarray):
+                block = zip(*[map(float.__repr__, column) for column in block.T.tolist()])
+            else:
+                block = (map(str, row) for row in block)
+            fh.write("".join([",".join(row) + "\n" for row in block]))

@@ -1,6 +1,8 @@
 """Command-line workflows end to end, including determinism and exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -32,6 +34,7 @@ from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, 
                          _write_csv, _write_json, build_parser, main)
 
 from conftest import INERTIAL_GAP_PROBLEM, child_env
+from oracles import write_csv_ref
 
 
 SIGN_PROBLEM = {
@@ -164,9 +167,10 @@ def test_float_rows_write_the_bytes_of_fmt_cells(tmp_path, capsys):
 
 
 def test_float_arrays_write_the_bytes_of_csv_writer(tmp_path, capsys):
-    # a table of more than two blocks, formatted a column at a time
+    # a table of more than two blocks
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((2 * _CSV_BLOCK + 3, 4)) * 10.0 ** rng.integers(-320, 300, (1, 4))
+    values = (rng.standard_normal((2 * (_CSV_BLOCK // 4) + 3, 4))
+              * 10.0 ** rng.integers(-320, 300, (1, 4)))
     values[0] = [-0.0, 5e-324, math.inf, math.nan]
     values[-1] = [1e16, -2.5e-310, -math.inf, 1 / 3]
     header = ["a", "b", "c", "d"]
@@ -175,6 +179,55 @@ def test_float_arrays_write_the_bytes_of_csv_writer(tmp_path, capsys):
         csv.writer(fh, lineterminator="\n").writerows([header] + values.tolist())
     assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
     assert capsys.readouterr().out == "wrote array.csv\n"
+
+
+def _assert_writes_reference(tmp_path, table):
+    # under the errstate of cli.main, so the range test may not warn or raise
+    header = [f"c{j}" for j in range(table.shape[1])]
+    with np.errstate(over="raise", invalid="raise"), contextlib.redirect_stdout(io.StringIO()):
+        _write_csv(tmp_path / "table.csv", header, table)
+    write_csv_ref(tmp_path / "ref.csv", header, table)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _raw(pattern):
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+# raw 64-bit patterns, mixed with values inside and at the ends of the range
+# that orjson writes as repr() does
+_CELLS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_raw),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@given(st.integers(1, 8).flatmap(lambda cols: st.lists(
+    st.lists(_CELLS, min_size=cols, max_size=cols), min_size=0, max_size=40).map(
+    lambda rows: np.array(rows, dtype=float).reshape(len(rows), cols))))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_float_tables_write_the_bytes_of_repr(tmp_path, table):
+    _assert_writes_reference(tmp_path, table)
+
+
+_EDGE_VALUES = [0.0, -0.0, 1e-4, float(np.nextafter(1e-4, 0.0)), 1e16,
+                float(np.nextafter(1e16, 0.0)), 2.0**53, 5e-324, sys.float_info.max,
+                math.nan, math.inf, -math.inf, 1.2345e-17, -1e-4, -1e16]
+
+
+@pytest.mark.parametrize("table", [
+    np.array([_EDGE_VALUES]),
+    np.array([_EDGE_VALUES]).T,
+    np.array([[0.5, 1.2345e-17, 0.25], [0.125, 1.5, -2.0], [1e16, 3.0, 0.1]]),
+    np.zeros((0, 3)),
+    np.zeros((0, 1)),
+    np.arange(7.0).reshape(7, 1) / 3,
+], ids=["edge-row", "edge-column", "residue-rows", "empty", "empty-one-column", "one-column"])
+def test_float_table_edge_cases_write_the_bytes_of_repr(tmp_path, table):
+    _assert_writes_reference(tmp_path, table)
 
 
 def test_json_files_write_the_bytes_of_json_dump(tmp_path, capsys):
@@ -801,6 +854,17 @@ class TestTableDimensions:
         err = capsys.readouterr().err
         assert err.startswith("error: map: bad 'table' description: region 1: ")
         assert "of dimension 1, values of dimension 2" in err
+
+
+class TestTablePredicates:
+    @pytest.mark.parametrize("where", [["always"], "always", 3])
+    def test_a_predicate_that_is_not_an_object_is_invalid(self, tmp_path, capsys, where):
+        doc = dict(CONSTANT_PROBLEM, map={"kind": "table", "regions": [
+            {"where": where, "points": [[1.0]]}]})
+        code, _ = _timed_run(tmp_path, "solve", doc)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == f"error: map.regions: predicate must be an object, got {type(where).__name__}\n"
 
 
 class TestTableCoverage:

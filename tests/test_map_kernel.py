@@ -25,6 +25,7 @@ from setflow import (
     euler_solve,
     linear_map,
     map_from_dict,
+    norm,
     pl_subdifferential_map,
     table_map,
     trajectory_residual,
@@ -257,6 +258,46 @@ def test_linear_map_rejects_non_finite_values():
             svmap.eval([1.0, 1.0])
         with pytest.raises(ValueError, match="set points must be finite"):
             svmap.eval_many([[0.0, 0.0], [1.0, 1.0]])
+    # a map none of whose values is finite is refused when it is built
+    for entry in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            linear_map([[1.0, entry], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_linear_eval_many_equals_per_row_eval(dim):
+    # matrices and points with long mantissas over several magnitudes, so
+    # that any other summation order would round differently
+    rng = np.random.default_rng([dim, 29])
+    for _ in range(40):
+        M = rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-3, 4, (dim, dim))
+        svmap = linear_map(M)
+        X = rng.standard_normal((25, dim)) * 10.0 ** rng.integers(-3, 4, (25, dim))
+        values, owner = svmap.eval_many(X)
+        want_values, want_owner = _stacked_evals(svmap, X)
+        assert bits(values) == bits(want_values)
+        assert bits(values) == bits([M @ x for x in X])
+        assert owner.tolist() == want_owner.tolist()
+        assert svmap.local_bound(X[0], 0.5) == np.linalg.norm(M, 2) * (norm(X[0]) + 0.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_linear_eval_many_raises_what_eval_raises_at_an_overflowing_row(dim):
+    rng = np.random.default_rng([dim, 31])
+    M = rng.standard_normal((dim, dim))
+    M[0, -1] = 1e300
+    svmap = linear_map(M)
+    X = rng.standard_normal((9, dim))
+    X[4, -1] = 1e10
+    for mode, error in (("ignore", ValueError), ("raise", FloatingPointError)):
+        with np.errstate(over=mode, invalid=mode):
+            for x in X[:4]:
+                svmap.eval(x)
+            with pytest.raises(error) as want:
+                svmap.eval(X[4])
+            with pytest.raises(error) as got:
+                svmap.eval_many(X)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("where", [

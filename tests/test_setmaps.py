@@ -34,7 +34,7 @@ from setflow import (
 from setflow.setmaps import _json_text
 
 from conftest import bits, build_corpus, make_non_wcm_map, make_sign_map
-from oracles import closed_graph_diagnostic_ref, grid_points_ref
+from oracles import closed_graph_diagnostic_ref, grid_points_meshgrid_ref, grid_points_ref
 
 
 class TestPLConvexFunction:
@@ -216,6 +216,19 @@ class TestGrids:
         with pytest.raises(ValueError):
             pts[0, 0] = 0.5
         assert bits(sample_grid(low, high, counts).ravel()) == bits(pts.ravel())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).map(sorted),
+                 min_size=d, max_size=d),
+        st.lists(st.integers(1, 6), min_size=d, max_size=d))))
+    def test_points_are_the_bytes_of_meshgrid(self, axes):
+        bounds, counts = axes
+        g = GridSpec([lo for lo, _ in bounds], [hi for _, hi in bounds], counts)
+        pts = g.points()
+        want = grid_points_meshgrid_ref(g)
+        assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+        assert not pts.flags.writeable
 
     def test_scalar_count_for_one_axis(self):
         assert [p.tolist() for p in sample_grid([0.0], [1.0], 3)] == [[0.0], [0.5], [1.0]]
