@@ -52,7 +52,13 @@ and ``cli._write_csv`` on the 1001-row table of a 3-d polygon (1000 support
 steps of the gradient map ``GRADIENT3``), given as the tree's ``run_solve``
 gives it, and on that table with a state of ``1e-17`` in every 50th row,
 which the writer formats by ``float.__repr__``.  Within a round each is the
-least of five timed repeats.  The CLI runs and the writers write under
+least of five timed repeats.  On a tree whose ``_write_json`` takes the
+arrays a document's floats come from (it has ``cli._orjson_exact``), the
+JSON figure passes the document's samples and values.  Two figures time
+whole ``setflow potential`` runs through ``cli.main``: a query op, the
+3-d table map ``TABLE3`` on a 4x4x4 grid at ``max_length`` 2, and a growth
+op, the subdifferential map of the ``build_family`` figure on its 5x5 grid
+at ``max_length`` 3.  The CLI runs and the writers write under
 ``.bench_build/`` next to the measured tree.
 ``--e2e-parent`` and ``--e2e-change`` name ``perfbench/run.py --trace 0``
 result directories; the medians over the seeds found in both, per workload
@@ -134,6 +140,20 @@ WIDE_BUDGET = 10**8
 PRIMITIVE_CALLS = 2000
 GRID_CALLS = 200
 WRITES = 20
+# setflow potential per op: a table map stepping up in x1 across two kinks
+# that 4x4x4 grid points lie on, anchored on one, at max_length 2 (query
+# heavy); and the build_family figure's map and grid at max_length 3 (growth heavy)
+TABLE3 = {"kind": "table", "regions": [
+    *({"where": {"kind": "halfspace", "normal": [1.0, 0.0, 0.0], "value": k, "op": op},
+       "points": points}
+      for k, below, above in ((-0.25, -2.0, 0.0), (0.25, 0.0, 1.0))
+      for op, points in (("lt", [[below, 1.0, 0.0]]),
+                         ("eq", [[below, 1.0, 0.0], [above, 1.0, 0.0]]))),
+    {"where": {"kind": "always"}, "points": [[1.0, 1.0, 0.0]]},
+]}
+QUERY_PROBLEM = {"map": TABLE3, "x0": [0.25, 0.0, 0.0], "v0": [1.0, 1.0, 0.0],
+                 "grid": {"low": [-0.75] * 3, "high": [0.75] * 3, "counts": [4, 4, 4]},
+                 "max_length": 2}
 # the 3-d gradient map diag(1, 2, 1/2), whose polygon fills the CSV figure's table
 GRADIENT3 = {"kind": "linear", "matrix": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]}
 
@@ -323,12 +343,27 @@ def measure(src: str) -> dict:
             setflow.cli.main(["potential", *argv[1:]])
             subgradient = json.loads((Path(tmp) / "subgradient.json").read_text())
             target = Path(tmp) / "written.json"
+            entries = subgradient["entries"]
+            floats = ([np.array([e["x"] for e in entries]),
+                       np.array([v["v"] for e in entries for v in e["values"]])],)
+            floats = floats if hasattr(setflow.cli, "_orjson_exact") else ()
 
             def write_json():
                 for _ in range(WRITES):
-                    setflow.cli._write_json(target, subgradient)
+                    setflow.cli._write_json(target, subgradient, *floats)
 
             out["cli.write_json.subgradient.us_per_call"] = _per_call_us(write_json, WRITES)
+            for name, problem in (("query", QUERY_PROBLEM), ("growth", {
+                    "map": MAPS["subdifferential"], "x0": list(grid[len(grid) // 2]),
+                    "v0": svmap.eval(grid[len(grid) // 2]).points[0].tolist(),
+                    "grid": dict(zip(("low", "high", "counts"), FAMILY_GRID)),
+                    "max_length": FAMILY_LENGTH})):
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps({**problem, "T": 1.0, "h": 0.5,
+                                            "strategy": "support", "tol": 1e-9}))
+                run = ["potential", "--input", str(path), "--output", tmp]
+                out[f"cli.potential.{name}.us_per_op"] = _per_call_us(
+                    lambda: setflow.cli.main(run), 1)
             gradient = map_from_dict(GRADIENT3)
             x0 = np.array([-0.75, 0.3, 0.5])
             traj = euler_solve(ProblemSpec(map=gradient, x0=x0, v0=gradient.eval(x0).points[0],

@@ -33,12 +33,11 @@ from .chains import (
     _ChainGraph,
     _cyclic_monotone,
     _monotone,
-    _rule_picks,
     _support_chain,
     _weak_cyclic_monotone,
     _weakly_monotone,
 )
-from .geometry import inner_rows
+from .geometry import _segment_best_rows, inner_rows
 from .potential import (
     _build_family,
     _subgradient_checks,
@@ -138,10 +137,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, obj) -> None:
-    # the text of json.dumps(obj, indent=2) and a newline, in one write
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_json_text(obj) + "\n")
+def _write_json(path: Path, obj, floats=None) -> None:
+    # the text of json.dumps(obj, indent=2) and a newline, in one write.
+    # floats, when given, are the arrays every float of obj comes from; if
+    # orjson writes each of them as repr() does, it writes the document
+    if floats is not None and all(_orjson_exact(a).all() for a in floats):
+        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
+    else:
+        text = _json_text(obj).encode()
+    with open(path, "wb") as fh:
+        fh.write(text)
+        fh.write(b"\n")
     print(f"wrote {path.name}")
 
 
@@ -161,15 +167,20 @@ def _write_csv(path: Path, header, rows) -> None:
     print(f"wrote {path.name}")
 
 
+def _orjson_exact(a) -> np.ndarray:
+    # where orjson writes a float as repr() does: 0.0, -0.0 and every 1e-4 <=
+    # |x| < 1e16; it writes 5e24 for 5e+24, 0.0000117 for 1.17e-05 and null
+    # for nan and inf
+    size = np.abs(a)
+    return ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)
+
+
 def _float_lines(block) -> bytes:
-    # orjson writes the digits of repr() for 0.0, -0.0 and every 1e-4 <= |x| <
-    # 1e16, but 5e24 for 5e+24, 0.0000117 for 1.17e-05 and null for nan and
-    # inf; a row that holds any such value is formatted by repr() instead
+    # a row that holds a value orjson writes otherwise than repr() is
+    # formatted by repr() instead
     block = np.ascontiguousarray(block, dtype=np.float64)
     lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    size = np.abs(block)
-    plain = ((size >= 1e-4) & (size < 1e16)) | (size == 0.0)
-    for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+    for i in np.flatnonzero(~_orjson_exact(block).all(axis=1)).tolist():
         lines[i] = ",".join(map(float.__repr__, block[i].tolist())).encode()
     return b"\n".join(lines) + b"\n"
 
@@ -277,18 +288,18 @@ def run_potential(args) -> int:
     passed = np.zeros(len(compatible), dtype=bool)
     passed[compatible] = _subgradient_checks(family, graph.X[compatible], graph.V[compatible],
                                              samples, spec.tol)
-    # the rule scores each sample's row alone, so the samples whose value
-    # sets are equal bit for bit share one batched pick
+    # the anchored support rule scores a sample's values by their products,
+    # or, at a sample equal to x0, by their nearness to v0, formed only over
+    # that sample's values so that an overflow raises only there; one
+    # segmented pass picks every sample's value by _best_row's tie rule
+    scores = products
+    at = np.flatnonzero(~offsets.any(axis=1))
+    if at.size:
+        turns = graph.V[at] - spec.v0
+        scores = products.copy()
+        scores[at] = -inner_rows(turns, turns)
+    picks = _segment_best_rows(graph.V, scores, graph.owner, graph.start)
     start = graph.start.tolist()
-    groups = {}
-    for i in range(len(samples)):
-        groups.setdefault(graph.V[start[i]:start[i + 1]].tobytes(), []).append(i)
-    picks = np.empty(len(samples), dtype=np.intp)
-    for members in groups.values():
-        S = graph.V[start[members[0]]:start[members[0] + 1]]
-        lo = graph.start[members]
-        picks[members] = lo + _rule_picks("support", S, spec.v0, offsets[lo],
-                                          products[lo[:, None] + np.arange(len(S))], None)[0]
     values, ok, sub = graph.V.tolist(), compatible.tolist(), passed.tolist()
     entries = [{
         "x": p,
@@ -300,20 +311,23 @@ def run_potential(args) -> int:
         } for a in range(start[i], start[i + 1])],
     } for i, (p, pick) in enumerate(zip(samples.tolist(), picks.tolist()))]
     accepted = int(np.count_nonzero(compatible))
+    anchor_value = potential_value(family, spec.x0)
     summary = {
         "family_size": len(family),
-        "anchor_value": potential_value(family, spec.x0),
+        "anchor_value": anchor_value,
         "accepted_pairs": accepted,
         **stats,
     }
     # every figure is computed before the first file is written, so a run
-    # that fails leaves no outputs
+    # that fails leaves no outputs. Each float of subgradient.json is a
+    # sample's or a value's coordinate, and of potential_summary.json the
+    # anchor value, so those arrays decide whether orjson writes the file
     with open(out / "family.json", "w", newline="\n") as fh:
         fh.write(family_to_text(family))
     print("wrote family.json")
     _write_csv(out / "potential_values.csv", header, rows)
-    _write_json(out / "subgradient.json", {"entries": entries})
-    _write_json(out / "potential_summary.json", summary)
+    _write_json(out / "subgradient.json", {"entries": entries}, [samples, graph.V])
+    _write_json(out / "potential_summary.json", summary, [np.array(anchor_value)])
     print(f"family of {len(family)} chains, {accepted} compatible pairs")
     return EXIT_OK
 

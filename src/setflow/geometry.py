@@ -176,6 +176,16 @@ def _best_row(points: np.ndarray, scores: np.ndarray):
     return order[(ranked == top).argmax(axis=-1)]
 
 
+def _segment_best_rows(points, scores, owner, start):
+    # _best_row for every segment of rows at once: segment i is the rows
+    # start[i]:start[i + 1], whose owner is i, with their (n,) scores.  One
+    # sort by owner, then highest score (NaN last), then lexicographically
+    # smallest point (-0.0 ties 0.0), then row; the first row of each
+    # segment in that order is its pick
+    order = np.lexsort((*points.T[::-1], -scores, owner))
+    return order[start[:-1]]
+
+
 def support_value(d, A: CompactSet) -> float:
     """Support function ``max_{a in A} <d, a>`` of the finite set ``A``."""
     return float(inner_rows(A.points, np.asarray(d, dtype=float)).max())

@@ -15,7 +15,11 @@ the grown model, which :func:`subgradient_test` checks at probe points.
 Each family carries its model as read-only stacked arrays (the members' last
 points, last velocities and last sums, their dedup keys and, under a box,
 their values at the box vertices), built once and carried through growth, so
-growing evaluates only the new prefixes.  The model is evaluated at many
+growing evaluates only the new prefixes.  One growth kernel grows a model by
+chains offered as rows of one pair table: the prefixes of a public chain,
+or, while :func:`build_family` grows its levels, node paths keyed by the ids
+of their nodes, whose members become chains only once the last level is
+grown.  The model is evaluated at many
 points by one :func:`inner_rows` call per block of members, in the operand
 order of :func:`affine_value`, so batched and one-at-a-time values agree bit
 for bit.  Subgradient tests of many nodes run as one batched kernel.  It
@@ -183,14 +187,15 @@ class SequenceFamily:
         return cls(x0, v0, [Chain([x0], [v0])], box=box, tol=tol, cap=cap)
 
     @classmethod
-    def _grown(cls, parent, members, model):
+    def _trusted(cls, anchor_point, anchor_velocity, members, box, tol, cap, model):
+        # internal: arguments checked, members verified, model built from them
         out = object.__new__(cls)
-        out.anchor_point = parent.anchor_point
-        out.anchor_velocity = parent.anchor_velocity
+        out.anchor_point = anchor_point
+        out.anchor_velocity = anchor_velocity
         out.members = members
-        out.box = parent.box
-        out.tol = parent.tol
-        out.cap = parent.cap
+        out.box = box
+        out.tol = tol
+        out.cap = cap
         out._model = model
         return out
 
@@ -250,9 +255,9 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
     prefixes are evaluated; the pruning runs over all members' cached vertex
     values, so members that dominated each other before growth are pruned too.
 
-    Growing by a list of chains at once, as :func:`build_family` does once per
+    Growing by many chains at once, as :func:`build_family` does once per
     block of chains, gives the family this gives one chain at a time; see
-    :func:`_grow_verified`.
+    :func:`_grow_rows`.
     """
     _check_chain(family, chain)
     return _grow_verified(family, [chain])
@@ -272,39 +277,127 @@ def _check_chain(family, chain):
 def _grow_verified(family, chains):
     """The family :func:`grow_family` gives after each of ``chains`` in turn.
 
-    Every chain is checked by the caller.  While the cap evicts nothing,
-    growing one chain at a time keeps exactly the rows that no row grown so far
-    dominates.  Dominance (at least as high at every box vertex, and higher at
-    one or earlier) is transitive, so a pruned prefix that comes back is pruned
-    again, and a row it would prune is pruned by a row that stays.  So the new
-    prefixes of all chains are deduplicated, evaluated and pruned in one step.
-    When they could take the family past its cap, and eviction could start
-    partway through, the chains are grown in halves, down to one at a time.
+    Every chain is checked by the caller; see :func:`_grow_rows`.
     """
-    seen = set(family._model.keys)
+    model, members = _grow_rows(family._model, family.members, family.cap,
+                                _Offer.of_chains(chains, family.dimension,
+                                                 family._model.vertices))
+    return SequenceFamily._trusted(family.anchor_point, family.anchor_velocity, members,
+                                   family.box, family.tol, family.cap, model)
+
+
+class _Offer:
+    """Chains offered to growth, stacked as rows of one pair table.
+
+    Chain ``j`` is the pairs ``(P[a], S[a])`` for ``a`` in
+    ``paths[j, :lengths[j]]``, with step sums ``sums[j, :lengths[j]]``;
+    ``T[a]``, when the family has a box, holds ``<y - P[a], S[a]>`` at each
+    box vertex ``y``.  The dedup key of a prefix of ``n`` pairs is the tuple
+    of the ids ``ids`` along it, which are equal exactly where table rows are
+    equal bit for bit, or, for offered :class:`Chain` objects, the bytes of
+    the prefix's points and velocities.  A kept prefix becomes the member
+    :meth:`part` gives: a prefix of the offered chain, or the prefix's node
+    path and step sums, made into a chain once growth is done.
+    """
+
+    __slots__ = ("P", "S", "T", "paths", "sums", "lengths", "ids", "chains")
+
+    def __init__(self, P, S, T, paths, sums, lengths, ids=None, chains=None):
+        self.P, self.S, self.T = P, S, T
+        self.paths, self.sums, self.lengths = paths, sums, lengths
+        self.ids, self.chains = ids, chains
+
+    @classmethod
+    def of_chains(cls, chains, dim, vertices):
+        lengths = np.array([len(chain) for chain in chains], dtype=np.intp)
+        first = np.cumsum(lengths) - lengths
+        # columns past a chain's end repeat its last row
+        paths = first[:, None] + np.minimum(np.arange(lengths.max(initial=1)), lengths[:, None] - 1)
+        P = np.concatenate([np.empty((0, dim)), *(chain.xs for chain in chains)])
+        S = np.concatenate([np.empty((0, dim)), *(chain.vs for chain in chains)])
+        sums = np.concatenate([np.empty(0), *(chain.sums for chain in chains)])
+        return cls(P, S, _vertex_terms(P, S, vertices), paths, sums[paths], lengths,
+                   chains=chains)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def rows(self, J, counts):
+        # the last point, velocity and sum of the prefix of counts[k] pairs of chain J[k]
+        at = self.paths[J, counts - 1]
+        return self.P[at], self.S[at], self.sums[J, counts - 1]
+
+    def at_vertices(self, J, counts):
+        # the values at the box vertices of those prefixes' affine functions
+        return self.T[self.paths[J, counts - 1]] + self.sums[J, counts - 1][:, None]
+
+    def keys(self, J):
+        # the dedup keys of every prefix of each chain of J, shortest first
+        if self.chains is not None:
+            return [[(chain.xs[:n].tobytes(), chain.vs[:n].tobytes())
+                     for n in range(1, len(chain) + 1)] for chain in map(self.chains.__getitem__, J)]
+        return [[tuple(row[:n]) for n in range(1, count + 1)]
+                for row, count in zip(self.ids[self.paths[J]].tolist(), self.lengths[J].tolist())]
+
+    def part(self, j, count):
+        if self.chains is not None:
+            return self.chains[j].prefix(count)
+        return self.paths[j, :count].copy(), self.sums[j, :count].copy()
+
+
+def _vertex_terms(P, S, vertices):
+    # <y - P[a], S[a]> at every box vertex y, or None without a box
+    return None if vertices is None else _terms(P, vertices, S[:, None])
+
+
+def _grow_rows(model, members, cap, offer, chains=None):
+    """The model and members growth leaves after each chain of ``offer`` in turn.
+
+    ``members`` holds one entry per model row, and ``chains`` (default: all)
+    the offered chains to grow, in order.  While the cap evicts nothing,
+    growing one chain at a time keeps exactly the rows that no row grown so
+    far dominates.  Dominance (at least as high at every box vertex, and
+    higher at one or earlier) is transitive, so a pruned prefix that comes
+    back is pruned again, and a row it would prune is pruned by a row that
+    stays.  So the new prefixes of all chains are deduplicated, evaluated and
+    pruned in one step.  While the model is closed (see :class:`_AffineModel`),
+    a chain whose last row a member is as high as at every vertex adds no row
+    that growth keeps; such chains are dropped first, unless the others could
+    take the family past its cap.  When the new prefixes could, and eviction
+    could start partway through, the chains are grown in halves, down to one
+    at a time.
+    """
+    m = len(model.c)
+    chains = np.arange(len(offer)) if chains is None else chains
+    if model.vertices is not None and model.closed:
+        kept = ~_dominated_by(model.at_vertices,
+                              offer.at_vertices(chains, offer.lengths[chains]))
+        if m + np.count_nonzero(kept) <= cap:
+            # under the gate nothing is evicted, so a dropped chain is pruned at its turn
+            chains = chains[kept]
+    seen = set(model.keys)
     picks, keys = [], []
-    for chain in chains:
-        for count in range(1, len(chain) + 1):
-            key = (chain.xs[:count].tobytes(), chain.vs[:count].tobytes())
+    for j, prefixes in zip(chains.tolist(), offer.keys(chains)):
+        for count, key in enumerate(prefixes, 1):
             if key not in seen:
                 seen.add(key)
-                picks.append((chain, count - 1))
+                picks.append((j, count))
                 keys.append(key)
-    if len(chains) > 1 and len(family) + len(keys) > family.cap:
+    if not keys and m <= cap and model.settled:
+        return model, members  # growth would keep every member and add none
+    if len(chains) > 1 and m + len(keys) > cap:
         # the cap may evict partway through
         half = len(chains) // 2
-        return _grow_verified(_grow_verified(family, chains[:half]), chains[half:])
+        model, members = _grow_rows(model, members, cap, offer, chains[:half])
+        return _grow_rows(model, members, cap, offer, chains[half:])
 
-    model = family._model
-    m = len(family)
-    P = np.concatenate([model.P, *(chain.xs[r:r + 1] for chain, r in picks)])
-    S = np.concatenate([model.S, *(chain.vs[r:r + 1] for chain, r in picks)])
-    c = np.concatenate([model.c, *(chain.sums[r:r + 1] for chain, r in picks)])
+    J, counts = np.array(picks, dtype=np.intp).reshape(-1, 2).T
+    P, S, c = offer.rows(J, counts)
+    P, S, c = np.concatenate([model.P, P]), np.concatenate([model.S, S]), np.concatenate([model.c, c])
     keep = np.ones(len(c), dtype=bool)
     at_vertices = None
     if model.vertices is not None:
-        at_vertices = np.concatenate([model.at_vertices,
-                                      _affine_values(P[m:], S[m:], c[m:], model.vertices)])
+        at_vertices = np.concatenate([model.at_vertices, offer.at_vertices(J, counts)])
         # first drop the new rows a member dominates: members come first, so
         # one as high at every vertex does, ties included; the matrix below
         # then spans the members and the surviving new rows only
@@ -315,19 +408,19 @@ def _grow_verified(family, chains):
             keep[0] = True  # the trivial member is load-bearing
 
     # evict the oldest non-trivial members down to the cap
-    evicts = np.count_nonzero(keep) > family.cap
+    evicts = np.count_nonzero(keep) > cap
     if evicts:
         kept = np.flatnonzero(keep)
-        keep[kept[1:len(kept) - family.cap + 1]] = False
+        keep[kept[1:len(kept) - cap + 1]] = False
 
-    members = tuple(itertools.compress(family.members, keep[:m])) + tuple(
-        picks[k][0].prefix(picks[k][1] + 1) for k in np.flatnonzero(keep[m:]))
+    members = tuple(itertools.compress(members, keep[:m])) + tuple(
+        offer.part(*picks[k]) for k in np.flatnonzero(keep[m:]).tolist())
     model = _AffineModel(
         P[keep], S[keep], c[keep], tuple(itertools.compress(model.keys + tuple(keys), keep)),
         model.vertices, model.closed and not evicts,
         None if at_vertices is None else at_vertices[keep], settled=True,
     )
-    return SequenceFamily._grown(family, members, model)
+    return model, members
 
 
 def _dominated(V) -> np.ndarray:
@@ -429,7 +522,12 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
     m, dim = len(family), family.dimension
     nv = 0 if model.vertices is None else len(model.vertices)
     batched = tol >= 0 and model.closed and model.settled
-    seen, checked = set(model.keys), set()
+    # the member each member extends by its last pair, or -1: an extension
+    # is a member already where one extends the best member by the node
+    index = dict(zip(model.keys, range(m)))
+    parent = np.array([index.get((c.xs[:-1].tobytes(), c.vs[:-1].tobytes()), -1)
+                       for c in family.members])
+    checked = set()
     top = None
     out = np.empty(len(X), dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // ((m + dim) * (len(Y) + nv + dim)))
@@ -438,22 +536,27 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
         best, base = _best_members(model, Xb)
         # verify_chain's final slack of each extension, whose last sum is base
         slack = inner_rows(Xb - family.anchor_point, Vb) - base
-        dropped = np.full(len(Xb), family.cap == 1)  # whether growth drops the new row
-        for j, k in enumerate(best.tolist()):
-            member = family.members[k]
+        failed = ~(slack >= -family.tol)
+        stop = int(failed.argmax()) + 1 if failed.any() else len(best)
+        # each member is checked before the first node that extends it, and
+        # every node up to the first whose extension fails
+        for k in dict.fromkeys(best[:stop].tolist()):
             if k not in checked:
                 checked.add(k)
-                _check_chain(family, member)
-            if not slack[j] >= -family.tol:
-                raise ValueError(f"chain fails the chain inequality at index {len(member)}")
-            dropped[j] |= (member.xs.tobytes() + Xb[j].tobytes(),
-                           member.vs.tobytes() + Vb[j].tobytes()) in seen
+                _check_chain(family, family.members[k])
+        if failed.any():
+            raise ValueError("chain fails the chain inequality at index "
+                             f"{len(family.members[best[stop - 1]])}")
         floor = base[:, None] + inner_rows(Vb[:, None, :], Y[None, :, :] - Xb[:, None, :]) - tol
         if not batched:
             for j, k in enumerate(best.tolist()):
                 grown = _grow_verified(family, [family.members[k].extended(Xb[j], Vb[j])])
                 out[lo + j] = not np.any(potential_values(grown, Y) < floor[j])
             continue
+        # whether growth drops the new row
+        dropped = (family.cap == 1) | ((parent == best[:, None])
+                                       & (_bits(model.P) == _bits(Xb)[:, None]).all(axis=2)
+                                       & (_bits(model.S) == _bits(Vb)[:, None]).all(axis=2)).any(axis=1)
         if nv:
             dropped |= _dominated_by(model.at_vertices,
                                      _affine_values(Xb, Vb, base, model.vertices))
@@ -464,6 +567,11 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
             top = _model_max(model, Y, rows)
         out[lo:lo + len(Xb)] = ~dropped | ~(top < floor).any(axis=1)
     return out
+
+
+def _bits(a) -> np.ndarray:
+    # float rows as integers, equal exactly where they are equal bit for bit
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def _best_members(model, X):
@@ -517,20 +625,36 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
 
 
 def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMILY_CAP):
-    # refuses a tol below 0 first: children have slack >= 0 in verify_chain's
-    # own terms, so they verify only at tol >= 0
-    family = SequenceFamily.initial(x0, v0, box=box, tol=tol, cap=cap)
+    # children have slack >= 0 in verify_chain's own terms, so they verify
+    # only at tol >= 0
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    cap = int(cap)
+    box = _check_box(box, x0.shape[0])
     X, V = graph.X, graph.V
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
     ends = _terms(x0[None], X, V[None])[0]
-    # node K stands for the anchor, the first pair of every chain
+    # node K stands for the anchor, the first pair of every chain; nodes
+    # share an id exactly where their pairs are equal bit for bit, so a path
+    # of ids is a chain's dedup key
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
-    vertices = family._model.vertices
+    ids = _row_ids(np.hstack([points, velocities]))
+    vertices = None if box is None else _frozen(np.array(_box_vertices(box)))
+    at_vertices = _vertex_terms(points, velocities, vertices)
+    # the trivial member, a member being its node path and step sums until
+    # the last level is grown
+    trivial = (np.array([K]), np.zeros(1))
+    model = _AffineModel(x0[None], v0[None], np.zeros(1), ((int(ids[K]),),), vertices, True,
+                         None if vertices is None else at_vertices[K:] + trivial[1][:, None],
+                         settled=True)
+    members = (trivial,)
     used = 0
     grown = 0
     # row r of a level: the node path of chain r and the step sums of its prefixes
-    paths, sums = np.array([[K]]), np.zeros((1, 1))
+    paths, sums = trivial[0][None], trivial[1][None]
     step = max(1, _BLOCK_ELEMENTS // max(1, K * dim))
     while True:
         next_paths, next_sums = [], []
@@ -547,21 +671,11 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
             used += room + exhausted
             r, b = np.divmod(np.flatnonzero((ends - stepped).ravel()[:room] >= 0.0), K)
             if r.size:
-                kid_paths = np.column_stack([rows[r], b])
-                kid_sums = np.column_stack([prefix[r], stepped[r, b]])
-                live = slice(None)
-                if vertices is not None and family._model.closed:
-                    # a survivor adds at most its last row: under the gate
-                    # nothing is evicted, so a dropped child is pruned at its turn
-                    kept = ~_dominated_by(family._model.at_vertices,
-                                          _affine_values(X[b], V[b], kid_sums[:, -1], vertices))
-                    if len(family) + np.count_nonzero(kept) <= cap:
-                        live = kept
-                chains = [
-                    Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s.copy()))
-                    for p, s in zip(kid_paths[live], kid_sums[live])]
-                if chains:
-                    family = _grow_verified(family, chains)
+                kid_paths = np.concatenate([rows[r], b[:, None]], axis=1)
+                kid_sums = np.concatenate([prefix[r], stepped[r, b][:, None]], axis=1)
+                offer = _Offer(points, velocities, at_vertices, kid_paths, kid_sums,
+                               np.full(len(r), kid_paths.shape[1]), ids=ids)
+                model, members = _grow_rows(model, members, cap, offer)
                 grown += len(r)
                 if kid_paths.shape[1] < max_length:
                     next_paths.append(kid_paths)
@@ -571,8 +685,22 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
         if exhausted or not next_paths:
             break
         paths, sums = np.concatenate(next_paths), np.concatenate(next_sums)
+    # each member gets its own read-only rows, and the model the byte keys
+    # of its members
+    members = tuple(Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s))
+                    for p, s in members)
+    model = _AffineModel(model.P, model.S, model.c,
+                         tuple((chain.xs.tobytes(), chain.vs.tobytes()) for chain in members),
+                         vertices, model.closed, model.at_vertices, settled=True)
+    family = SequenceFamily._trusted(x0, v0, members, box, float(tol), cap, model)
     stats = {"chains_grown": grown, "evaluations": used, "budget_exhausted": exhausted}
     return family, stats
+
+
+def _row_ids(A) -> np.ndarray:
+    # one id per row of A, equal exactly where rows are equal bit for bit
+    rows = np.ascontiguousarray(A).view(np.dtype((np.void, A.itemsize * A.shape[1])))
+    return np.unique(rows[:, 0], return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ from setflow import (
     replay_witness,
     verify_chain,
 )
+import setflow.cli as cli
 from setflow.chains import ClassReport
+from setflow.setmaps import _json_text as json_text
 from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _CSV_BLOCK, _fmt,
                          _write_csv, _write_json, build_parser, main)
 
@@ -238,6 +240,67 @@ def test_json_files_write_the_bytes_of_json_dump(tmp_path, capsys):
         fh.write("\n")
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
     assert capsys.readouterr().out == "wrote one.json\n"
+
+
+# raw patterns and in-range values, with subnormals, values just outside the
+# range orjson writes as repr() does, and non-finite values
+_JSON_CELLS = st.one_of(_CELLS, st.sampled_from(
+    [5e-324, -2.5e-310, 1e-5, -1e-5, 1e16, -1e16, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _potential_documents(draw):
+    """A subgradient.json and a potential_summary.json document, each with
+    the arrays every float of it comes from."""
+    d = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 3), max_size=6))
+    cells = st.lists(_JSON_CELLS, min_size=d, max_size=d)
+    samples = np.array(draw(st.lists(cells, min_size=len(sizes), max_size=len(sizes))),
+                       dtype=float).reshape(len(sizes), d)
+    V = np.array(draw(st.lists(cells, min_size=sum(sizes), max_size=sum(sizes))),
+                 dtype=float).reshape(sum(sizes), d)
+    flags = draw(st.lists(st.sampled_from([True, False, None]), min_size=2 * len(V),
+                          max_size=2 * len(V)))
+    values, entries, start = V.tolist(), [], 0
+    for x, size in zip(samples.tolist(), sizes):
+        pick = start + draw(st.integers(0, size - 1))
+        entries.append({"x": x, "selected": draw(st.sampled_from([values[pick], None])),
+                        "values": [{"v": values[a], "compatible": flags[2 * a] is not False,
+                                    "subgradient_ok": flags[2 * a + 1]}
+                                   for a in range(start, start + size)]})
+        start += size
+    anchor_value = draw(_JSON_CELLS)
+    summary = {"family_size": draw(st.integers(1, 4096)), "anchor_value": anchor_value,
+               "accepted_pairs": len(V), "chains_grown": draw(st.integers(0, 10**6)),
+               "evaluations": draw(st.integers(0, 10**6)), "budget_exhausted": len(V) % 2 == 0}
+    return [({"entries": entries}, [samples, V]), (summary, [np.array(anchor_value)])]
+
+
+@given(_potential_documents())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_potential_documents_write_the_bytes_of_json_dumps(tmp_path, docs):
+    for doc, floats in docs:
+        with np.errstate(over="raise", invalid="raise"), \
+                contextlib.redirect_stdout(io.StringIO()):
+            _write_json(tmp_path / "doc.json", doc, floats)
+        assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value, fallback", [
+    (0.5, False), (-0.0, False), (1e-4, False), (1e-5, True), (1e16, True), (math.nan, True)])
+def test_json_documents_leave_orjson_only_for_values_it_writes_otherwise(
+        tmp_path, monkeypatch, value, fallback):
+    # the document goes through json's formatting exactly where one of its
+    # source values is outside the range orjson writes as repr() does
+    texts = []
+    monkeypatch.setattr(cli, "_json_text", lambda obj: texts.append(obj) or json_text(obj))
+    doc = {"x": [value, 1.0]}
+    with contextlib.redirect_stdout(io.StringIO()):
+        _write_json(tmp_path / "doc.json", doc, [np.array([value, 1.0])])
+        _write_json(tmp_path / "plain.json", doc)
+    assert len(texts) == 1 + fallback
+    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 class TestClassify:

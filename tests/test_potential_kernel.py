@@ -10,14 +10,17 @@ the family that growing by one chain at a time gives.
 
 import contextlib
 import functools
+import io
 import itertools
 import json
+import math
 import tracemalloc
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import setflow.cli as cli
 import setflow.potential as potential
@@ -210,6 +213,32 @@ def test_binding_cap_with_box_matches_references(cap):
     assert evicted
 
 
+# a value listed twice, and values equal but for the sign of a zero: node
+# paths through different nodes of equal bits are one chain
+TWICE = table_map([(Halfspace([1.0, 0.0], 0.0, "lt"), [[1.0, 0.5], [1.0, 0.5], [0.0, -1.0]]),
+                   (Always(), [[-0.0, 1.0], [0.0, 1.0], [-1.0, 0.5], [-1.0, 0.5]])])
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 4096])
+def test_built_members_match_the_reference_bit_for_bit(cap):
+    # points, velocities and step sums of every member, in order, with the
+    # anchor a grid node bit for bit
+    cases = [(entry.svmap, entry.grid, 3) for entry in build_corpus()]
+    cases += list(random_cases(8)) + [(TWICE, sample_grid([-1.0] * 2, [1.0] * 2, [3, 3]), 3)]
+    for svmap, grid, max_length in cases:
+        x0 = grid[len(grid) // 2]
+        v0 = svmap.eval(x0).points[0]
+        for box in (None, bounds(grid)):
+            got, got_stats = build_family(svmap, x0, v0, grid, max_length, box=box, cap=cap)
+            want, want_stats = build_family_ref(svmap, x0, v0, grid, max_length, box=box,
+                                                cap=cap)
+            assert got_stats == want_stats
+            assert [len(chain) for chain in got.members] == [len(chain) for chain in want.members]
+            for a, b in zip(got.members, want.members):
+                for name in ("xs", "vs", "sums"):
+                    assert bits(getattr(a, name)) == bits(getattr(b, name))
+
+
 def test_subgradient_tolerance_and_failures_match_references():
     # a cap of 1 or 2 evicts the new member, so some tests fail, by margins
     # that a tolerance can cover; incompatible pairs raise in both
@@ -277,10 +306,14 @@ def assert_batch_matches_fold(start, chains):
 
 
 def test_batched_growth_matches_one_chain_at_a_time(monkeypatch):
-    # record the length of each chain list growth is called with
-    sizes, grow = [], potential._grow_verified
-    monkeypatch.setattr(potential, "_grow_verified",
-                        lambda family, chains: sizes.append(len(chains)) or grow(family, chains))
+    # record how many chains each growth step is called with
+    sizes, grow = [], potential._grow_rows
+
+    def counted(model, members, cap, offer, chains=None):
+        sizes.append(len(offer) if chains is None else len(chains))
+        return grow(model, members, cap, offer, chains)
+
+    monkeypatch.setattr(potential, "_grow_rows", counted)
     rng = np.random.default_rng(4099)
     halved = set()
     for svmap, grid, max_length in random_cases(10):
@@ -361,7 +394,8 @@ def test_small_blocks_match_references(monkeypatch):
 
 def test_children_are_neither_extended_nor_verified_again(monkeypatch):
     # children are gathered from the level's node paths and step sums, whose
-    # slacks the level scan has checked; only the trivial member is verified
+    # slacks the level scan has checked, and the trivial member is built
+    # without the constructor; chains are made only for the members kept
     calls = []
 
     def counted(name, fn):
@@ -371,13 +405,15 @@ def test_children_are_neither_extended_nor_verified_again(monkeypatch):
         return spy
 
     monkeypatch.setattr(Chain, "extended", counted("extended", Chain.extended))
+    monkeypatch.setattr(Chain, "_trusted", classmethod(
+        lambda cls, *args, trusted=Chain._trusted: counted("chain", trusted)(*args)))
     monkeypatch.setattr(potential, "verify_chain",
                         counted("verify_chain", potential.verify_chain))
     entry = build_corpus()[4]
     x0, v0 = next(anchors(entry.svmap, entry.grid))
-    _, stats = build_family(entry.svmap, x0, v0, entry.grid, 3, box=bounds(entry.grid))
+    family, stats = build_family(entry.svmap, x0, v0, entry.grid, 3, box=bounds(entry.grid))
     assert stats["chains_grown"] > 10
-    assert calls == ["verify_chain"]
+    assert calls == ["chain"] * len(family)
 
 
 def test_built_members_are_read_only_and_chain_sized():
@@ -514,6 +550,16 @@ def query_problems():
             "grid": {"low": [-1.0] * dim, "high": [1.0] * dim, "counts": [counts] * dim},
             "max_length": 1 + k % 2,
         }))
+    # map values orjson writes otherwise than json (0.00001, 1e-20 and 1e17),
+    # and a tolerance that family.json writes as Infinity
+    for name, points, tol in (("tiny-values", [[1e-5, 0.5], [1e-20, -0.25], [-1.0, 1.0]], 1e-9),
+                              ("huge-value", [[1e17, 0.0], [-1.0, 1.0]], 1e-9),
+                              ("infinite-tol", [[1.0, 0.5], [-0.5, -1.0]], math.inf)):
+        docs.append((name, {
+            "map": {"kind": "constant", "points": points}, "x0": [0.5, -0.5], "v0": points[0],
+            "T": 1.0, "h": 0.5, "strategy": "support", "tol": tol, "max_length": 2,
+            "grid": {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [3, 3]},
+        }))
     return docs
 
 
@@ -531,6 +577,10 @@ def test_query_phase_matches_the_per_pair_loop(name, doc, tmp_path):
     family = family_from_text((tmp_path / "o" / "family.json").read_text())
     want = subgradient_entries_ref(family, spec.map, grid_points_ref(spec.grid), spec.tol)
     assert (tmp_path / "o" / "subgradient.json").read_text() == json.dumps(want, indent=2) + "\n"
+    # every JSON file is json's text of its own contents
+    for name in ("family.json", "subgradient.json", "potential_summary.json"):
+        text = (tmp_path / "o" / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", name
 
 
 def _halfspace(value, op, points):
@@ -570,15 +620,15 @@ PICK_CASES = {
 @pytest.mark.parametrize("name", PICK_CASES)
 def test_selected_values_match_the_per_sample_picks(name, tmp_path, monkeypatch):
     doc, sizes = PICK_CASES[name]
-    groups = []
-    picks = cli._rule_picks
-    monkeypatch.setattr(cli, "_rule_picks",
-                        lambda *args: groups.append(len(args[3])) or picks(*args))
+    segments = []
+    picks = cli._segment_best_rows
+    monkeypatch.setattr(cli, "_segment_best_rows",
+                        lambda *args: segments.append(len(args[3]) - 1) or picks(*args))
     f = tmp_path / "p.json"
     f.write_text(json.dumps(doc) + "\n")
     assert run_potential(f, tmp_path / "o") == 0
-    # one pick per distinct value set, for all of its samples at once
-    assert groups == sizes
+    # one segmented pick for all samples at once
+    assert segments == [sum(sizes)]
     spec = parse_problem(f.read_text())
     samples = spec.grid.points()
     family = family_from_text((tmp_path / "o" / "family.json").read_text())
@@ -590,6 +640,49 @@ def test_selected_values_match_the_per_sample_picks(name, tmp_path, monkeypatch)
     assert json.dumps([entry["selected"] for entry in entries]) == json.dumps(want)
     if name == "signed-zeros":
         assert {"[0.0, 1.0]", "[-0.0, 1.0]"} <= {json.dumps(v) for v in want}
+
+
+# duplicate values, and values equal but for the sign of a zero
+PICK_VALUES = [[1.0, 0.5], [1.0, 0.5], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0],
+               [-1.0, -1.0], [0.5, 0.5], [-0.5, 1.0]]
+
+
+@st.composite
+def pick_documents(draw):
+    """Table maps whose value sets repeat along the first axis, anchored on a
+    grid point or off the grid."""
+    values = st.lists(st.sampled_from(PICK_VALUES), min_size=1, max_size=4)
+    regions = [_halfspace(draw(st.sampled_from([-0.5, 0.0, 0.5])),
+                          draw(st.sampled_from(["lt", "le", "eq"])), draw(values))
+               for _ in range(draw(st.integers(0, 2)))]
+    regions.append({"where": {"kind": "always"}, "points": draw(values)})
+    svmap = {"kind": "table", "regions": regions}
+    counts = [draw(st.integers(1, 4)), draw(st.integers(1, 4))]
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], counts)
+    x0 = grid[draw(st.integers(0, len(grid) - 1))] + draw(st.sampled_from([0.0, 0.125]))
+    at_x0 = map_from_dict(svmap).eval(x0).points
+    doc = _pick_case(svmap, x0.tolist(), at_x0[draw(st.integers(0, len(at_x0) - 1))].tolist(),
+                     counts)
+    doc["tol"] = draw(st.sampled_from([0.0, 1e-9, 0.5, 1e300]))
+    return doc
+
+
+@given(pick_documents())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_segmented_picks_match_the_per_sample_picks(tmp_path, doc):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(doc) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_potential(f, tmp_path / "o") == 0
+    spec = parse_problem(f.read_text())
+    samples = spec.grid.points()
+    family = family_from_text((tmp_path / "o" / "family.json").read_text())
+    with np.errstate(over="raise", invalid="raise"):
+        want = selected_values_ref(spec.map, samples, spec.x0, spec.v0,
+                                   potential_values(family, samples), spec.tol)
+    entries = json.loads((tmp_path / "o" / "subgradient.json").read_text())["entries"]
+    assert json.dumps([entry["selected"] for entry in entries]) == json.dumps(want)
 
 
 def test_an_anchor_whose_nearness_overflows_exits_invalid(tmp_path, capsys):
