@@ -17,9 +17,8 @@ points, last velocities and last sums, their dedup keys and, under a box,
 their values at the box vertices), built once and carried through growth, so
 growing evaluates only the new prefixes.  One growth kernel grows a model by
 chains offered as rows of one pair table: the prefixes of a public chain,
-or, while :func:`build_family` grows its levels, node paths keyed by the ids
-of their nodes, whose members become chains only once the last level is
-grown.  The model is evaluated at many
+or, while :func:`build_family` grows its levels, node paths, whose members
+become chains only once the last level is grown.  The model is evaluated at many
 points by one :func:`inner_rows` call per block of members, in the operand
 order of :func:`affine_value`, so batched and one-at-a-time values agree bit
 for bit.  Subgradient tests of many nodes run as one batched kernel.  It
@@ -292,20 +291,19 @@ class _Offer:
     Chain ``j`` is the pairs ``(P[a], S[a])`` for ``a`` in
     ``paths[j, :lengths[j]]``, with step sums ``sums[j, :lengths[j]]``;
     ``T[a]``, when the family has a box, holds ``<y - P[a], S[a]>`` at each
-    box vertex ``y``.  The dedup key of a prefix of ``n`` pairs is the tuple
-    of the ids ``ids`` along it, which are equal exactly where table rows are
-    equal bit for bit, or, for offered :class:`Chain` objects, the bytes of
-    the prefix's points and velocities.  A kept prefix becomes the member
-    :meth:`part` gives: a prefix of the offered chain, or the prefix's node
-    path and step sums, made into a chain once growth is done.
+    box vertex ``y``.  The dedup key of a prefix is the bytes of its points
+    and of its velocities, as for a member.  A kept prefix becomes the member
+    :meth:`part` gives: a prefix of the offered :class:`Chain`, or, without
+    ``chains``, the prefix's node path and step sums, made into a chain once
+    growth is done.
     """
 
-    __slots__ = ("P", "S", "T", "paths", "sums", "lengths", "ids", "chains")
+    __slots__ = ("P", "S", "T", "paths", "sums", "lengths", "chains")
 
-    def __init__(self, P, S, T, paths, sums, lengths, ids=None, chains=None):
+    def __init__(self, P, S, T, paths, sums, lengths, chains=None):
         self.P, self.S, self.T = P, S, T
         self.paths, self.sums, self.lengths = paths, sums, lengths
-        self.ids, self.chains = ids, chains
+        self.chains = chains
 
     @classmethod
     def of_chains(cls, chains, dim, vertices):
@@ -332,12 +330,13 @@ class _Offer:
         return self.T[self.paths[J, counts - 1]] + self.sums[J, counts - 1][:, None]
 
     def keys(self, J):
-        # the dedup keys of every prefix of each chain of J, shortest first
-        if self.chains is not None:
-            return [[(chain.xs[:n].tobytes(), chain.vs[:n].tobytes())
-                     for n in range(1, len(chain) + 1)] for chain in map(self.chains.__getitem__, J)]
-        return [[tuple(row[:n]) for n in range(1, count + 1)]
-                for row, count in zip(self.ids[self.paths[J]].tolist(), self.lengths[J].tolist())]
+        # the dedup keys of every prefix of each chain of J, shortest first,
+        # cut from the bytes of all their padded rows
+        xs, vs = self.P[self.paths[J]].tobytes(), self.S[self.paths[J]].tobytes()
+        w = self.P.itemsize * self.P.shape[1]
+        return [[(xs[a:a + n * w], vs[a:a + n * w]) for n in range(1, count + 1)]
+                for a, count in zip(range(0, len(xs), self.paths.shape[1] * w),
+                                    self.lengths[J].tolist())]
 
     def part(self, j, count):
         if self.chains is not None:
@@ -360,21 +359,12 @@ def _grow_rows(model, members, cap, offer, chains=None):
     higher at one or earlier) is transitive, so a pruned prefix that comes
     back is pruned again, and a row it would prune is pruned by a row that
     stays.  So the new prefixes of all chains are deduplicated, evaluated and
-    pruned in one step.  While the model is closed (see :class:`_AffineModel`),
-    a chain whose last row a member is as high as at every vertex adds no row
-    that growth keeps; such chains are dropped first, unless the others could
-    take the family past its cap.  When the new prefixes could, and eviction
-    could start partway through, the chains are grown in halves, down to one
-    at a time.
+    pruned in one step.  When the new prefixes could take the family past its
+    cap, and eviction could start partway through, the chains are grown in
+    halves, down to one at a time.
     """
     m = len(model.c)
     chains = np.arange(len(offer)) if chains is None else chains
-    if model.vertices is not None and model.closed:
-        kept = ~_dominated_by(model.at_vertices,
-                              offer.at_vertices(chains, offer.lengths[chains]))
-        if m + np.count_nonzero(kept) <= cap:
-            # under the gate nothing is evicted, so a dropped chain is pruned at its turn
-            chains = chains[kept]
     seen = set(model.keys)
     picks, keys = [], []
     for j, prefixes in zip(chains.tolist(), offer.keys(chains)):
@@ -625,8 +615,10 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
 
 
 def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMILY_CAP):
-    # children have slack >= 0 in verify_chain's own terms, so they verify
-    # only at tol >= 0
+    # the checks of SequenceFamily.initial, in its order; children have
+    # slack >= 0 in verify_chain's own terms, so they verify only at tol >= 0
+    if not (np.isfinite(x0).all() and np.isfinite(v0).all()):
+        raise ValueError("chain entries must be finite")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if cap < 1:
@@ -637,17 +629,15 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     K, dim = V.shape
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
     ends = _terms(x0[None], X, V[None])[0]
-    # node K stands for the anchor, the first pair of every chain; nodes
-    # share an id exactly where their pairs are equal bit for bit, so a path
-    # of ids is a chain's dedup key
+    # node K stands for the anchor, the first pair of every chain
     points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
-    ids = _row_ids(np.hstack([points, velocities]))
     vertices = None if box is None else _frozen(np.array(_box_vertices(box)))
     at_vertices = _vertex_terms(points, velocities, vertices)
     # the trivial member, a member being its node path and step sums until
     # the last level is grown
     trivial = (np.array([K]), np.zeros(1))
-    model = _AffineModel(x0[None], v0[None], np.zeros(1), ((int(ids[K]),),), vertices, True,
+    model = _AffineModel(points[K:], velocities[K:], np.zeros(1),
+                         ((points[K:].tobytes(), velocities[K:].tobytes()),), vertices, True,
                          None if vertices is None else at_vertices[K:] + trivial[1][:, None],
                          settled=True)
     members = (trivial,)
@@ -674,8 +664,16 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
                 kid_paths = np.concatenate([rows[r], b[:, None]], axis=1)
                 kid_sums = np.concatenate([prefix[r], stepped[r, b][:, None]], axis=1)
                 offer = _Offer(points, velocities, at_vertices, kid_paths, kid_sums,
-                               np.full(len(r), kid_paths.shape[1]), ids=ids)
-                model, members = _grow_rows(model, members, cap, offer)
+                               np.full(len(r), kid_paths.shape[1]))
+                live = None
+                if vertices is not None and model.closed:
+                    # every proper prefix of a child was grown at an earlier
+                    # level, so a survivor adds at most its last row: under the
+                    # gate nothing is evicted, so a dropped child is pruned at its turn
+                    kept = ~_dominated_by(model.at_vertices, at_vertices[b] + kid_sums[:, -1:])
+                    if len(members) + np.count_nonzero(kept) <= cap:
+                        live = np.flatnonzero(kept)
+                model, members = _grow_rows(model, members, cap, offer, live)
                 grown += len(r)
                 if kid_paths.shape[1] < max_length:
                     next_paths.append(kid_paths)
@@ -685,22 +683,12 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
         if exhausted or not next_paths:
             break
         paths, sums = np.concatenate(next_paths), np.concatenate(next_sums)
-    # each member gets its own read-only rows, and the model the byte keys
-    # of its members
+    # each member gets its own read-only rows
     members = tuple(Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s))
                     for p, s in members)
-    model = _AffineModel(model.P, model.S, model.c,
-                         tuple((chain.xs.tobytes(), chain.vs.tobytes()) for chain in members),
-                         vertices, model.closed, model.at_vertices, settled=True)
     family = SequenceFamily._trusted(x0, v0, members, box, float(tol), cap, model)
     stats = {"chains_grown": grown, "evaluations": used, "budget_exhausted": exhausted}
     return family, stats
-
-
-def _row_ids(A) -> np.ndarray:
-    # one id per row of A, equal exactly where rows are equal bit for bit
-    rows = np.ascontiguousarray(A).view(np.dtype((np.void, A.itemsize * A.shape[1])))
-    return np.unique(rows[:, 0], return_inverse=True)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from setflow import (
     Halfspace,
     SequenceFamily,
     build_family,
+    constant_map,
     family_to_text,
     grow_family,
     map_from_dict,
@@ -286,6 +287,39 @@ def test_first_grow_prunes_members_given_to_the_constructor(box, cap):
                 [potential_value_ref(want, p) for p in grid])
 
 
+def test_a_closed_family_grows_chains_whose_prefixes_it_lacks():
+    # the trivial member is as high as the chain's last row x -> x - 1 at
+    # both vertices, but not as its 2-pair prefix x -> 2x - 0.5, which growth
+    # keeps; before the chain's own prefix, or beside another chain
+    family = SequenceFamily.initial([0.0], [1.0], box=([-1.0], [1.0]))
+    chain = Chain([[0.0], [0.5], [-0.5]], [[1.0], [2.0], [1.0]])
+    other = Chain([[0.0], [-0.5]], [[1.0], [-1.0]])
+    got, want = grow_family(family, chain), grow_family_ref(family, chain)
+    assert family_to_text(got) == family_to_text(want)
+    assert [len(member) for member in got.members] == [1, 2]
+    for batch in ([chain], [chain, chain.prefix(2)], [chain, other, chain.prefix(2)],
+                  [other, chain]):
+        assert_batch_matches_fold(family, batch)
+
+
+def test_chains_without_their_prefixes_match_one_at_a_time():
+    for svmap, grid, _ in random_cases(6):
+        box = bounds(grid)
+        for x0 in grid[::max(1, len(grid) // 3)]:
+            v0 = svmap.eval(x0).points[-1]
+            # 3-pair chains only: their 2-pair prefixes are never offered
+            longest = [chain for chain in verified_chains(svmap, grid, x0, v0, 3, 100)
+                       if len(chain) == 3]
+            start = SequenceFamily.initial(x0, v0, box=box)
+            for chain in longest[:20]:
+                got, want = grow_family(start, chain), grow_family_ref(start, chain)
+                assert family_to_text(got) == family_to_text(want)
+            for cap in (2, 5, 4096):
+                start = SequenceFamily.initial(x0, v0, box=box, cap=cap)
+                assert_batch_matches_fold(start, longest)
+                assert_batch_matches_fold(start, longest[::-1])
+
+
 def verified_chains(svmap, grid, x0, v0, max_length, limit):
     """The first ``limit`` chains a breadth-first build grows, in its order."""
     out, queue = [], deque([Chain([x0], [v0])])
@@ -436,6 +470,17 @@ def test_negative_or_nan_tolerance_is_refused():
     for tol in (-1e-9, float("nan")):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             build_family(entry.svmap, x0, v0, entry.grid, 2, tol=tol)
+
+
+def test_a_non_finite_anchor_is_refused():
+    # a constant map has the anchor velocity at any point, finite or not
+    svmap = constant_map([[1.0]])
+    grid = sample_grid([-1.0], [1.0], [3])
+    for x0, v0 in (([math.nan], [1.0]), ([math.inf], [1.0]), ([-math.inf], [1.0])):
+        for box in (None, ([-1.0], [1.0])):
+            want = outcome(build_family_ref, svmap, x0, v0, grid, 2, box)
+            assert want == ("error", "chain entries must be finite")
+            assert outcome(build_family, svmap, x0, v0, grid, 2, box) == want
 
 
 def test_budgets_past_int64_give_the_default_family():
