@@ -29,7 +29,11 @@ compatible node of that family's query phase (every grid pair it accepts,
 checked against every grid point in one kernel call; ``null`` on a tree
 without the kernel), and likewise per compatible node of the kink family
 built on the 9x9 grid at ``max_length`` 3 (its 100 nodes), per point
-of ``GridSpec.points`` on a 50x80 grid, per call of each of the five
+of ``GridSpec.points`` on a 50x80 grid, per call of ``parse_problem`` on a
+problem document of each built-in map kind (the maps of the ``eval``
+figures), per call of both pairwise classifiers (``classify_monotone`` then
+``classify_weakly_monotone``) on the rotation ``[[0, -1], [1, 0]]`` over a 7x7
+grid, whose gaps are all zero, so that every pair is checked, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
 over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
@@ -45,16 +49,17 @@ first two pairs, and per call
 of ``inner``, ``extension_slack`` (one velocity), ``Chain.extended``,
 ``support_argmax`` and ``dist_to_hull`` (the constant map's four values), of
 each ``extend_*`` rule and of ``submap_select`` (against the constant map,
-from the ``build_family`` family), on fixed two dimensional inputs.  Three
+from the ``build_family`` family), on fixed two dimensional inputs.  Four
 figures time the CLI's writers: ``cli._write_json`` on the
-``subgradient.json`` document of ``setflow potential`` on that kink problem,
+``subgradient.json`` document of ``setflow potential`` and on the
+``classification.json`` document of ``setflow classify`` on that kink problem,
 and ``cli._write_csv`` on the 1001-row table of a 3-d polygon (1000 support
 steps of the gradient map ``GRADIENT3``), given as the tree's ``run_solve``
 gives it, and on that table with a state of ``1e-17`` in every 50th row,
 which the writer formats by ``float.__repr__``.  Within a round each is the
 least of five timed repeats.  On a tree whose ``_write_json`` takes the
-arrays a document's floats come from (it has ``cli._orjson_exact``), the
-JSON figure passes the document's samples and values.  Two figures time
+arrays a document's floats come from (a ``floats`` parameter), the
+subgradient figure passes the document's samples and values.  Two figures time
 whole ``setflow potential`` runs through ``cli.main``: a query op, the
 3-d table map ``TABLE3`` on a 4x4x4 grid at ``max_length`` 2, and a growth
 op, the subdifferential map of the ``build_family`` figure on its 5x5 grid
@@ -70,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import platform
@@ -176,7 +182,8 @@ def measure(src: str) -> dict:
                          classify_monotone, classify_weak_cyclic_monotone,
                          classify_weakly_monotone, dist_to_hull, euler_solve, extend_exhaustive,
                          extend_inertial, extend_support, extension_slack, grow_family, inner,
-                         map_from_dict, potential_value, sample_grid, submap_select,
+                         map_from_dict, parse_problem, potential_value, sample_grid,
+                         submap_select,
                          support_argmax, time_grid, trajectory_residual, verify_chain)
 
     points = [np.array(p) for p in GRID]
@@ -287,6 +294,17 @@ def measure(src: str) -> dict:
     points = GridSpec(*POINTS_GRID)
     out["setmaps.GridSpec.points.us_per_point"] = _per_call_us(
         points.points, int(np.prod(POINTS_GRID[2])))
+    for kind, doc in MAPS.items():
+        x = [-0.75, 0.3]
+        text = json.dumps({"map": doc, "x0": x, "v0": map_from_dict(doc).eval(x).points[0].tolist(),
+                           "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+                           "grid": KINK_GRID, "max_length": KINK_LENGTH})
+
+        def parses(text=text):
+            for _ in range(GRID_CALLS):
+                parse_problem(text)
+
+        out[f"setmaps.parse_problem.{kind}.us_per_call"] = _per_call_us(parses, GRID_CALLS)
     kink = map_from_dict(KINK)
     kink_grid = sample_grid(KINK_GRID["low"], KINK_GRID["high"], KINK_GRID["counts"])
     for classify in (classify_monotone, classify_weakly_monotone):
@@ -304,6 +322,14 @@ def measure(src: str) -> dict:
     out["chains.classify_cyclic_monotone.kink17.us_per_call"] = _per_call_us(
         lambda: classify_cyclic_monotone(square, four_grid, KINK_LENGTH, budget=WIDE_BUDGET), 1)
     rotation = map_from_dict(ROTATION)
+    rot7 = sample_grid(*FAMILY_GRID[:2], [7, 7])
+
+    def pairwise():
+        for _ in range(GRID_CALLS):
+            classify_monotone(rotation, rot7)
+            classify_weakly_monotone(rotation, rot7)
+
+    out["chains.pairwise.rot7.us_per_call"] = _per_call_us(pairwise, GRID_CALLS)
     for classify in (classify_cyclic_monotone, check_support_chain):
         out[f"chains.{classify.__name__}.rot9.us_per_call"] = _per_call_us(
             lambda: classify(rotation, kink_grid, ROTATION_LENGTH, budget=WIDE_BUDGET), 1)
@@ -340,13 +366,22 @@ def measure(src: str) -> dict:
         argv = ["classify", "--input", str(problem), "--output", tmp]
         with contextlib.redirect_stdout(io.StringIO()):
             out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
+            classification = json.loads((Path(tmp) / "classification.json").read_text())
+            target = Path(tmp) / "written.json"
+
+            def write_classification():
+                for _ in range(WRITES):
+                    setflow.cli._write_json(target, classification)
+
+            out["cli.write_json.classification.us_per_call"] = _per_call_us(
+                write_classification, WRITES)
             setflow.cli.main(["potential", *argv[1:]])
             subgradient = json.loads((Path(tmp) / "subgradient.json").read_text())
-            target = Path(tmp) / "written.json"
             entries = subgradient["entries"]
             floats = ([np.array([e["x"] for e in entries]),
                        np.array([v["v"] for e in entries for v in e["values"]])],)
-            floats = floats if hasattr(setflow.cli, "_orjson_exact") else ()
+            if "floats" not in inspect.signature(setflow.cli._write_json).parameters:
+                floats = ()
 
             def write_json():
                 for _ in range(WRITES):

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import _best_row, inner, inner_rows, support_value
-from .setmaps import SetValuedMap, _json_text, _point_rows
+from .setmaps import SetValuedMap, _json_bytes, _point_rows
 
 __all__ = [
     "DEFAULT_TOL",
@@ -340,7 +340,7 @@ class ClassReport:
         }
 
     def to_text(self) -> str:
-        return _json_text(self.to_json_dict()) + "\n"
+        return _json_bytes(self.to_json_dict()).decode() + "\n"
 
 
 # an overflowing term or an inf - inf leaves a gap or slack that no comparison
@@ -385,46 +385,69 @@ def classify_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDG
 
 
 def _monotone(graph, tol, budget):
-    # checks run over sample pairs i < j, then the nodes of i, then those of j;
-    # without a violation, sample i's checks follow the first skip[i]
-    (K, d), start, sizes = graph.X.shape, graph.start, np.diff(graph.start)
-    skip = np.concatenate([[0], np.cumsum(sizes[:-1] * (K - start[1:-1]))])
+    # checks run over sample pairs i < j, then the nodes a of i, then the
+    # nodes b of j: (a, b) is check skip[i] + sizes[i] * (start[j] - start[i + 1])
+    # + (a - start[i]) * sizes[j] + b - start[j], where skip[i] counts the
+    # checks of the samples before i
+    (K, d), start, owner = graph.X.shape, graph.start, graph.owner
+    n, sizes = len(start) - 1, start[1:] - start[:-1]
+    skip = np.zeros(n, dtype=np.int64)
+    skip[1:] = (sizes[:-1] * (K - start[1:-1])).cumsum()
     # a budget past every check acts as one just past them, and stays in int64
     budget = min(budget, int(skip[-1]) + 1)
-    # only the nodes b < hi[i] of later samples and the rows a < lo + rows[i]
-    # of sample i hold checks within the budget
-    room = np.maximum(budget - skip, 1)
-    hi = start[np.minimum(np.searchsorted(start, start[1:] - (-room // sizes)), len(sizes))]
-    rows = np.minimum(sizes[:-1], -(-room[:-1] // sizes[1:]))
-    witness = None
-    for i, (lo, mid, end, used, count) in enumerate(zip(
-            start[:-2].tolist(), start[1:-1].tolist(), hi.tolist(), skip.tolist(),
-            rows.tolist())):
-        if used >= budget:
-            raise BudgetExceededError(budget + 1, budget)
+    # the samples before cut hold checks within the budget alone, and are
+    # scanned whole.  Where cut's first check lies within it too, only its
+    # rows a below start[cut] + rows and the nodes b below end of the later
+    # samples hold checks within the budget
+    cut = int(skip[1:].searchsorted(budget, "right"))
+    spans = [(0, int(start[cut]), K)]
+    if cut < n - 1 and skip[cut] < budget:
+        room = budget - int(skip[cut])
+        rows = min(int(sizes[cut]), -(-room // int(sizes[cut + 1])))
+        end = start[min(start.searchsorted(start[cut + 1] - (-room // sizes[cut])), n)]
+        spans.append((int(start[cut]), int(start[cut]) + rows, int(end)))
+    found = None  # (check number, node a, node b, gap)
+    overflow = None  # (sample, its span) of the first check whose gap is not finite
+    # a block holds pairs that no check forms, whose gaps may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, end in spans:
+            r = lo
+            # a sample's checks all follow those of the samples before it
+            while r < hi and (found is None or skip[owner[r]] <= found[0]):
+                mid = int(start[owner[r] + 1])
+                rs = slice(r, min(hi, r + max(1, _BLOCK_ELEMENTS // ((end - mid) * d))))
+                gaps = graph.gaps(rs, slice(mid, end))
+                checked = owner[mid:end] > owner[rs, None]
+                a, b = (checked & (gaps < -tol)).nonzero()
+                if a.size:
+                    i, j = owner[r + a], owner[mid + b]
+                    order = (skip[i] + sizes[i] * (start[j] - start[i + 1])
+                             + (r + a - start[i]) * sizes[j] + mid + b - start[j])
+                    k = int(order.argmin())
+                    if found is None or order[k] < found[0]:
+                        found = (int(order[k]), r + a[k], mid + b[k], float(gaps[a[k], b[k]]))
+                if overflow is None and not np.isfinite(gaps).all():
+                    bad = (checked & ~np.isfinite(gaps)).any(axis=1)
+                    if bad.any():
+                        overflow = int(owner[r + bad.argmax()]), hi, end
+                r = rs.stop
+    # the scan of a sample raises where the caller's errstate heeds an
+    # overflow in its checks, unless a violation of an earlier sample ended
+    # the scan before it
+    if overflow is not None and (found is None or found[0] >= skip[overflow[0]]):
+        s, hi, end = overflow
+        lo, mid = int(start[s]), int(start[s + 1])
         block = max(1, _BLOCK_ELEMENTS // ((end - mid) * d))
-        found = None  # (check number in sample i's scan, node a, node b, gap)
-        for r in range(lo, lo + count, block):
-            rs = slice(r, min(r + block, lo + count))
-            gaps = inner_rows(graph.X[rs, None] - graph.X[mid:end],
-                              graph.V[rs, None] - graph.V[mid:end])
-            a, b = np.nonzero(gaps < -tol)
-            if a.size:
-                j = graph.owner[mid + b]
-                order = sizes[i] * (start[j] - mid) + (r - lo + a) * sizes[j] + mid + b - start[j]
-                k = int(np.argmin(order))
-                if found is None or order[k] < found[0]:
-                    found = (int(order[k]), r + a[k], mid + b[k], float(gaps[a[k], b[k]]))
-        if found is not None:
-            used += found[0] + 1
-            x, y = found[1], found[2]
-            witness = {"x": graph.X[x].tolist(), "y": graph.X[y].tolist(),
-                       "v_x": graph.V[x].tolist(), "v_y": graph.V[y].tolist(), "gap": found[3]}
-            break
-    else:
-        used = int(skip[-1])
+        for r in range(lo, min(mid, hi), block):
+            graph.gaps(slice(r, min(r + block, mid, hi)), slice(mid, end))
+    used = int(skip[-1]) if found is None else found[0] + 1
     if used > budget:
         raise BudgetExceededError(budget + 1, budget)
+    witness = None
+    if found is not None:
+        _, x, y, gap = found
+        witness = {"x": graph.X[x].tolist(), "y": graph.X[y].tolist(),
+                   "v_x": graph.V[x].tolist(), "v_y": graph.V[y].tolist(), "gap": gap}
     return ClassReport("monotone", witness is None, witness, tol, _describe(graph.points),
                        {"pairs_checked": used})
 
@@ -447,14 +470,13 @@ def _weakly_monotone(graph, tol, budget):
     block = max(1, _BLOCK_ELEMENTS // (K * d))
     used, witness = K * (n - 1), None
     for lo in range(0, reach, block):
-        a = np.arange(lo, min(lo + block, reach))
-        # max over v_y in F(y) of <v_x - v_y, x - y>, never with y = x
-        gaps = inner_rows(graph.V[a, None] - graph.V, graph.X[a, None] - graph.X)
-        best = np.maximum.reduceat(gaps, graph.start[:-1], axis=1)
-        best[np.arange(len(a)), graph.owner[a]] = np.inf
-        stuck = np.flatnonzero(best < -tol)
-        if stuck.size:
-            r, j = divmod(int(stuck[0]), n)
+        rows = slice(lo, min(lo + block, reach))
+        # max over v_y in F(y) of the gap, never with y = x
+        best = np.maximum.reduceat(graph.gaps(rows), graph.start[:-1], axis=1)
+        best[np.arange(len(best)), graph.owner[rows]] = np.inf
+        stuck = best < -tol
+        if stuck.any():
+            r, j = divmod(int(stuck.argmax()), n)
             i = int(graph.owner[lo + r])
             used = (lo + r) * (n - 1) + j + (j < i)
             witness = {"x": graph.points[i].tolist(), "y": graph.points[j].tolist(),
@@ -492,6 +514,14 @@ class _ChainGraph:
         self.V, self.owner = svmap.eval_many(points) if evaluated is None else evaluated
         self.start = np.searchsorted(self.owner, np.arange(len(points) + 1))
         self.X = points[self.owner]
+
+    def gaps(self, rows, cols=slice(None)):
+        """``<X[a] - X[b], V[a] - V[b]>`` for the nodes ``a`` of ``rows`` and ``b`` of ``cols``.
+
+        The gap of the monotone classes, one row per node of ``rows``; its
+        inner products run in either order bit for bit.
+        """
+        return inner_rows(self.X[rows, None] - self.X[cols], self.V[rows, None] - self.V[cols])
 
     W = cached_property(lambda self: _terms(self.X, self.points, self.V[:, None]))
     E = cached_property(lambda self: _terms(self.points, self.X, self.V[None]))

@@ -41,11 +41,11 @@ from .geometry import _segment_best_rows, inner_rows
 from .potential import (
     _build_family,
     _subgradient_checks,
-    family_to_text,
+    family_to_json_dict,
     potential_value,
     potential_values,
 )
-from .setmaps import STRATEGIES, GridSpec, ProblemFormatError, _json_text, parse_problem
+from .setmaps import STRATEGIES, GridSpec, ProblemFormatError, _json_bytes, parse_problem
 from .solver import (
     SelectionFailed,
     euler_solve,
@@ -117,7 +117,7 @@ def _parse_steps_option(text: str):
 
 
 def _load_spec(args):
-    spec = parse_problem(Path(args.input).read_text())
+    spec = parse_problem(Path(args.input).read_bytes().decode())
     flags = {
         "tol": args.tol,
         "strategy": getattr(args, "strategy", None),
@@ -137,17 +137,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, obj, floats=None) -> None:
-    # the text of json.dumps(obj, indent=2) and a newline, in one write.
-    # floats, when given, are the arrays every float of obj comes from; if
-    # orjson writes each of them as repr() does, it writes the document
-    if floats is not None and all(_orjson_exact(a).all() for a in floats):
-        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
-    else:
-        text = _json_text(obj).encode()
+def _write_json(path: Path, obj) -> None:
+    # the text of json.dumps(obj, indent=2) and a newline, in one write
     with open(path, "wb") as fh:
-        fh.write(text)
-        fh.write(b"\n")
+        fh.write(_json_bytes(obj) + b"\n")
     print(f"wrote {path.name}")
 
 
@@ -319,15 +312,11 @@ def run_potential(args) -> int:
         **stats,
     }
     # every figure is computed before the first file is written, so a run
-    # that fails leaves no outputs. Each float of subgradient.json is a
-    # sample's or a value's coordinate, and of potential_summary.json the
-    # anchor value, so those arrays decide whether orjson writes the file
-    with open(out / "family.json", "w", newline="\n") as fh:
-        fh.write(family_to_text(family))
-    print("wrote family.json")
+    # that fails leaves no outputs
+    _write_json(out / "family.json", family_to_json_dict(family))
     _write_csv(out / "potential_values.csv", header, rows)
-    _write_json(out / "subgradient.json", {"entries": entries}, [samples, graph.V])
-    _write_json(out / "potential_summary.json", summary, [np.array(anchor_value)])
+    _write_json(out / "subgradient.json", {"entries": entries})
+    _write_json(out / "potential_summary.json", summary)
     print(f"family of {len(family)} chains, {accepted} compatible pairs")
     return EXIT_OK
 

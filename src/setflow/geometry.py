@@ -50,7 +50,7 @@ def as_vector(coords) -> np.ndarray:
     v = np.array(coords, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("a vector must be one dimensional with at least one entry")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     v.flags.writeable = False
     return v
@@ -104,7 +104,7 @@ class CompactSet:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("a compact set needs at least one point of dimension >= 1")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("set points must be finite")
         pts.flags.writeable = False
         self.points = pts
@@ -148,7 +148,7 @@ class CompactSet:
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,):
             raise ValueError(f"dimension mismatch: {p.shape} vs ({self.dimension},)")
-        return bool(np.any(np.all(self.points == p, axis=1)))
+        return bool((self.points == p).all(axis=1).any())
 
     def norm_max(self) -> float:
         """Largest Euclidean norm over the points; ``inf`` where a square overflows."""

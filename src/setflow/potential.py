@@ -38,7 +38,7 @@ import numpy as np
 from .chains import (DEFAULT_CHAIN_BUDGET, _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks,
                      _terms, verify_chain)
 from .geometry import inner, inner_rows
-from .setmaps import SetValuedMap, _json_text, _point_rows
+from .setmaps import SetValuedMap, _json_bytes, _point_rows
 
 __all__ = [
     "SequenceFamily",
@@ -723,7 +723,7 @@ def family_from_json_dict(d) -> SequenceFamily:
 
 
 def family_to_text(family: SequenceFamily) -> str:
-    return _json_text(family_to_json_dict(family)) + "\n"
+    return _json_bytes(family_to_json_dict(family)).decode() + "\n"
 
 
 def family_from_text(text: str) -> SequenceFamily:

@@ -15,12 +15,13 @@ import functools
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
-from .geometry import CompactSet, as_vector, inner, inner_rows, norm, support_argmax, dist_to_set
+from .geometry import CompactSet, as_vector, inner_rows, norm
 
 __all__ = [
     "ACTIVITY_TOL",
@@ -42,7 +43,6 @@ __all__ = [
     "ProblemSpec",
     "parse_problem",
     "serialize_problem",
-    "closed_graph_diagnostic",
 ]
 
 # a max-of-affine piece counts as active when its value is within this
@@ -166,7 +166,7 @@ class PLConvexFunction:
             raise ValueError("at least one affine piece is required")
         if offsets.shape != (slopes.shape[0],):
             raise ValueError("offsets must match the number of pieces")
-        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(offsets))):
+        if not (np.isfinite(slopes).all() and np.isfinite(offsets).all()):
             raise ValueError("pieces must be finite")
         slopes.flags.writeable = False
         offsets.flags.writeable = False
@@ -207,8 +207,8 @@ class _ActiveSlopes:
     def __init__(self, slopes, offsets):
         self.slopes = slopes
         self.offsets = offsets
-        same = (slopes[:, None, :] == slopes[None, :, :]).all(axis=2)
-        self.twins = [(int(i), int(j)) for i, j in zip(*np.nonzero(np.tril(same, -1)))]
+        rows = [tuple(row) for row in slopes.tolist()]
+        self.twins = [(i, j) for i in range(len(rows)) for j in range(i) if rows[i] == rows[j]]
         self.singletons = [CompactSet._trusted(slopes[i:i + 1]) for i in range(len(slopes))]
 
     def _kept(self, active):
@@ -268,9 +268,6 @@ class Halfspace:
         object.__setattr__(self, "normal", tuple(float(c) for c in self.normal))
         object.__setattr__(self, "value", float(self.value))
 
-    def matches(self, x) -> bool:
-        return bool(_OP_UFUNCS[self.op](inner(np.array(self.normal), x), self.value))
-
     def to_dict(self):
         return {"kind": "halfspace", "normal": list(self.normal), "value": self.value, "op": self.op}
 
@@ -288,9 +285,6 @@ class Box:
         if len(self.low) != len(self.high):
             raise ValueError("box bounds must share a dimension")
 
-    def matches(self, x) -> bool:
-        return bool(_in_boxes(np.array(self.low), np.array(self.high), np.asarray(x, dtype=float)))
-
     def to_dict(self):
         return {"kind": "box", "low": list(self.low), "high": list(self.high)}
 
@@ -298,9 +292,6 @@ class Box:
 @dataclass(frozen=True)
 class Always:
     """Catch-all region."""
-
-    def matches(self, x) -> bool:
-        return True
 
     def to_dict(self):
         return {"kind": "always"}
@@ -338,15 +329,21 @@ class _Constant:
         return np.tile(self.value.points, (n, 1)), np.repeat(np.arange(n), m)
 
 
+def _norm_bound(points):
+    # the largest norm over the rows of points, as a bound rule formed on its
+    # first call: classify and potential never ask for one
+    bound = functools.cache(lambda: CompactSet._trusted(points).norm_max())
+    return lambda c, r: bound()
+
+
 def constant_map(A) -> SetValuedMap:
     """The map with value ``A`` everywhere. ``A`` may be any point array."""
     if not isinstance(A, CompactSet):
         A = CompactSet(A)
-    bound = A.norm_max()
     return SetValuedMap(
         A.dimension,
         _Constant(A),
-        bound_rule=lambda c, r: bound,
+        bound_rule=_norm_bound(A.points),
         kind="constant",
         params={"kind": "constant", "points": A.points.tolist()},
     )
@@ -359,11 +356,10 @@ def pl_subdifferential_map(f: PLConvexFunction) -> SetValuedMap:
     extreme points of the subdifferential, a singleton wherever ``f`` is
     differentiable.
     """
-    bound = CompactSet._trusted(f.slopes).norm_max()
     return SetValuedMap(
         f.dimension,
         f._active,
-        bound_rule=lambda c, r: bound,
+        bound_rule=_norm_bound(f.slopes),
         kind="subdifferential",
         params={
             "kind": "subdifferential",
@@ -415,8 +411,8 @@ def linear_map(M) -> SetValuedMap:
     )
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(rows, shape) -> np.ndarray:
+    a = np.array(rows, dtype=float).reshape(shape)
     a.flags.writeable = False
     return a
 
@@ -429,33 +425,37 @@ class _Table:
     column that always holds.  Every halfspace normal is a row of one
     matrix, so one :func:`inner_rows` forms all their products.
     ``slot[r]`` is the column of region ``r``.  The region values are
-    stacked in ``points``, region ``r`` at rows ``start[r]`` to
-    ``start[r] + count[r]``.
+    stacked in the read-only ``points``, region ``r`` at rows ``start[r]``
+    to ``start[r] + count[r]``, and ``sets[r]`` is that slice.
     """
 
     __slots__ = ("sets", "normals", "levels", "groups", "boxes", "low", "high", "slot",
                  "points", "start", "count")
 
-    def __init__(self, regions, dim):
-        preds = [p for p, _ in regions]
+    def __init__(self, preds, points, count):
+        dim = points.shape[1]
         halfspaces = [r for op in _OP_UFUNCS for r, p in enumerate(preds)
                       if isinstance(p, Halfspace) and p.op == op]
         boxes = [r for r, p in enumerate(preds) if isinstance(p, Box)]
-        self.slot = np.full(len(preds), len(halfspaces) + len(boxes))
-        self.slot[halfspaces + boxes] = np.arange(len(halfspaces) + len(boxes))
-        self.normals = _frozen(np.reshape([preds[r].normal for r in halfspaces], (-1, dim)))
-        self.levels = _frozen([preds[r].value for r in halfspaces])
+        slot = [len(halfspaces) + len(boxes)] * len(preds)
+        for column, r in enumerate(halfspaces + boxes):
+            slot[r] = column
+        self.slot = np.array(slot)
+        self.normals = _frozen([preds[r].normal for r in halfspaces], (-1, dim))
+        self.levels = _frozen([preds[r].value for r in halfspaces], -1)
         self.groups, stop = [], 0
         for op, run in itertools.groupby(preds[r].op for r in halfspaces):
             start, stop = stop, stop + len(list(run))
             self.groups.append((_OP_UFUNCS[op], slice(start, stop)))
         self.boxes = slice(len(halfspaces), len(halfspaces) + len(boxes))
-        self.low = _frozen(np.reshape([preds[r].low for r in boxes], (-1, dim)))
-        self.high = _frozen(np.reshape([preds[r].high for r in boxes], (-1, dim)))
-        self.sets = [value for _, value in regions]
-        self.points = _frozen(np.concatenate([value.points for value in self.sets]))
-        self.count = np.array([len(value) for value in self.sets])
+        self.low = _frozen([preds[r].low for r in boxes], (-1, dim))
+        self.high = _frozen([preds[r].high for r in boxes], (-1, dim))
+        points.flags.writeable = False
+        self.points = points
+        self.count = np.array(count)
         self.start = np.cumsum(self.count) - self.count
+        self.sets = [CompactSet._trusted(points[a:a + c])
+                     for a, c in zip(self.start.tolist(), count)]
 
     def _hits(self, X):
         # one column per region: whether its predicate holds at each row of X
@@ -498,6 +498,30 @@ def _uncovered(x) -> UncoveredPointError:
     return UncoveredPointError(f"point {tuple(x.tolist())} matches no region")
 
 
+def _predicate_size(r, where):
+    # the dimension the predicate of region r tests, None for Always
+    if isinstance(where, Halfspace):
+        return len(where.normal)
+    if isinstance(where, Box):
+        return len(where.low)
+    if isinstance(where, Always):
+        return None
+    raise TypeError(f"region {r}: predicate must be a Halfspace, Box or Always")
+
+
+def _compiled_table(preds, points, count) -> SetValuedMap:
+    # the map of checked predicates and their stacked, finite value rows
+    table = _Table(preds, points, count)
+    rows = points.tolist()
+    params = {
+        "kind": "table",
+        "regions": [{"where": pred.to_dict(), "points": rows[a:a + c]}
+                    for pred, a, c in zip(preds, table.start.tolist(), count)],
+    }
+    return SetValuedMap(points.shape[1], table, bound_rule=_norm_bound(points), kind="table",
+                        params=params)
+
+
 def table_map(regions) -> SetValuedMap:
     """First-match region table ``[(predicate, CompactSet), ...]``.
 
@@ -506,8 +530,8 @@ def table_map(regions) -> SetValuedMap:
     :class:`UncoveredPointError` at points no region matches; listing an
     :class:`Always` region last makes a table total.  Its bound rule is the
     largest norm over all region values.  Any other predicate object, even
-    one with ``matches`` and ``to_dict`` methods, raises ``TypeError``: the
-    compiled table reads the fields of the built-in kinds.
+    one with a ``to_dict`` method, raises ``TypeError``: the compiled table
+    reads the fields of the built-in kinds.
     """
     regions = [
         (where, value if isinstance(value, CompactSet) else CompactSet(value))
@@ -519,27 +543,35 @@ def table_map(regions) -> SetValuedMap:
     for r, (where, value) in enumerate(regions):
         if value.dimension != dim:
             raise ValueError("all region values must share a dimension")
-        if isinstance(where, Halfspace):
-            size = len(where.normal)
-        elif isinstance(where, Box):
-            size = len(where.low)
-        elif isinstance(where, Always):
-            continue
-        else:
-            raise TypeError(f"region {r}: predicate must be a Halfspace, Box or Always")
-        if size != dim:
+        size = _predicate_size(r, where)
+        if size not in (None, dim):
             raise ValueError(f"region {r}: {type(where).__name__.lower()} of dimension {size}, "
                              f"values of dimension {dim}")
-    bound = max(value.norm_max() for _, value in regions)
-    params = {
-        "kind": "table",
-        "regions": [
-            {"where": pred.to_dict(), "points": value.points.tolist()}
-            for pred, value in regions
-        ],
-    }
-    return SetValuedMap(dim, _Table(regions, dim), bound_rule=lambda c, r: bound, kind="table",
-                        params=params)
+    return _compiled_table([where for where, _ in regions],
+                           np.concatenate([value.points for _, value in regions]),
+                           [len(value) for _, value in regions])
+
+
+def _table_from_dicts(regions) -> SetValuedMap:
+    # every region's points converted and checked as one stacked array.  A
+    # description that does not give each region a nonempty list of finite
+    # rows of the predicates' dimension goes through table_map, region by
+    # region, which raises the first fault in region order, a region's
+    # predicate before its points
+    regions = list(regions)
+    try:
+        preds = [predicate_from_dict(r["where"]) for r in regions]
+        count = [len(r["points"]) for r in regions]
+        points = np.array([row for r in regions for row in r["points"]], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        points = None
+    if (points is None or points.ndim != 2 or not points.shape[1] or not all(count)
+            or not np.isfinite(points).all()
+            or any(_predicate_size(r, p) not in (None, points.shape[1])
+                   for r, p in enumerate(preds))):
+        return table_map([(predicate_from_dict(r["where"]), CompactSet(r["points"]))
+                          for r in regions])
+    return _compiled_table(preds, points, count)
 
 
 def map_from_dict(d) -> SetValuedMap:
@@ -549,17 +581,13 @@ def map_from_dict(d) -> SetValuedMap:
     kind = d["kind"]
     try:
         if kind == "constant":
-            return constant_map(CompactSet(np.array(d["points"], dtype=float)))
+            return constant_map(d["points"])
         if kind == "subdifferential":
             return pl_subdifferential_map(PLConvexFunction(d["slopes"], d["offsets"]))
         if kind == "linear":
             return linear_map(d["matrix"])
         if kind == "table":
-            regions = [
-                (predicate_from_dict(r["where"]), CompactSet(np.array(r["points"], dtype=float)))
-                for r in d["regions"]
-            ]
-            return table_map(regions)
+            return _table_from_dicts(d["regions"])
     except ProblemFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -744,7 +772,7 @@ def parse_problem(text: str) -> ProblemSpec:
     for name in _REQUIRED_FIELDS:
         if name not in doc:
             raise ProblemFormatError(f"{name}: required field is missing")
-    unknown = sorted(set(doc) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
+    unknown = sorted(set(doc).difference(_REQUIRED_FIELDS, _OPTIONAL_FIELDS))
     if unknown:
         raise ProblemFormatError(f"document: unknown fields {unknown}")
 
@@ -781,82 +809,32 @@ def parse_problem(text: str) -> ProblemSpec:
     return spec.validated()
 
 
-_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# orjson writes a float outside 1e-4 <= |x| < 1e16 otherwise than repr():
+# 1e-9 for 1e-09, 5e24 for 5e+24, and 0.0000117 for 1.17e-05.  Only a token
+# that ends its line is rewritten: a string's line ends with its quote
+_EXPONENT = re.compile(rb"e(-?)(\d+)(?=,?$)", re.M)
+_FIFTH_PLACE = re.compile(rb"(?<![\d.])0\.0000([1-9])(\d*)(?=,?$)", re.M)
 
 
-def _json_key(key) -> str:
-    # a dict key as json writes it, with the separator after it
-    if isinstance(key, str):
-        return encode_basestring_ascii(key) + ": "
-    if isinstance(key, float):
-        text = float.__repr__(key)
-        key = _NONFINITE_JSON.get(text, text)
-    elif key is True:
-        key = "true"
-    elif key is False:
-        key = "false"
-    elif key is None:
-        key = "null"
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {key.__class__.__name__}")
-    return f'"{key}": '
+def _json_bytes(obj) -> bytes:
+    """The text of ``json.dumps(obj, indent=2)``, as ASCII bytes.
 
-
-def _json_parts(obj, newline, parts) -> None:
-    # the list, tuple or dict obj, whose line starts with newline: one part
-    # per scalar item and its separator, formatted here in json's order of
-    # checks, and a recursive call per container item
-    append = parts.append
-    inner = newline + "  "
-    keyed = isinstance(obj, dict)
-    if not obj:
-        append("{}" if keyed else "[]")
-        return
-    sep = ("{" if keyed else "[") + inner
-    for item in obj.items() if keyed else obj:
-        if keyed:
-            key, item = item
-            head = sep + _json_key(key)
-        else:
-            head = sep
-        sep = "," + inner
-        if isinstance(item, float):
-            text = float.__repr__(item)
-            append(head + _NONFINITE_JSON.get(text, text))
-        elif isinstance(item, str):
-            append(head + encode_basestring_ascii(item))
-        elif item is None:
-            append(head + "null")
-        elif item is True:
-            append(head + "true")
-        elif item is False:
-            append(head + "false")
-        elif isinstance(item, int):
-            append(head + int.__repr__(item))
-        elif isinstance(item, (list, tuple, dict)):
-            append(head)
-            _json_parts(item, inner, parts)
-        else:
-            raise TypeError(f"Object of type {item.__class__.__name__} is not JSON serializable")
-    append(newline + ("}" if keyed else "]"))
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, written without json's encoder.
-
-    With an indent, json runs its pure-Python encoder, a generator per
-    container and a call per item; this is one loop per container.  It
-    raises ``TypeError`` where json does, but does not look for cycles.
+    orjson writes it, with its exponent forms rewritten to those of
+    ``float.__repr__``.  json writes it where orjson refuses ``obj``, where
+    orjson's text holds a character that json escapes (past ASCII, or DEL),
+    and where that text does not read back as ``obj``: NaN and infinities,
+    which orjson writes as ``null``, and tuples, which read back as lists.
     """
-    if not isinstance(obj, (list, tuple, dict)):
-        # no indent to write, so json's C encoder writes the same text
-        return json.dumps(obj)
-    parts = []
-    _json_parts(obj, "\n", parts)
-    return "".join(parts)
+    try:
+        text = orjson.dumps(obj, option=orjson.OPT_INDENT_2)
+    except TypeError:  # orjson.JSONEncodeError
+        return json.dumps(obj, indent=2).encode()
+    text = _EXPONENT.sub(lambda m: b"e" + (m[1] or b"+") + m[2].zfill(2), text)
+    if b"0.0000" in text:
+        text = _FIFTH_PLACE.sub(lambda m: m[1] + (b"." + m[2] if m[2] else b"") + b"e-05", text)
+    if not text.isascii() or b"\x7f" in text or orjson.loads(text) != obj:
+        return json.dumps(obj, indent=2).encode()
+    return text
 
 
 def serialize_problem(spec: ProblemSpec) -> str:
@@ -876,32 +854,4 @@ def serialize_problem(spec: ProblemSpec) -> str:
         doc["max_length"] = int(spec.max_length)
     if spec.step_counts is not None:
         doc["steps"] = [int(c) for c in spec.step_counts]
-    return _json_text(doc) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-def closed_graph_diagnostic(svmap: SetValuedMap, points, limit_point, directions, tol: float) -> bool:
-    """Sampling check that graph limits land back in the value set.
-
-    Along each probe direction a support-maximizing velocity is selected at
-    every point of the (convergent) sample sequence; whenever that selection
-    settles, the settled velocity must lie within ``tol`` of the value at the
-    limit point.  A sampling diagnostic, not a proof of upper semicontinuity.
-    The map is evaluated once at the limit point and once at every sample,
-    whatever the number of directions.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two sample points")
-    limit_value = svmap.eval(limit_point)
-    values, owner = svmap.eval_many(points)
-    # the last three selections decide whether the selection settles
-    n = len(points)
-    tail = [CompactSet._trusted(values[owner == i]) for i in range(max(0, n - 3), n)]
-    for d in directions:
-        picks = [support_argmax(d, value) for value in tail]
-        settled = all(norm(a - b) <= tol for a in picks for b in picks)
-        if settled and dist_to_set(picks[-1], limit_value) > tol:
-            return False
-    return True
+    return _json_bytes(doc).decode() + "\n"

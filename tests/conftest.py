@@ -13,6 +13,7 @@ from setflow import (
     Always,
     Halfspace,
     PLConvexFunction,
+    UncoveredPointError,
     constant_map,
     linear_map,
     pl_subdifferential_map,
@@ -99,6 +100,16 @@ def dyadic(rng, shape, span=2, den=2):
 def bits(values):
     """Float values as int64 views, so ``-0.0`` and ``0.0`` compare unequal."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def region_hit(predicate, x):
+    """Whether the compiled table of one region with ``predicate`` covers ``x``."""
+    x = np.asarray(x, dtype=float)
+    try:
+        table_map([(predicate, [[0.0] * len(x)])]).eval(x)
+    except UncoveredPointError:
+        return False
+    return True
 
 
 def signed_zeros(rng, a):

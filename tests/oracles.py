@@ -34,6 +34,7 @@ from setflow import (
     Halfspace,
     HullProjectionError,
     PLConvexFunction,
+    ProblemFormatError,
     SelectionFailed,
     SequenceFamily,
     Trajectory,
@@ -47,7 +48,6 @@ from setflow import (
     norm,
     submap_contains,
     submap_select,
-    support_argmax,
     support_value,
     verify_chain,
 )
@@ -654,6 +654,35 @@ def eval_ref(svmap, x):
     raise UncoveredPointError(f"point {tuple(x.tolist())} matches no region")
 
 
+def table_from_dict_ref(d):
+    """A table description as ``map_from_dict`` read it region by region.
+
+    Each region's predicate, then its points converted by ``np.array`` and
+    checked by ``CompactSet``, then every region's dimensions in order.
+    Returns the message of the first fault, or the ``(predicate, value set)``
+    regions.
+    """
+    try:
+        regions = [(predicate_from_dict(r["where"]), CompactSet(np.array(r["points"], dtype=float)))
+                   for r in d["regions"]]
+        if not regions:
+            raise ValueError("a table map needs at least one region")
+        dim = regions[0][1].dimension
+        for r, (where, value) in enumerate(regions):
+            if value.dimension != dim:
+                raise ValueError("all region values must share a dimension")
+            size = (len(where.normal) if isinstance(where, Halfspace)
+                    else len(where.low) if isinstance(where, Box) else dim)
+            if size != dim:
+                raise ValueError(f"region {r}: {type(where).__name__.lower()} of dimension "
+                                 f"{size}, values of dimension {dim}")
+    except ProblemFormatError as exc:
+        return str(exc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"map: bad 'table' description: {exc}"
+    return regions
+
+
 def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
     node = 0.0
     hull = 0.0
@@ -664,21 +693,6 @@ def trajectory_residual_ref(traj, svmap, hull_tol=1e-9):
         if gap > 0.0:
             hull = max(hull, dist_to_hull(v, values, hull_tol))
     return node, hull
-
-
-def closed_graph_diagnostic_ref(svmap, points, limit_point, directions, tol):
-    """``closed_graph_diagnostic`` as it evaluated the map at every point once per direction."""
-    points = [np.asarray(p, dtype=float) for p in points]
-    if len(points) < 2:
-        raise ValueError("need at least two sample points")
-    limit_value = svmap.eval(limit_point)
-    for d in directions:
-        picks = [support_argmax(d, svmap.eval(p)) for p in points]
-        tail = picks[-min(3, len(picks)):]
-        settled = all(norm(a - b) <= tol for a in tail for b in tail)
-        if settled and dist_to_set(tail[-1], limit_value) > tol:
-            return False
-    return True
 
 
 def grid_points_ref(grid):

@@ -419,6 +419,95 @@ def test_monotone_blocks_match_the_pair_loop(monkeypatch):
     assert verdicts == {True, False, "budget"}
 
 
+def test_one_gap_kernel_matches_both_pair_loops_at_every_block_size(monkeypatch):
+    # K x K gap matrices below, at and just above _BLOCK_ELEMENTS, on
+    # many-valued maps, with budgets that end inside sample 0's checks and
+    # inside a later sample's; every witness replays
+    rng = np.random.default_rng(2072)
+    cases = [(constant_map(rng.integers(-4, 5, (k, dim)) / 4),
+              sample_grid([-1.0] * dim, [1.0] * dim, [n] * dim))
+             for dim, n, k in ((1, 9, 3), (2, 3, 4), (2, 4, 2), (3, 2, 3))]
+    cases += [(random_dyadic_map(rng, dim), sample_grid([-1.0] * dim, [1.0] * dim, [3] * dim))
+              for dim in (1, 2, 2, 3)]
+    cases += [(linear_map([[0.0, -1.0], [1.0, 0.0]]), sample_grid([-1.0] * 2, [1.0] * 2, [4, 4]))]
+    verdicts = set()
+    for svmap, grid in cases:
+        graph = chains._ChainGraph(svmap, grid)
+        K, d = graph.X.shape
+        first = int(graph.start[1]) * (K - int(graph.start[1]))  # sample 0's checks
+        budgets = {1, 2, first // 2, first, first + 1, first + 3, 10**6}
+        for elements in (K * K * d + 1, K * K * d, K * K * d - 1, K * d, 1):
+            monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", elements)
+            for tol in (0.0, 0.3):
+                for budget in sorted(b for b in budgets if b >= 1):
+                    for fast, ref in ((classify_monotone, monotone_ref),
+                                      (classify_weakly_monotone, weakly_monotone_ref)):
+                        want = outcome(ref, svmap, grid, tol, budget)
+                        assert outcome(fast, svmap, grid, tol, budget) == want, \
+                            (fast.__name__, elements, tol, budget)
+                        if isinstance(want, tuple):
+                            verdicts.add("budget")
+                            continue
+                        report = fast(svmap, grid, tol, budget)
+                        verdicts.add(report.holds)
+                        if not report.holds:
+                            assert replay_witness(svmap, report)
+    assert verdicts == {True, False, "budget"}
+
+
+def test_the_gap_kernel_equals_both_products_bit_for_bit():
+    # <X[a] - X[b], V[a] - V[b]> for every pair, in either order of operands
+    rng = np.random.default_rng(7)
+    svmap = random_dyadic_map(rng, 3)
+    graph = chains._ChainGraph(svmap, sample_grid([-1.0] * 3, [1.0] * 3, [3] * 3)
+                               * rng.standard_normal(3))
+    gaps = graph.gaps(slice(None))
+    dx = graph.X[:, None] - graph.X[None]
+    dv = graph.V[:, None] - graph.V[None]
+    assert bits(gaps) == bits(inner_rows(dx, dv)) == bits(inner_rows(dv, dx))
+    assert bits(graph.gaps(np.arange(3, 9), slice(2, 11))) == bits(gaps[3:9, 2:11])
+
+
+# samples (0, 0), (1/4, 0) and (1/2, 0).  "earlier-violation": sample 0
+# fails against sample 1 while sample 1's own checks overflow.
+# "overflow-first": sample 0's checks overflow before sample 1's violation.
+# "overflow-after-violation": sample 0's first check fails and a later one of
+# its checks overflows.  "own-values": the values of sample 1 lie 2e308
+# apart, which no check of the monotone scan pairs
+_HUGE = 1e308
+OVERFLOW_CASES = {
+    "earlier-violation": ([0.0], [_HUGE, -_HUGE], [-_HUGE], False),
+    "overflow-first": ([_HUGE], [-_HUGE], [-1.0], "overflow encountered in subtract"),
+    "overflow-after-violation": ([_HUGE], [1.0], [-_HUGE], "overflow encountered in subtract"),
+    "own-values": ([0.0], [0.0, 0.0], [0.0], True),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES, ids=str)
+def test_monotone_raises_for_an_overflow_its_scan_reaches(case):
+    # a sample's scan raises where one of its checks overflows, unless a
+    # violation of an earlier sample ended the scan before it; pairs of
+    # values of one sample are never checked
+    *firsts, want = OVERFLOW_CASES[case]
+    # "own-values" puts its two values of sample 1 across the line of the samples
+    seconds = [[0.0], [_HUGE, -_HUGE], [0.0]] if case == "own-values" else [[0.0] * 3] * 3
+    values = [[[a, b] for a, b in zip(first, second)] for first, second in zip(firsts, seconds)]
+    svmap = table_map([(Halfspace([1.0, 0.0], 0.0, "eq"), values[0]),
+                       (Halfspace([1.0, 0.0], 0.25, "eq"), values[1]), (Always(), values[2])])
+    grid = sample_grid([0.0, 0.0], [0.5, 0.0], [3, 1])
+    for elements in (1, 4, 1 << 16):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chains, "_BLOCK_ELEMENTS", elements)
+            try:
+                got = classify_monotone(svmap, grid, 0.0).holds
+            except FloatingPointError as exc:
+                got = str(exc)
+        assert got == want
+    if case == "own-values":
+        with pytest.raises(FloatingPointError, match="overflow encountered in subtract"):
+            classify_weakly_monotone(svmap, grid, 0.0)
+
+
 def random_cases(count=24):
     rng = np.random.default_rng(4096)
     for k in range(count):

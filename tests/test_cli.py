@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -29,9 +30,7 @@ from setflow import (
     replay_witness,
     verify_chain,
 )
-import setflow.cli as cli
 from setflow.chains import ClassReport
-from setflow.setmaps import _json_text as json_text
 from setflow.cli import (BUDGET_ENV, EXIT_BUDGET, EXIT_INVALID, EXIT_SELECTION, _CSV_BLOCK, _fmt,
                          _write_csv, _write_json, build_parser, main)
 
@@ -250,8 +249,7 @@ _JSON_CELLS = st.one_of(_CELLS, st.sampled_from(
 
 @st.composite
 def _potential_documents(draw):
-    """A subgradient.json and a potential_summary.json document, each with
-    the arrays every float of it comes from."""
+    """A subgradient.json and a potential_summary.json document."""
     d = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(1, 3), max_size=6))
     cells = st.lists(_JSON_CELLS, min_size=d, max_size=d)
@@ -273,34 +271,32 @@ def _potential_documents(draw):
     summary = {"family_size": draw(st.integers(1, 4096)), "anchor_value": anchor_value,
                "accepted_pairs": len(V), "chains_grown": draw(st.integers(0, 10**6)),
                "evaluations": draw(st.integers(0, 10**6)), "budget_exhausted": len(V) % 2 == 0}
-    return [({"entries": entries}, [samples, V]), (summary, [np.array(anchor_value)])]
+    return [{"entries": entries}, summary]
 
 
 @given(_potential_documents())
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_potential_documents_write_the_bytes_of_json_dumps(tmp_path, docs):
-    for doc, floats in docs:
+    for doc in docs:
         with np.errstate(over="raise", invalid="raise"), \
                 contextlib.redirect_stdout(io.StringIO()):
-            _write_json(tmp_path / "doc.json", doc, floats)
+            _write_json(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value, fallback", [
     (0.5, False), (-0.0, False), (1e-4, False), (1e-5, True), (1e16, True), (math.nan, True)])
-def test_json_documents_leave_orjson_only_for_values_it_writes_otherwise(
-        tmp_path, monkeypatch, value, fallback):
-    # the document goes through json's formatting exactly where one of its
-    # source values is outside the range orjson writes as repr() does
-    texts = []
-    monkeypatch.setattr(cli, "_json_text", lambda obj: texts.append(obj) or json_text(obj))
+def test_json_documents_leave_orjson_only_for_values_it_writes_otherwise(tmp_path, value,
+                                                                         fallback):
+    # orjson's own text is written as it is exactly where it writes each
+    # value as repr() does; elsewhere the file still holds json.dumps's bytes
     doc = {"x": [value, 1.0]}
     with contextlib.redirect_stdout(io.StringIO()):
-        _write_json(tmp_path / "doc.json", doc, [np.array([value, 1.0])])
-        _write_json(tmp_path / "plain.json", doc)
-    assert len(texts) == 1 + fallback
-    assert (tmp_path / "doc.json").read_text() == json.dumps(doc, indent=2) + "\n"
+        _write_json(tmp_path / "doc.json", doc)
+    want = (json.dumps(doc, indent=2) + "\n").encode()
+    assert (tmp_path / "doc.json").read_bytes() == want
+    assert (orjson.dumps(doc, option=orjson.OPT_INDENT_2) + b"\n" != want) is fallback
 
 
 class TestClassify:

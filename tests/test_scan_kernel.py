@@ -2,7 +2,7 @@
 
 The value-set primitives of ``geometry``, the chain sums and verification,
 the extension rules, the pairwise best gap of ``classify_weakly_monotone``,
-``piece_values`` / ``active_slopes`` and ``Halfspace.matches`` must return
+``piece_values`` / ``active_slopes`` and a compiled halfspace must return
 what the loops in ``tests/oracles.py`` return: values bit for bit (compared
 as int64 views, so ``-0.0`` and ``0.0`` differ), the same picked rows and
 ``None``s.
@@ -51,6 +51,7 @@ from conftest import (
     make_non_wcm_map,
     pl_function,
     random_dyadic_map,
+    region_hit,
     signed_zeros,
 )
 from oracles import (
@@ -414,7 +415,7 @@ def test_halfspace_ops_at_above_and_below(op):
     # <normal, x> equal to, above and below the value
     points = [np.array([0.5, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 0.0])]
     for x, want in zip(points, expected):
-        assert h.matches(x) is want
-        assert h.matches(x) == halfspace_matches_ref(h, x)
+        assert region_hit(h, x) is want
+        assert region_hit(h, x) == halfspace_matches_ref(h, x)
     with pytest.raises(ValueError):
         Halfspace([1.0], 0.0, "ne")

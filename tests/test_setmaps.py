@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -20,21 +21,23 @@ from setflow import (
     ProblemSpec,
     SetValuedMap,
     UncoveredPointError,
-    closed_graph_diagnostic,
     constant_map,
+    horizon_hint,
     linear_map,
     map_from_dict,
     map_to_dict,
+    norm,
     parse_problem,
     pl_subdifferential_map,
     sample_grid,
     serialize_problem,
     table_map,
 )
-from setflow.setmaps import _json_text
+from setflow.setmaps import _json_bytes
 
-from conftest import bits, build_corpus, make_non_wcm_map, make_sign_map
-from oracles import closed_graph_diagnostic_ref, grid_points_meshgrid_ref, grid_points_ref
+from conftest import bits, make_non_wcm_map, make_sign_map, region_hit
+from oracles import (eval_ref, grid_points_meshgrid_ref, grid_points_ref, norm_max_ref,
+                     table_from_dict_ref)
 
 
 class TestPLConvexFunction:
@@ -116,20 +119,20 @@ class TestConstructors:
 class TestPredicates:
     def test_halfspace_ops(self):
         h = Halfspace([1.0, 0.0], 2.0, "le")
-        assert h.matches(np.array([2.0, 5.0]))
-        assert not h.matches(np.array([2.1, 0.0]))
-        assert Halfspace([1.0], 0.0, "eq").matches(np.array([0.0]))
-        assert Halfspace([1.0], 0.0, "gt").matches(np.array([0.1]))
+        assert region_hit(h, [2.0, 5.0])
+        assert not region_hit(h, [2.1, 0.0])
+        assert region_hit(Halfspace([1.0], 0.0, "eq"), [0.0])
+        assert region_hit(Halfspace([1.0], 0.0, "gt"), [0.1])
         with pytest.raises(ValueError):
             Halfspace([1.0], 0.0, "!=")
 
     def test_box(self):
         b = Box([0.0, 0.0], [1.0, 1.0])
-        assert b.matches(np.array([0.5, 1.0]))
-        assert not b.matches(np.array([0.5, 1.5]))
+        assert region_hit(b, [0.5, 1.0])
+        assert not region_hit(b, [0.5, 1.5])
 
     def test_always(self):
-        assert Always().matches(np.array([999.0]))
+        assert region_hit(Always(), [999.0])
 
 
 class TestSerialization:
@@ -324,54 +327,6 @@ class TestProblemFormat:
             parse_problem('{\n  "map": }')
 
 
-def test_closed_graph_diagnostic_smoke():
-    F = make_sign_map()
-    approach = [np.array([x]) for x in (0.5, 0.25, 0.125, 0.0625)]
-    ok = closed_graph_diagnostic(F, approach, np.array([0.0]), [np.array([1.0])], 1e-9)
-    assert ok
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_closed_graph_diagnostic_matches_the_per_direction_loop():
-    # sequences along the grid, back, and toward the origin, with limits on
-    # and off them, and no direction, one or three
-    verdicts = set()
-    for entry in build_corpus():
-        dim = entry.grid.shape[1]
-        axis = np.eye(dim)[0]
-        toward_origin = [2.0 ** -k * np.ones(dim) for k in range(1, 6)]
-        for points in (entry.grid, entry.grid[::-1], toward_origin, entry.grid[:2], entry.grid[:1]):
-            for limit in (points[-1], -points[-1], np.zeros(dim)):
-                for directions in ([], [axis], [axis, -np.ones(dim), np.eye(dim)[-1]]):
-                    for tol in (1e-9, 0.5):
-                        args = (entry.svmap, points, limit, directions, tol)
-                        want = _outcome(closed_graph_diagnostic_ref, *args)
-                        assert _outcome(closed_graph_diagnostic, *args) == want, entry.name
-                        verdicts.add(want)
-    assert verdicts == {True, False, "need at least two sample points"}
-
-
-def test_closed_graph_diagnostic_evaluates_each_point_once():
-    calls = []
-    base = make_sign_map()
-
-    def counted(x):
-        calls.append(tuple(x))
-        return base.eval(x)
-
-    points = [np.array([2.0 ** -k]) for k in range(10)]
-    directions = [np.array([1.0]), np.array([-1.0]), np.array([0.5])]
-    assert closed_graph_diagnostic(SetValuedMap(1, counted), points, np.array([0.0]),
-                                   directions, 1e-9)
-    assert calls == [(0.0,)] + [tuple(p) for p in points]
-
-
 _json_leaves = st.one_of(
     st.text(),
     st.sampled_from(["caf\u00e9", "\u2211 x\U0001f600", 'say "hi"\\', "\x00\x1f\t\n\x7f"]),
@@ -396,14 +351,31 @@ _json_trees = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_trees)
 def test_json_text_writes_the_text_of_json_dumps(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2)
+    assert _json_bytes(obj) == json.dumps(obj, indent=2).encode()
+
+
+_JSON_EDGES = [
+    "\x00\x1f\t\n\x7f", "caf\u00e9", ("a", 1.0), [("a",), [1.0]], math.nan, math.inf,
+    -math.inf, 2**64, -2**63 - 1, 2**64 - 1, -2**63, 1e-5, -1.17e-5, 9.999999999999999e-05,
+    1.0000001000000002e-05, 1e-4, 1e16, -1.5e16, 9999999999999998.0, 1e22, 5e24,
+    sys.float_info.max, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e-9, -1e-7, 1e-100,
+    -0.0, 0.0, 10.00001, -10.0000125,
+]
+
+
+@pytest.mark.parametrize("value", _JSON_EDGES, ids=repr)
+def test_json_text_writes_edge_values_as_json_dumps_does(value):
+    # orjson refuses, escapes otherwise, reads back otherwise or writes an
+    # exponent form for some of these; each alone, in a list and as a value
+    for obj in (value, [value], [[value, 0.5], {"k": value}], {"a": [value], "b": "e5"}):
+        assert _json_bytes(obj) == json.dumps(obj, indent=2).encode()
 
 
 def assert_refused_alike(obj):
     with pytest.raises(TypeError) as want:
         json.dumps(obj, indent=2)
     with pytest.raises(TypeError) as got:
-        _json_text(obj)
+        _json_bytes(obj)
     assert str(got.value) == str(want.value)
 
 
@@ -416,3 +388,139 @@ def test_json_text_refuses_the_values_json_refuses(value):
 @pytest.mark.parametrize("key", [np.int64(3), np.bool_(True), (1.0,), object()])
 def test_json_text_refuses_the_keys_json_refuses(key):
     assert_refused_alike({"a": {key: 1.0}})
+
+
+# ---------------------------------------------------------------------------
+# table documents, compiled from one stacked array of their points
+
+# a total 2-D table: a halfspace, a box and a catch-all, and faults that each
+# replace one region
+_TABLE_REGIONS = [
+    {"where": {"kind": "halfspace", "normal": [1.0, 0.0], "value": -0.5, "op": "lt"},
+     "points": [[-1.0, 0.0], [-1.0, 0.5]]},
+    {"where": {"kind": "box", "low": [-0.5, -0.5], "high": [0.5, 0.5]}, "points": [[0.0, 1.0]]},
+    {"where": {"kind": "always"}, "points": [[1.0, 0.0], [2.0, -1.0], [1.0, 0.0]]},
+]
+_ALWAYS = {"kind": "always"}
+_TABLE_FAULTS = {
+    "empty": {"where": _ALWAYS, "points": []},
+    "empty-row": {"where": _ALWAYS, "points": [[]]},
+    "ragged": {"where": _ALWAYS, "points": [[0.0, 1.0], [2.0]]},
+    "nan": {"where": _ALWAYS, "points": [[math.nan, 0.0]]},
+    "inf": {"where": _ALWAYS, "points": [[0.0, 1.0], [0.0, -math.inf]]},
+    "wrong-dimension": {"where": _ALWAYS, "points": [[0.0, 1.0, 2.0]]},
+    "nested": {"where": _ALWAYS, "points": [[[0.0, 1.0]]]},
+    "text": {"where": _ALWAYS, "points": [["a", 1.0]]},
+    "string": {"where": _ALWAYS, "points": "ab"},
+    "number": {"where": _ALWAYS, "points": 3},
+    "no-points": {"where": _ALWAYS},
+    "no-where": {"points": [[0.0, 1.0]]},
+    "halfspace-dimension": {"where": {"kind": "halfspace", "normal": [1.0], "value": 0.0,
+                                      "op": "lt"}, "points": [[0.0, 1.0]]},
+    "box-dimension": {"where": {"kind": "box", "low": [0.0] * 3, "high": [1.0] * 3},
+                      "points": [[0.0, 1.0]]},
+    "unknown-kind": {"where": {"kind": "cone"}, "points": [[0.0, 1.0]]},
+    "unknown-op": {"where": {"kind": "halfspace", "normal": [1.0, 0.0], "value": 0.0,
+                             "op": "ne"}, "points": [[0.0, 1.0]]},
+    "not-an-object": {"where": "always", "points": [[0.0, 1.0]]},
+    # the predicate is read before the points
+    "both": {"where": {"kind": "cone"}, "points": [[math.nan, 0.0]]},
+    # one flat point, which numpy and CompactSet read as one row
+    "flat-point": {"where": _ALWAYS, "points": [0.5, 0.5]},
+    "integers": {"where": _ALWAYS, "points": [[1, 0], [True, -2]]},
+}
+
+
+def _table_documents():
+    for fault, region in _TABLE_FAULTS.items():
+        for at in range(len(_TABLE_REGIONS)):
+            regions = list(_TABLE_REGIONS)
+            regions[at] = region
+            yield f"{fault}-{at}", {"kind": "table", "regions": regions}
+    # two faulty regions: the first in region order is reported
+    yield "two-faults", {"kind": "table", "regions": [
+        _TABLE_REGIONS[0], _TABLE_FAULTS["ragged"], _TABLE_FAULTS["unknown-kind"]]}
+    yield "no-regions", {"kind": "table", "regions": []}
+    yield "valid", {"kind": "table", "regions": _TABLE_REGIONS}
+
+
+@pytest.mark.parametrize("name, doc", list(_table_documents()),
+                         ids=[name for name, _ in _table_documents()])
+def test_table_documents_read_as_region_by_region(tmp_path, capsys, name, doc):
+    # a fault gives the message that reading the regions one by one gives,
+    # from map_from_dict and as the CLI's error line; a table that reads
+    # holds the same regions, values and bound
+    from setflow.cli import EXIT_INVALID, main
+
+    want = table_from_dict_ref(doc)
+    if isinstance(want, str):
+        with pytest.raises(ProblemFormatError) as info:
+            map_from_dict(doc)
+        assert str(info.value) == want
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({"map": doc, "x0": [0.0, 0.0], "v0": [0.0, 1.0], "T": 1.0,
+                                       "h": 0.5, "strategy": "support", "tol": 1e-9}))
+        assert main(["solve", "--input", str(problem), "--output", str(tmp_path / "o")]) \
+            == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {want}\n"
+        return
+    svmap = map_from_dict(doc)
+    assert map_to_dict(svmap) == {"kind": "table", "regions": [
+        {"where": where.to_dict(), "points": value.points.tolist()} for where, value in want]}
+    assert map_to_dict(map_from_dict(map_to_dict(svmap))) == map_to_dict(svmap)
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [9, 9])
+    for x in grid:
+        assert bits(svmap.eval(x).points) == bits(eval_ref(svmap, x).points)
+    values, owner = svmap.eval_many(grid)
+    assert bits(values) == bits(np.concatenate([eval_ref(svmap, x).points for x in grid]))
+    bound = max(norm_max_ref(value) for _, value in want)
+    assert svmap.local_bound([0.25, -3.0], 2.0) == bound
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "constant", "points": [[3.0, 4.0], [-1.0, 0.5]]},
+    {"kind": "subdifferential", "slopes": [[1.0, 0.0], [0.0, -2.5], [1.0, 0.0]],
+     "offsets": [0.0, 0.25, -1.0]},
+    {"kind": "table", "regions": _TABLE_REGIONS},
+    {"kind": "table", "regions": [{"where": _ALWAYS, "points": [[1e200, 1e200]]}]},
+    {"kind": "linear", "matrix": [[0.5, -2.0], [1.0, 0.0]]},
+    {"kind": "linear", "matrix": [[0.0, 1e300], [0.0, 0.0]]},
+], ids=["constant", "subdifferential", "table", "table-overflowing-norm", "linear",
+        "linear-overflowing-bound"])
+def test_bound_rules_formed_on_first_use_equal_the_eager_ones(doc):
+    # the bound that constructing a map computed, and the horizon hint it gives
+    svmap = map_from_dict(doc)
+    if doc["kind"] == "linear":
+        opnorm = float(np.linalg.norm(doc["matrix"], 2))
+        eager = lambda c, r: opnorm * (norm(c) + r)
+    else:
+        values = {"constant": lambda: [doc["points"]],
+                  "subdifferential": lambda: [doc["slopes"]],
+                  "table": lambda: [r["points"] for r in doc["regions"]]}[doc["kind"]]()
+        with np.errstate(over="ignore"):
+            top = max(norm_max_ref(CompactSet(points)) for points in values)
+        eager = lambda c, r: top
+    reference = SetValuedMap(svmap.dimension, svmap._evaluator, bound_rule=eager)
+    for center, radius in (([0.0, 0.0], 0.0), ([0.5, -2.0], 1.0), ([3.0, 4.0], 10.0)):
+        with np.errstate(over="ignore"):
+            assert svmap.local_bound(center, radius) == reference.local_bound(center, radius)
+        assert horizon_hint(svmap, center, radius) == horizon_hint(reference, center, radius)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, 1.17e-05, 2.5e-310, 1e16])
+def test_serialized_problems_round_trip_to_json_dumps_text(tol):
+    doc = {"map": {"kind": "table", "regions": _TABLE_REGIONS + [
+        {"where": {"kind": "box", "low": [-1e-5, -0.0], "high": [5e24, 1e-300]},
+         "points": [[1, -0.0]]}]},
+        "x0": [0.0, 0.0], "v0": [0.0, 1.0], "T": 1e20, "h": 1e-7, "strategy": "inertial",
+        "tol": tol, "grid": {"low": [-1.0, -2e-5], "high": [1.0, 0.5], "counts": [3, 4]},
+        "max_length": 3, "steps": [10, 20]}
+    spec = parse_problem(json.dumps(doc))
+    text = serialize_problem(spec)
+    canonical = {**doc, "map": map_to_dict(spec.map),
+                 "grid": {"low": [-1.0, -2e-5], "high": [1.0, 0.5], "counts": [3, 4]}}
+    assert text == json.dumps(canonical, indent=2) + "\n"
+    again = parse_problem(text)
+    assert again == spec
+    assert serialize_problem(again) == text
+    assert map_to_dict(again.map)["regions"][-1]["points"] == [[1.0, -0.0]]
