@@ -10,9 +10,9 @@ goes first.  Every figure is the least over rounds, recorded with the
 interquartile range of its rounds: one process alone can read twice as slow
 as the least of a dozen.  A figure is microseconds per call of
 ``SetValuedMap.eval`` for each built-in map kind, per row of
-``SetValuedMap.eval_many`` (``null`` where a tree has no such method), per
-node of ``trajectory_residual``, per step of ``euler_solve`` (1000 support
-steps from one point, for each map kind, the linear one replaced by the
+``SetValuedMap.eval_many``, per node of ``trajectory_residual``, per step
+of ``euler_solve`` (1000 support steps from one point, for each map kind,
+the linear one replaced by the
 gradient map ``diag(1, 2)``, and 1000 exhaustive and inertial steps on the
 constant map; and per step of the support solve on ``RAISE_AHEAD``, up to
 the uncovered node 1025 where it raises, the blocks guessed across that node
@@ -26,9 +26,9 @@ about a minute there) and per
 ``grow_family`` call (that family grown by each grid pair whose extension of
 its best member there verifies, as ``subgradient_test`` grows it), per
 compatible node of that family's query phase (every grid pair it accepts,
-checked against every grid point in one kernel call; ``null`` on a tree
-without the kernel), and likewise per compatible node of the kink family
-built on the 9x9 grid at ``max_length`` 3 (its 100 nodes), per point
+checked against every grid point in one kernel call), and likewise per
+compatible node of the kink family built on the 9x9 grid at ``max_length``
+3 (its 100 nodes), per point
 of ``GridSpec.points`` on a 50x80 grid, per call of ``parse_problem`` on a
 problem document of each built-in map kind (the maps of the ``eval``
 figures), per call of both pairwise classifiers (``classify_monotone`` then
@@ -54,12 +54,10 @@ figures time the CLI's writers: ``cli._write_json`` on the
 ``subgradient.json`` document of ``setflow potential`` and on the
 ``classification.json`` document of ``setflow classify`` on that kink problem,
 and ``cli._write_csv`` on the 1001-row table of a 3-d polygon (1000 support
-steps of the gradient map ``GRADIENT3``), given as the tree's ``run_solve``
-gives it, and on that table with a state of ``1e-17`` in every 50th row,
-which the writer formats by ``float.__repr__``.  Within a round each is the
-least of five timed repeats.  On a tree whose ``_write_json`` takes the
-arrays a document's floats come from (a ``floats`` parameter), the
-subgradient figure passes the document's samples and values.  Two figures time
+steps of the gradient map ``GRADIENT3``), as an array, and on that table
+with a state of ``1e-17`` in every 50th row, which the writer formats by
+``float.__repr__``.  Within a round each is the least of five timed
+repeats.  Two figures time
 whole ``setflow potential`` runs through ``cli.main``: a query op, the
 3-d table map ``TABLE3`` on a 4x4x4 grid at ``max_length`` 2, and a growth
 op, the subdifferential map of the ``build_family`` figure on its 5x5 grid
@@ -75,7 +73,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import platform
@@ -197,9 +194,8 @@ def measure(src: str) -> dict:
                 svmap.eval(x)
 
         out[f"setmaps.eval.{kind}.us_per_call"] = _per_call_us(per_point, len(points))
-        many = getattr(svmap, "eval_many", None)
-        out[f"setmaps.eval_many.{kind}.us_per_row"] = (
-            None if many is None else _per_call_us(lambda: many(X), len(X)))
+        out[f"setmaps.eval_many.{kind}.us_per_row"] = _per_call_us(
+            lambda: svmap.eval_many(X), len(X))
     for kind in ("subdifferential", "table"):
         svmap = map_from_dict(MAPS[kind])
         x0 = np.array([-0.75, 0.3])
@@ -276,19 +272,19 @@ def measure(src: str) -> dict:
             grow_family(family, chain)
 
     out["potential.grow_family.us_per_call"] = _per_call_us(grow_each, len(chains))
-    checks = getattr(setflow.potential, "_subgradient_checks", None)
+    checks = setflow.potential._subgradient_checks
     nodes = [(x, v) for x in grid for v in svmap.eval(x).points
              if inner(x - x0, v) >= potential_value(family, x)]
     NX, NV = (np.array(column) for column in zip(*nodes))
     probes = np.array(grid)
-    out["potential.query.us_per_node"] = None if checks is None else _per_call_us(
+    out["potential.query.us_per_node"] = _per_call_us(
         lambda: checks(family, NX, NV, probes, 0.0), len(nodes))
     kink9, _ = build_family(square, [0.5, 0.25], [1.0, 0.0], square_grid, 3,
                             box=FAMILY_GRID[:2])
     nodes = [(x, v) for x in square_grid for v in square.eval(x).points
              if inner(x - kink9.anchor_point, v) >= potential_value(kink9, x)]
     KX, KV = (np.array(column) for column in zip(*nodes))
-    out["potential.query.kink9.us_per_node"] = None if checks is None else _per_call_us(
+    out["potential.query.kink9.us_per_node"] = _per_call_us(
         lambda: checks(kink9, KX, KV, np.array(square_grid), 0.0), len(nodes))
 
     points = GridSpec(*POINTS_GRID)
@@ -377,15 +373,10 @@ def measure(src: str) -> dict:
                 write_classification, WRITES)
             setflow.cli.main(["potential", *argv[1:]])
             subgradient = json.loads((Path(tmp) / "subgradient.json").read_text())
-            entries = subgradient["entries"]
-            floats = ([np.array([e["x"] for e in entries]),
-                       np.array([v["v"] for e in entries for v in e["values"]])],)
-            if "floats" not in inspect.signature(setflow.cli._write_json).parameters:
-                floats = ()
 
             def write_json():
                 for _ in range(WRITES):
-                    setflow.cli._write_json(target, subgradient, *floats)
+                    setflow.cli._write_json(target, subgradient)
 
             out["cli.write_json.subgradient.us_per_call"] = _per_call_us(write_json, WRITES)
             for name, problem in (("query", QUERY_PROBLEM), ("growth", {
@@ -405,23 +396,19 @@ def measure(src: str) -> dict:
                                            horizon=1.0, step=1.0 / SOLVE_STEPS,
                                            strategy="support", tol=1e-9))
             table = np.column_stack([traj.times, traj.states, traj.velocities])
-            # the table as run_solve passes it: the array to a writer that
-            # formats it by column, else its rows as lists
-            rows = (lambda: table) if hasattr(setflow.cli, "_CSV_BLOCK") else table.tolist
             header = ["t", "x0", "x1", "x2", "v0", "v1", "v2"]
             target = Path(tmp) / "written.csv"
 
-            def write_csv(rows=rows):
+            def write_csv(table=table):
                 for _ in range(WRITES):
-                    setflow.cli._write_csv(target, header, rows())
+                    setflow.cli._write_csv(target, header, table)
 
             out["cli.write_csv.trajectory.us_per_call"] = _per_call_us(write_csv, WRITES)
             # a state of 1e-17, as at a zero crossing, in every 50th row
             residues = table.copy()
             residues[::50, 1] = 1e-17
-            fallback = (lambda: residues) if hasattr(setflow.cli, "_CSV_BLOCK") else residues.tolist
             out["cli.write_csv.fallback.us_per_call"] = _per_call_us(
-                lambda: write_csv(fallback), WRITES)
+                lambda: write_csv(residues), WRITES)
     return out
 
 
@@ -432,11 +419,8 @@ def _run_tree(src: Path) -> dict:
 
 
 def _least_and_spread(rows, name):
-    # (least, interquartile range) over rounds, or (None, None) where a tree
-    # lacks the figure
+    # (least, interquartile range) over rounds
     values = [row[name] for row in rows]
-    if values[0] is None:
-        return None, None
     q1, _, q3 = statistics.quantiles(values, n=4)
     return min(values), q3 - q1
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from setflow import (
     euler_solve,
-    lyapunov_check,
     pl_subdifferential_map,
     PLConvexFunction,
     ProblemSpec,
@@ -39,7 +38,8 @@ for k in range(traj.node_count() - 1):
 node_res, hull_res = trajectory_residual(traj, F)
 print("node residual:", node_res, " hull residual:", hull_res)
 print("chain verified:", trajectory_cm_check(traj, tol=0.0))
-print("f never decreases along the polygon:", lyapunov_check(traj, f))
+print("f never decreases along the polygon:",
+      all(f.value(b) >= f.value(a) for a, b in zip(traj.states, traj.states[1:])))
 
 # halving the step repeatedly: consecutive polygons approach each other
 print("\n steps   step size   sup distance to previous")

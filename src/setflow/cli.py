@@ -90,7 +90,9 @@ def _charge(command: str, amount, unit: str) -> int:
     budget = _chain_budget()
     if amount > budget:
         error = BudgetExceededError(amount, budget)
-        error.args = (f"{command} needs {amount:.12g} {unit}, budget {budget}",)
+        # an integer past the float range is written exactly, not as a float
+        shown = f"{amount:.12g}" if amount <= sys.float_info.max else f"{amount}"
+        error.args = (f"{command} needs {shown} {unit}, budget {budget}",)
         raise error
     return budget
 

@@ -21,11 +21,12 @@ or, while :func:`build_family` grows its levels, node paths, whose members
 become chains only once the last level is grown.  The model is evaluated at many
 points by one :func:`inner_rows` call per block of members, in the operand
 order of :func:`affine_value`, so batched and one-at-a-time values agree bit
-for bit.  Subgradient tests of many nodes run as one batched kernel.  It
-regrows no family: an extension's own row is the tangent the test compares
-against, so a grown family that keeps that row passes, and one that drops it
-(a member already, a member as high at every box vertex, or a cap of 1) is
-the family grown by no chain, whose maximum at the probes is taken once.
+for bit.  Members are verified once, when they join.  Subgradient tests of
+many nodes run as one batched kernel.  It regrows no family within its cap:
+an extension's own row is the tangent the test compares against, so a grown
+family that keeps or holds that row passes, and one that drops it (a member
+as high at every box vertex, or a cap of 1) is the family itself, whose
+maximum at the probes is taken once.
 """
 
 from __future__ import annotations
@@ -258,11 +259,6 @@ def grow_family(family: SequenceFamily, chain: Chain) -> SequenceFamily:
     block of chains, gives the family this gives one chain at a time; see
     :func:`_grow_rows`.
     """
-    _check_chain(family, chain)
-    return _grow_verified(family, [chain])
-
-
-def _check_chain(family, chain):
     if not (
         _same(chain.anchor_point, family.anchor_point)
         and _same(chain.anchor_velocity, family.anchor_velocity)
@@ -271,6 +267,7 @@ def _check_chain(family, chain):
     ok, index = verify_chain(chain, family.tol)
     if not ok:
         raise ValueError(f"chain fails the chain inequality at index {index}")
+    return _grow_verified(family, [chain])
 
 
 def _grow_verified(family, chains):
@@ -494,30 +491,25 @@ def subgradient_test(family: SequenceFamily, x, v, probes, tol: float = 0.0) -> 
 def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
     """:func:`subgradient_test` of every node ``(X[n], V[n])`` at the probes ``Y``.
 
-    Nodes are taken in blocks.  A node's extension has the best member's
-    model value ``base`` at ``X[n]`` as its last sum, so only its final slack
-    needs checking; the first node whose extension fails raises the error of
-    :func:`grow_family`.  Growing a settled and closed family (see
-    :class:`_AffineModel`) by an extension adds at most its last row.  At a
+    Nodes are taken in blocks.  Every member was verified when it joined, so
+    a node's extension, whose last sum is the best member's model value
+    ``base`` at ``X[n]``, needs only its final slack checked; the first node
+    whose extension fails raises the error of :func:`grow_family`.  Growing a
+    settled and closed family within its cap (see :class:`_AffineModel`) by
+    an extension adds at most its last row, and evicts only for it.  At a
     probe ``y`` that row is ``<y - X[n], V[n]> + base``, the test's bound
     before ``tol`` is taken off, as rounded: so at ``tol >= 0`` a grown family
-    that keeps the row passes.  Growth drops it when the extension is a
-    member already, when a member is as high at every box vertex, or when a
-    cap of 1 evicts it; the grown family is then the family grown by no
-    chain, the trivial row and the newest ``cap - 1`` others, whose maximum at
-    the probes is computed once.  Any other family, and any ``tol`` below 0
-    or NaN, grows each node's extension through :func:`_grow_verified`.
+    that keeps the row, or whose members hold it already, passes.  Growth
+    drops a new row when a member is as high at every box vertex, or when a
+    cap of 1 evicts it; the grown family is then the family itself, whose
+    maximum at the probes is computed once.  Any other family, and any
+    ``tol`` below 0 or NaN, grows each node's extension through
+    :func:`_grow_verified`.
     """
     model = family._model
     m, dim = len(family), family.dimension
     nv = 0 if model.vertices is None else len(model.vertices)
-    batched = tol >= 0 and model.closed and model.settled
-    # the member each member extends by its last pair, or -1: an extension
-    # is a member already where one extends the best member by the node
-    index = dict(zip(model.keys, range(m)))
-    parent = np.array([index.get((c.xs[:-1].tobytes(), c.vs[:-1].tobytes()), -1)
-                       for c in family.members])
-    checked = set()
+    batched = tol >= 0 and m <= family.cap and model.closed and model.settled
     top = None
     out = np.empty(len(X), dtype=bool)
     step = max(1, _BLOCK_ELEMENTS // ((m + dim) * (len(Y) + nv + dim)))
@@ -525,18 +517,10 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
         Xb, Vb = X[lo:lo + step], V[lo:lo + step]
         best, base = _best_members(model, Xb)
         # verify_chain's final slack of each extension, whose last sum is base
-        slack = inner_rows(Xb - family.anchor_point, Vb) - base
-        failed = ~(slack >= -family.tol)
-        stop = int(failed.argmax()) + 1 if failed.any() else len(best)
-        # each member is checked before the first node that extends it, and
-        # every node up to the first whose extension fails
-        for k in dict.fromkeys(best[:stop].tolist()):
-            if k not in checked:
-                checked.add(k)
-                _check_chain(family, family.members[k])
+        failed = ~(inner_rows(Xb - family.anchor_point, Vb) - base >= -family.tol)
         if failed.any():
             raise ValueError("chain fails the chain inequality at index "
-                             f"{len(family.members[best[stop - 1]])}")
+                             f"{len(family.members[best[failed.argmax()]])}")
         floor = base[:, None] + inner_rows(Vb[:, None, :], Y[None, :, :] - Xb[:, None, :]) - tol
         if not batched:
             for j, k in enumerate(best.tolist()):
@@ -544,24 +528,14 @@ def _subgradient_checks(family, X, V, Y, tol) -> np.ndarray:
                 out[lo + j] = not np.any(potential_values(grown, Y) < floor[j])
             continue
         # whether growth drops the new row
-        dropped = (family.cap == 1) | ((parent == best[:, None])
-                                       & (_bits(model.P) == _bits(Xb)[:, None]).all(axis=2)
-                                       & (_bits(model.S) == _bits(Vb)[:, None]).all(axis=2)).any(axis=1)
+        dropped = np.full(len(Xb), family.cap == 1)
         if nv:
             dropped |= _dominated_by(model.at_vertices,
                                      _affine_values(Xb, Vb, base, model.vertices))
         if top is None:
-            # the family grown by no chain: the trivial row and the newest cap - 1
-            rows = np.arange(max(0, m - family.cap), m)
-            rows[0] = 0
-            top = _model_max(model, Y, rows)
+            top = _model_max(model, Y)
         out[lo:lo + len(Xb)] = ~dropped | ~(top < floor).any(axis=1)
     return out
-
-
-def _bits(a) -> np.ndarray:
-    # float rows as integers, equal exactly where they are equal bit for bit
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 def _best_members(model, X):
@@ -571,9 +545,9 @@ def _best_members(model, X):
     return best, at_x[best, np.arange(len(X))]
 
 
-def _model_max(model, Y, rows=slice(None)) -> np.ndarray:
-    # the largest value at each of Y over the given rows, in row blocks
-    P, S, c = model.P[rows], model.S[rows], model.c[rows]
+def _model_max(model, Y) -> np.ndarray:
+    # the largest value at each of Y over the model's rows, in row blocks
+    P, S, c = model.P, model.S, model.c
     top = np.full(len(Y), -np.inf)
     step = max(1, _BLOCK_ELEMENTS // max(1, len(Y)))
     for lo in range(0, len(c), step):

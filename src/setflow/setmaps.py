@@ -590,7 +590,7 @@ def map_from_dict(d) -> SetValuedMap:
             return _table_from_dicts(d["regions"])
     except ProblemFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProblemFormatError(f"map: bad {kind!r} description: {exc}") from exc
     raise ProblemFormatError(f"map.kind: unknown kind {kind!r}")
 
@@ -697,7 +697,7 @@ class ProblemSpec:
         try:
             x0 = as_vector(self.x0)
             v0 = as_vector(self.v0)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError(f"x0/v0: {exc}") from exc
         if x0.shape != (self.map.dimension,):
             raise ProblemFormatError("x0: dimension does not match the map")
@@ -784,7 +784,7 @@ def parse_problem(text: str) -> ProblemSpec:
             grid = GridSpec(g["low"], g["high"], _integers("grid.counts", g["counts"]))
         except ProblemFormatError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProblemFormatError(f"grid: {exc}") from exc
     step_counts = tuple(_integers("steps", doc["steps"])) if "steps" in doc else None
 
@@ -792,7 +792,10 @@ def parse_problem(text: str) -> ProblemSpec:
         value = doc[name]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ProblemFormatError(f"{name}: must be a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:  # an integer literal past the float range
+            raise ProblemFormatError(f"{name}: {exc}") from exc
 
     spec = ProblemSpec(
         map=svmap,

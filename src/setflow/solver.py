@@ -27,7 +27,7 @@ from .chains import (
     verify_chain,
 )
 from .geometry import CompactSet, dist_to_hull, inner, inner_rows
-from .setmaps import PLConvexFunction, ProblemSpec, SetValuedMap
+from .setmaps import ProblemSpec, SetValuedMap
 
 __all__ = [
     "SelectionFailed",
@@ -37,7 +37,6 @@ __all__ = [
     "trajectory_residual",
     "trajectory_cm_check",
     "refine_study",
-    "lyapunov_check",
     "horizon_hint",
     "polygon_sup_distance",
 ]
@@ -449,20 +448,6 @@ def refine_study(spec: ProblemSpec, step_counts) -> list[RefinementRow]:
         rows.append(RefinementRow(n, run_spec.step, sup, node, hull, ok))
         previous = traj
     return rows
-
-
-def lyapunov_check(traj: Trajectory, f: PLConvexFunction, tol: float = 0.0) -> bool:
-    """Monotone growth of ``f`` along the polygon: ``f(x_{k+1}) >= f(x_k) - tol*h``.
-
-    For trajectories of the active-slope map of ``f`` the growth is in fact at
-    least ``dt_k * |v_k|^2`` per step, by the subgradient inequality.
-    """
-    if f.dimension != traj.dimension:
-        raise ValueError("function and trajectory dimensions differ")
-    for k in range(traj.node_count() - 1):
-        if f.value(traj.states[k + 1]) < f.value(traj.states[k]) - tol * traj.step:
-            return False
-    return True
 
 
 def horizon_hint(svmap: SetValuedMap, x0, radius: float) -> float:

@@ -748,6 +748,59 @@ class TestMalformedDocuments:
         assert code in (0, EXIT_INVALID, EXIT_SELECTION, EXIT_BUDGET)
 
 
+BIG = 10**400
+GRID3 = {"low": [-1.0], "high": [1.0], "counts": [3]}
+# one 401-digit integer literal in place of a number: the command that reads
+# it, the fields it changes in CONSTANT_PROBLEM on GRID3, the exit code and
+# the start of the error line
+HUGE_LITERALS = {
+    "points": ("solve", {"map": {"kind": "constant", "points": [[BIG]]}},
+               EXIT_INVALID, "map: bad 'constant' description: "),
+    "slopes": ("solve", {"map": {"kind": "subdifferential", "slopes": [[BIG]],
+                                 "offsets": [0.0]}},
+               EXIT_INVALID, "map: bad 'subdifferential' description: "),
+    "offsets": ("solve", {"map": {"kind": "subdifferential", "slopes": [[1.0]],
+                                  "offsets": [BIG]}},
+                EXIT_INVALID, "map: bad 'subdifferential' description: "),
+    "matrix": ("solve", {"map": {"kind": "linear", "matrix": [[BIG]]}},
+               EXIT_INVALID, "map: bad 'linear' description: "),
+    "normal": ("solve", {"map": {"kind": "table", "regions": [
+        {"where": {"kind": "halfspace", "normal": [BIG], "value": 0.0, "op": "lt"},
+         "points": [[1.0]]},
+        {"where": {"kind": "always"}, "points": [[1.0]]}]}},
+        EXIT_INVALID, "map: bad 'table' description: "),
+    "x0": ("solve", {"x0": [BIG]}, EXIT_INVALID, "x0/v0: "),
+    "v0": ("solve", {"v0": [BIG]}, EXIT_INVALID, "x0/v0: "),
+    "T": ("solve", {"T": BIG}, EXIT_INVALID, "T: "),
+    "h": ("solve", {"h": BIG}, EXIT_INVALID, "h: "),
+    "tol": ("solve", {"tol": BIG}, EXIT_INVALID, "tol: "),
+    "low": ("classify", {"grid": dict(GRID3, low=[BIG])}, EXIT_INVALID, "grid: "),
+    "high": ("classify", {"grid": dict(GRID3, high=[BIG])}, EXIT_INVALID, "grid: "),
+    # (10^400)^2 pairs of grid points, and 10^400 Euler steps
+    "counts": ("classify", {"grid": dict(GRID3, counts=[BIG])},
+               EXIT_BUDGET, f"classify needs {BIG**2} pairs of grid points, budget "),
+    "potential-counts": ("potential", {"grid": dict(GRID3, counts=[BIG])},
+                         EXIT_BUDGET, f"potential needs {BIG**2} pairs of grid points, budget "),
+    "steps": ("refine", {"steps": [BIG]},
+              EXIT_BUDGET, f"refine needs {BIG} Euler steps, budget "),
+}
+
+
+class TestHugeIntegerLiterals:
+    # an integer literal past the float range is a bad document (exit 2),
+    # or, as a grid count or a step count, an amount past any budget (exit 4)
+    @pytest.mark.parametrize("field", HUGE_LITERALS)
+    def test_literal_ends_in_one_error_line(self, tmp_path, capsys, field):
+        command, fields, code, message = HUGE_LITERALS[field]
+        got, out = _timed_run(tmp_path, command, {**CONSTANT_PROBLEM, "grid": GRID3, **fields})
+        assert got == code
+        assert not out.exists() or list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        if code == EXIT_INVALID:
+            assert err.endswith("int too large to convert to float\n")
+
+
 class TestGridBudget:
     @pytest.mark.parametrize("command", ["classify", "potential"])
     def test_huge_grid_exits_before_it_is_built(self, tmp_path, capsys, monkeypatch, command):

@@ -838,12 +838,59 @@ def test_kernel_grows_no_node_of_a_family_that_never_evicted(grown_in_kernel):
     assert nodes > 200
 
 
+def invariant_families():
+    """Families that are closed, settled and within their cap, with their
+    nodes and probes: builds at caps 2, 5 and the default, boxed and
+    unboxed, and initial families grown by verified chains."""
+    maps = [(entry.svmap, entry.grid, 3) for entry in build_corpus()]
+    for svmap, grid, max_length in maps + list(random_cases(9)):
+        x0 = grid[len(grid) // 2]
+        v0 = svmap.eval(x0).points[-1]
+        X, V = graph_nodes(svmap, grid)
+        probes = np.array(grid).reshape(len(grid), -1)
+        chains = verified_chains(svmap, grid, x0, v0, max_length, 30)
+        for box in (None, bounds(grid)):
+            for cap in (2, 5, 4096):
+                built, _ = build_family(svmap, x0, v0, grid, max_length, box=box, cap=cap)
+                start = SequenceFamily.initial(x0, v0, box=box, cap=cap)
+                # the first chain alone keeps a cap of 2 from evicting
+                for family in (built, functools.reduce(grow_family, chains, start),
+                               functools.reduce(grow_family, chains[:1], start)):
+                    model = family._model
+                    if model.closed and model.settled and len(family) <= family.cap:
+                        yield family, X, V, probes
+
+
+def test_families_within_their_invariants_answer_every_node_batched(grown_in_kernel):
+    # every member was verified when it joined, and a family that is closed,
+    # settled and within its cap grows by an extension at most its last row,
+    # which clears the test's bound; an extension that is a member already
+    # holds that row in the family itself
+    caps, member_extensions, nodes = set(), 0, 0
+    for family, X, V, probes in invariant_families():
+        ok = compatible(family, X, V)
+        keys = set(family._model.keys)
+        for x, v in zip(X[ok], V[ok]):
+            values = [affine_value(chain, x) for chain in family.members]
+            extension = family.members[values.index(max(values))].extended(x, v)
+            member_extensions += (extension.xs.tobytes(), extension.vs.tobytes()) in keys
+        for tol in (0.0, 0.3):
+            grown_in_kernel.clear()
+            assert_kernel_matches(family, X[ok], V[ok], probes, tol)
+            assert grown_in_kernel == []
+        caps.add((family.cap, family.box is None))
+        nodes += np.count_nonzero(ok)
+    assert caps == {(cap, unboxed) for cap in (2, 5, 4096) for unboxed in (True, False)}
+    assert member_extensions > 0 and nodes > 1000
+
+
 def test_an_extension_that_is_a_member_adds_no_row(grown_in_kernel):
     # at 1 the best member is the trivial one (the first of two at 0), whose
     # extension by (1, 1) is the member [(0, 0), (1, 1)]: growing adds no row
     # and the cap of 2 evicts that member, so the grown model, max(0, -y - 1),
     # falls below the tangent y - 1 at y = 2.  A second copy of the row would
-    # have been kept and passed the test
+    # have been kept and passed the test.  Three members are past the cap,
+    # so the node is grown on its own
     x0, v0 = [0.0], [0.0]
     family = SequenceFamily(x0, v0, [Chain([x0], [v0]), Chain([x0, [1.0]], [v0, [1.0]]),
                                      Chain([x0, [-1.0]], [v0, [-1.0]])], cap=2)
@@ -851,7 +898,7 @@ def test_an_extension_that_is_a_member_adds_no_row(grown_in_kernel):
     x, v = np.array([1.0]), np.array([1.0])
     assert not subgradient_test_ref(family, x, v, probes)
     assert not subgradient_test(family, x, v, probes)
-    assert grown_in_kernel == []
+    assert grown_in_kernel == [1]
 
 
 def test_a_row_dominated_on_the_box_is_dropped_past_it(grown_in_kernel):
@@ -906,11 +953,13 @@ def test_kernel_on_families_given_to_the_constructor(box, cap, grown_in_kernel):
     for tol in (0.0, 0.3):
         assert_kernel_matches(family, X[ok], V[ok], grid, tol)
         assert_kernel_matches(family, X, V, grid, tol)
-    # a family whose members dominate each other is grown node by node;
-    # without a box none does, and every proper prefix is a member
+    # a family whose members dominate each other, or that holds more of
+    # them than its cap, is grown node by node; without a box none
+    # dominates, and every proper prefix is a member
     grown_in_kernel.clear()
     potential._subgradient_checks(family, X[ok], V[ok], grid, 0.0)
-    assert len(grown_in_kernel) == (0 if box is None else np.count_nonzero(ok))
+    batched = box is None and len(family) <= cap
+    assert len(grown_in_kernel) == (0 if batched else np.count_nonzero(ok))
 
 
 def constructor_nodes(box, cap):

@@ -18,7 +18,6 @@ from setflow import (
     euler_solve,
     horizon_hint,
     inner,
-    lyapunov_check,
     norm,
     parse_problem,
     pl_subdifferential_map,
@@ -286,17 +285,6 @@ class TestRefineStudy:
 
 
 class TestGrowthAndHints:
-    def test_lyapunov_check_on_subdifferential_flow(self):
-        F = pl_subdifferential_map(ABS_F)
-        traj = euler_solve(_spec(F, [-0.5], [-1.0]))
-        assert lyapunov_check(traj, ABS_F, tol=0.0)
-
-    def test_lyapunov_check_flags_decrease(self):
-        F = constant_map([[-1.0]])
-        traj = euler_solve(_spec(F, [1.0], [-1.0]))
-        # |x| strictly decreases along this run until the origin
-        assert not lyapunov_check(traj, ABS_F, tol=0.0)
-
     def test_per_step_growth_inequality(self):
         F = pl_subdifferential_map(TWO_MAX_F)
         traj = euler_solve(_spec(F, [0.3], [1.0]))

@@ -18,7 +18,7 @@ PUBLIC_NAMES = [
     "constant_map", "dist_to_hull", "dist_to_set",
     "euler_solve", "extend_exhaustive", "extend_inertial", "extend_support",
     "extension_slack", "family_from_text", "family_to_text", "grow_family",
-    "horizon_hint", "inner", "linear_map", "lyapunov_check", "map_from_dict",
+    "horizon_hint", "inner", "linear_map", "map_from_dict",
     "map_to_dict", "nearest_point", "norm", "parse_problem", "pl_subdifferential_map",
     "polygon_sup_distance", "potential_value", "potential_values", "refine_study",
     "replay_witness", "sample_grid", "serialize_problem", "subgradient_test",
@@ -44,7 +44,7 @@ def test_no_contract_rests_on_assert():
 def test_package_exports_exactly_its_modules_lists():
     modules = (geometry, setmaps, chains, potential, solver)
     assert setflow.__all__ == PUBLIC_NAMES
-    assert len(set(PUBLIC_NAMES)) == len(PUBLIC_NAMES) == 66
+    assert len(set(PUBLIC_NAMES)) == len(PUBLIC_NAMES) == 65
     assert setflow.__all__ == sorted(name for m in modules for name in m.__all__)
     for module in modules:
         for name in module.__all__:
