@@ -36,7 +36,9 @@ figures), per call of both pairwise classifiers (``classify_monotone`` then
 grid, whose gaps are all zero, so that every pair is checked, per call of each of the five
 classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
-over a 9x9 grid at ``max_length`` 2, per call of ``classify_cyclic_monotone``
+over a 9x9 grid at ``max_length`` 2, which holds every class, and on the
+rotation ``[[0, -1], [1, 0]]`` over that grid at ``max_length`` 3 (budget
+10^8), which is monotone but not cyclically monotone, per call of ``classify_cyclic_monotone``
 and ``check_support_chain`` on the constant map ``{+-e1, +-e2}`` over a 17x17
 grid at ``max_length`` 2, and of ``classify_cyclic_monotone`` on the
 subdifferential of ``max(+-x1, +-x2)`` over that grid (both at budget 10^8),
@@ -75,6 +77,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -360,8 +363,19 @@ def measure(src: str) -> dict:
                                        "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
                                        "grid": KINK_GRID, "max_length": KINK_LENGTH}))
         argv = ["classify", "--input", str(problem), "--output", tmp]
+        rotation9 = Path(tmp) / "rotation9.json"
+        rotation9.write_text(json.dumps({"map": ROTATION, "x0": [0.0, 0.125], "v0": [-0.125, 0.0],
+                                         "T": 1.0, "h": 0.5, "strategy": "support", "tol": 1e-9,
+                                         "grid": KINK_GRID, "max_length": ROTATION_LENGTH}))
         with contextlib.redirect_stdout(io.StringIO()):
             out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
+            os.environ[setflow.cli.BUDGET_ENV] = str(WIDE_BUDGET)
+            try:
+                out["cli.classify.rot9.us_per_op"] = _per_call_us(
+                    lambda: setflow.cli.main(["classify", "--input", str(rotation9),
+                                              "--output", str(Path(tmp) / "rotation9")]), 1)
+            finally:
+                del os.environ[setflow.cli.BUDGET_ENV]
             classification = json.loads((Path(tmp) / "classification.json").read_text())
             target = Path(tmp) / "written.json"
 

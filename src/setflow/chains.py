@@ -540,6 +540,12 @@ def _terms(tails, heads, velocities):
     return out
 
 
+def _bounded(W, E, steps):
+    # no left-to-right sum of up to steps terms of W, nor an entry of E less
+    # such a sum, can overflow: each is below steps * (max|W| + max|E|)
+    return steps * (float(np.abs(W).max()) + float(np.abs(E).max())) < 2.0**1000
+
+
 class _MaxPlusPaths:
     """Worst anchored chain slacks over a grouped node graph, by max-plus DP.
 
@@ -600,11 +606,10 @@ class _MaxPlusPaths:
             return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
 
         block = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
-        if block > 1:
+        if block > 1 and not _bounded(self.W, self.E, min(max_length, len(shorter))):
             # one anchor at a time where a step sum or a slack could overflow,
             # so that an errstate that raises does so where that loop did
-            terms = float(np.abs(self.W).max()) + float(np.abs(self.E).max())
-            block = block if min(max_length, len(shorter)) * terms < 2.0**1000 else 1
+            block = 1
         found = None  # (m, g0) of the first violation seen so far
         for lo in range(0, n, block):
             reach = max_length if found is None else found[0] - 1
@@ -654,7 +659,11 @@ class _MaxPlusPaths:
         # each node of those groups is a cell of its own
         levels = [range(self.start[g], self.start[g + 1] + 1)
                   for g in [g0, *self.owner[heads].tolist()]]
-        nodes = self._descend(None, None, levels, np.arange(K), g0, block)
+        if all(len(level) == 2 for level in levels):
+            # every group holds one node: the group tuple is the node tuple
+            nodes = [self.start[g0], *heads]
+        else:
+            nodes = self._descend(None, None, levels, np.arange(K), g0, block)
         # chains of shorter length, of earlier group tuples, of earlier node
         # tuples on these groups, and this one
         sizes = [len(level) - 1 for level in levels]
@@ -839,7 +848,8 @@ def check_support_chain(svmap, samples, max_length, tol=DEFAULT_TOL,
     return _support_chain(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol, budget)
 
 
-def _support_chain(graph, max_length, tol, budget):
+def _support_chain(graph, max_length, tol, budget, implied=False):
+    # implied: the condition is known to hold, so only the count is formed
     n = len(graph.points)
     total = 0  # sequences of 2 to max_length + 1 samples
     for length in range(2, max_length + 2):
@@ -849,10 +859,12 @@ def _support_chain(graph, max_length, tol, budget):
             total = max_length
             break
         total += n ** length
-    # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
-    steps = np.maximum.reduceat(graph.W, graph.start[:-1], axis=0)
-    paths = _MaxPlusPaths(steps, graph.ends, np.arange(n), tol)
-    checked, seq = paths.first_violation(max_length)
+    checked, seq = total, None
+    if not implied:
+        # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
+        steps = np.maximum.reduceat(graph.W, graph.start[:-1], axis=0)
+        paths = _MaxPlusPaths(steps, graph.ends, np.arange(n), tol)
+        checked, seq = paths.first_violation(max_length)
     samples_text = f"{total} sequences"
     if seq is None:
         return ClassReport(
@@ -866,6 +878,44 @@ def _support_chain(graph, max_length, tol, budget):
     return ClassReport(
         "support_chain", False, witness, tol, samples_text, {"sequences_checked": checked},
     )
+
+
+def _classify(graph, max_length, tol, budget):
+    """The five reports of ``setflow classify`` on one graph, in its order.
+
+    Monotone implies weakly monotone, and cyclic monotone implies weak cyclic
+    monotone and the support-chain condition, so where the stronger class
+    holds the weaker ones are reported without their searches, with the
+    counts those searches give: ``K * (n - 1)`` pairs, the chains cyclic
+    monotonicity checked, and every sequence.  A search is skipped only where
+    it could not overflow: the weakly monotone one also forms the gaps within
+    a sample, and the breadth-first one the least chain sums, which stay
+    finite within the sweep's bound.
+    """
+    K, n = len(graph.V), len(graph.points)
+    monotone = _monotone(graph, tol, budget)
+    # the weakly monotone gaps between samples are those the monotone scan
+    # formed; within a sample they pair a zero offset with a difference of
+    # values, finite where each coordinate's spread over the sample is
+    with np.errstate(over="ignore"):
+        spread = (np.maximum.reduceat(graph.V, graph.start[:-1])
+                  - np.minimum.reduceat(graph.V, graph.start[:-1]))
+    if monotone.holds and np.isfinite(spread).all():
+        if K * (n - 1) > budget:
+            raise BudgetExceededError(budget + 1, budget)
+        weakly = replace(monotone, name="weakly_monotone", details={"pairs_checked": K * (n - 1)})
+    else:
+        weakly = _weakly_monotone(graph, tol, budget)
+    cyclic = _cyclic_monotone(graph, max_length, tol, budget)
+    if cyclic.holds and _bounded(graph.W, graph.E, max_length):
+        checked = cyclic.details["chains_checked"]
+        weak_cyclic = replace(cyclic, name="weak_cyclic_monotone",
+                              details={"max_length": max_length, "extensions_checked": checked})
+        support = _support_chain(graph, max_length, tol, budget, implied=True)
+    else:
+        weak_cyclic = _weak_cyclic_monotone(graph, max_length, tol, budget)
+        support = _support_chain(graph, max_length, tol, budget)
+    return [monotone, weakly, cyclic, weak_cyclic, support]
 
 
 def replay_witness(svmap, report: ClassReport, tol=None) -> bool:

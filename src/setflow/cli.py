@@ -31,11 +31,7 @@ from .chains import (
     BudgetExceededError,
     DEFAULT_CHAIN_BUDGET,
     _ChainGraph,
-    _cyclic_monotone,
-    _monotone,
-    _support_chain,
-    _weak_cyclic_monotone,
-    _weakly_monotone,
+    _classify,
 )
 from .geometry import _segment_best_rows, inner_rows
 from .potential import (
@@ -237,14 +233,7 @@ def run_classify(args) -> int:
     # the support-chain condition checks every pair of the n grid points
     budget = _charge("classify", math.prod(grid.counts) ** 2, "pairs of grid points")
     max_length = spec.max_length or DEFAULT_MAX_LENGTH
-    graph = _ChainGraph(spec.map, grid.points())
-    reports = [
-        _monotone(graph, spec.tol, budget),
-        _weakly_monotone(graph, spec.tol, budget),
-        _cyclic_monotone(graph, max_length, spec.tol, budget),
-        _weak_cyclic_monotone(graph, max_length, spec.tol, budget),
-        _support_chain(graph, max_length, spec.tol, budget),
-    ]
+    reports = _classify(_ChainGraph(spec.map, grid.points()), max_length, spec.tol, budget)
     doc = {
         "grid": grid.to_dict(),
         "max_length": max_length,

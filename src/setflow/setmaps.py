@@ -694,11 +694,7 @@ class ProblemSpec:
 
     def validated(self) -> "ProblemSpec":
         """Check every spec invariant, raising :class:`ProblemFormatError`."""
-        try:
-            x0 = as_vector(self.x0)
-            v0 = as_vector(self.v0)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProblemFormatError(f"x0/v0: {exc}") from exc
+        x0, v0 = _spec_vector("x0", self.x0), _spec_vector("v0", self.v0)
         if x0.shape != (self.map.dimension,):
             raise ProblemFormatError("x0: dimension does not match the map")
         if v0.shape != (self.map.dimension,):
@@ -735,6 +731,13 @@ class ProblemSpec:
         return serialize_problem(self) == serialize_problem(other)
 
     __hash__ = None
+
+
+def _spec_vector(name, coords) -> np.ndarray:
+    try:
+        return as_vector(coords)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProblemFormatError(f"{name}: {exc}") from exc
 
 
 def _integer(name, value) -> int:

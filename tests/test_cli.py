@@ -769,8 +769,8 @@ HUGE_LITERALS = {
          "points": [[1.0]]},
         {"where": {"kind": "always"}, "points": [[1.0]]}]}},
         EXIT_INVALID, "map: bad 'table' description: "),
-    "x0": ("solve", {"x0": [BIG]}, EXIT_INVALID, "x0/v0: "),
-    "v0": ("solve", {"v0": [BIG]}, EXIT_INVALID, "x0/v0: "),
+    "x0": ("solve", {"x0": [BIG]}, EXIT_INVALID, "x0: "),
+    "v0": ("solve", {"v0": [BIG]}, EXIT_INVALID, "v0: "),
     "T": ("solve", {"T": BIG}, EXIT_INVALID, "T: "),
     "h": ("solve", {"h": BIG}, EXIT_INVALID, "h: "),
     "tol": ("solve", {"tol": BIG}, EXIT_INVALID, "tol: "),
