@@ -38,7 +38,10 @@ classifiers and per ``setflow classify`` run (through ``cli.main``, its five
 classifiers included) on the kink map of ``demos/problems/kink_crossing.json``
 over a 9x9 grid at ``max_length`` 2, which holds every class, and on the
 rotation ``[[0, -1], [1, 0]]`` over that grid at ``max_length`` 3 (budget
-10^8), which is monotone but not cyclically monotone, per call of ``classify_cyclic_monotone``
+10^8), which is monotone but not cyclically monotone, per ``setflow classify`` run
+on that kink problem over a budget of 10 (``cli.floor``), which exits 4 before
+it builds the grid and so times only dispatch, spec load and the error line,
+per call of ``classify_cyclic_monotone``
 and ``check_support_chain`` on the constant map ``{+-e1, +-e2}`` over a 17x17
 grid at ``max_length`` 2, and of ``classify_cyclic_monotone`` on the
 subdifferential of ``max(+-x1, +-x2)`` over that grid (both at budget 10^8),
@@ -146,6 +149,10 @@ WIDE_BUDGET = 10**8
 PRIMITIVE_CALLS = 2000
 GRID_CALLS = 200
 WRITES = 20
+# the kink classify run over a budget of 10 exits 4 before its grid is built,
+# so it times only what every op pays: dispatch, spec load and one error line
+FLOOR_BUDGET = 10
+FLOOR_CALLS = 50
 # setflow potential per op: a table map stepping up in x1 across two kinks
 # that 4x4x4 grid points lie on, anchored on one, at max_length 2 (query
 # heavy); and the build_family figure's map and grid at max_length 3 (growth heavy)
@@ -369,6 +376,13 @@ def measure(src: str) -> dict:
                                          "grid": KINK_GRID, "max_length": ROTATION_LENGTH}))
         with contextlib.redirect_stdout(io.StringIO()):
             out["cli.classify.us_per_op"] = _per_call_us(lambda: setflow.cli.main(argv), 1)
+            os.environ[setflow.cli.BUDGET_ENV] = str(FLOOR_BUDGET)
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    out["cli.floor.us_per_op"] = _per_call_us(
+                        lambda: [setflow.cli.main(argv) for _ in range(FLOOR_CALLS)], FLOOR_CALLS)
+            finally:
+                del os.environ[setflow.cli.BUDGET_ENV]
             os.environ[setflow.cli.BUDGET_ENV] = str(WIDE_BUDGET)
             try:
                 out["cli.classify.rot9.us_per_op"] = _per_call_us(

@@ -11,7 +11,9 @@ per classification call and can be overridden with the ``SETFLOW_CHAIN_BUDGET``
 environment variable.  ``classify`` and ``potential`` charge every pair of
 grid points before they build the grid, ``potential`` its query phase, every
 (sample, value) pair times every sample, and ``solve`` and ``refine`` their
-Euler steps, against the same budget before any work.
+Euler steps, against the same budget before any work.  The output directory
+is made only when the first file is written, so a run that exits 2 or 4 leaves
+none.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 import orjson
@@ -66,24 +68,17 @@ DEFAULT_STEP_COUNTS = (25, 50, 100, 200)
 _CSV_BLOCK = 1 << 16
 
 
-def _chain_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_CHAIN_BUDGET
-    try:
-        budget = int(raw)
-        if budget < 1:
-            raise ValueError
-    except ValueError:
-        raise ProblemFormatError(f"{BUDGET_ENV}: must be a positive integer, got {raw!r}")
-    return budget
-
-
 def _charge(command: str, amount, unit: str) -> int:
     # work charged against the budget before any of it is done (Euler steps
     # T / h, which may be huge or infinite, or pairs of grid points); returns
     # the budget
-    budget = _chain_budget()
+    raw = os.environ.get(BUDGET_ENV)
+    try:
+        budget = DEFAULT_CHAIN_BUDGET if raw is None else int(raw)
+        if budget < 1:
+            raise ValueError
+    except ValueError:
+        raise ProblemFormatError(f"{BUDGET_ENV}: must be a positive integer, got {raw!r}")
     if amount > budget:
         error = BudgetExceededError(amount, budget)
         # an integer past the float range is written exactly, not as a float
@@ -115,7 +110,8 @@ def _parse_steps_option(text: str):
 
 
 def _load_spec(args):
-    spec = parse_problem(Path(args.input).read_bytes().decode())
+    with open(args.input, "rb", buffering=0) as fh:
+        spec = parse_problem(fh.read().decode())
     flags = {
         "tol": args.tol,
         "strategy": getattr(args, "strategy", None),
@@ -129,33 +125,41 @@ def _load_spec(args):
     return dataclasses.replace(spec, **changed).validated() if changed else spec
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_bytes(path, blocks) -> None:
+    # one unbuffered write per block, finished if it comes up short; the
+    # directory is made with its first file
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        for block in blocks:
+            while block:
+                block = block[os.write(fd, block):]
+    finally:
+        os.close(fd)
+    print(f"wrote {os.path.basename(path)}")
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_json(path, obj) -> None:
     # the text of json.dumps(obj, indent=2) and a newline, in one write
-    with open(path, "wb") as fh:
-        fh.write(_json_bytes(obj) + b"\n")
-    print(f"wrote {path.name}")
+    _write_bytes(path, [_json_bytes(obj) + b"\n"])
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path, header, rows) -> None:
     # the bytes csv.writer writes: no cell here needs quoting, and it writes a
     # float cell as repr(), the shortest text that round-trips, as _fmt does.
-    # A float64 array is written a block of rows at a time; any other rows are
-    # rows of text or float cells
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if isinstance(rows, np.ndarray):
-            step = max(1, _CSV_BLOCK // max(1, rows.shape[1]))
-            for lo in range(0, len(rows), step):
-                fh.write(_float_lines(rows[lo:lo + step]))
-        else:
-            fh.write("".join([",".join(map(str, row)) + "\n" for row in rows]).encode())
-    print(f"wrote {path.name}")
+    # A float64 array is formatted a block of rows at a time; any other rows
+    # are rows of text or float cells
+    head = (",".join(header) + "\n").encode()
+    if isinstance(rows, np.ndarray):
+        step = max(1, _CSV_BLOCK // max(1, rows.shape[1]))
+        blocks = (_float_lines(rows[lo:lo + step]) for lo in range(0, len(rows), step))
+        _write_bytes(path, itertools.chain([head], blocks))
+    else:
+        _write_bytes(path, [head + "".join([",".join(map(str, r)) + "\n" for r in rows]).encode()])
 
 
 def _orjson_exact(a) -> np.ndarray:
@@ -187,13 +191,7 @@ def _fmt(value) -> str:
 def run_solve(args) -> int:
     spec = _load_spec(args)
     _charge("solve", spec.horizon / spec.step, "Euler steps")
-    out = _out_dir(args)
-    try:
-        traj = euler_solve(spec)
-    except SelectionFailed as failure:
-        _write_json(out / "selection_failure.json", failure.to_json_dict())
-        print(f"selection failed at step {failure.step_index}")
-        return EXIT_SELECTION
+    traj = euler_solve(spec)
     n = traj.dimension
     header = ["t"] + [f"x{c}" for c in range(n)] + [f"v{c}" for c in range(n)]
     rows = np.column_stack([traj.times, traj.states, traj.velocities])
@@ -212,8 +210,8 @@ def run_solve(args) -> int:
         # advisory horizon bound for the unit ball around x0; never applied
         "horizon_hint_unit_ball": horizon_hint(spec.map, spec.x0, 1.0),
     }
-    _write_csv(out / "trajectory.csv", header, rows)
-    _write_json(out / "summary.json", summary)
+    _write_csv(os.path.join(args.output, "trajectory.csv"), header, rows)
+    _write_json(os.path.join(args.output, "summary.json"), summary)
     print(f"solved {traj.node_count()} nodes, chain_ok={summary['chain_ok']}")
     return EXIT_OK
 
@@ -228,7 +226,6 @@ def _classify_grid(spec, command):
 
 def run_classify(args) -> int:
     spec = _load_spec(args)
-    out = _out_dir(args)
     grid = _classify_grid(spec, "classify")
     # the support-chain condition checks every pair of the n grid points
     budget = _charge("classify", math.prod(grid.counts) ** 2, "pairs of grid points")
@@ -240,7 +237,7 @@ def run_classify(args) -> int:
         "budget": budget,
         "reports": [r.to_json_dict() for r in reports],
     }
-    _write_json(out / "classification.json", doc)
+    _write_json(os.path.join(args.output, "classification.json"), doc)
     for report in reports:
         print(f"{report.name}: {'holds' if report.holds else 'fails'}")
     return EXIT_OK
@@ -248,7 +245,6 @@ def run_classify(args) -> int:
 
 def run_potential(args) -> int:
     spec = _load_spec(args)
-    out = _out_dir(args)
     grid = _classify_grid(spec, "potential")
     # the query phase checks at least every pair of the n grid points
     budget = _charge("potential", math.prod(grid.counts) ** 2, "pairs of grid points")
@@ -304,10 +300,10 @@ def run_potential(args) -> int:
     }
     # every figure is computed before the first file is written, so a run
     # that fails leaves no outputs
-    _write_json(out / "family.json", family_to_json_dict(family))
-    _write_csv(out / "potential_values.csv", header, rows)
-    _write_json(out / "subgradient.json", {"entries": entries})
-    _write_json(out / "potential_summary.json", summary)
+    _write_json(os.path.join(args.output, "family.json"), family_to_json_dict(family))
+    _write_csv(os.path.join(args.output, "potential_values.csv"), header, rows)
+    _write_json(os.path.join(args.output, "subgradient.json"), {"entries": entries})
+    _write_json(os.path.join(args.output, "potential_summary.json"), summary)
     print(f"family of {len(family)} chains, {accepted} compatible pairs")
     return EXIT_OK
 
@@ -316,13 +312,7 @@ def run_refine(args) -> int:
     spec = _load_spec(args)
     counts = spec.step_counts or DEFAULT_STEP_COUNTS
     _charge("refine", sum(counts), "Euler steps")
-    out = _out_dir(args)
-    try:
-        rows = refine_study(spec, counts)
-    except SelectionFailed as failure:
-        _write_json(out / "selection_failure.json", failure.to_json_dict())
-        print(f"selection failed at step {failure.step_index}")
-        return EXIT_SELECTION
+    rows = refine_study(spec, counts)
     header = ["steps", "step_size", "sup_distance", "node_residual",
               "hull_residual", "chain_ok"]
     table = [
@@ -336,7 +326,7 @@ def run_refine(args) -> int:
         ]
         for r in rows
     ]
-    _write_csv(out / "refinement.csv", header, table)
+    _write_csv(os.path.join(args.output, "refinement.csv"), header, table)
     for r in rows:
         gap = "first" if r.sup_distance is None else _fmt(r.sup_distance)
         print(f"steps={r.steps} sup_distance={gap} chain_ok={str(r.chain_ok).lower()}")
@@ -355,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strategy=False, grid=False, max_length=False, steps=False):
+    def common(p, run, strategy=False, grid=False, max_length=False, steps=False):
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="problem-spec JSON file")
         p.add_argument("--output", required=True, help="output directory")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
@@ -369,31 +360,39 @@ def build_parser() -> argparse.ArgumentParser:
         if steps:
             p.add_argument("--steps", default=None, help="comma-separated step counts")
 
-    common(sub.add_parser("solve", help="integrate one Euler polygon"), strategy=True)
-    common(sub.add_parser("classify", help="brute-force monotonicity verdicts"),
+    common(sub.add_parser("solve", help="integrate one Euler polygon"), run_solve, strategy=True)
+    common(sub.add_parser("classify", help="brute-force monotonicity verdicts"), run_classify,
            grid=True, max_length=True)
     common(sub.add_parser("potential", help="grow a potential family over a grid"),
-           grid=True, max_length=True)
-    common(sub.add_parser("refine", help="compare polygons across step counts"),
+           run_potential, grid=True, max_length=True)
+    common(sub.add_parser("refine", help="compare polygons across step counts"), run_refine,
            strategy=True, steps=True)
+    # each command's parser, which main hands that command's arguments
+    parser.commands = sub.choices
     return parser
 
 
-_RUNNERS = {
-    "solve": run_solve,
-    "classify": run_classify,
-    "potential": run_potential,
-    "refine": run_refine,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the command's own parser reads what follows its name, as in argparse's
+    # whole parse; any other list, or one with arguments left, is parsed whole
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args, extra = command.parse_known_args(argv[1:]) if command else (None, True)
+    if extra:
+        args = parser.parse_args(argv)
     try:
         # an overflowing product or an inf - inf would leave a verdict or a
         # slack that no comparison can trust, so it ends the run instead
         with np.errstate(over="raise", invalid="raise"):
-            return _RUNNERS[args.command](args)
+            try:
+                return args.run(args)
+            except SelectionFailed as failure:
+                # the replay state, where the outputs would have gone
+                _write_json(os.path.join(args.output, "selection_failure.json"),
+                            failure.to_json_dict())
+                print(f"selection failed at step {failure.step_index}")
+                return EXIT_SELECTION
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -11,7 +11,6 @@ JSON document whose exact field names are part of the public interface (see
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -265,7 +264,7 @@ class Halfspace:
     def __post_init__(self):
         if self.op not in _OP_UFUNCS:
             raise ValueError(f"unknown comparison op {self.op!r}")
-        object.__setattr__(self, "normal", tuple(float(c) for c in self.normal))
+        object.__setattr__(self, "normal", tuple(map(float, self.normal)))
         object.__setattr__(self, "value", float(self.value))
 
     def to_dict(self):
@@ -280,8 +279,8 @@ class Box:
     high: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "low", tuple(float(c) for c in self.low))
-        object.__setattr__(self, "high", tuple(float(c) for c in self.high))
+        object.__setattr__(self, "low", tuple(map(float, self.low)))
+        object.__setattr__(self, "high", tuple(map(float, self.high)))
         if len(self.low) != len(self.high):
             raise ValueError("box bounds must share a dimension")
 
@@ -332,8 +331,14 @@ class _Constant:
 def _norm_bound(points):
     # the largest norm over the rows of points, as a bound rule formed on its
     # first call: classify and potential never ask for one
-    bound = functools.cache(lambda: CompactSet._trusted(points).norm_max())
-    return lambda c, r: bound()
+    bound = None
+
+    def rule(center, radius):
+        nonlocal bound
+        if bound is None:
+            bound = CompactSet._trusted(points).norm_max()
+        return bound
+    return rule
 
 
 def constant_map(A) -> SetValuedMap:
@@ -401,11 +406,17 @@ def linear_map(M) -> SetValuedMap:
         raise ValueError("matrix entries must be finite")
     M.flags.writeable = False
     # the operator norm is an SVD, and only a bound reads it
-    opnorm = functools.cache(lambda: float(np.linalg.norm(M, 2)))
+    opnorm = None
+
+    def rule(center, radius):
+        nonlocal opnorm
+        if opnorm is None:
+            opnorm = float(np.linalg.norm(M, 2))
+        return opnorm * (norm(center) + radius)
     return SetValuedMap(
         M.shape[0],
         _Linear(M),
-        bound_rule=lambda c, r: opnorm() * (norm(c) + r),
+        bound_rule=rule,
         kind="linear",
         params={"kind": "linear", "matrix": M.tolist()},
     )
@@ -613,9 +624,9 @@ class GridSpec:
     counts: tuple
 
     def __post_init__(self):
-        low = tuple(float(c) for c in self.low)
-        high = tuple(float(c) for c in self.high)
-        counts = tuple(int(c) for c in self.counts)
+        low = tuple(map(float, self.low))
+        high = tuple(map(float, self.high))
+        counts = tuple(map(int, self.counts))
         if not (len(low) == len(high) == len(counts)) or len(low) < 1:
             raise ValueError("grid low/high/counts must share a positive length")
         if not all(math.isfinite(h - l) for l, h in zip(low, high)):
@@ -670,6 +681,7 @@ def _point_rows(points, dim) -> np.ndarray:
 
 _REQUIRED_FIELDS = ("map", "x0", "v0", "T", "h", "strategy", "tol")
 _OPTIONAL_FIELDS = ("grid", "max_length", "steps")
+_FIELDS = frozenset(_REQUIRED_FIELDS + _OPTIONAL_FIELDS)
 
 
 @dataclass
@@ -775,9 +787,9 @@ def parse_problem(text: str) -> ProblemSpec:
     for name in _REQUIRED_FIELDS:
         if name not in doc:
             raise ProblemFormatError(f"{name}: required field is missing")
-    unknown = sorted(set(doc).difference(_REQUIRED_FIELDS, _OPTIONAL_FIELDS))
+    unknown = doc.keys() - _FIELDS
     if unknown:
-        raise ProblemFormatError(f"document: unknown fields {unknown}")
+        raise ProblemFormatError(f"document: unknown fields {sorted(unknown)}")
 
     svmap = map_from_dict(doc["map"])
     grid = None

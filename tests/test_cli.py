@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import time
@@ -403,7 +404,7 @@ class TestPotential:
         start = time.perf_counter()
         assert run("potential", "--input", f, "--output", out, "--grid=-1:1:2000") == EXIT_BUDGET
         assert time.perf_counter() - start < 5.0
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestRefine:
@@ -546,7 +547,7 @@ class TestStepBudget:
         monkeypatch.delenv(BUDGET_ENV, raising=False)
         code, out = _timed_run(tmp_path, "solve", dict(CONSTANT_PROBLEM, h=1e-300))
         assert code == EXIT_BUDGET
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
         assert capsys.readouterr().err == "error: solve needs 1e+300 Euler steps, budget 1000000\n"
 
     def test_huge_refine_steps_exit_on_budget(self, tmp_path, capsys, monkeypatch):
@@ -554,7 +555,7 @@ class TestStepBudget:
         doc = dict(CONSTANT_PROBLEM, steps=[10, 10**9])
         code, out = _timed_run(tmp_path, "refine", doc)
         assert code == EXIT_BUDGET
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
         assert capsys.readouterr().err == "error: refine needs 1000000010 Euler steps, budget 1000000\n"
 
     def test_budget_counts_steps(self, tmp_path, monkeypatch):
@@ -612,7 +613,7 @@ class TestFiniteNodes:
         code, out = _timed_run(tmp_path, command, doc, *extra)
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == "error: Euler node 1 (t=1e+308) is not finite\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestOverflowingChains:
@@ -637,7 +638,7 @@ class TestOverflowingChains:
             code = run(command, "--input", f, "--output", tmp_path / "o")
         assert code == EXIT_INVALID
         assert capsys.readouterr().err.startswith("error: Euler node ")
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     def test_overflow_after_the_solve_leaves_no_files(self, tmp_path, capsys):
         # the polygon stays near 0, but the residual squares the gap 2e160
@@ -649,7 +650,7 @@ class TestOverflowingChains:
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == \
             "error: arithmetic leaves the float range: overflow encountered in vecdot\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 # numbers a document may hold where a float belongs: ordinary, near and past
@@ -750,9 +751,9 @@ class TestMalformedDocuments:
 
 BIG = 10**400
 GRID3 = {"low": [-1.0], "high": [1.0], "counts": [3]}
-# one 401-digit integer literal in place of a number: the command that reads
-# it, the fields it changes in CONSTANT_PROBLEM on GRID3, the exit code and
-# the start of the error line
+# one 401-digit integer literal, or one from 2^64 up, in place of a number:
+# the command that reads it, the fields it changes in CONSTANT_PROBLEM on
+# GRID3, the exit code and the start of the error line
 HUGE_LITERALS = {
     "points": ("solve", {"map": {"kind": "constant", "points": [[BIG]]}},
                EXIT_INVALID, "map: bad 'constant' description: "),
@@ -783,6 +784,14 @@ HUGE_LITERALS = {
                          EXIT_BUDGET, f"potential needs {BIG**2} pairs of grid points, budget "),
     "steps": ("refine", {"steps": [BIG]},
               EXIT_BUDGET, f"refine needs {BIG} Euler steps, budget "),
+    # integers from 2^64 up stay exact: a parser that read them as floats,
+    # without an error, would turn each of these into exit 2
+    "counts-2^64": ("classify", {"grid": dict(GRID3, counts=[2**64])}, EXIT_BUDGET,
+                    "classify needs 3.40282366921e+38 pairs of grid points, budget 1000000\n"),
+    "max_length-2^64": ("classify", {"max_length": 2**64}, EXIT_BUDGET,
+                        "combinatorial budget exceeded: 1000001 chains evaluated, cap 1000000\n"),
+    "steps-2^64": ("refine", {"steps": [2**64, 2**65]}, EXIT_BUDGET,
+                   "refine needs 5.53402322211e+19 Euler steps, budget 1000000\n"),
 }
 
 
@@ -794,7 +803,7 @@ class TestHugeIntegerLiterals:
         command, fields, code, message = HUGE_LITERALS[field]
         got, out = _timed_run(tmp_path, command, {**CONSTANT_PROBLEM, "grid": GRID3, **fields})
         assert got == code
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         if code == EXIT_INVALID:
@@ -812,7 +821,7 @@ class TestGridBudget:
         start = time.perf_counter()
         assert run(command, "--input", f, "--output", out, "--grid=-1:1:1000000") == EXIT_BUDGET
         assert time.perf_counter() - start < 1.0
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
         assert capsys.readouterr().err == \
             f"error: {command} needs 1e+12 pairs of grid points, budget 10\n"
 
@@ -854,7 +863,7 @@ class TestGridBudget:
         monkeypatch.setenv(BUDGET_ENV, "10")
         code, out = _timed_run(tmp_path, "potential", doc)
         assert code == EXIT_BUDGET
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert capsys.readouterr().err == "error: potential needs 18 node-sample checks, budget 10\n"
 
 
@@ -988,6 +997,101 @@ class TestTableCoverage:
         code, _ = _timed_run(tmp_path, "solve", doc)
         assert code == EXIT_INVALID
         assert capsys.readouterr().err == "error: point (0.703125,) matches no region\n"
+
+
+# a table map that covers no point right of 0.5, so the polygon from 0 and
+# the grid over [-1, 1] both reach an uncovered point
+HALF_COVERED = dict(SIGN_PROBLEM, map={"kind": "table", "regions": [
+    {"where": {"kind": "box", "low": [-1.0], "high": [0.5]}, "points": [[1.0]]}]})
+
+
+class TestNoOutputDirectoryOnFailure:
+    # the output directory is made with the first file written into it: the
+    # document, exit code and commands of each failure
+    COMMANDS = ["solve", "classify", "potential", "refine"]
+    FAILURES = {
+        "bad-document": ("{", EXIT_INVALID, COMMANDS),
+        "no-grid": (json.dumps(CONSTANT_PROBLEM), EXIT_INVALID, ["classify", "potential"]),
+        "uncovered-point": (json.dumps(HALF_COVERED), EXIT_INVALID, COMMANDS),
+        "over-budget": (json.dumps(SIGN_PROBLEM), EXIT_BUDGET, COMMANDS),
+    }
+
+    @pytest.mark.parametrize("failure, command", [
+        (failure, command) for failure, (_, _, commands) in FAILURES.items()
+        for command in commands])
+    def test_failed_run_leaves_no_output_path(self, tmp_path, monkeypatch, capsys, failure,
+                                              command):
+        text, code, _ = self.FAILURES[failure]
+        f = tmp_path / "p.json"
+        f.write_text(text + "\n")
+        if failure == "over-budget":
+            # below the first charge of every command
+            monkeypatch.setenv(BUDGET_ENV, "2")
+        out = tmp_path / "o"
+        assert run(command, "--input", f, "--output", out) == code
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_parents_are_made(self, tmp_path, sign_file):
+        out = tmp_path / "a" / "b"
+        assert run("classify", "--input", sign_file, "--output", out) == 0
+        assert [p.name for p in out.iterdir()] == ["classification.json"]
+
+
+class TestDispatch:
+    # main hands a command's arguments to that command's parser; argparse's
+    # whole parse, which main falls back to, must give the same outcome
+    ARGVS = {
+        "empty": [],
+        "unknown-command": ["nonsense"],
+        "help": ["-h"],
+        "help-then-command": ["-h", "solve"],
+        "command-help": ["solve", "-h"],
+        "abbreviated-help": ["refine", "--he"],
+        "missing-output": ["solve", "--input", "{input}"],
+        "missing-value": ["classify", "--input", "{input}", "--output", "{out}", "--grid"],
+        "trailing-argument": ["classify", "--input", "{input}", "--output", "{out}", "extra"],
+        "after-double-dash": ["refine", "--input", "{input}", "--output", "{out}", "--", "x"],
+        "verbose": ["potential", "--input", "{input}", "--output", "{out}", "--verbose"],
+        "bad-strategy": ["solve", "--input", "{input}", "--output", "{out}", "--strategy", "nope"],
+        "negative-tol": ["potential", "--input", "{input}", "--output", "{out}", "--tol=-1"],
+        "abbreviated": ["classify", "--inp", "{input}", "--out", "{out}"],
+        "solve": ["solve", "--input", "{input}", "--output", "{out}", "--strategy", "support"],
+        "classify": ["classify", "--input", "{input}", "--output", "{out}", "--grid=-1:1:3"],
+        "potential": ["potential", "--input", "{input}", "--output", "{out}"],
+        "refine": ["refine", "--input", "{input}", "--output", "{out}", "--steps", "10,20"],
+    }
+
+    @staticmethod
+    def _outcome(argv, sign_file, out, capsys):
+        shutil.rmtree(out, ignore_errors=True)
+        try:
+            code = main([a.format(input=sign_file, out=out) for a in argv])
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        return code, capsys.readouterr(), files
+
+    @pytest.mark.parametrize("name", ARGVS)
+    def test_same_outcome_as_a_whole_parse(self, tmp_path, sign_file, capsys, monkeypatch, name):
+        argv, out = self.ARGVS[name], tmp_path / "o"
+        direct = self._outcome(argv, sign_file, out, capsys)
+        monkeypatch.setattr(build_parser(), "commands", {})
+        assert self._outcome(argv, sign_file, out, capsys) == direct
+
+    def test_a_valid_run_skips_the_whole_parse(self, tmp_path, sign_file, capsys, monkeypatch):
+        parser, parses = build_parser(), []
+        whole = parser.parse_args
+
+        def counted(argv):
+            parses.append(argv)
+            return whole(argv)
+
+        monkeypatch.setattr(parser, "parse_args", counted)
+        code, _, files = self._outcome(self.ARGVS["classify"], sign_file, tmp_path / "o", capsys)
+        assert (code, list(files), parses) == (0, ["classification.json"], [])
+        self._outcome(self.ARGVS["trailing-argument"], sign_file, tmp_path / "o", capsys)
+        assert len(parses) == 1
 
 
 class TestDeterminism:
