@@ -45,9 +45,13 @@ per call of ``classify_cyclic_monotone``
 and ``check_support_chain`` on the constant map ``{+-e1, +-e2}`` over a 17x17
 grid at ``max_length`` 2, and of ``classify_cyclic_monotone`` on the
 subdifferential of ``max(+-x1, +-x2)`` over that grid (both at budget 10^8),
-per call of both on the rotation ``[[0, -1], [1, 0]]`` over a 9x9 grid at
-``max_length`` 3 (budget 10^8), whose first violating chain has two steps, so
-that the witness descent tests a level of candidates before its last,
+per call of both and of ``classify_weak_cyclic_monotone`` on the rotation
+``[[0, -1], [1, 0]]`` over a 9x9 grid at ``max_length`` 3 (budget 10^8), whose
+first violating chain has two steps, so that the witness descent tests a
+level of candidates before its last, the tracemalloc peak in KiB of the five
+classifiers of ``setflow classify`` (``chains._classify``, budget 10^6) on
+that rotation over a 7x7 grid at ``max_length`` 2, whose weak cyclic witness
+is the 7th chain of a level of 1337,
 per ``verify_chain`` run over the node
 chain of the subdifferential trajectory of the residual figure and over its
 first two pairs, and per call
@@ -87,6 +91,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 REPEATS = 5
@@ -336,9 +341,15 @@ def measure(src: str) -> dict:
             classify_weakly_monotone(rotation, rot7)
 
     out["chains.pairwise.rot7.us_per_call"] = _per_call_us(pairwise, GRID_CALLS)
-    for classify in (classify_cyclic_monotone, check_support_chain):
+    for classify in (classify_cyclic_monotone, check_support_chain,
+                     classify_weak_cyclic_monotone):
         out[f"chains.{classify.__name__}.rot9.us_per_call"] = _per_call_us(
             lambda: classify(rotation, kink_grid, ROTATION_LENGTH, budget=WIDE_BUDGET), 1)
+    graph = setflow.chains._ChainGraph(rotation, rot7)
+    tracemalloc.start()
+    setflow.chains._classify(graph, KINK_LENGTH, 1e-9, 10**6)
+    out["chains.classify.rot7.peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
+    tracemalloc.stop()
 
     u, w = np.array([0.75, -1.25]), np.array([2.0, 0.5])
     short = node_chain.prefix(3)

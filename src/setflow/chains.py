@@ -411,11 +411,16 @@ def _monotone(graph, tol, budget):
     # a block holds pairs that no check forms, whose gaps may overflow
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, end in spans:
-            r = lo
-            # a sample's checks all follow those of the samples before it
-            while r < hi and (found is None or skip[owner[r]] <= found[0]):
+            # rows narrow down a span, so its first row sizes the blocks
+            width = max(1, (end - int(start[owner[lo] + 1])) * d)
+            for r, stop in _blocks(hi - lo, _FIRST_BLOCK_ELEMENTS // width,
+                                   max(1, _BLOCK_ELEMENTS // width)):
+                r += lo
+                # a sample's checks all follow those of the samples before it
+                if found is not None and skip[owner[r]] > found[0]:
+                    break
                 mid = int(start[owner[r] + 1])
-                rs = slice(r, min(hi, r + max(1, _BLOCK_ELEMENTS // ((end - mid) * d))))
+                rs = slice(r, lo + stop)
                 gaps = graph.gaps(rs, slice(mid, end))
                 checked = owner[mid:end] > owner[rs, None]
                 a, b = (checked & (gaps < -tol)).nonzero()
@@ -430,7 +435,6 @@ def _monotone(graph, tol, budget):
                     bad = (checked & ~np.isfinite(gaps)).any(axis=1)
                     if bad.any():
                         overflow = int(owner[r + bad.argmax()]), hi, end
-                r = rs.stop
     # the scan of a sample raises where the caller's errstate heeds an
     # overflow in its checks, unless a violation of an earlier sample ended
     # the scan before it
@@ -454,12 +458,34 @@ def _monotone(graph, tol, budget):
 
 @_float_checked
 def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
-    """For-all/exists monotonicity: each (x, v_x, y) admits a matching v_y."""
+    """For-all/exists monotonicity: each (x, v_x, y) admits a matching v_y.
+
+    Nodes are checked against every sample in blocks that start small and
+    grow: 2^12 temporary entries first and four times as many each block
+    after, up to 2^16, at least one node each.  A gap that overflows raises
+    only for a node up to the first that fails, as a node-by-node scan would:
+    an overflow past the witness does not end the search.
+    """
     return _weakly_monotone(_ChainGraph(svmap, _samples(svmap, samples)), tol, budget)
 
 
-# array entries per block in the chain kernels
+# array entries per block in the chain kernels.  A scan that stops at its
+# first witness starts with a block of _FIRST_BLOCK_ELEMENTS, so that a witness
+# near the start is found before a large block is formed
 _BLOCK_ELEMENTS = 1 << 16
+_FIRST_BLOCK_ELEMENTS = _BLOCK_ELEMENTS >> 4
+
+
+def _blocks(stop, first, most):
+    # spans (lo, hi) that cover range(stop) in order: the first of first
+    # items, each later one four times the one before, up to most, at least
+    # one each.  After send(True) every later span holds most
+    lo, size = 0, max(1, min(first, most))
+    while lo < stop:
+        full = yield lo, min(lo + size, stop)
+        if full:
+            yield  # what send returns; the next span goes to the loop
+        lo, size = lo + size, most if full else min(4 * size, most)
 
 
 def _weakly_monotone(graph, tol, budget):
@@ -467,16 +493,22 @@ def _weakly_monotone(graph, tol, budget):
     # node a against sample j != owner[a] is check a * (n - 1) + j + (j < owner[a]);
     # nodes whose first check lies past the budget are not examined
     reach = 0 if n == 1 else min(K, (budget - 1) // (n - 1) + 1)
-    block = max(1, _BLOCK_ELEMENTS // (K * d))
     used, witness = K * (n - 1), None
-    for lo in range(0, reach, block):
-        rows = slice(lo, min(lo + block, reach))
+    for lo, hi in _blocks(reach, _FIRST_BLOCK_ELEMENTS // (K * d),
+                          max(1, _BLOCK_ELEMENTS // (K * d))):
+        # a block holds rows past the first that fails, whose gaps may overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = graph.gaps(slice(lo, hi))
         # max over v_y in F(y) of the gap, never with y = x
-        best = np.maximum.reduceat(graph.gaps(rows), graph.start[:-1], axis=1)
-        best[np.arange(len(best)), graph.owner[rows]] = np.inf
+        best = np.maximum.reduceat(gaps, graph.start[:-1], axis=1)
+        best[np.arange(len(best)), graph.owner[lo:hi]] = np.inf
         stuck = best < -tol
-        if stuck.any():
-            r, j = divmod(int(stuck.argmax()), n)
+        r, j = divmod(int(stuck.argmax()), n)
+        # the rows up to the first that fails raise as each would alone
+        upto = r + 1 if stuck[r, j] else None
+        for bad in np.flatnonzero(~np.isfinite(gaps[:upto]).all(axis=1)):
+            graph.gaps(slice(lo + bad, lo + bad + 1))
+        if stuck[r, j]:
             i = int(graph.owner[lo + r])
             used = (lo + r) * (n - 1) + j + (j < i)
             witness = {"x": graph.points[i].tolist(), "y": graph.points[j].tolist(),
@@ -524,7 +556,9 @@ class _ChainGraph:
         return inner_rows(self.X[rows, None] - self.X[cols], self.V[rows, None] - self.V[cols])
 
     W = cached_property(lambda self: _terms(self.X, self.points, self.V[:, None]))
-    E = cached_property(lambda self: _terms(self.points, self.X, self.V[None]))
+    # each E[i, b] negates W[b, i]: rounding is symmetric under negation, and
+    # 0.0 - w gives 0.0 for a zero, as the sum of inner_rows does
+    E = cached_property(lambda self: np.subtract(0.0, self.W.T, order="C"))
     ends = cached_property(lambda self: np.maximum.reduceat(self.E, self.start[:-1], axis=1))
     lows = cached_property(lambda self: np.minimum.reduceat(self.E, self.start[:-1], axis=1))
 
@@ -562,12 +596,15 @@ class _MaxPlusPaths:
     slack at each node.  So one forward pass per block of anchors decides
     every length at ``O(K * groups)`` per anchor and step, and a depth-first
     descent with the same pass as an existence test finds the first violating
-    chain in that order, testing a block of candidates per pass.  A block
-    holds ``_BLOCK_ELEMENTS // (K * groups)`` anchors or candidates, at least
-    one, so that a step's ``rows x K x groups`` temporary holds no more than
-    ``_BLOCK_ELEMENTS`` entries unless one row needs more.  Where a sum could
-    overflow it holds one, so that an errstate that raises does so where one
-    anchor, and then one candidate, at a time would.
+    chain in that order, testing a block of candidates per pass.  Blocks
+    follow :func:`_blocks`: the first holds ``_FIRST_BLOCK_ELEMENTS // (K *
+    groups)`` anchors or candidates and each later one four times as many, up
+    to ``_BLOCK_ELEMENTS // (K * groups)``, at least one each, so that a
+    witness near the start is found before a step's ``rows x K x groups``
+    temporary grows large.  Once the sweep finds a violation its later blocks
+    search only shorter lengths, and hold the most.  Where a sum could
+    overflow a block holds one, so that an errstate that raises does so where
+    one anchor, and then one candidate, at a time would.
     """
 
     def __init__(self, W, E, owner, tol):
@@ -605,19 +642,21 @@ class _MaxPlusPaths:
             # the first chain of m steps anchored in g0 lies beyond the budget
             return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
 
-        block = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
-        if block > 1 and not _bounded(self.W, self.E, min(max_length, len(shorter))):
+        most = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
+        if most > 1 and not _bounded(self.W, self.E, min(max_length, len(shorter))):
             # one anchor at a time where a step sum or a slack could overflow,
             # so that an errstate that raises does so where that loop did
-            block = 1
+            most = 1
+        blocks = _FIRST_BLOCK_ELEMENTS // (K * n), most
         found = None  # (m, g0) of the first violation seen so far
-        for lo in range(0, n, block):
+        spans = _blocks(n, *blocks)
+        for lo, hi in spans:
             reach = max_length if found is None else found[0] - 1
             if past_budget(1, lo) or reach < 1:
                 break
-            anchors = np.arange(lo, min(lo + block, n))
+            anchors = np.arange(lo, hi)
             S = np.where(self.owner == anchors[:, None], 0.0, -np.inf)
-            ends = self.E[lo:lo + block]
+            ends = self.E[lo:hi]
             for m in range(1, reach + 1):
                 # later anchors start their chains later, so those past the
                 # budget are the last ones
@@ -640,6 +679,9 @@ class _MaxPlusPaths:
                     S = self._step(last, (0, K), (0, K))
                 low = ends - S < -self.tol
                 if low.any():
+                    if found is None:
+                        # later anchors search only shorter lengths
+                        spans.send(True)
                     found = (m, int(anchors[low.any(axis=1).argmax()]))
                     break
                 # every longer chain of an anchor whose sums repeat bit for
@@ -655,7 +697,7 @@ class _MaxPlusPaths:
         # the first violating group tuple, then node tuple on its groups
         first, end = self.start[g0], self.start[g0 + 1]
         heads = self._descend(np.zeros((1, end - first)), (first, end), [self.start] * m,
-                              self.owner, g0, block)
+                              self.owner, g0, *blocks)
         # each node of those groups is a cell of its own
         levels = [range(self.start[g], self.start[g + 1] + 1)
                   for g in [g0, *self.owner[heads].tolist()]]
@@ -663,7 +705,7 @@ class _MaxPlusPaths:
             # every group holds one node: the group tuple is the node tuple
             nodes = [self.start[g0], *heads]
         else:
-            nodes = self._descend(None, None, levels, np.arange(K), g0, block)
+            nodes = self._descend(None, None, levels, np.arange(K), g0, *blocks)
         # chains of shorter length, of earlier group tuples, of earlier node
         # tuples on these groups, and this one
         sizes = [len(level) - 1 for level in levels]
@@ -675,20 +717,20 @@ class _MaxPlusPaths:
             raise BudgetExceededError(budget + 1, budget)
         return rank, nodes
 
-    def _descend(self, S, span, levels, labels, g0, block):
+    def _descend(self, S, span, levels, labels, g0, first, most):
         # the first violating chain through one cell of each level in turn:
         # the first node of its cell at each level but the last, then its
         # last node.  A level is the node boundaries of its cells, and
         # labels numbers consecutive cells consecutively.  S holds the sums
         # of the chain so far at the nodes span, or is None for 0.0 at the
         # first level's cells.  A level tests a block of candidate cells per
-        # pass, one row each, finite on its own cell; the last level is read
-        # off one stepped row
+        # pass, one row each, finite on its own cell, in spans of _blocks
+        # from first up to most; the last level is read off one stepped row
         nodes = []
         for j, bounds in enumerate(levels[:-1]):
             rest = [(level[0], level[-1]) for level in levels[j + 1:]]
-            for c0 in range(0, len(bounds) - 1, block):
-                cells = bounds[c0:c0 + block + 1]
+            for c0, c1 in _blocks(len(bounds) - 1, first, most):
+                cells = bounds[c0:c1 + 1]
                 a, b = cells[0], cells[-1]
                 T = np.zeros((1, b - a)) if S is None else self._step(S, span, (a, b))
                 if len(cells) > 2:
@@ -756,10 +798,14 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     pairs built from the samples, anchored at every (sample, value) pair.  The
     property holds when :func:`extend_exhaustive` succeeds for every chain and
     every next sample point; a failure is returned as a (chain, next point)
-    witness.  Each level is checked against all ``K`` nodes at once, in
-    blocks of chains, carrying only each chain's node path and step sum;
-    ``extensions_checked`` counts one check per chain and node, in queue
-    order.
+    witness.  Each level is checked against all ``K`` nodes at once,
+    carrying only each chain's node path and step sum, in blocks of chains
+    that start small and grow: ``2^12 // K`` chains first and four times as
+    many each block after, up to ``2^16 // K``, at least one each.  A step sum
+    or slack that overflows raises only for a chain up to the first that
+    fails, as a chain-by-chain search would: an overflow past the witness
+    does not end the search.  ``extensions_checked`` counts one check per
+    chain and node, in queue order.
     """
     return _weak_cyclic_monotone(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol,
                                  budget)
@@ -769,7 +815,8 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
     n, K = len(graph.points), len(graph.V)
     # chains whose first check falls within the budget
     cap = (budget - 1) // K + 1
-    block = max(1, _BLOCK_ELEMENTS // K)
+    # the step terms raise under the caller's errstate, before a block ignores it
+    graph.W
     done = 0
     paths, sums, last = np.arange(K)[:, None], np.zeros(K), None
     while len(paths):
@@ -784,19 +831,33 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
         room = cap - done
         grow = paths.shape[1] < max_length
         kids_paths, kids_sums, kids = [], [], 0
-        for lo in range(0, min(len(paths), room), block):
-            rows = paths[lo:min(lo + block, room)]
+        for lo, hi in _blocks(min(len(paths), room), _FIRST_BLOCK_ELEMENTS // K,
+                              max(1, _BLOCK_ELEMENTS // K)):
+            rows = paths[lo:hi]
+            collect = grow and kids <= room - len(paths)
             anchors = graph.owner[rows[:, 0]]
             # one step sum per sample; rounding is monotone, so the best slack is
-            # the largest E less it, and the least E less it raises as a node would
-            stepped = sums[lo:lo + len(rows), None] + graph.W[rows[:, -1]]
-            best = graph.ends[anchors] - stepped
-            collect = grow and kids <= room - len(paths)
-            slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
-                     else graph.lows[anchors] - stepped)
-            stuck = np.flatnonzero(best < -tol)
-            if stuck.size:
-                r, j = divmod(int(stuck[0]), n)
+            # the largest E less it, and the least E less it raises as a node
+            # would.  A block holds chains past the first that fails, whose sums
+            # may overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                stepped = sums[lo:hi, None] + graph.W[rows[:, -1]]
+                best = graph.ends[anchors] - stepped
+                slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
+                         else graph.lows[anchors] - stepped)
+            stuck = best < -tol
+            r, j = divmod(int(stuck.argmax()), n)
+            if not (np.isfinite(best).all() and np.isfinite(slack).all()):
+                # the chains up to the first that fails form their sums again,
+                # one at a time, and raise as each would alone
+                upto = r + 1 if stuck[r, j] else None
+                finite = (np.isfinite(best[:upto]).all(axis=1)
+                          & np.isfinite(slack[:upto]).all(axis=1))
+                for c in np.flatnonzero(~finite):
+                    one, a = sums[lo + c] + graph.W[rows[c, -1]], anchors[c]
+                    graph.ends[a] - one
+                    graph.E[a] - one[graph.owner] if collect else graph.lows[a] - one
+            if stuck[r, j]:
                 used = (done + lo + r) * K + int(graph.start[j + 1])
                 if used > budget:
                     raise BudgetExceededError(budget + 1, budget)

@@ -153,6 +153,8 @@ def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
 # check_support_chain
 
 ANCHOR_BLOCKS = (1, 2, 3, None)  # anchors per block; None for all of them
+# entries in the first block of a scan: one row, the default, and a full block
+FIRST_BLOCKS = (1, chains._FIRST_BLOCK_ELEMENTS, chains._BLOCK_ELEMENTS)
 
 
 def max_plus_graphs(svmap, grid):
@@ -182,16 +184,38 @@ def assert_blocks_match_brute(monkeypatch, svmap, grid, max_lengths, budgets, cu
         for max_length in max_lengths:
             for budget in sorted(set(budgets) | cuts):
                 want = outcome(brute, svmap, grid, max_length, 0.0, budget)
-                for anchors in ANCHOR_BLOCKS:
+                for anchors, first in itertools.product(ANCHOR_BLOCKS, FIRST_BLOCKS):
                     monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", (anchors or n) * nodes * n)
+                    monkeypatch.setattr(chains, "_FIRST_BLOCK_ELEMENTS", first)
                     got = outcome(fast, svmap, grid, max_length, 0.0, budget)
-                    assert got == want, (fast.__name__, anchors, max_length, budget)
+                    assert got == want, (fast.__name__, anchors, first, max_length, budget)
+
+
+# every scan that stops at its first witness, with its oracle and max_length
+SCANS = ((classify_monotone, monotone_ref, None),
+         (classify_weakly_monotone, weakly_monotone_ref, None),
+         *((fast, brute, max_length) for max_length in (1, 2, 3) for fast, brute in PAIRS))
 
 
 @pytest.mark.parametrize("entry", build_corpus(), ids=lambda e: e.name)
 def test_anchor_blocks_match_brute_force(monkeypatch, entry):
     assert_blocks_match_brute(monkeypatch, entry.svmap, entry.grid, (1, 2, 3), (1, 50, 10**6),
                               (1, 2), cut_groups=5)
+    # every scan that stops at a witness, with first blocks of one row, of the
+    # default size and of the full size, at budgets just before and at its
+    # first witness
+    for fast, brute, max_length in SCANS:
+        args = (entry.svmap, entry.grid) + (() if max_length is None else (max_length,))
+        budgets = {10**6}
+        report = json.loads(outcome(brute, *args, 0.0, 10**6))
+        if not report["holds"]:
+            count = next(v for k, v in report["details"].items() if k.endswith("_checked"))
+            budgets |= {count - 1, count} - {0}
+        for budget in sorted(budgets):
+            want = outcome(brute, *args, 0.0, budget)
+            for first in FIRST_BLOCKS:
+                monkeypatch.setattr(chains, "_FIRST_BLOCK_ELEMENTS", first)
+                assert outcome(fast, *args, 0.0, budget) == want, (fast.__name__, first, budget)
 
 
 GRID5 = sample_grid([-1.0], [1.0], [5])
@@ -658,6 +682,19 @@ def test_a_slack_that_overflows_below_its_samples_best_raises():
         classify_weak_cyclic_monotone(svmap, sample_grid([0.0], [1.0], [2]), 1, 0.0)
 
 
+def test_a_slack_that_overflows_past_the_witness_ends_no_search():
+    # values 2**510 * (1, -2, -1, 1) at 2**512 * (-1, -1/3, 1/3, 1): no value at
+    # the second point extends the chain of the first, and a later chain's step
+    # sum or slack overflows; a block that formed them all had raised
+    P = 2.0**512
+    points = np.array([[-P], [-P / 3], [P / 3], [P]])
+    svmap = table_map([(Halfspace([1.0], float(x[0]), "eq"), [[2.0**510 * c]])
+                       for x, c in zip(points, (1, -2, -1, 1))] + [(Always(), [[0.0]])])
+    report = classify_weak_cyclic_monotone(svmap, points, 1, 0.0)
+    assert not report.holds and report.details["extensions_checked"] == 2
+    assert report.witness["next_point"] == points[1].tolist()
+
+
 FOUR_VALUED = constant_map([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
@@ -701,6 +738,42 @@ def test_support_chain_on_a_four_valued_grid_stays_small():
         tracemalloc.stop()
     assert not report.holds
     assert peak < 12 << 20
+
+
+def test_classify_on_a_seven_by_seven_rotation_stays_small():
+    # 49 nodes, and the weak cyclic witness is the 7th chain of level 2: a
+    # level stepped as one block of its 1337 rows had peaked at 2 MiB
+    graph = chains._ChainGraph(ROTATION, sample_grid([-1.0, -1.0], [1.0, 1.0], [7, 7]))
+    tracemalloc.start()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            reports = chains._classify(graph, 2, 1e-9, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.holds for r in reports] == [True, True, False, False, False]
+    assert peak < 1 << 20
+
+
+def test_end_terms_negate_the_step_terms_bit_for_bit():
+    # E[i, b] = <X[b] - points[i], V[b]> is W[b, i] negated, zero products
+    # (a node at its own sample, zero coordinates) and overflows to +-inf
+    # included
+    rng = np.random.default_rng(1307)
+    seen = set()
+    for k in range(200):
+        d, n = 1 + k % 4, int(rng.integers(1, 7))
+        scale = 10.0 ** rng.integers(-5, 6) if k % 5 else 1e200
+        points = rng.standard_normal((n, d)) * scale / 3
+        values = rng.standard_normal((int(rng.integers(1, 4)), d)) * scale / 7
+        values[rng.random(values.shape) < 0.2] = 0.0
+        graph = chains._ChainGraph(constant_map(values), points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = chains._terms(graph.points, graph.X, graph.V[None])
+            got = graph.E
+        assert bits(got) == bits(want)
+        seen |= {"zero" if (want == 0).any() else "", "inf" if np.isinf(want).any() else ""}
+    assert {"zero", "inf"} <= seen
 
 
 KINK = pl_subdifferential_map(PLConvexFunction(FOUR_VALUED.eval([0.0, 0.0]).points, [0.0] * 4))

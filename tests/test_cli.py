@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from setflow import (
     Chain,
+    GridSpec,
     ProblemSpec,
     SetValuedMap,
     euler_solve,
@@ -365,6 +366,30 @@ class TestClassify:
         keys = ["pairs_checked", "pairs_checked", "chains_checked", "extensions_checked",
                 "sequences_checked"]
         assert [r["details"][k] for r, k in zip(reports, keys)] == [0, 0, 10**6, 10**6, 10**6]
+
+
+    def test_an_overflow_past_each_witness_ends_no_search(self, tmp_path, capsys):
+        # values near 2**511 on four points 2**512 * (-1, -1/3, 1/3, 1): every
+        # class fails at its first or second check, while gaps and chain terms
+        # of later checks overflow; a block of the weakly monotone scan had
+        # formed those gaps and ended the run with exit 2
+        counts = {"low": [-2.0**512], "high": [2.0**512], "counts": [4]}
+        values = [[0.0], [-2.0**511], [2.0**511, -2.0**510], [2.0**510]]
+        points = GridSpec(counts["low"], counts["high"], counts["counts"]).points()
+        regions = [{"where": {"kind": "halfspace", "normal": [1.0], "value": float(x[0]),
+                              "op": "eq"}, "points": [[v] for v in vs]}
+                   for x, vs in zip(points, values)]
+        doc = dict(STUCK_PROBLEM, map={"kind": "table", "regions": [
+            *regions, {"where": {"kind": "always"}, "points": [[0.0]]}]},
+            x0=[-2.0**512], v0=[0.0], tol=0.0, grid=counts, max_length=1)
+        code, out = _timed_run(tmp_path, "classify", doc)
+        assert (code, capsys.readouterr().err) == (0, "")
+        reports = json.loads((out / "classification.json").read_text())["reports"]
+        assert [r["holds"] for r in reports] == [False] * 5
+        assert [r["details"] for r in reports] == [
+            {"pairs_checked": 1}, {"pairs_checked": 1},
+            {"max_length": 1, "chains_checked": 2},
+            {"max_length": 1, "extensions_checked": 2}, {"sequences_checked": 2}]
 
 
 class TestPotential:

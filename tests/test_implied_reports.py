@@ -283,4 +283,4 @@ def test_one_node_groups_skip_the_node_descent(monkeypatch, svmap, grid, max_len
     assert one_node == (support or svmap is ROTATION)
     assert len(descents) == (1 if one_node else 2)
     with checked():
-        assert descend(None, None, levels, np.arange(len(W)), groups[0], 1) == nodes
+        assert descend(None, None, levels, np.arange(len(W)), groups[0], 1, 1) == nodes
