@@ -407,43 +407,26 @@ def _monotone(graph, tol, budget):
         end = start[min(start.searchsorted(start[cut + 1] - (-room // sizes[cut])), n)]
         spans.append((int(start[cut]), int(start[cut]) + rows, int(end)))
     found = None  # (check number, node a, node b, gap)
-    overflow = None  # (sample, its span) of the first check whose gap is not finite
-    # a block holds pairs that no check forms, whose gaps may overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, end in spans:
-            # rows narrow down a span, so its first row sizes the blocks
-            width = max(1, (end - int(start[owner[lo] + 1])) * d)
-            for r, stop in _blocks(hi - lo, _FIRST_BLOCK_ELEMENTS // width,
-                                   max(1, _BLOCK_ELEMENTS // width)):
-                r += lo
-                # a sample's checks all follow those of the samples before it
-                if found is not None and skip[owner[r]] > found[0]:
-                    break
-                mid = int(start[owner[r] + 1])
-                rs = slice(r, lo + stop)
-                gaps = graph.gaps(rs, slice(mid, end))
-                checked = owner[mid:end] > owner[rs, None]
-                a, b = (checked & (gaps < -tol)).nonzero()
-                if a.size:
-                    i, j = owner[r + a], owner[mid + b]
-                    order = (skip[i] + sizes[i] * (start[j] - start[i + 1])
-                             + (r + a - start[i]) * sizes[j] + mid + b - start[j])
-                    k = int(order.argmin())
-                    if found is None or order[k] < found[0]:
-                        found = (int(order[k]), r + a[k], mid + b[k], float(gaps[a[k], b[k]]))
-                if overflow is None and not np.isfinite(gaps).all():
-                    bad = (checked & ~np.isfinite(gaps)).any(axis=1)
-                    if bad.any():
-                        overflow = int(owner[r + bad.argmax()]), hi, end
-    # the scan of a sample raises where the caller's errstate heeds an
-    # overflow in its checks, unless a violation of an earlier sample ended
-    # the scan before it
-    if overflow is not None and (found is None or found[0] >= skip[overflow[0]]):
-        s, hi, end = overflow
-        lo, mid = int(start[s]), int(start[s + 1])
-        block = max(1, _BLOCK_ELEMENTS // ((end - mid) * d))
-        for r in range(lo, min(mid, hi), block):
-            graph.gaps(slice(r, min(r + block, mid, hi)), slice(mid, end))
+    for lo, hi, end in spans:
+        # rows narrow down a span, so its first row sizes the blocks
+        width = max(1, (end - int(start[owner[lo] + 1])) * d)
+        for r, stop in _blocks(hi - lo, width, graph.safe_gaps):
+            r += lo
+            # a sample's checks all follow those of the samples before it
+            if found is not None and skip[owner[r]] > found[0]:
+                break
+            mid = int(start[owner[r] + 1])
+            rs = slice(r, lo + stop)
+            gaps = graph.gaps(rs, slice(mid, end))
+            checked = owner[mid:end] > owner[rs, None]
+            a, b = (checked & (gaps < -tol)).nonzero()
+            if a.size:
+                i, j = owner[r + a], owner[mid + b]
+                order = (skip[i] + sizes[i] * (start[j] - start[i + 1])
+                         + (r + a - start[i]) * sizes[j] + mid + b - start[j])
+                k = int(order.argmin())
+                if found is None or order[k] < found[0]:
+                    found = (int(order[k]), r + a[k], mid + b[k], float(gaps[a[k], b[k]]))
     used = int(skip[-1]) if found is None else found[0] + 1
     if used > budget:
         raise BudgetExceededError(budget + 1, budget)
@@ -460,11 +443,9 @@ def _monotone(graph, tol, budget):
 def classify_weakly_monotone(svmap, samples, tol=DEFAULT_TOL, budget=DEFAULT_CHAIN_BUDGET):
     """For-all/exists monotonicity: each (x, v_x, y) admits a matching v_y.
 
-    Nodes are checked against every sample in blocks that start small and
-    grow: 2^12 temporary entries first and four times as many each block
-    after, up to 2^16, at least one node each.  A gap that overflows raises
-    only for a node up to the first that fails, as a node-by-node scan would:
-    an overflow past the witness does not end the search.
+    Nodes are checked against every sample in the blocks of :func:`_blocks`,
+    one node each where a gap could overflow, so that an overflow raises
+    only for a node up to the first that fails, as a node-by-node scan would.
     """
     return _weakly_monotone(_ChainGraph(svmap, _samples(svmap, samples)), tol, budget)
 
@@ -476,11 +457,19 @@ _BLOCK_ELEMENTS = 1 << 16
 _FIRST_BLOCK_ELEMENTS = _BLOCK_ELEMENTS >> 4
 
 
-def _blocks(stop, first, most):
-    # spans (lo, hi) that cover range(stop) in order: the first of first
-    # items, each later one four times the one before, up to most, at least
-    # one each.  After send(True) every later span holds most
-    lo, size = 0, max(1, min(first, most))
+def _blocks(stop, width, bounded):
+    """Spans ``(lo, hi)`` of rows of ``width`` entries that cover ``range(stop)``.
+
+    The one block rule of every chain scan.  Where ``bounded``, no term the
+    scan forms can overflow: the first span holds ``_FIRST_BLOCK_ELEMENTS``
+    entries, each later one four times as many, up to ``_BLOCK_ELEMENTS``,
+    and at least one row each.  Elsewhere each span holds one row, so that
+    under the caller's errstate a row raises where a row-by-row search
+    would, and no row past the first witness is formed.  After ``send(True)``
+    every later span holds the most.
+    """
+    most = max(1, _BLOCK_ELEMENTS // width) if bounded else 1
+    lo, size = 0, max(1, min(_FIRST_BLOCK_ELEMENTS // width, most))
     while lo < stop:
         full = yield lo, min(lo + size, stop)
         if full:
@@ -494,20 +483,13 @@ def _weakly_monotone(graph, tol, budget):
     # nodes whose first check lies past the budget are not examined
     reach = 0 if n == 1 else min(K, (budget - 1) // (n - 1) + 1)
     used, witness = K * (n - 1), None
-    for lo, hi in _blocks(reach, _FIRST_BLOCK_ELEMENTS // (K * d),
-                          max(1, _BLOCK_ELEMENTS // (K * d))):
-        # a block holds rows past the first that fails, whose gaps may overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = graph.gaps(slice(lo, hi))
+    for lo, hi in _blocks(reach, K * d, graph.safe_gaps):
+        gaps = graph.gaps(slice(lo, hi))
         # max over v_y in F(y) of the gap, never with y = x
         best = np.maximum.reduceat(gaps, graph.start[:-1], axis=1)
         best[np.arange(len(best)), graph.owner[lo:hi]] = np.inf
         stuck = best < -tol
         r, j = divmod(int(stuck.argmax()), n)
-        # the rows up to the first that fails raise as each would alone
-        upto = r + 1 if stuck[r, j] else None
-        for bad in np.flatnonzero(~np.isfinite(gaps[:upto]).all(axis=1)):
-            graph.gaps(slice(lo + bad, lo + bad + 1))
         if stuck[r, j]:
             i = int(graph.owner[lo + r])
             used = (lo + r) * (n - 1) + j + (j < i)
@@ -555,6 +537,28 @@ class _ChainGraph:
         """
         return inner_rows(self.X[rows, None] - self.X[cols], self.V[rows, None] - self.V[cols])
 
+    @cached_property
+    def safe_gaps(self):
+        """Whether no gap can overflow.
+
+        Each difference stays below ``2 max(max|X|, max|V|)`` and each gap
+        below ``4 d max|X| max|V|``, both kept under 2^1000.
+        """
+        x, v = float(np.abs(self.X).max()), float(np.abs(self.V).max())
+        return max(x, v, 4 * self.X.shape[1] * x * v) < 2.0**1000
+
+    @cached_property
+    def safe_steps(self):
+        """The step count below which no chain term can overflow.
+
+        A left-to-right sum of ``s`` terms of ``W``, and a term of ``E`` less
+        such a sum, stay below ``s * 2 max|W|`` (``E`` is ``W`` negated),
+        kept under 2^1000.  Forms ``W``.
+        """
+        # max|W| without a temporary the size of W
+        size = 2 * max(float(self.W.max()), -float(self.W.min()))
+        return 2.0**1000 / size if size else math.inf
+
     W = cached_property(lambda self: _terms(self.X, self.points, self.V[:, None]))
     # each E[i, b] negates W[b, i]: rounding is symmetric under negation, and
     # 0.0 - w gives 0.0 for a zero, as the sum of inner_rows does
@@ -574,12 +578,6 @@ def _terms(tails, heads, velocities):
     return out
 
 
-def _bounded(W, E, steps):
-    # no left-to-right sum of up to steps terms of W, nor an entry of E less
-    # such a sum, can overflow: each is below steps * (max|W| + max|E|)
-    return steps * (float(np.abs(W).max()) + float(np.abs(E).max())) < 2.0**1000
-
-
 class _MaxPlusPaths:
     """Worst anchored chain slacks over a grouped node graph, by max-plus DP.
 
@@ -596,19 +594,16 @@ class _MaxPlusPaths:
     slack at each node.  So one forward pass per block of anchors decides
     every length at ``O(K * groups)`` per anchor and step, and a depth-first
     descent with the same pass as an existence test finds the first violating
-    chain in that order, testing a block of candidates per pass.  Blocks
-    follow :func:`_blocks`: the first holds ``_FIRST_BLOCK_ELEMENTS // (K *
-    groups)`` anchors or candidates and each later one four times as many, up
-    to ``_BLOCK_ELEMENTS // (K * groups)``, at least one each, so that a
-    witness near the start is found before a step's ``rows x K x groups``
-    temporary grows large.  Once the sweep finds a violation its later blocks
-    search only shorter lengths, and hold the most.  Where a sum could
-    overflow a block holds one, so that an errstate that raises does so where
-    one anchor, and then one candidate, at a time would.
+    chain in that order, testing a block of candidates per pass.  Anchors and
+    candidates are rows of ``K * groups`` entries in the spans of
+    :func:`_blocks`, bounded where the sweep takes fewer steps than
+    ``safe_steps`` (see :attr:`_ChainGraph.safe_steps`).  Once the sweep finds
+    a violation its later blocks search only shorter lengths, and hold the
+    most.
     """
 
-    def __init__(self, W, E, owner, tol):
-        self.W, self.E, self.owner, self.tol = W, E, owner, tol
+    def __init__(self, W, E, owner, tol, safe_steps):
+        self.W, self.E, self.owner, self.tol, self.safe_steps = W, E, owner, tol, safe_steps
         self.size, self.groups = W.shape
         self.start = np.searchsorted(owner, np.arange(self.groups + 1)).tolist()
 
@@ -642,14 +637,9 @@ class _MaxPlusPaths:
             # the first chain of m steps anchored in g0 lies beyond the budget
             return m >= len(shorter) or shorter[m] + self.start[g0] * K ** m >= budget
 
-        most = min(n, max(1, _BLOCK_ELEMENTS // (K * n)))
-        if most > 1 and not _bounded(self.W, self.E, min(max_length, len(shorter))):
-            # one anchor at a time where a step sum or a slack could overflow,
-            # so that an errstate that raises does so where that loop did
-            most = 1
-        blocks = _FIRST_BLOCK_ELEMENTS // (K * n), most
+        bounded = min(max_length, len(shorter)) < self.safe_steps
         found = None  # (m, g0) of the first violation seen so far
-        spans = _blocks(n, *blocks)
+        spans = _blocks(n, K * n, bounded)
         for lo, hi in spans:
             reach = max_length if found is None else found[0] - 1
             if past_budget(1, lo) or reach < 1:
@@ -697,7 +687,7 @@ class _MaxPlusPaths:
         # the first violating group tuple, then node tuple on its groups
         first, end = self.start[g0], self.start[g0 + 1]
         heads = self._descend(np.zeros((1, end - first)), (first, end), [self.start] * m,
-                              self.owner, g0, *blocks)
+                              self.owner, g0, bounded)
         # each node of those groups is a cell of its own
         levels = [range(self.start[g], self.start[g + 1] + 1)
                   for g in [g0, *self.owner[heads].tolist()]]
@@ -705,7 +695,7 @@ class _MaxPlusPaths:
             # every group holds one node: the group tuple is the node tuple
             nodes = [self.start[g0], *heads]
         else:
-            nodes = self._descend(None, None, levels, np.arange(K), g0, *blocks)
+            nodes = self._descend(None, None, levels, np.arange(K), g0, bounded)
         # chains of shorter length, of earlier group tuples, of earlier node
         # tuples on these groups, and this one
         sizes = [len(level) - 1 for level in levels]
@@ -717,19 +707,19 @@ class _MaxPlusPaths:
             raise BudgetExceededError(budget + 1, budget)
         return rank, nodes
 
-    def _descend(self, S, span, levels, labels, g0, first, most):
+    def _descend(self, S, span, levels, labels, g0, bounded):
         # the first violating chain through one cell of each level in turn:
         # the first node of its cell at each level but the last, then its
         # last node.  A level is the node boundaries of its cells, and
         # labels numbers consecutive cells consecutively.  S holds the sums
         # of the chain so far at the nodes span, or is None for 0.0 at the
         # first level's cells.  A level tests a block of candidate cells per
-        # pass, one row each, finite on its own cell, in spans of _blocks
-        # from first up to most; the last level is read off one stepped row
+        # pass, one row each, finite on its own cell, in the spans of _blocks;
+        # the last level is read off one stepped row
         nodes = []
         for j, bounds in enumerate(levels[:-1]):
             rest = [(level[0], level[-1]) for level in levels[j + 1:]]
-            for c0, c1 in _blocks(len(bounds) - 1, first, most):
+            for c0, c1 in _blocks(len(bounds) - 1, self.size * self.groups, bounded):
                 cells = bounds[c0:c1 + 1]
                 a, b = cells[0], cells[-1]
                 T = np.zeros((1, b - a)) if S is None else self._step(S, span, (a, b))
@@ -761,9 +751,10 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     repetition) and every combination of map values on it, checking the chain
     inequality at the final index; shorter tuples cover the earlier indices.
     A max-plus dynamic program over the (point, value) graph decides this in
-    ``O(n^2 * max_length * K)`` for ``n`` samples and ``K`` nodes, and the
-    report reads as if the ``K^(m+1)`` chains of each length ``m`` had been
-    enumerated in order: the witness is the first violating chain and
+    ``O(n^2 * max_length * K)`` for ``n`` samples and ``K`` nodes, on step
+    terms formed whole first, under the caller's errstate, before any budget
+    applies.  The report reads as if the ``K^(m+1)`` chains of each length
+    ``m`` had been enumerated in order: the witness is the first violating chain and
     ``chains_checked`` its position.  The verdict is relative to the samples:
     ``holds`` certifies nothing off the grid, and a witness chain refutes the
     property globally.
@@ -772,7 +763,7 @@ def classify_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
 
 
 def _cyclic_monotone(graph, max_length, tol, budget):
-    paths = _MaxPlusPaths(graph.W, graph.E, graph.owner, tol)
+    paths = _MaxPlusPaths(graph.W, graph.E, graph.owner, tol, graph.safe_steps)
     checked, nodes = paths.first_violation(max_length, budget)
     details = {"max_length": max_length, "chains_checked": checked}
     if nodes is None:
@@ -799,13 +790,13 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     property holds when :func:`extend_exhaustive` succeeds for every chain and
     every next sample point; a failure is returned as a (chain, next point)
     witness.  Each level is checked against all ``K`` nodes at once,
-    carrying only each chain's node path and step sum, in blocks of chains
-    that start small and grow: ``2^12 // K`` chains first and four times as
-    many each block after, up to ``2^16 // K``, at least one each.  A step sum
-    or slack that overflows raises only for a chain up to the first that
-    fails, as a chain-by-chain search would: an overflow past the witness
-    does not end the search.  ``extensions_checked`` counts one check per
-    chain and node, in queue order.
+    carrying only each chain's node path and step sum, in the blocks of
+    chains of :func:`_blocks`, one chain each where a step sum or slack could
+    overflow, so that an overflow raises only for a chain up to the first
+    that fails, as a chain-by-chain search would.  The step terms are formed
+    whole first, under the caller's errstate, before any budget applies.
+    ``extensions_checked`` counts one check per chain and node, in queue
+    order.
     """
     return _weak_cyclic_monotone(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol,
                                  budget)
@@ -815,8 +806,6 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
     n, K = len(graph.points), len(graph.V)
     # chains whose first check falls within the budget
     cap = (budget - 1) // K + 1
-    # the step terms raise under the caller's errstate, before a block ignores it
-    graph.W
     done = 0
     paths, sums, last = np.arange(K)[:, None], np.zeros(K), None
     while len(paths):
@@ -831,32 +820,21 @@ def _weak_cyclic_monotone(graph, max_length, tol, budget):
         room = cap - done
         grow = paths.shape[1] < max_length
         kids_paths, kids_sums, kids = [], [], 0
-        for lo, hi in _blocks(min(len(paths), room), _FIRST_BLOCK_ELEMENTS // K,
-                              max(1, _BLOCK_ELEMENTS // K)):
+        # a chain of p nodes steps to a sum of p terms
+        bounded = paths.shape[1] < graph.safe_steps
+        for lo, hi in _blocks(min(len(paths), room), K, bounded):
             rows = paths[lo:hi]
             collect = grow and kids <= room - len(paths)
             anchors = graph.owner[rows[:, 0]]
             # one step sum per sample; rounding is monotone, so the best slack is
             # the largest E less it, and the least E less it raises as a node
-            # would.  A block holds chains past the first that fails, whose sums
-            # may overflow
-            with np.errstate(over="ignore", invalid="ignore"):
-                stepped = sums[lo:hi, None] + graph.W[rows[:, -1]]
-                best = graph.ends[anchors] - stepped
-                slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
-                         else graph.lows[anchors] - stepped)
+            # would
+            stepped = sums[lo:hi, None] + graph.W[rows[:, -1]]
+            best = graph.ends[anchors] - stepped
+            slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
+                     else graph.lows[anchors] - stepped)
             stuck = best < -tol
             r, j = divmod(int(stuck.argmax()), n)
-            if not (np.isfinite(best).all() and np.isfinite(slack).all()):
-                # the chains up to the first that fails form their sums again,
-                # one at a time, and raise as each would alone
-                upto = r + 1 if stuck[r, j] else None
-                finite = (np.isfinite(best[:upto]).all(axis=1)
-                          & np.isfinite(slack[:upto]).all(axis=1))
-                for c in np.flatnonzero(~finite):
-                    one, a = sums[lo + c] + graph.W[rows[c, -1]], anchors[c]
-                    graph.ends[a] - one
-                    graph.E[a] - one[graph.owner] if collect else graph.lows[a] - one
             if stuck[r, j]:
                 used = (done + lo + r) * K + int(graph.start[j + 1])
                 if used > budget:
@@ -924,7 +902,7 @@ def _support_chain(graph, max_length, tol, budget, implied=False):
     if not implied:
         # support(F(x_i), x_j - x_i) and support(F(x_j), x_j - x_0) per sample
         steps = np.maximum.reduceat(graph.W, graph.start[:-1], axis=0)
-        paths = _MaxPlusPaths(steps, graph.ends, np.arange(n), tol)
+        paths = _MaxPlusPaths(steps, graph.ends, np.arange(n), tol, graph.safe_steps)
         checked, seq = paths.first_violation(max_length)
     samples_text = f"{total} sequences"
     if seq is None:
@@ -949,26 +927,20 @@ def _classify(graph, max_length, tol, budget):
     holds the weaker ones are reported without their searches, with the
     counts those searches give: ``K * (n - 1)`` pairs, the chains cyclic
     monotonicity checked, and every sequence.  A search is skipped only where
-    it could not overflow: the weakly monotone one also forms the gaps within
-    a sample, and the breadth-first one the least chain sums, which stay
-    finite within the sweep's bound.
+    no term it forms can overflow (:attr:`_ChainGraph.safe_gaps`,
+    :attr:`_ChainGraph.safe_steps`), since it also forms terms the stronger
+    class does not: the gaps within a sample, the least chain sums.
     """
     K, n = len(graph.V), len(graph.points)
     monotone = _monotone(graph, tol, budget)
-    # the weakly monotone gaps between samples are those the monotone scan
-    # formed; within a sample they pair a zero offset with a difference of
-    # values, finite where each coordinate's spread over the sample is
-    with np.errstate(over="ignore"):
-        spread = (np.maximum.reduceat(graph.V, graph.start[:-1])
-                  - np.minimum.reduceat(graph.V, graph.start[:-1]))
-    if monotone.holds and np.isfinite(spread).all():
+    if monotone.holds and graph.safe_gaps:
         if K * (n - 1) > budget:
             raise BudgetExceededError(budget + 1, budget)
         weakly = replace(monotone, name="weakly_monotone", details={"pairs_checked": K * (n - 1)})
     else:
         weakly = _weakly_monotone(graph, tol, budget)
     cyclic = _cyclic_monotone(graph, max_length, tol, budget)
-    if cyclic.holds and _bounded(graph.W, graph.E, max_length):
+    if cyclic.holds and max_length < graph.safe_steps:
         checked = cyclic.details["chains_checked"]
         weak_cyclic = replace(cyclic, name="weak_cyclic_monotone",
                               details={"max_length": max_length, "extensions_checked": checked})

@@ -260,11 +260,12 @@ def run_potential(args) -> int:
     header = [f"x{c}" for c in range(family.dimension)] + ["potential"]
     rows = np.column_stack([samples, potentials])
 
-    # a node is compatible when <x - x0, v> clears the model at x; the
-    # selected value of a sample is its anchored pick, if compatible
+    # a node is compatible when its extension's slack <x - x0, v> less the
+    # model at x is at least -tol; the selected value of a sample is its
+    # anchored pick, if compatible
     offsets = graph.X - spec.x0
     products = inner_rows(offsets, graph.V)
-    compatible = products >= potentials[graph.owner] - spec.tol
+    compatible = products - potentials[graph.owner] >= -spec.tol
     passed = np.zeros(len(compatible), dtype=bool)
     passed[compatible] = _subgradient_checks(family, graph.X[compatible], graph.V[compatible],
                                              samples, spec.tol)

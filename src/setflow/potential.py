@@ -437,14 +437,15 @@ def submap_select(family: SequenceFamily, svmap: SetValuedMap, x, tol: float = 0
 
     The candidate is ``support_argmax(x - x_0, F(x))`` (nearest to the anchor
     velocity when ``x`` is the anchor itself, where any value clears a zero
-    bound).  It is returned iff ``<x - x_0, candidate> >= potential - tol``.
+    bound).  It is returned iff it is compatible: its extension's slack
+    ``<x - x_0, candidate> - potential`` is at least ``-tol``.
     """
     x = np.asarray(x, dtype=float)
     values = svmap.eval(x).points
     offsets = (x - family.anchor_point)[None]
     products = inner_rows(offsets[:, None], values)
     pick = _rule_picks("support", values, family.anchor_velocity, offsets, products, None)[0][0]
-    if products[0, pick] >= potential_value(family, x) - tol:
+    if products[0, pick] - potential_value(family, x) >= -tol:
         return values[pick]
     return None
 
@@ -454,13 +455,14 @@ def submap_contains(family: SequenceFamily, svmap: SetValuedMap, x, v,
     """Whether ``v`` is a compatible velocity at ``x``.
 
     ``v`` must be an exact value of the map at ``x``; the test is then
-    ``<x - x_0, v> >= potential - tol``.
+    that its extension's slack ``<x - x_0, v> - potential`` is at least
+    ``-tol``, as :func:`subgradient_test` checks it.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if not svmap.eval(x).contains(v):
         raise ValueError("velocity is not a value of the map at x")
-    return inner(x - family.anchor_point, v) >= potential_value(family, x) - tol
+    return inner(x - family.anchor_point, v) - potential_value(family, x) >= -tol
 
 
 def subgradient_test(family: SequenceFamily, x, v, probes, tol: float = 0.0) -> bool:
@@ -573,7 +575,8 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
     in blocks of chains, and grows the family once per block, with the
     block's children in the order a one-at-a-time queue would: chain by chain,
     then node by node (grid order, then value order).  The block where the
-    budget runs out is grown with the children found before that point.
+    budget runs out is grown with the children found before that point, and
+    forms no chain whose first evaluation lies past the budget.
     Growing a block at once gives the family growing each child in turn
     would (see :func:`grow_family`).  A slack evaluation is one chain and one
     node.  While the family is closed (see :class:`_AffineModel`), children
@@ -623,16 +626,19 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
     while True:
         next_paths, next_sums = [], []
         for lo in range(0, len(paths), step):
-            rows, prefix = paths[lo:lo + step], sums[lo:lo + step]
+            # row-major (chain, node) order is queue order; the first room
+            # evaluations fit the budget, and running out counts one past it
+            evaluations = K * min(step, len(paths) - lo)
+            room = min(max(0, budget - used), evaluations)
+            exhausted = room < evaluations
+            used += room + exhausted
+            # no chain whose first evaluation lies past the budget is formed
+            hi = lo - (-room // K)
+            rows, prefix = paths[lo:hi], sums[lo:hi]
             tips = rows[:, -1]
             # a step reads its head only through its sample
             stepped = prefix[:, -1:] + _terms(points[tips], graph.points,
                                               velocities[tips, None])[:, graph.owner]
-            # row-major (chain, node) order is queue order; the first room
-            # evaluations fit the budget, and running out counts one past it
-            room = min(max(0, budget - used), stepped.size)
-            exhausted = room < stepped.size
-            used += room + exhausted
             r, b = np.divmod(np.flatnonzero((ends - stepped).ravel()[:room] >= 0.0), K)
             if r.size:
                 kid_paths = np.concatenate([rows[r], b[:, None]], axis=1)

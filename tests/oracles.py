@@ -543,7 +543,7 @@ def submap_select_ref(family, svmap, x, tol=0.0):
         v = nearest_point_ref(family.anchor_velocity, values)
     else:
         v = support_argmax_ref(x - family.anchor_point, values)
-    if inner(x - family.anchor_point, v) >= potential_value_ref(family, x) - tol:
+    if inner(x - family.anchor_point, v) - potential_value_ref(family, x) >= -tol:
         return v
     return None
 
@@ -746,7 +746,7 @@ def selected_values_ref(svmap, samples, x0, v0, potentials, tol):
     graph = _ChainGraph(svmap, samples)
     offsets = graph.X - x0
     products = inner_rows(offsets, graph.V)
-    compatible = products >= potentials[graph.owner] - tol
+    compatible = products - potentials[graph.owner] >= -tol
     selected = []
     for i in range(len(samples)):
         lo, hi = graph.start[i], graph.start[i + 1]

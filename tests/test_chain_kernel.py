@@ -21,6 +21,7 @@ import pytest
 import setflow.chains as chains
 from setflow import (
     Always,
+    Box,
     BudgetExceededError,
     Halfspace,
     PLConvexFunction,
@@ -60,11 +61,17 @@ PAIRS = (
 
 
 def outcome(fn, *args):
-    """Report bytes, or the budget error's values and message."""
+    """Report bytes (of a list of reports, too), or the budget error's values
+    and message, or the float error's message, under the CLI's errstate."""
     try:
-        return json.dumps(fn(*args).to_json_dict())
+        with np.errstate(over="raise", invalid="raise"):
+            got = fn(*args)
     except BudgetExceededError as exc:
         return ("budget", exc.evaluated, exc.budget, str(exc))
+    except FloatingPointError as exc:
+        return ("float", str(exc))
+    return json.dumps([r.to_json_dict() for r in got] if isinstance(got, list)
+                      else got.to_json_dict())
 
 
 def assert_same_as_brute(svmap, grid, max_length, tol, budget):
@@ -176,8 +183,19 @@ def cut_budgets(nodes, starts, lengths):
             for m in lengths for start in starts[1:-1] for extra in (0, 1)}
 
 
+def classify_all(svmap, grid, max_length, tol, budget):
+    """The five reports of ``setflow classify``, from one graph."""
+    graph = chains._ChainGraph(svmap, np.asarray(grid, dtype=float))
+    return chains._classify(graph, max_length, tol, budget)
+
+
+def classify_all_brute(svmap, grid, max_length, tol, budget):
+    return [monotone_ref(svmap, grid, tol, budget), weakly_monotone_ref(svmap, grid, tol, budget),
+            *(brute(svmap, grid, max_length, tol, budget) for _, brute in PAIRS)]
+
+
 def assert_blocks_match_brute(monkeypatch, svmap, grid, max_lengths, budgets, cut_lengths,
-                              cut_groups=None):
+                              cut_groups=None, every_scan=False):
     n, graphs = max_plus_graphs(svmap, grid)
     for fast, brute, nodes, starts in graphs:
         cuts = cut_budgets(nodes, starts[:cut_groups], cut_lengths)
@@ -189,6 +207,23 @@ def assert_blocks_match_brute(monkeypatch, svmap, grid, max_lengths, budgets, cu
                     monkeypatch.setattr(chains, "_FIRST_BLOCK_ELEMENTS", first)
                     got = outcome(fast, svmap, grid, max_length, 0.0, budget)
                     assert got == want, (fast.__name__, anchors, first, max_length, budget)
+    if not every_scan:
+        return
+    # the other scans and the five reports of setflow classify, at the
+    # default block sizes and with a first block of one row
+    monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", FIRST_BLOCKS[2])
+    scans = [(classify_monotone, monotone_ref, ()),
+             (classify_weakly_monotone, weakly_monotone_ref, ())]
+    scans += [(fast, brute, (max_length,)) for max_length in max_lengths
+              for fast, brute in ((classify_weak_cyclic_monotone, weak_cyclic_monotone_brute),
+                                  (classify_all, classify_all_brute))]
+    for fast, brute, length in scans:
+        for budget in budgets:
+            want = outcome(brute, svmap, grid, *length, 0.0, budget)
+            for first in FIRST_BLOCKS[:2]:
+                monkeypatch.setattr(chains, "_FIRST_BLOCK_ELEMENTS", first)
+                got = outcome(fast, svmap, grid, *length, 0.0, budget)
+                assert got == want, (fast.__name__, first, length, budget)
 
 
 # every scan that stops at its first witness, with its oracle and max_length
@@ -216,6 +251,51 @@ def test_anchor_blocks_match_brute_force(monkeypatch, entry):
             for first in FIRST_BLOCKS:
                 monkeypatch.setattr(chains, "_FIRST_BLOCK_ELEMENTS", first)
                 assert outcome(fast, *args, 0.0, budget) == want, (fast.__name__, first, budget)
+
+
+def scaled(entry, k):
+    """The entry's map and grid with every coordinate times 2**k: a table of
+    the scaled values at each scaled grid point."""
+    s = 2.0**k
+    regions = [(Box(p * s, p * s), entry.svmap.eval(p).points * s) for p in entry.grid]
+    return table_map(regions + [(Always(), [[0.0] * entry.grid.shape[1]])]), entry.grid * s
+
+
+# a monotone map that is not cyclically monotone, a cyclically monotone one
+# and one that is not monotone
+EDGE_ENTRIES = ("quarter_turn", "planar_max_subdifferential", "constant_two_values")
+
+
+def test_scans_match_brute_force_across_the_overflow_bounds(monkeypatch):
+    # coordinates 2**k scale the gaps and chain terms by 2**(2k): near
+    # k = 500 the predicates stop holding, so the scans take one row per
+    # block, while every term stays finite up to k = 509
+    regimes = set()
+    for entry in (e for e in build_corpus() if e.name in EDGE_ENTRIES):
+        for k in range(494, 510, 3):
+            svmap, grid = scaled(entry, k)
+            graph = chains._ChainGraph(svmap, grid)
+            with np.errstate(over="ignore"):
+                regimes.add((graph.safe_gaps, 2 < graph.safe_steps))
+            assert_blocks_match_brute(monkeypatch, svmap, grid, (1, 2), (50, 10**6), (1,),
+                                      every_scan=True)
+    assert {(True, True), (False, False)} <= regimes
+
+
+def test_corpus_scans_form_whole_blocks(monkeypatch):
+    # an over-cautious bound would send every scan to one-row blocks, which
+    # only time would show
+    bounded = []
+    blocks = chains._blocks
+    monkeypatch.setattr(chains, "_blocks", lambda stop, width, safe:
+                        bounded.append(safe) or blocks(stop, width, safe))
+    for entry in build_corpus():
+        graph = chains._ChainGraph(entry.svmap, entry.grid)
+        assert graph.safe_gaps and 3 < graph.safe_steps, entry.name
+        for fast, _, length in SCANS:
+            outcome(fast, entry.svmap, entry.grid, *(() if length is None else (length,)), 0.0)
+        outcome(classify_all, entry.svmap, entry.grid, 3, 0.0, 10**6)
+    assert bounded and all(bounded)
 
 
 GRID5 = sample_grid([-1.0], [1.0], [5])
@@ -301,7 +381,8 @@ def test_anchor_blocks_raise_where_each_anchors_loop_does(monkeypatch, case, anc
     # the sweep takes one anchor at a time
     W, E, want = OVERFLOW_ORDER[case]
     monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", anchors * 4)
-    paths = chains._MaxPlusPaths(np.array(W), np.array(E), np.arange(2), 0.0)
+    # terms near 1e308: no step count is safe from overflow
+    paths = chains._MaxPlusPaths(np.array(W), np.array(E), np.arange(2), 0.0, 0.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
             got = paths.first_violation(3)
@@ -348,7 +429,7 @@ def test_descent_tests_one_candidate_at_a_time_where_sums_could_overflow(monkeyp
     W, E = np.array(W), np.array(E)
     (K, n), owner = W.shape, np.repeat(np.arange(len(E)), len(W) // len(E))
     monkeypatch.setattr(chains, "_BLOCK_ELEMENTS", candidates * K * n)
-    paths = chains._MaxPlusPaths(W, E, owner, 0.0)
+    paths = chains._MaxPlusPaths(W, E, owner, 0.0, 0.0)
     try:
         with np.errstate(over="raise", invalid="raise"):
             got = paths.first_violation(3)
@@ -693,6 +774,22 @@ def test_a_slack_that_overflows_past_the_witness_ends_no_search():
     report = classify_weak_cyclic_monotone(svmap, points, 1, 0.0)
     assert not report.holds and report.details["extensions_checked"] == 2
     assert report.witness["next_point"] == points[1].tolist()
+
+
+def test_the_step_terms_are_formed_whole_before_any_budget_applies():
+    # values 0, 1, -2**512 and 2**512 at 0, 1, -2**511 and 2**511: the step
+    # from the third point to the fourth is -2**1024.  The chain searches form
+    # every step term under the caller's errstate first, so they raise where
+    # the chain-by-chain loops stop at a budget of 8 before reaching it
+    P = 2.0**511
+    points = np.array([[0.0], [1.0], [-P], [P]])
+    svmap = table_map([(Halfspace([1.0], float(x[0]), "eq"), [[v]])
+                       for x, v in zip(points, (0.0, 1.0, -2 * P, 2 * P))] + [(Always(), [[0.0]])])
+    for fast, brute in PAIRS[:2]:
+        with pytest.raises(FloatingPointError, match="overflow encountered in vecdot"):
+            fast(svmap, points, 2, 0.0, 8)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(BudgetExceededError):
+            brute(svmap, points, 2, 0.0, 8)
 
 
 FOUR_VALUED = constant_map([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -243,7 +243,7 @@ def test_past_the_bounds_classify_searches(tmp_path, capsys, case):
     if not code:
         graph = chains._ChainGraph(svmap, points)
         assert all(json.loads(text)["holds"] for text in want)
-        assert not chains._bounded(graph.W, graph.E, 2)
+        assert graph.safe_steps <= 2
 
 
 ROTATION = linear_map([[0.0, -1.0], [1.0, 0.0]])
@@ -269,7 +269,7 @@ def test_one_node_groups_skip_the_node_descent(monkeypatch, svmap, grid, max_len
         owner = np.arange(len(grid))
     else:
         W, E, owner = graph.W, graph.E, graph.owner
-    paths = chains._MaxPlusPaths(W, E, owner, 0.0)
+    paths = chains._MaxPlusPaths(W, E, owner, 0.0, graph.safe_steps)
     descents = []
     descend = paths._descend
     monkeypatch.setattr(paths, "_descend",
@@ -283,4 +283,4 @@ def test_one_node_groups_skip_the_node_descent(monkeypatch, svmap, grid, max_len
     assert one_node == (support or svmap is ROTATION)
     assert len(descents) == (1 if one_node else 2)
     with checked():
-        assert descend(None, None, levels, np.arange(len(W)), groups[0], 1, 1) == nodes
+        assert descend(None, None, levels, np.arange(len(W)), groups[0], False) == nodes

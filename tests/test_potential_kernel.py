@@ -416,6 +416,23 @@ def test_budget_inside_a_block_matches_references(monkeypatch):
                 assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
 
 
+def test_a_chain_past_the_budget_forms_no_step_terms():
+    # values -1, 0 and 2**512 at -2**511, 0 and 2**511: the third child of
+    # the anchor steps to -2**1024 at its first point, yet its first
+    # evaluation, the 10th, lies past a budget of 9, where the queue stops
+    P = 2.0**511
+    svmap = table_map([(Halfspace([1.0], x, "eq"), [[v]])
+                       for x, v in ((-P, -1.0), (0.0, 0.0), (P, 2.0**512))]
+                      + [(Always(), [[0.0]])])
+    args = (svmap, [0.0], [0.0], [[-P], [0.0], [P]], 3)
+    with np.errstate(over="raise", invalid="raise"):
+        got, got_stats = build_family(*args, budget=9)
+        want, want_stats = build_family_ref(*args, budget=9)
+    assert got_stats == want_stats == {"chains_grown": 9, "evaluations": 10,
+                                       "budget_exhausted": True}
+    assert family_to_text(got) == family_to_text(want)
+
+
 def test_small_blocks_match_references(monkeypatch):
     # blocks of a few members or chains split every evaluation
     monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 7)
@@ -605,6 +622,17 @@ def query_problems():
             "T": 1.0, "h": 0.5, "strategy": "support", "tol": tol, "max_length": 2,
             "grid": {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [3, 3]},
         }))
+    # at the node ([-1, -1], [-0.0, 1.0]) the product -1.125 clears the model
+    # value -0.6249999999999999 less tol, as rounded, but the extension's
+    # slack, -0.5000000000000001, falls short of -tol: the node is not
+    # compatible, where the run had tested it as a subgradient and exited 2
+    docs.append(("rounding-edge", {
+        "map": {"kind": "table", "regions": [
+            {"where": {"kind": "always"}, "points": [[0.5, 0.5], [-0.0, 1.0]]}]},
+        "x0": [-0.875, 0.125], "v0": [0.5, 0.5], "T": 1.0, "h": 0.5, "strategy": "support",
+        "tol": 0.5, "max_length": 2,
+        "grid": {"low": [-1.0, -1.0], "high": [1.0, 1.0], "counts": [4, 3]},
+    }))
     return docs
 
 
@@ -1061,8 +1089,9 @@ def test_kernel_with_empty_probes():
         assert potential._subgradient_checks(family, X[:0], V[:0], empty, 0.0).shape == (0,)
 
 
-# a node the model accepts at tol 0.75 * 2**-53, whose extension fails by one
-# ulp: 1 - 2**-53 >= 1.0 - tol, as rounded, yet (1 - 2**-53) - 1.0 < -tol
+# a node whose product clears the model less tol 0.75 * 2**-53, whose
+# extension fails by one ulp: 1 - 2**-53 >= 1.0 - tol, as rounded, yet
+# (1 - 2**-53) - 1.0 < -tol
 ULP_DOC = {
     "map": {"kind": "constant", "points": [[1.0], [1.0 - 2.0**-53]]},
     "x0": [0.0], "v0": [1.0], "T": 1.0, "h": 0.5, "strategy": "support",
@@ -1072,17 +1101,23 @@ ULP_DOC = {
 
 
 def test_compatible_node_whose_extension_fails(tmp_path, capsys):
+    # compatible means the extension's own slack test, so the node is not
+    # compatible and the run, which had exited 2 on it, tests no subgradient
+    # there; the kernel still raises for it when asked
     f = tmp_path / "p.json"
     f.write_text(json.dumps(ULP_DOC) + "\n")
-    assert run_potential(f, tmp_path / "o") == cli.EXIT_INVALID
-    message = "chain fails the chain inequality at index 1"
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o").exists()
+    assert run_potential(f, tmp_path / "o") == 0
+    assert capsys.readouterr().err == ""
+    entries = json.loads((tmp_path / "o" / "subgradient.json").read_text())["entries"]
+    assert entries[1]["values"][1] == {"v": [1.0 - 2.0**-53], "compatible": False,
+                                       "subgradient_ok": None}
     spec = parse_problem(f.read_text())
     family, _ = build_family(spec.map, spec.x0, spec.v0, [[0.0], [1.0]], 2,
                              box=([0.0], [1.0]), tol=spec.tol)
     x, v = np.array([1.0]), np.array([1.0 - 2.0**-53])
     assert inner_rows(x, v) >= potential_value(family, x) - spec.tol
+    assert not submap_contains(family, spec.map, x, v, spec.tol)
+    message = "chain fails the chain inequality at index 1"
     X, V = np.array([[0.0], [1.0], [1.0]]), np.array([[1.0], [1.0], [1.0 - 2.0**-53]])
     assert assert_kernel_matches(family, X, V, X, spec.tol) == ("error", message)
 

@@ -57,3 +57,19 @@ def test_package_exports_exactly_its_modules_lists():
     version = next(node.value for node in tree.body
                    if isinstance(node, ast.Assign) and node.targets[0].id == "__version__")
     assert strings == [tree.body[0].value, version]
+
+
+def test_no_chain_scan_ignores_overflow():
+    # a scan forms its terms under the caller's errstate, one row per block
+    # where one could overflow (chains._blocks), and never forms them with
+    # overflow ignored to replay rows after; verify_chain alone replays
+    tree = ast.parse(Path(chains.__file__).read_text())
+    found = sorted({
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.errstate"
+        and any(k.arg in ("over", "all") and ast.literal_eval(k.value) == "ignore"
+                for k in node.keywords)
+    })
+    assert found == ["verify_chain"]
