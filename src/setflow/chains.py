@@ -789,81 +789,93 @@ def classify_weak_cyclic_monotone(svmap, samples, max_length, tol=DEFAULT_TOL,
     pairs built from the samples, anchored at every (sample, value) pair.  The
     property holds when :func:`extend_exhaustive` succeeds for every chain and
     every next sample point; a failure is returned as a (chain, next point)
-    witness.  Each level is checked against all ``K`` nodes at once,
-    carrying only each chain's node path and step sum, in the blocks of
-    chains of :func:`_blocks`, one chain each where a step sum or slack could
-    overflow, so that an overflow raises only for a chain up to the first
-    that fails, as a chain-by-chain search would.  The step terms are formed
-    whole first, under the caller's errstate, before any budget applies.
-    ``extensions_checked`` counts one check per chain and node, in queue
-    order.
+    witness.  The search of :func:`_levels`, as in ``build_family``, checks
+    each span of chains (node paths and last step sums) against all ``K``
+    nodes at once, one chain each where a step sum or slack could overflow,
+    so that an overflow raises only for a chain up to the first that fails,
+    as a chain-by-chain search would.  The step terms are formed whole first,
+    under the caller's errstate, before any budget applies.
+    ``extensions_checked`` counts one check per (chain, node), in queue order.
     """
     return _weak_cyclic_monotone(_ChainGraph(svmap, _samples(svmap, samples)), max_length, tol,
                                  budget)
 
 
+def _levels(paths, sums, steps, K, width, max_length, budget, safe_steps):
+    """The spans of a breadth-first search over chains of the ``K`` nodes of a graph.
+
+    A level holds one row per chain, its node path and the step sums of its
+    prefixes, and chains are checked against every node in queue order
+    (level, chain, node), in the spans of :func:`_blocks` for rows of
+    ``width`` entries, one chain each once their sums reach ``safe_steps``
+    terms.  A span yields ``(done, paths, sums, lo, hi, stepped, want)``:
+    ``done`` chains precede the level; ``stepped`` is rows ``lo:hi``'s last
+    sums plus ``steps(tips)``, one column per sample.  Where ``want``, the
+    caller sends the span's children back as ``(paths, sums)`` after its own
+    test: the next level, of up to ``max_length`` nodes, cut to the chains
+    the budget reaches and one more.  Spans stop at the last chain whose
+    first check lies within ``budget``; a level whose checks pass it then
+    raises :class:`BudgetExceededError`.
+    """
+    cap, done = (budget - 1) // K + 1, 0  # cap: the chains whose first check is within budget
+    while len(paths):
+        room, kids, count = cap - done, [], 0
+        grow = paths.shape[1] < max_length
+        # a chain of p nodes steps to a sum of p terms
+        for lo, hi in _blocks(min(len(paths), room), width, paths.shape[1] < safe_steps):
+            stepped = sums[lo:hi, -1:] + steps(paths[lo:hi, -1])
+            got = yield done, paths, sums, lo, hi, stepped, grow and count <= room - len(paths)
+            if got is not None:
+                kids.append(got)
+                count += len(got[0])
+                got = yield  # what send returns; frees the children; the next span goes to the loop
+        done += len(paths)
+        if done * K > budget:
+            raise BudgetExceededError(budget + 1, budget)
+        if not kids:
+            break
+        paths, sums = (np.concatenate(rows)[:cap - done + 1] for rows in zip(*kids))
+
+
 def _weak_cyclic_monotone(graph, max_length, tol, budget):
     n, K = len(graph.points), len(graph.V)
-    # chains whose first check falls within the budget
-    cap = (budget - 1) // K + 1
-    done = 0
-    paths, sums, last = np.arange(K)[:, None], np.zeros(K), None
-    while len(paths):
-        # chains act through their anchor samples, tips and sums alone: a
-        # level whose rows repeat the last one's repeats at every longer
-        # length, where none fails
-        level = graph.owner[paths[:, 0]].tobytes(), paths[:, -1].tobytes(), sums.tobytes()
-        if level == last:
-            done += (max_length - paths.shape[1] + 1) * len(paths)
+    search = _levels(np.arange(K)[:, None], np.zeros((K, 1)), graph.W.__getitem__, K, K,
+                     max_length, budget, graph.safe_steps)
+    last = witness = None
+    for done, paths, sums, lo, hi, stepped, want in search:
+        if lo == 0:
+            # chains act through their anchor samples, tips and sums alone: a
+            # level whose rows repeat the last one's repeats at every longer
+            # length, where none fails
+            level = graph.owner[paths[:, 0]].tobytes(), paths[:, -1].tobytes(), sums.tobytes()
+            if level == last:
+                used = (done + (max_length - paths.shape[1] + 1) * len(paths)) * K
+                break
+            last = level
+        rows = paths[lo:hi]
+        anchors = graph.owner[rows[:, 0]]
+        # one step sum per sample; rounding is monotone, so the best slack is the
+        # largest E less it, and the least E less it raises as a node would
+        best = graph.ends[anchors] - stepped
+        slack = (graph.E[anchors] - stepped[:, graph.owner] if want
+                 else graph.lows[anchors] - stepped)
+        stuck = best < -tol
+        r, j = divmod(int(stuck.argmax()), n)
+        if stuck[r, j]:
+            used = (done + lo + r) * K + int(graph.start[j + 1])
+            witness = {"points": graph.X[rows[r]].tolist(), "velocities": graph.V[rows[r]].tolist(),
+                       "next_point": graph.points[j].tolist(), "best_slack": float(best[r, j])}
             break
-        last = level
-        room = cap - done
-        grow = paths.shape[1] < max_length
-        kids_paths, kids_sums, kids = [], [], 0
-        # a chain of p nodes steps to a sum of p terms
-        bounded = paths.shape[1] < graph.safe_steps
-        for lo, hi in _blocks(min(len(paths), room), K, bounded):
-            rows = paths[lo:hi]
-            collect = grow and kids <= room - len(paths)
-            anchors = graph.owner[rows[:, 0]]
-            # one step sum per sample; rounding is monotone, so the best slack is
-            # the largest E less it, and the least E less it raises as a node
-            # would
-            stepped = sums[lo:hi, None] + graph.W[rows[:, -1]]
-            best = graph.ends[anchors] - stepped
-            slack = (graph.E[anchors] - stepped[:, graph.owner] if collect
-                     else graph.lows[anchors] - stepped)
-            stuck = best < -tol
-            r, j = divmod(int(stuck.argmax()), n)
-            if stuck[r, j]:
-                used = (done + lo + r) * K + int(graph.start[j + 1])
-                if used > budget:
-                    raise BudgetExceededError(budget + 1, budget)
-                witness = {"points": graph.X[rows[r]].tolist(),
-                           "velocities": graph.V[rows[r]].tolist(),
-                           "next_point": graph.points[j].tolist(), "best_slack": float(best[r, j])}
-                return ClassReport(
-                    "weak_cyclic_monotone", False, witness, tol, _describe(graph.points),
-                    {"max_length": max_length, "extensions_checked": used},
-                )
-            if collect:
-                r, b = np.nonzero(slack >= -tol)
-                kids_paths.append(np.column_stack([rows[r], b]))
-                kids_sums.append(stepped[r, graph.owner[b]])
-                kids += len(r)
-        if len(paths) > room:
-            raise BudgetExceededError(budget + 1, budget)
-        done += len(paths)
-        if not kids_paths:
-            break
-        paths, sums = np.concatenate(kids_paths), np.concatenate(kids_sums)
-    used = done * K
+        if want:
+            r, b = np.nonzero(slack >= -tol)
+            search.send((np.column_stack([rows[r], b]), stepped[r, graph.owner[b], None]))
+    else:
+        used = (done + len(paths)) * K
     if used > budget:
         raise BudgetExceededError(budget + 1, budget)
-    return ClassReport(
-        "weak_cyclic_monotone", True, None, tol, _describe(graph.points),
-        {"max_length": max_length, "extensions_checked": used},
-    )
+    return ClassReport("weak_cyclic_monotone", witness is None, witness, tol,
+                       _describe(graph.points),
+                       {"max_length": max_length, "extensions_checked": used})
 
 
 @_float_checked

@@ -36,8 +36,8 @@ import json
 
 import numpy as np
 
-from .chains import (DEFAULT_CHAIN_BUDGET, _BLOCK_ELEMENTS, Chain, _ChainGraph, _rule_picks,
-                     _terms, verify_chain)
+from .chains import (DEFAULT_CHAIN_BUDGET, _BLOCK_ELEMENTS, BudgetExceededError, Chain,
+                     _ChainGraph, _levels, _rule_picks, _terms, verify_chain)
 from .geometry import inner, inner_rows
 from .setmaps import SetValuedMap, _json_bytes, _point_rows
 
@@ -571,15 +571,15 @@ def build_family(svmap: SetValuedMap, x0, v0, grid_points, max_length: int,
     heuristic constructor: richer families give tighter models, and any
     verified chain may be grown in afterwards.
 
-    Each level scores its chains against every (point, value) node at once,
-    in blocks of chains, and grows the family once per block, with the
-    block's children in the order a one-at-a-time queue would: chain by chain,
-    then node by node (grid order, then value order).  The block where the
-    budget runs out is grown with the children found before that point, and
-    forms no chain whose first evaluation lies past the budget.
-    Growing a block at once gives the family growing each child in turn
-    would (see :func:`grow_family`).  A slack evaluation is one chain and one
-    node.  While the family is closed (see :class:`_AffineModel`), children
+    The levels are the weak cyclic search's (``chains._levels``): each span
+    of chains is scored against every (point, value) node at once, and the
+    family grows once per span with its children in queue order: chain by
+    chain, then node by node (grid order, then value order).  The span where
+    the budget runs out grows the children found before that point, and no
+    chain whose first evaluation lies past the budget is formed.  Growing a
+    span at once gives the family growing each child in turn would (see
+    :func:`grow_family`).  A slack evaluation is one chain and one node.
+    While the family is closed (see :class:`_AffineModel`), children
     that a member is as high as at every vertex are dropped first, unless
     the others could take the family past its cap: growth would prune them.
     """
@@ -602,12 +602,11 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
         raise ValueError("cap must be positive")
     cap = int(cap)
     box = _check_box(box, x0.shape[0])
-    X, V = graph.X, graph.V
-    K, dim = V.shape
+    K = len(graph.V)
     # <x_b - x_0, v_b>: the anchored side of every node's extension slack
-    ends = _terms(x0[None], X, V[None])[0]
+    ends = _terms(x0[None], graph.X, graph.V[None])[0]
     # node K stands for the anchor, the first pair of every chain
-    points, velocities = np.vstack([X, x0]), np.vstack([V, v0])
+    points, velocities = np.vstack([graph.X, x0]), np.vstack([graph.V, v0])
     vertices = None if box is None else _frozen(np.array(_box_vertices(box)))
     at_vertices = _vertex_terms(points, velocities, vertices)
     # the trivial member, a member being its node path and step sums until
@@ -618,51 +617,40 @@ def _build_family(graph, x0, v0, max_length, box, budget, tol, cap=DEFAULT_FAMIL
                          None if vertices is None else at_vertices[K:] + trivial[1][:, None],
                          settled=True)
     members = (trivial,)
-    used = 0
     grown = 0
-    # row r of a level: the node path of chain r and the step sums of its prefixes
-    paths, sums = trivial[0][None], trivial[1][None]
-    step = max(1, _BLOCK_ELEMENTS // max(1, K * dim))
-    while True:
-        next_paths, next_sums = [], []
-        for lo in range(0, len(paths), step):
-            # row-major (chain, node) order is queue order; the first room
-            # evaluations fit the budget, and running out counts one past it
-            evaluations = K * min(step, len(paths) - lo)
-            room = min(max(0, budget - used), evaluations)
-            exhausted = room < evaluations
-            used += room + exhausted
-            # no chain whose first evaluation lies past the budget is formed
-            hi = lo - (-room // K)
-            rows, prefix = paths[lo:hi], sums[lo:hi]
-            tips = rows[:, -1]
-            # a step reads its head only through its sample
-            stepped = prefix[:, -1:] + _terms(points[tips], graph.points,
-                                              velocities[tips, None])[:, graph.owner]
-            r, b = np.divmod(np.flatnonzero((ends - stepped).ravel()[:room] >= 0.0), K)
-            if r.size:
-                kid_paths = np.concatenate([rows[r], b[:, None]], axis=1)
-                kid_sums = np.concatenate([prefix[r], stepped[r, b][:, None]], axis=1)
-                offer = _Offer(points, velocities, at_vertices, kid_paths, kid_sums,
-                               np.full(len(r), kid_paths.shape[1]))
-                live = None
-                if vertices is not None and model.closed:
-                    # every proper prefix of a child was grown at an earlier
-                    # level, so a survivor adds at most its last row: under the
-                    # gate nothing is evicted, so a dropped child is pruned at its turn
-                    kept = ~_dominated_by(model.at_vertices, at_vertices[b] + kid_sums[:, -1:])
-                    if len(members) + np.count_nonzero(kept) <= cap:
-                        live = np.flatnonzero(kept)
-                model, members = _grow_rows(model, members, cap, offer, live)
-                grown += len(r)
-                if kid_paths.shape[1] < max_length:
-                    next_paths.append(kid_paths)
-                    next_sums.append(kid_sums)
-            if exhausted:
-                break
-        if exhausted or not next_paths:
-            break
-        paths, sums = np.concatenate(next_paths), np.concatenate(next_sums)
+    # a step reads its head only through its sample; every chain within the
+    # budget is formed, whatever the span, so no step count bounds the spans
+    search = _levels(trivial[0][None], trivial[1][None],
+                     lambda tips: _terms(points[tips], graph.points, velocities[tips, None]),
+                     K, graph.V.size, max_length - 1, budget, np.inf)
+    try:
+        for done, paths, sums, lo, hi, stepped, want in search:
+            # row-major (chain, node) order is queue order, so the span's
+            # evaluations within the budget are a prefix
+            slack = (ends - stepped[:, graph.owner]).ravel()[:budget - (done + lo) * K]
+            r, b = np.divmod(np.flatnonzero(slack >= 0.0), K)
+            if not r.size:
+                continue
+            kid_paths = np.concatenate([paths[lo:hi][r], b[:, None]], axis=1)
+            kid_sums = np.concatenate([sums[lo:hi][r], stepped[r, graph.owner[b], None]], axis=1)
+            offer = _Offer(points, velocities, at_vertices, kid_paths, kid_sums,
+                           np.full(len(r), kid_paths.shape[1]))
+            live = None
+            if vertices is not None and model.closed:
+                # every proper prefix of a child was grown at an earlier
+                # level, so a survivor adds at most its last row: under the
+                # gate nothing is evicted, so a dropped child is pruned at its turn
+                kept = ~_dominated_by(model.at_vertices, at_vertices[b] + kid_sums[:, -1:])
+                if len(members) + np.count_nonzero(kept) <= cap:
+                    live = np.flatnonzero(kept)
+            model, members = _grow_rows(model, members, cap, offer, live)
+            grown += len(r)
+            if want:
+                search.send((kid_paths, kid_sums))
+        used, exhausted = (done + len(paths)) * K, False
+    except BudgetExceededError:
+        # running out counts one evaluation past the budget
+        used, exhausted = max(budget, 0) + 1, True
     # each member gets its own read-only rows
     members = tuple(Chain._trusted(_frozen(points[p]), _frozen(velocities[p]), _frozen(s))
                     for p, s in members)

@@ -155,6 +155,32 @@ def test_weak_cyclic_blocks_match_brute_force(monkeypatch):
                 assert got == want, (entry.name, max_length, budget)
 
 
+def test_the_span_of_a_weak_cyclic_witness_forms_no_children(monkeypatch):
+    # a span's children are formed after its witness test: on a 7 x 7
+    # rotation the witness is the 7th chain of level 2, in a span whose
+    # children level 3 would take, and that span hands none back.  Forming
+    # each span's children first made the searches that fail early about
+    # five times slower
+    spans, sent = [], []
+
+    def spy(*args, levels=chains._levels):
+        search = levels(*args)
+        for span in search:
+            spans.append(span)
+            kids = yield span
+            if kids is not None:
+                sent.append(len(spans) - 1)
+                search.send(kids)
+                yield
+
+    monkeypatch.setattr(chains, "_levels", spy)
+    grid = sample_grid([-1.0, -1.0], [1.0, 1.0], [7, 7])
+    report = classify_weak_cyclic_monotone(ROTATION, grid, 3, 1e-9)
+    assert not report.holds and len(report.witness["points"]) == 2
+    *_, want = spans[-1]
+    assert want and sent and sent[-1] < len(spans) - 1
+
+
 # ---------------------------------------------------------------------------
 # blocks of anchors in the max-plus sweep of classify_cyclic_monotone and
 # check_support_chain

@@ -43,7 +43,7 @@ from setflow import (
     submap_contains,
     table_map,
 )
-from setflow.chains import extension_slack
+from setflow.chains import _FIRST_BLOCK_ELEMENTS, extension_slack
 from setflow.geometry import inner, inner_rows
 from setflow.potential import (
     affine_value,
@@ -406,14 +406,18 @@ def test_rows_a_member_ties_are_dropped_before_the_dominance_matrix():
 
 
 def test_budget_inside_a_block_matches_references(monkeypatch):
-    # blocks of three chains; budgets run out at every part of a block
+    # spans of three chains, after a first span of one chain or of three;
+    # budgets run out at every part of a span
     for entry in build_corpus()[2:6]:
         x0, v0 = next(anchors(entry.svmap, entry.grid))
         K = sum(len(entry.svmap.eval(p)) for p in entry.grid)
         monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 3 * K * len(x0))
-        for box in (None, bounds(entry.grid)):
-            for budget in range(K // 2, 8 * K, K // 2):
-                assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
+        monkeypatch.setattr("setflow.chains._BLOCK_ELEMENTS", 3 * K * len(x0))
+        for first in (1, _FIRST_BLOCK_ELEMENTS):
+            monkeypatch.setattr("setflow.chains._FIRST_BLOCK_ELEMENTS", first)
+            for box in (None, bounds(entry.grid)):
+                for budget in range(K // 2, 8 * K, K // 2):
+                    assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
 
 
 def test_a_chain_past_the_budget_forms_no_step_terms():
@@ -436,11 +440,14 @@ def test_a_chain_past_the_budget_forms_no_step_terms():
 def test_small_blocks_match_references(monkeypatch):
     # blocks of a few members or chains split every evaluation
     monkeypatch.setattr(potential, "_BLOCK_ELEMENTS", 7)
-    for entry in build_corpus()[2:6]:
-        x0, v0 = next(anchors(entry.svmap, entry.grid))
-        for box in (None, bounds(entry.grid)):
-            for budget in (50, 10**6):
-                assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
+    monkeypatch.setattr("setflow.chains._BLOCK_ELEMENTS", 7)
+    for first in (1, _FIRST_BLOCK_ELEMENTS):
+        monkeypatch.setattr("setflow.chains._FIRST_BLOCK_ELEMENTS", first)
+        for entry in build_corpus()[2:6]:
+            x0, v0 = next(anchors(entry.svmap, entry.grid))
+            for box in (None, bounds(entry.grid)):
+                for budget in (50, 10**6):
+                    assert_same_build(entry.svmap, entry.grid, x0, v0, 3, box, budget)
 
 
 def test_children_are_neither_extended_nor_verified_again(monkeypatch):
